@@ -4,7 +4,7 @@
 # serial + p in {1,2,4,8}), then a 120-seed chaos sweep: injected pass
 # faults must be contained, attributed and oracle-equivalent.
 
-.PHONY: all build test validate chaos check bench perf scale runtime incremental daemon storm chaosnet backends native clean
+.PHONY: all build test validate chaos check bench measure native clean
 
 all: build
 
@@ -25,75 +25,17 @@ check: build
 	dune exec bin/polaris_cli.exe -- validate --suite --trace trace-report.json
 	dune exec bin/polaris_cli.exe -- chaos --seeds 120 --out chaos-report.json
 
+# The paper's tables and figures, in simulated time (EXPERIMENTS.md).
 bench: build
-	dune exec bench/main.exe -- all
+	dune exec bench/main.exe
 
-# Compile-time performance: compiles the 16-code suite N times with the
-# caches off then on, prints per-phase wall time and the speedup, writes
-# BENCH_compile.json, and exits non-zero if cached and uncached
-# compilation outputs or verdicts diverge.
-perf: build
-	dune exec bench/main.exe -- perf 5
-
-# Multicore compilation: compiles the 16-code suite N times at
-# -j 1/2/4/8, asserts that output, verdicts and incidents are
-# byte-identical at every job count, prints the wall-clock scaling
-# table with per-pass wall time and the work-stealing scheduler's
-# batch/chunk/steal counters, and writes BENCH_scale.json (committed).
-scale: build
-	dune exec bench/main.exe -- scale 3
-
-# Real parallel execution: runs the 16-code suite on the serial
-# interpreter and on 1/2/4/8 OCaml domains (Machine.Parexec), prints
-# measured wall-clock speedups, exercises an LRPD success and a forced
-# LRPD failure (checkpoint/rollback/serial re-run), writes
-# BENCH_runtime.json, and exits non-zero if any parallel run diverges
-# from serial (integers exact, floats within the documented real-lane
-# tolerance) or either speculation path fails to execute.
-runtime: build
-	dune exec bench/main.exe -- runtime 3
-
-# Incremental recompilation: one serve-style session — cold-compile the
-# 16-code suite, then one single-unit edit per code with a full-suite
-# incremental recompile each.  Writes BENCH_incremental.json and exits
-# non-zero if any recompile diverges from a from-scratch compile or the
-# analysis-reuse rate falls below the 70% floor.
-incremental: build
-	dune exec bench/main.exe -- incremental
-
-# Compile daemon: replays 4 concurrent client sessions over the 16-code
-# suite against a real daemon + unix socket, three times — cold (empty
-# store), warm (daemon restarted on the persisted store) and conc (cold
-# again under --max-inflight 4, cross-request concurrency vs the
-# serialized cold baseline).  Writes BENCH_daemon.json and exits
-# non-zero if any response differs from a from-scratch compile or the
-# warm shared-cache hit rate is below 50%.
-daemon: build
-	dune exec bench/main.exe -- daemon 4
-
-# Overload storm: 6 honest clients, 1 mid-frame staller and 1 seeded
-# chaos transport against a daemon capped at 4 sessions.  Writes
-# BENCH_storm.json and exits non-zero unless the daemon sheds (Busy),
-# evicts the staller, keeps queued response bytes bounded, and answers
-# every honest request byte-identically to a from-scratch compile.
-storm: build
-	dune exec bench/main.exe -- storm 6
-
-# Network chaos: 100 seeded fault-injecting transports (bit flips,
-# torn frames, mid-frame disconnects, stalls) against a live daemon.
-# Writes BENCH_chaosnet.json and exits non-zero unless every retried
-# client converges byte-identically and the daemon exits gracefully.
-chaosnet: build
-	dune exec bench/main.exe -- chaosnet 100
-
-# Backend emission matrix: every preset pipeline (thorough/fast/serial)
-# x every registered backend (f77/f77-omp/c) over the 16-code suite.
-# Re-parsing backends are semantically checked through our own frontend
-# against the interpreter oracle; the C backend is pinned by digest and
-# emission determinism.  Writes BENCH_backends.json and exits non-zero
-# on any divergence.
-backends: build
-	dune exec bench/main.exe -- backends
+# The wall-clock benchmark (BENCHMARK.json, measure/README.md): every
+# workload in its own child process, outputs checked against a
+# reference, result set written to measure-result.json.  Exits
+# non-zero if any op fails its check or -j 2 output differs from -j 1.
+# measure/README.md covers more seeds, traced runs, agree and compare.
+measure:
+	bash measure/run.sh run --seed 1 --out measure-result.json
 
 # Native toolchain check: compile the f77-omp output with gfortran
 # -fopenmp and the C output with cc -fopenmp for three suite codes, run

@@ -1,9 +1,11 @@
 (** Experiment harness: regenerates every table and figure of the paper.
 
-    Usage: [main.exe [table1|fig1|fig2|fig3|fig4|fig5|fig6|fig7|micro|ablation]]
+    Usage: [main.exe [table1|fig1|...|fig7|coverage|validate|micro|ablation|chaos]]
     With no argument every experiment runs in order.  EXPERIMENTS.md
-    records paper-vs-measured for each.  All results except [micro] are
-    deterministic simulated-time measurements. *)
+    records paper-vs-measured for each.  Every result except [micro] is a
+    deterministic simulated-time measurement; [micro] times a few
+    compiler kernels with bechamel, and end-to-end wall-clock performance
+    is measured by [measure/]. *)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -460,986 +462,6 @@ let micro () =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Perf: compile-time speed of the compiler itself, caches on vs. off  *)
-
-type perf_phases = {
-  mutable ph_parse : float;
-  mutable ph_passes : float;
-  mutable ph_dep : float;
-  mutable ph_validate : float;
-}
-
-let perf_total ph = ph.ph_parse +. ph.ph_passes +. ph.ph_dep +. ph.ph_validate
-
-(* one code, one iteration: returns (output source, per-loop verdicts)
-   and accumulates per-phase wall time.  The dep phase is carved out of
-   the pipeline time via Dep.Driver's wall accumulator; "validate" is
-   unparsing the result for the cached-vs-uncached identity check. *)
-let perf_compile_one cfg (ph : perf_phases) (source : string) =
-  let now = Unix.gettimeofday in
-  let t0 = now () in
-  let p =
-    Util.Cachectl.with_enabled cfg.Core.Config.caches (fun () ->
-        Frontend.Parser.parse_string source)
-  in
-  let t1 = now () in
-  let dep0 = Dep.Driver.wall_snapshot () in
-  let t = Core.Pipeline.run cfg p in
-  let t2 = now () in
-  let dep_d = Dep.Driver.wall_snapshot () -. dep0 in
-  let out = Core.Pipeline.output_source t in
-  let verdicts =
-    List.map
-      (fun (l : Core.Pipeline.loop_result) ->
-        ( l.unit_name, l.report.loop_index, l.report.parallel,
-          l.report.speculative, l.report.reason ))
-      t.loops
-  in
-  let t3 = now () in
-  ph.ph_parse <- ph.ph_parse +. (t1 -. t0);
-  ph.ph_passes <- ph.ph_passes +. (t2 -. t1 -. dep_d);
-  ph.ph_dep <- ph.ph_dep +. dep_d;
-  ph.ph_validate <- ph.ph_validate +. (t3 -. t2);
-  (out, verdicts)
-
-(* compile every suite code [n] times under [caches]; returns the phase
-   totals, the per-code results of the first iteration, and the cache
-   counters.  Asserts that iterations within one mode are identical. *)
-let perf_mode ~caches ~n =
-  Util.Cachectl.clear_all ();
-  let cfg = { (Core.Config.polaris ()) with caches } in
-  let ph = { ph_parse = 0.; ph_passes = 0.; ph_dep = 0.; ph_validate = 0. } in
-  let first : (string * (string * (string * string * bool * bool * string) list)) list ref = ref [] in
-  for iter = 1 to n do
-    List.iter
-      (fun (c : Suite.Code.t) ->
-        let result = perf_compile_one cfg ph c.source in
-        if iter = 1 then first := (c.name, result) :: !first
-        else if List.assoc c.name !first <> result then (
-          Printf.eprintf
-            "perf: %s: iteration %d differs from iteration 1 (caches %b)\n"
-            c.name iter caches;
-          exit 1))
-      Suite.Registry.all
-  done;
-  (ph, List.rev !first, Util.Cachectl.snapshot ())
-
-let perf ?(n = 5) () =
-  section
-    (Printf.sprintf
-       "perf: compile the 16-code suite %dx, caches on vs. POLARIS_NO_CACHE \
-        baseline" n);
-  let uncached, base_results, _ = perf_mode ~caches:false ~n in
-  let cached, cached_results, cache_stats = perf_mode ~caches:true ~n in
-  (* the whole point: the caches must be invisible in the output *)
-  let divergent =
-    List.filter
-      (fun (name, result) -> List.assoc name cached_results <> result)
-      base_results
-  in
-  List.iter
-    (fun (name, _) ->
-      Printf.eprintf "perf: DIVERGENCE on %s: cached and uncached compiles \
-                      disagree\n" name)
-    divergent;
-  let identical = divergent = [] in
-  let speedup = perf_total uncached /. perf_total cached in
-  Printf.printf "%-10s | %10s %10s\n" "phase" "uncached" "cached";
-  Printf.printf "%s\n" (String.make 36 '-');
-  let row name f =
-    Printf.printf "%-10s | %9.1fms %9.1fms\n" name (1000. *. f uncached)
-      (1000. *. f cached)
-  in
-  row "parse" (fun p -> p.ph_parse);
-  row "passes" (fun p -> p.ph_passes);
-  row "dep" (fun p -> p.ph_dep);
-  row "validate" (fun p -> p.ph_validate);
-  row "total" perf_total;
-  Printf.printf "\ncache counters (cached mode):\n";
-  List.iter
-    (fun (name, hits, misses) ->
-      Printf.printf "  %-22s %8d hits %8d misses\n" name hits misses)
-    cache_stats;
-  (* a cache that never hits is dead weight — a key-design bug (as the
-     original generation+sid env_at key was), not a tuning matter *)
-  let dead =
-    List.filter (fun (_, hits, misses) -> hits = 0 && misses > 0) cache_stats
-  in
-  List.iter
-    (fun (name, _, misses) ->
-      Printf.eprintf "perf: DEAD CACHE %s: 0 hits in %d lookups\n" name misses)
-    dead;
-  if dead <> [] then exit 1;
-  Printf.printf "\noutputs byte-identical, verdicts identical: %b\n" identical;
-  Printf.printf "end-to-end compile speedup: %.2fx\n" speedup;
-  let json =
-    let open Valid.Trace.Json in
-    let phases p =
-      obj
-        [ ("parse_s", float p.ph_parse);
-          ("passes_s", float p.ph_passes);
-          ("dep_s", float p.ph_dep);
-          ("validate_s", float p.ph_validate);
-          ("total_wall_s", float (perf_total p)) ]
-    in
-    obj
-      [ ("iterations", int n);
-        ("codes", int (List.length Suite.Registry.all));
-        ("uncached", phases uncached);
-        ("cached", phases cached);
-        ("caches", Valid.Trace.cache_json cache_stats);
-        ("speedup", float speedup);
-        ("identical_output", bool identical) ]
-  in
-  let oc = open_out "BENCH_compile.json" in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_compile.json\n";
-  if not identical then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Scale: multicore compilation — byte-identity and wall clock vs -j   *)
-
-(* one full compile of one source; returns everything observable:
-   the annotated output source, the per-loop verdicts (loop_sid
-   excluded: statement ids depend on allocation order across domains
-   and carry no meaning beyond uniqueness) and the incident list *)
-let scale_compile ?observer cfg (source : string) =
-  let t = Core.Pipeline.compile ?observer cfg source in
-  ( Core.Pipeline.output_source t,
-    List.map
-      (fun (l : Core.Pipeline.loop_result) ->
-        ( l.unit_name, l.report.loop_index, l.report.parallel,
-          l.report.speculative, l.report.reason ))
-      t.loops,
-    List.map
-      (fun (i : Core.Pipeline.incident) ->
-        (i.inc_pass, i.inc_reason, i.inc_rolled_back, i.inc_disabled))
-      t.incidents )
-
-let scale ?(n = 3) () =
-  section
-    (Printf.sprintf
-       "scale: compile the 16-code suite %dx at -j 1/2/4/8 — byte-identity \
-        and wall clock" n);
-  let cfg = Core.Config.polaris () in
-  let job_counts = [ 1; 2; 4; 8 ] in
-  let results =
-    List.map
-      (fun jobs ->
-        Util.Pool.with_jobs jobs (fun () ->
-            Util.Cachectl.clear_all ();
-            (* per-pass wall clock through the pipeline observer (the
-               first event, "parse", absorbs frontend + setup time) and
-               the work-stealing scheduler's own telemetry *)
-            let phases : (string * float ref) list ref = ref [] in
-            let sched0 = Util.Pool.counters () in
-            let t0 = Unix.gettimeofday () in
-            let sigs = ref [] in
-            for iter = 1 to n do
-              List.iter
-                (fun (c : Suite.Code.t) ->
-                  let last = ref (Unix.gettimeofday ()) in
-                  let observer p _ =
-                    let now = Unix.gettimeofday () in
-                    (match List.assoc_opt p !phases with
-                    | Some r -> r := !r +. (now -. !last)
-                    | None -> phases := !phases @ [ (p, ref (now -. !last)) ]);
-                    last := now
-                  in
-                  let s = scale_compile ~observer cfg c.source in
-                  if iter = 1 then sigs := (c.name, s) :: !sigs)
-                Suite.Registry.all
-            done;
-            let wall = Unix.gettimeofday () -. t0 in
-            let sched =
-              Util.Pool.counters_delta ~base:sched0 (Util.Pool.counters ())
-            in
-            let phases = List.map (fun (p, r) -> (p, !r)) !phases in
-            (jobs, wall, List.rev !sigs, phases, sched)))
-      job_counts
-  in
-  let _, wall1, sigs1, _, _ =
-    List.find (fun (jobs, _, _, _, _) -> jobs = 1) results
-  in
-  let divergences = ref [] in
-  List.iter
-    (fun (jobs, _, sigs, _, _) ->
-      if jobs <> 1 then
-        List.iter
-          (fun (name, s) ->
-            if List.assoc name sigs1 <> s then
-              divergences := (jobs, name) :: !divergences)
-          sigs)
-    results;
-  List.iter
-    (fun (jobs, name) ->
-      Printf.eprintf
-        "scale: DIVERGENCE on %s at -j %d: output/verdicts/incidents differ \
-         from -j 1\n"
-        name jobs)
-    !divergences;
-  let identical = !divergences = [] in
-  Printf.printf "%5s | %10s %8s | %7s %7s %7s %7s %7s\n" "jobs" "wall"
-    "speedup" "batches" "inline" "tasks" "chunks" "steals";
-  Printf.printf "%s\n" (String.make 76 '-');
-  List.iter
-    (fun (jobs, wall, _, _, (s : Util.Pool.counters)) ->
-      Printf.printf "%5d | %9.2fs %7.2fx | %7d %7d %7d %7d %7d\n" jobs wall
-        (wall1 /. wall) s.c_batches s.c_inline s.c_tasks s.c_chunks s.c_steals)
-    results;
-  (* where the time goes, per pass, at the extremes of the -j range *)
-  let phase_row jobs =
-    let _, _, _, phases, _ =
-      List.find (fun (j, _, _, _, _) -> j = jobs) results
-    in
-    phases
-  in
-  let p1 = phase_row 1 and p8 = phase_row (List.hd (List.rev job_counts)) in
-  Printf.printf "\n%-14s | %10s %10s\n" "phase" "-j 1"
-    (Printf.sprintf "-j %d" (List.hd (List.rev job_counts)));
-  Printf.printf "%s\n" (String.make 40 '-');
-  List.iter
-    (fun (p, w1) ->
-      let w8 = Option.value ~default:0.0 (List.assoc_opt p p8) in
-      Printf.printf "%-14s | %9.2fs %9.2fs\n" p w1 w8)
-    p1;
-  Printf.printf "\nhost cores (recommended domain count): %d\n"
-    (Domain.recommended_domain_count ());
-  Printf.printf "outputs/verdicts/incidents identical across -j: %b\n" identical;
-  let json =
-    let open Valid.Trace.Json in
-    obj
-      [ ("iterations", int n);
-        ("codes", int (List.length Suite.Registry.all));
-        ("host_cores", int (Domain.recommended_domain_count ()));
-        ( "runs",
-          arr
-            (List.map
-               (fun (jobs, wall, _, phases, (s : Util.Pool.counters)) ->
-                 obj
-                   [ ("jobs", int jobs);
-                     ("wall_s", float wall);
-                     ("speedup", float (wall1 /. wall));
-                     ( "phases",
-                       arr
-                         (List.map
-                            (fun (p, w) ->
-                              obj
-                                [ ("pass", str p); ("wall_s", float w) ])
-                            phases) );
-                     ( "scheduler",
-                       obj
-                         [ ("batches", int s.c_batches);
-                           ("inline", int s.c_inline);
-                           ("tasks", int s.c_tasks);
-                           ("chunks", int s.c_chunks);
-                           ("steals", int s.c_steals) ] ) ])
-               results) );
-        ("identical_output", bool identical) ]
-  in
-  let oc = open_out "BENCH_scale.json" in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_scale.json\n";
-  if not identical then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Incremental: serve-style session — cold suite, then one-unit edits  *)
-
-(* the canonical single-unit edit: a CONTINUE spliced in just before the
-   final END line, so exactly one program unit reparses to different IR
-   while every other unit (and every other code) is textually unchanged *)
-let inject_continue (source : string) : string =
-  let lines = String.split_on_char '\n' source in
-  let last_end =
-    List.fold_left
-      (fun (i, best) line ->
-        (i + 1, if String.trim line = "END" then Some i else best))
-      (0, None) lines
-    |> snd
-  in
-  match last_end with
-  | None -> failwith "inject_continue: no END line"
-  | Some at ->
-    List.mapi (fun i l -> if i = at then "      CONTINUE\n" ^ l else l) lines
-    |> String.concat "\n"
-
-let incremental ?(min_reuse = 0.70) () =
-  section
-    "incremental: one serve session — cold 16-code suite, then one \
-     single-unit edit per code, full-suite recompiles";
-  let cfg = Core.Config.polaris () in
-  let now = Unix.gettimeofday in
-  let aggregate results =
-    let hits =
-      List.fold_left
-        (fun a (_, _, (r : Core.Incremental.result)) -> a + r.stats.st_hits)
-        0 results
-    in
-    let lookups =
-      List.fold_left
-        (fun a (_, _, (r : Core.Incremental.result)) -> a + r.stats.st_lookups)
-        0 results
-    in
-    (hits, lookups,
-     if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups)
-  in
-  (* cold: the session's first compile of every code *)
-  Util.Cachectl.clear_all ();
-  let t0 = now () in
-  let cold =
-    List.map
-      (fun (c : Suite.Code.t) ->
-        (c.name, c.source, Core.Incremental.compile cfg c.source))
-      Suite.Registry.all
-  in
-  let cold_wall = now () -. t0 in
-  let _, _, cold_rate = aggregate cold in
-  Printf.printf "cold suite compile: %.2fs, %.1f%% analysis reuse (intra-compile)\n\n"
-    cold_wall (100.0 *. cold_rate);
-  (* edit steps: edit one code, recompile the whole suite incrementally *)
-  Printf.printf "%-8s | %9s %18s | %s\n" "edited" "wall" "suite reuse"
-    "edited-code reuse";
-  Printf.printf "%s\n" (String.make 64 '-');
-  let steps =
-    List.map
-      (fun (c : Suite.Code.t) ->
-        let edited = inject_continue c.source in
-        let t0 = now () in
-        let results =
-          List.map
-            (fun (d : Suite.Code.t) ->
-              let src = if d.name = c.name then edited else d.source in
-              (d.name, src, Core.Incremental.compile cfg src))
-            Suite.Registry.all
-        in
-        let wall = now () -. t0 in
-        let hits, lookups, rate = aggregate results in
-        let _, _, (edited_r : Core.Incremental.result) =
-          List.find (fun (n, _, _) -> n = c.name) results
-        in
-        Printf.printf "%-8s | %8.3fs %6.1f%% (%d/%d) | %5.1f%%\n" c.name wall
-          (100.0 *. rate) hits lookups
-          (100.0 *. edited_r.stats.st_reuse_rate);
-        (c.name, edited, results, wall, rate, lookups))
-      Suite.Registry.all
-  in
-  (* byte-identity, two ways.  (a) every unchanged code's warm outcome
-     must equal its cold outcome; (b) every edited code's incremental
-     outcome must equal a from-scratch compile of the edited source.
-     The scratch compiles clear the session caches, so they run after
-     all reuse measurements. *)
-  let divergences = ref [] in
-  List.iter
-    (fun (edited_name, _, results, _, _, _) ->
-      List.iter
-        (fun (name, _, (r : Core.Incremental.result)) ->
-          if name <> edited_name then
-            let _, _, (c : Core.Incremental.result) =
-              List.find (fun (n, _, _) -> n = name) cold
-            in
-            List.iter
-              (fun d ->
-                divergences :=
-                  Printf.sprintf "%s (unchanged, %s edited): %s" name
-                    edited_name d
-                  :: !divergences)
-              (Core.Incremental.diverges ~incremental:r.outcome
-                 ~scratch:c.outcome))
-        results)
-    steps;
-  List.iter
-    (fun (name, edited, results, _, _, _) ->
-      let _, _, (r : Core.Incremental.result) =
-        List.find (fun (n, _, _) -> n = name) results
-      in
-      let s = Core.Incremental.scratch cfg edited in
-      List.iter
-        (fun d ->
-          divergences :=
-            Printf.sprintf "%s (edited, vs scratch): %s" name d :: !divergences)
-        (Core.Incremental.diverges ~incremental:r.outcome ~scratch:s.outcome))
-    steps;
-  let divergences = List.rev !divergences in
-  List.iter (fun d -> Printf.eprintf "incremental: DIVERGENCE %s\n" d)
-    divergences;
-  let walls = List.map (fun (_, _, _, w, _, _) -> w) steps in
-  let rates = List.map (fun (_, _, _, _, r, _) -> r) steps in
-  let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
-  let min_rate = List.fold_left min 1.0 rates in
-  let zero_lookups =
-    List.exists (fun (_, _, _, _, _, l) -> l = 0) steps
-  in
-  let ok = divergences = [] && min_rate >= min_reuse && not zero_lookups in
-  Printf.printf
-    "\nedit recompile: mean %.3fs (cold suite %.3fs, %.1fx), reuse min \
-     %.1f%% / mean %.1f%% (floor %.0f%%)\n"
-    (mean walls) cold_wall (cold_wall /. mean walls)
-    (100.0 *. min_rate) (100.0 *. mean rates) (100.0 *. min_reuse);
-  Printf.printf "byte-identical to from-scratch compiles: %b\n"
-    (divergences = []);
-  let json =
-    let open Valid.Trace.Json in
-    obj
-      [ ("codes", int (List.length Suite.Registry.all));
-        ("cold_wall_s", float cold_wall);
-        ("cold_reuse_rate", float cold_rate);
-        ("min_reuse_floor", float min_reuse);
-        ( "edits",
-          arr
-            (List.map
-               (fun (name, _, _, wall, rate, lookups) ->
-                 obj
-                   [ ("edited", str name);
-                     ("wall_s", float wall);
-                     ("suite_reuse_rate", float rate);
-                     ("analysis_lookups", int lookups) ])
-               steps) );
-        ("mean_edit_wall_s", float (mean walls));
-        ("min_suite_reuse_rate", float min_rate);
-        ("mean_suite_reuse_rate", float (mean rates));
-        ("divergences", arr (List.map str divergences));
-        ("identical_output", bool (divergences = [])) ]
-  in
-  let oc = open_out "BENCH_incremental.json" in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_incremental.json\n";
-  if not ok then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Daemon: multi-client sessions sharing one persistent store          *)
-
-(* Replay a multi-client trace against a real daemon over a real unix
-   socket: [sessions] concurrent client connections each compile the
-   16-code suite (rotated so the sessions collide on different codes at
-   different times), twice — once against an empty store (cold) and
-   once against a freshly restarted daemon whose in-memory caches were
-   dropped, so every warm fact must come through the persistent store.
-   Every response of both phases must be byte-identical to a
-   from-scratch compile, and the warm phase must serve at least half
-   its shared-cache lookups from the store-backed caches. *)
-
-let rotate k xs =
-  let n = List.length xs in
-  List.init n (fun i -> List.nth xs ((i + k) mod n))
-
-(* one client session: connect, compile every code in [order], return
-   the labelled replies in request order *)
-let daemon_session ~socket order =
-  match Serve.Client.connect socket with
-  | Error m -> Error m
-  | Ok c ->
-    Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | (code : Suite.Code.t) :: rest -> (
-        match
-          Serve.Client.compile_source c ~label:code.name code.source
-        with
-        | Ok reply -> go ((code.name, reply) :: acc) rest
-        | Error m -> Error (code.name ^ ": " ^ m))
-    in
-    go [] order
-
-(* one daemon lifetime serving one full trace; returns the replies of
-   every session plus the phase wall time *)
-let daemon_phase ?(max_inflight = 1) ~sessions ~socket ~store_dir () =
-  let stop = Atomic.make false in
-  let ready = Atomic.make false in
-  let cfg =
-    { (Serve.Daemon.default_cfg ()) with
-      d_socket = socket;
-      d_store_dir = Some store_dir;
-      d_max_inflight = max_inflight;
-      d_poll_s = 0.02 }
-  in
-  let daemon =
-    Domain.spawn (fun () ->
-        Serve.Daemon.run ~stop ~on_ready:(fun () -> Atomic.set ready true) cfg)
-  in
-  while not (Atomic.get ready) do
-    Unix.sleepf 0.005
-  done;
-  let t0 = Unix.gettimeofday () in
-  let clients =
-    List.init sessions (fun s ->
-        let order = rotate (s * 4) Suite.Registry.all in
-        Domain.spawn (fun () -> daemon_session ~socket order))
-  in
-  let results = List.map Domain.join clients in
-  let wall = Unix.gettimeofday () -. t0 in
-  Atomic.set stop true;
-  let report = Domain.join daemon in
-  let replies =
-    List.concat_map
-      (function
-        | Ok rs -> rs
-        | Error m ->
-          Printf.eprintf "daemon bench: session failed: %s\n" m;
-          exit 1)
-      results
-  in
-  (replies, wall, report)
-
-let phase_metrics replies wall =
-  let lat = Serve.Metrics.recorder () in
-  List.iter
-    (fun (_, (r : Serve.Protocol.compile_reply)) ->
-      Serve.Metrics.add lat (r.co_wall_ms /. 1000.0))
-    replies;
-  let hits =
-    List.fold_left (fun a (_, (r : Serve.Protocol.compile_reply)) ->
-        a + r.co_shared_hits) 0 replies
-  in
-  let lookups =
-    List.fold_left (fun a (_, (r : Serve.Protocol.compile_reply)) ->
-        a + r.co_shared_lookups) 0 replies
-  in
-  let n = List.length replies in
-  ( n, wall,
-    (if wall > 0.0 then float_of_int n /. wall else 0.0),
-    1000.0 *. Serve.Metrics.percentile lat 50.0,
-    1000.0 *. Serve.Metrics.percentile lat 95.0,
-    1000.0 *. Serve.Metrics.mean lat,
-    hits, lookups, Serve.Metrics.rate_of hits lookups )
-
-let daemon_bench ?(sessions = 4) ?(min_warm_rate = 0.5) () =
-  section
-    (Printf.sprintf
-       "daemon: %d concurrent client sessions x 16-code suite, cold store \
-        vs. daemon restarted on the persisted store" sessions);
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "polaris-bench-daemon"
-  in
-  let store_dir = Filename.concat dir "store" in
-  let socket = Filename.concat dir "bench.sock" in
-  (if not (Sys.file_exists dir) then Unix.mkdir dir 0o755);
-  (* cold means cold: no store file, no warm in-memory tables *)
-  let store_file = Filename.concat store_dir "analysis.store" in
-  if Sys.file_exists store_file then Sys.remove store_file;
-  Util.Cachectl.clear_all ();
-  let cold_replies, cold_wall, _ =
-    daemon_phase ~sessions ~socket ~store_dir ()
-  in
-  (* daemon restart: a new process would start with empty tables and
-     only the store file; dropping every in-memory cache simulates
-     exactly that within this one *)
-  Util.Cachectl.clear_all ();
-  let warm_replies, warm_wall, warm_report =
-    daemon_phase ~sessions ~socket ~store_dir ()
-  in
-  (* concurrent dispatch: the same trace cold again, but with
-     --max-inflight 4 so compiles from different sessions overlap; the
-     serialized cold phase above is its baseline *)
-  let conc_inflight = 4 in
-  let conc_store = Filename.concat dir "store-conc" in
-  let conc_file = Filename.concat conc_store "analysis.store" in
-  if Sys.file_exists conc_file then Sys.remove conc_file;
-  Util.Cachectl.clear_all ();
-  let conc_replies, conc_wall, _ =
-    daemon_phase ~max_inflight:conc_inflight ~sessions ~socket
-      ~store_dir:conc_store ()
-  in
-  (* byte-identity: every response of both phases against a from-scratch
-     compile of the same code (scratch clears the shared caches, so it
-     runs only after the daemons are down) *)
-  Util.Cachectl.clear_all ();
-  let cfg = Core.Config.polaris ~procs:8 () in
-  let scratch =
-    List.map
-      (fun (c : Suite.Code.t) ->
-        let r = Core.Incremental.scratch cfg c.source in
-        ( c.name,
-          (r.outcome.oc_output, Serve.Local.render_verdicts r.outcome) ))
-      Suite.Registry.all
-  in
-  let divergences = ref [] in
-  let check_phase phase replies =
-    List.iter
-      (fun (name, (r : Serve.Protocol.compile_reply)) ->
-        let out, verdicts = List.assoc name scratch in
-        if r.co_output <> out then
-          divergences := Printf.sprintf "%s (%s): output differs" name phase
-            :: !divergences;
-        if r.co_verdicts <> verdicts then
-          divergences := Printf.sprintf "%s (%s): verdicts differ" name phase
-            :: !divergences;
-        if r.co_check_divergences <> [] then
-          divergences :=
-            Printf.sprintf "%s (%s): server-side check" name phase
-            :: !divergences)
-      replies
-  in
-  check_phase "cold" cold_replies;
-  check_phase "warm" warm_replies;
-  check_phase "conc" conc_replies;
-  let divergences = List.rev !divergences in
-  List.iter (fun d -> Printf.eprintf "daemon bench: DIVERGENCE %s\n" d)
-    divergences;
-  let ( cold_n, _, cold_rps, cold_p50, cold_p95, cold_mean, _, _, cold_rate )
-      =
-    phase_metrics cold_replies cold_wall
-  in
-  let ( warm_n, _, warm_rps, warm_p50, warm_p95, warm_mean, warm_hits,
-        warm_lookups, warm_rate ) =
-    phase_metrics warm_replies warm_wall
-  in
-  let ( conc_n, _, conc_rps, conc_p50, conc_p95, conc_mean, _, _, conc_rate )
-      =
-    phase_metrics conc_replies conc_wall
-  in
-  Printf.printf "%-6s | %4s %8s %8s | %9s %9s %9s | %s\n" "phase" "reqs"
-    "wall" "req/s" "p50" "p95" "mean" "shared reuse";
-  Printf.printf "%s\n" (String.make 78 '-');
-  Printf.printf "%-6s | %4d %7.2fs %8.1f | %7.2fms %7.2fms %7.2fms | %5.1f%%\n"
-    "cold" cold_n cold_wall cold_rps cold_p50 cold_p95 cold_mean
-    (100.0 *. cold_rate);
-  Printf.printf "%-6s | %4d %7.2fs %8.1f | %7.2fms %7.2fms %7.2fms | %5.1f%% (%d/%d)\n"
-    "warm" warm_n warm_wall warm_rps warm_p50 warm_p95 warm_mean
-    (100.0 *. warm_rate) warm_hits warm_lookups;
-  Printf.printf "%-6s | %4d %7.2fs %8.1f | %7.2fms %7.2fms %7.2fms | %5.1f%%\n"
-    "conc" conc_n conc_wall conc_rps conc_p50 conc_p95 conc_mean
-    (100.0 *. conc_rate);
-  Printf.printf
-    "\nwarm shared-cache hit rate %.1f%% (floor %.0f%%), responses \
-     byte-identical to scratch: %b\n"
-    (100.0 *. warm_rate) (100.0 *. min_warm_rate) (divergences = []);
-  Printf.printf
-    "concurrent dispatch (--max-inflight %d) vs serialized cold: %.2fx on \
-     %d core(s)\n"
-    conc_inflight
-    (if conc_wall > 0.0 then cold_wall /. conc_wall else 0.0)
-    (Domain.recommended_domain_count ());
-  let ok = divergences = [] && warm_rate >= min_warm_rate in
-  let json =
-    let open Valid.Trace.Json in
-    let phase (n, wall, rps, p50, p95, mean, hits, lookups, rate) =
-      obj
-        [ ("requests", int n);
-          ("wall_s", float wall);
-          ("req_per_s", float rps);
-          ("p50_ms", float p50);
-          ("p95_ms", float p95);
-          ("mean_ms", float mean);
-          ("shared_hits", int hits);
-          ("shared_lookups", int lookups);
-          ("shared_hit_rate", float rate) ]
-    in
-    obj
-      [ ("sessions", int sessions);
-        ("codes", int (List.length Suite.Registry.all));
-        ( "cold",
-          phase
-            ( cold_n, cold_wall, cold_rps, cold_p50, cold_p95, cold_mean, 0, 0,
-              cold_rate ) );
-        ( "warm",
-          phase
-            ( warm_n, warm_wall, warm_rps, warm_p50, warm_p95, warm_mean,
-              warm_hits, warm_lookups, warm_rate ) );
-        ( "concurrent",
-          phase
-            ( conc_n, conc_wall, conc_rps, conc_p50, conc_p95, conc_mean, 0,
-              0, conc_rate ) );
-        ("concurrent_max_inflight", int conc_inflight);
-        ( "concurrent_speedup_vs_cold",
-          float (if conc_wall > 0.0 then cold_wall /. conc_wall else 0.0) );
-        ("host_cores", int (Domain.recommended_domain_count ()));
-        ("min_warm_hit_rate", float min_warm_rate);
-        ("warm_server_stats", warm_report.Serve.Daemon.r_stats_json);
-        ("divergences", arr (List.map str divergences));
-        ("identical_output", bool (divergences = [])) ]
-  in
-  let oc = open_out "BENCH_daemon.json" in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_daemon.json\n";
-  Util.Cachectl.clear_all ();
-  if not ok then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Storm: overload protection under hostile concurrency               *)
-
-(* two small codes for the chaos lane: the network-fault sweep needs
-   byte-exact expectations computed before the daemon starts *)
-let storm_smoke_source =
-  "      PROGRAM SMOKE\n\
-   \      INTEGER I, N\n\
-   \      PARAMETER (N = 16)\n\
-   \      REAL A(16), B(16)\n\
-   \      DO I = 1, N\n\
-   \        A(I) = I * 2.0\n\
-   \      ENDDO\n\
-   \      DO I = 1, N\n\
-   \        B(I) = A(I) + 1.0\n\
-   \      ENDDO\n\
-   \      PRINT *, B(1)\n\
-   \      END\n"
-
-let storm_reduce_source =
-  "      PROGRAM REDUCE\n\
-   \      INTEGER I\n\
-   \      REAL S, A(32)\n\
-   \      DO I = 1, 32\n\
-   \        A(I) = I * 1.5\n\
-   \      ENDDO\n\
-   \      S = 0.0\n\
-   \      DO I = 1, 32\n\
-   \        S = S + A(I)\n\
-   \      ENDDO\n\
-   \      PRINT *, S\n\
-   \      END\n"
-
-(* a client from hell: opens a session, sends half a frame, and goes
-   silent holding its slot.  The daemon's idle eviction must reclaim
-   it; nobody else may wait on it. *)
-let storm_stall ~socket =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX socket);
-  let wire =
-    Serve.Protocol.frame (Serve.Protocol.encode_request Serve.Protocol.Stats)
-  in
-  ignore (Unix.write_substring fd wire 0 (String.length wire / 2));
-  fd
-
-(* the storm: [clients] honest sessions hammer the full suite through
-   per-request connections (fresh connect + retry on Busy), one client
-   stalls mid-frame, one runs the seeded network-fault transport — all
-   against a daemon whose admission cap is far below the offered load.
-   The daemon must shed (Busy), evict the staller, keep queued response
-   bytes bounded, and still answer every honest request with bytes
-   identical to a from-scratch compile. *)
-let storm ?(clients = 6) () =
-  section
-    (Printf.sprintf
-       "storm: %d honest clients + 1 stalled + 1 chaos transport vs. a \
-        daemon capped at 4 sessions" clients);
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "polaris-bench-storm"
-  in
-  (if not (Sys.file_exists dir) then Unix.mkdir dir 0o755);
-  let socket = Filename.concat dir "storm.sock" in
-  let max_sessions = 4 and max_wbuf = 1 lsl 20 in
-  (* chaos expectations first: the from-scratch compiles clear the
-     shared caches, so they must not race the daemon *)
-  Util.Cachectl.clear_all ();
-  let chaos_sources =
-    [ ("smoke", storm_smoke_source); ("reduce", storm_reduce_source) ]
-  in
-  let config = Core.Config.polaris ~procs:8 () in
-  let chaos_expected = Serve.Chaosnet.expected_outputs config chaos_sources in
-  Util.Cachectl.clear_all ();
-  let stop = Atomic.make false in
-  let ready = Atomic.make false in
-  let cfg =
-    { (Serve.Daemon.default_cfg ()) with
-      d_socket = socket;
-      d_store_dir = None;
-      d_poll_s = 0.01;
-      d_max_sessions = max_sessions;
-      d_max_wbuf = max_wbuf;
-      d_idle_timeout_s = 1.0 }
-  in
-  let daemon =
-    Domain.spawn (fun () ->
-        Serve.Daemon.run ~stop ~on_ready:(fun () -> Atomic.set ready true) cfg)
-  in
-  while not (Atomic.get ready) do
-    Unix.sleepf 0.005
-  done;
-  let t0 = Unix.gettimeofday () in
-  let stalled_fd = storm_stall ~socket in
-  let honest =
-    List.init clients (fun s ->
-        let order = rotate (s * 3) Suite.Registry.all in
-        Domain.spawn (fun () ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | (code : Suite.Code.t) :: rest -> (
-                match
-                  Serve.Client.compile_retry ~retries:40 ~deadline_s:60.0
-                    ~socket ~label:code.name code.source
-                with
-                | Ok reply -> go ((code.name, reply) :: acc) rest
-                | Error m -> Error (code.name ^ ": " ^ m))
-            in
-            go [] order))
-  in
-  let chaos_lane =
-    Domain.spawn (fun () ->
-        Serve.Chaosnet.run_sweep ~first_seed:1 ~seeds:10 ~retries:16
-          ~deadline_s:5.0 ~socket ~expected:chaos_expected chaos_sources)
-  in
-  let results = List.map Domain.join honest in
-  let sweep = Domain.join chaos_lane in
-  let wall = Unix.gettimeofday () -. t0 in
-  (* the staller must have been evicted: its fd sees EOF, not silence *)
-  let evicted_observed =
-    match Unix.select [ stalled_fd ] [] [] 10.0 with
-    | [ _ ], _, _ -> Unix.read stalled_fd (Bytes.create 1) 0 1 = 0
-    | _ -> false
-  in
-  (try Unix.close stalled_fd with Unix.Unix_error _ -> ());
-  Atomic.set stop true;
-  let report = Domain.join daemon in
-  let replies =
-    List.concat_map
-      (function
-        | Ok rs -> rs
-        | Error m ->
-          Printf.eprintf "storm: honest session failed: %s\n" m;
-          exit 1)
-      results
-  in
-  (* byte-identity against from-scratch compiles (daemon is down, the
-     scratch compiles may clear the shared caches now) *)
-  Util.Cachectl.clear_all ();
-  let scratch =
-    List.map
-      (fun (c : Suite.Code.t) ->
-        let r = Core.Incremental.scratch config c.source in
-        (c.name, (r.outcome.oc_output, Serve.Local.render_verdicts r.outcome)))
-      Suite.Registry.all
-  in
-  let divergences = ref [] in
-  List.iter
-    (fun (name, (r : Serve.Protocol.compile_reply)) ->
-      let out, verdicts = List.assoc name scratch in
-      if r.co_output <> out then
-        divergences := (name ^ ": output differs") :: !divergences;
-      if r.co_verdicts <> verdicts then
-        divergences := (name ^ ": verdicts differ") :: !divergences)
-    replies;
-  let divergences = List.rev !divergences in
-  List.iter (fun d -> Printf.eprintf "storm: DIVERGENCE %s\n" d) divergences;
-  let n = List.length replies in
-  let pending_bound = max_sessions * max_wbuf in
-  let bounded = report.Serve.Daemon.r_max_pending <= pending_bound in
-  Printf.printf "%d honest requests in %.2fs (%.1f req/s)\n" n wall
-    (if wall > 0.0 then float_of_int n /. wall else 0.0);
-  Printf.printf
-    "shed %d, evicted idle %d / slow %d, peak queued response bytes %d \
-     (bound %d)\n"
-    report.r_shed report.r_evicted_idle report.r_evicted_slow
-    report.r_max_pending pending_bound;
-  Printf.printf
-    "chaos lane: %d compiles, %d converged, %d mismatched, %d gave up\n"
-    sweep.Serve.Chaosnet.sw_compiles sweep.sw_converged sweep.sw_mismatched
-    sweep.sw_gave_up;
-  Printf.printf "staller evicted (EOF observed): %b\n" evicted_observed;
-  Printf.printf "responses byte-identical to scratch: %b\n"
-    (divergences = []);
-  let ok =
-    divergences = [] && report.r_graceful && report.r_shed >= 1
-    && report.r_evicted_idle >= 1 && evicted_observed && bounded
-    && sweep.sw_mismatched = 0 && sweep.sw_gave_up = 0
-  in
-  let json =
-    let open Valid.Trace.Json in
-    obj
-      [ ("clients", int clients);
-        ("max_sessions", int max_sessions);
-        ("requests", int n);
-        ("wall_s", float wall);
-        ( "req_per_s",
-          float (if wall > 0.0 then float_of_int n /. wall else 0.0) );
-        ("shed", int report.r_shed);
-        ("evicted_idle", int report.r_evicted_idle);
-        ("evicted_slow", int report.r_evicted_slow);
-        ("max_pending_bytes", int report.r_max_pending);
-        ("pending_bound_bytes", int pending_bound);
-        ("staller_evicted", bool evicted_observed);
-        ("chaos", Serve.Chaosnet.sweep_json sweep);
-        ("graceful", bool report.r_graceful);
-        ("identical_output", bool (divergences = [])) ]
-  in
-  let oc = open_out "BENCH_storm.json" in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_storm.json\n";
-  Util.Cachectl.clear_all ();
-  if not ok then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Chaosnet: the 100-seed network-fault sweep, standalone              *)
-
-let chaosnet ?(seeds = 100) () =
-  section
-    (Printf.sprintf
-       "chaosnet: %d-seed network-fault sweep (flips, tears, drops, \
-        delays) against a live daemon" seeds);
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "polaris-bench-chaosnet"
-  in
-  (if not (Sys.file_exists dir) then Unix.mkdir dir 0o755);
-  let socket = Filename.concat dir "chaosnet.sock" in
-  let sources =
-    [ ("smoke", storm_smoke_source); ("reduce", storm_reduce_source) ]
-  in
-  Util.Cachectl.clear_all ();
-  let config = Core.Config.polaris ~procs:8 () in
-  let expected = Serve.Chaosnet.expected_outputs config sources in
-  let stop = Atomic.make false in
-  let ready = Atomic.make false in
-  (* the short idle timeout is the designed unstick for a flipped
-     length field that leaves the daemon holding a half frame *)
-  let cfg =
-    { (Serve.Daemon.default_cfg ()) with
-      d_socket = socket;
-      d_store_dir = None;
-      d_poll_s = 0.01;
-      d_idle_timeout_s = 0.3 }
-  in
-  let daemon =
-    Domain.spawn (fun () ->
-        Serve.Daemon.run ~stop ~on_ready:(fun () -> Atomic.set ready true) cfg)
-  in
-  while not (Atomic.get ready) do
-    Unix.sleepf 0.005
-  done;
-  let t0 = Unix.gettimeofday () in
-  let sweep =
-    Serve.Chaosnet.run_sweep ~first_seed:1 ~seeds ~retries:16 ~deadline_s:5.0
-      ~socket ~expected sources
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  Atomic.set stop true;
-  let report = Domain.join daemon in
-  Printf.printf
-    "seeds %d | compiles %d converged %d mismatched %d gave up %d\n"
-    sweep.Serve.Chaosnet.sw_seeds sweep.sw_compiles sweep.sw_converged
-    sweep.sw_mismatched sweep.sw_gave_up;
-  Printf.printf "faults injected: %d flips, %d drops, %d tears, %d delays\n"
-    sweep.sw_flips sweep.sw_drops sweep.sw_tears sweep.sw_delays;
-  Printf.printf "wall %.2fs, daemon graceful: %b\n" wall
-    report.Serve.Daemon.r_graceful;
-  let ok =
-    report.r_graceful && sweep.sw_mismatched = 0 && sweep.sw_gave_up = 0
-    && sweep.sw_converged = sweep.sw_compiles
-  in
-  let json =
-    let open Valid.Trace.Json in
-    obj
-      [ ("wall_s", float wall);
-        ("sweep", Serve.Chaosnet.sweep_json sweep);
-        ("graceful", bool report.r_graceful);
-        ("converged_all", bool ok) ]
-  in
-  let oc = open_out "BENCH_chaosnet.json" in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_chaosnet.json\n";
-  Util.Cachectl.clear_all ();
-  if not ok then exit 1
-
-(* ------------------------------------------------------------------ *)
 (* Ablation: Polaris minus one technique                               *)
 
 let ablation () =
@@ -1487,399 +509,18 @@ let chaos () =
   Printf.printf "chaos failures: %d (expected 0)\n"
     (List.length sweep.sw_failures + List.length sweep.sw_strict_failures)
 
-(* ------------------------------------------------------------------ *)
-(* Runtime: real execution on OCaml 5 domains — identity + wall clock *)
-
-(* subscripted-subscript loop the compile-time tests can't prove: the
-   parallelizer flags it speculative, so Parexec runs it under LRPD
-   shadows.  [collide] plants one cross-iteration flow dependence, which
-   forces the failure path (checkpoint, restore, serial re-run). *)
-let runtime_spec_src ~collide = Printf.sprintf
-  "      PROGRAM S\n\
-   \      INTEGER N, K, COLL\n\
-   \      PARAMETER (N = 64)\n\
-   \      INTEGER IX(64), JX(64)\n\
-   \      REAL D(128), SRC(128), T\n\
-   \      COLL = %d\n\
-   \      DO K = 1, N\n\
-   \        IX(K) = 2 * K - MOD(K, 2)\n\
-   \        JX(K) = IX(K)\n\
-   \        SRC(K) = 0.5 * K\n\
-   \      END DO\n\
-   \      IF (COLL .EQ. 1) THEN\n\
-   \        JX(7) = IX(6)\n\
-   \      END IF\n\
-   \      DO K = 1, N\n\
-   \        T = D(JX(K)) + SRC(K)\n\
-   \        D(IX(K)) = T * 0.5 + 1.0\n\
-   \      END DO\n\
-   \      PRINT *, D(1)\n\
-   \      END\n"
-  (if collide then 1 else 0)
-
-let runtime ?(n = 3) () =
-  section
-    (Printf.sprintf
-       "runtime: execute the 16-code suite for real on OCaml domains %dx at \
-        p=1/2/4/8 — identity and wall clock" n);
-  let cfg = Core.Config.polaris () in
-  let procs_list = [ 1; 2; 4; 8 ] in
-  let cmp = Valid.Oracle.real_cmp in
-  let divergences = ref [] in
-  let rows =
-    List.map
-      (fun (c : Suite.Code.t) ->
-        let t = Core.Pipeline.compile cfg c.source in
-        let reference = Valid.Oracle.execute t.program in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to n do
-          ignore (Valid.Oracle.execute t.program)
-        done;
-        let serial_wall = (Unix.gettimeofday () -. t0) /. float_of_int n in
-        let per_p =
-          List.map
-            (fun procs ->
-              let run, stats = Valid.Oracle.execute_real ~procs t.program in
-              let t0 = Unix.gettimeofday () in
-              for _ = 1 to n do
-                ignore (Valid.Oracle.execute_real ~procs t.program)
-              done;
-              let wall = (Unix.gettimeofday () -. t0) /. float_of_int n in
-              let divs = Valid.Oracle.compare_outcomes cmp reference run in
-              List.iter
-                (fun d -> divergences := (c.name, procs, d) :: !divergences)
-                divs;
-              (procs, wall, stats))
-            procs_list
-        in
-        (c.name, serial_wall, per_p))
-      Suite.Registry.all
-  in
-  List.iter
-    (fun (name, procs, d) ->
-      Fmt.epr "runtime: DIVERGENCE on %s at p=%d: %a@." name procs
-        Valid.Oracle.pp_divergence d)
-    !divergences;
-  let identical = !divergences = [] in
-  Printf.printf "%-8s | %9s |" "code" "serial";
-  List.iter (fun p -> Printf.printf " %7s %5s |" (Printf.sprintf "p=%d" p) "spdup")
-    procs_list;
-  print_newline ();
-  Printf.printf "%s\n" (String.make (22 + (16 * List.length procs_list)) '-');
-  List.iter
-    (fun (name, serial_wall, per_p) ->
-      Printf.printf "%-8s | %8.2fms |" name (serial_wall *. 1e3);
-      List.iter
-        (fun (_, wall, _) ->
-          Printf.printf " %6.2fms %4.2fx |" (wall *. 1e3)
-            (if wall <= 0.0 then 0.0 else serial_wall /. wall))
-        per_p;
-      print_newline ())
-    rows;
-  let total_serial =
-    List.fold_left (fun a (_, s, _) -> a +. s) 0.0 rows
-  in
-  let total_at p =
-    List.fold_left
-      (fun a (_, _, per_p) ->
-        let _, w, _ = List.find (fun (q, _, _) -> q = p) per_p in
-        a +. w)
-      0.0 rows
-  in
-  let regions_at p =
-    List.fold_left
-      (fun a (_, _, per_p) ->
-        let _, _, (s : Machine.Parexec.stats) =
-          List.find (fun (q, _, _) -> q = p) per_p
-        in
-        a + s.regions)
-      0 rows
-  in
-  Printf.printf "\nsuite totals: serial %.1fms" (total_serial *. 1e3);
-  List.iter
-    (fun p ->
-      let w = total_at p in
-      Printf.printf "  p=%d %.1fms (%.2fx, %d regions)" p (w *. 1e3)
-        (if w <= 0.0 then 0.0 else total_serial /. w)
-        (regions_at p))
-    procs_list;
-  print_newline ();
-  (* LRPD: both paths must actually execute — a committed speculative
-     region and a failed one that restored from its checkpoint *)
-  let spec_run ~collide =
-    let p = Frontend.Parser.parse_string (runtime_spec_src ~collide) in
-    ignore (Passes.Parallelize.run ~mode:Passes.Parallelize.Polaris p);
-    let reference = Valid.Oracle.execute p in
-    let run, stats = Valid.Oracle.execute_real ~procs:4 p in
-    let divs = Valid.Oracle.compare_outcomes cmp reference run in
-    List.iter
-      (fun d ->
-        Fmt.epr "runtime: LRPD(collide=%b) DIVERGENCE: %a@." collide
-          Valid.Oracle.pp_divergence d)
-      divs;
-    (divs = [], stats)
-  in
-  let ok_pass, st_pass = spec_run ~collide:false in
-  let ok_fail, st_fail = spec_run ~collide:true in
-  let spec_committed = st_pass.Machine.Parexec.spec_success >= 1 in
-  let spec_restored = st_fail.Machine.Parexec.spec_failures >= 1 in
-  Printf.printf
-    "LRPD success path: %d attempted, %d committed (identity %b)\n"
-    st_pass.Machine.Parexec.spec_attempts st_pass.Machine.Parexec.spec_success
-    ok_pass;
-  Printf.printf
-    "LRPD failure path: %d attempted, %d rolled back + re-run serially \
-     (identity %b)\n"
-    st_fail.Machine.Parexec.spec_attempts st_fail.Machine.Parexec.spec_failures
-    ok_fail;
-  let host_cores = Domain.recommended_domain_count () in
-  Printf.printf "\nhost cores (recommended domain count): %d\n" host_cores;
-  Printf.printf "parallel output/memory identical to serial at every p: %b\n"
-    identical;
-  let spec_ok = ok_pass && ok_fail && spec_committed && spec_restored in
-  if not spec_committed then
-    Printf.eprintf "runtime: LRPD success path never committed\n";
-  if not spec_restored then
-    Printf.eprintf "runtime: LRPD failure path never rolled back\n";
-  let json =
-    let open Valid.Trace.Json in
-    obj
-      [ ("iterations", int n);
-        ("codes", int (List.length rows));
-        ("host_cores", int host_cores);
-        ( "runs",
-          arr
-            (List.map
-               (fun (name, serial_wall, per_p) ->
-                 obj
-                   [ ("code", str name);
-                     ("serial_wall_s", float serial_wall);
-                     ( "parallel",
-                       arr
-                         (List.map
-                            (fun (procs, wall, (s : Machine.Parexec.stats)) ->
-                              obj
-                                [ ("procs", int procs);
-                                  ("wall_s", float wall);
-                                  ( "speedup",
-                                    float
-                                      (if wall <= 0.0 then 0.0
-                                       else serial_wall /. wall) );
-                                  ("regions", int s.regions);
-                                  ("par_iters", int s.par_iters) ])
-                            per_p) ) ])
-               rows) );
-        ( "speculation",
-          obj
-            [ ("success_committed", bool spec_committed);
-              ("failure_restored", bool spec_restored);
-              ("success_identity", bool ok_pass);
-              ("failure_identity", bool ok_fail) ] );
-        ("identical_output", bool identical) ]
-  in
-  let oc = open_out "BENCH_runtime.json" in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_runtime.json\n";
-  if not (identical && spec_ok) then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* backends: the pipeline x backend emission matrix.  Every preset
-   pipeline is compiled over the whole suite and emitted through every
-   registered backend; re-parsing backends are semantically checked
-   (their output, fed back through our own frontend, must print what
-   the transformed program prints), non-reparsing backends are pinned
-   by digest + emission determinism.  The native-toolchain leg of the
-   C/OpenMP story lives in `polaris native` (gcc/gfortran hosts). *)
-
-let backends_bench ?(n = 3) () =
-  Printf.printf "== backends: pipeline x backend emission matrix ==\n\n";
-  let failures = ref 0 in
-  let rows =
-    List.concat_map
-      (fun (pl : Core.Registry.pipeline) ->
-        let cfg = Core.Config.with_pipeline pl (Core.Config.polaris ()) in
-        List.concat_map
-          (fun (b : Backend.Registry.t) ->
-            List.map
-              (fun (c : Suite.Code.t) ->
-                let t = Core.Pipeline.compile cfg c.source in
-                let prog = t.Core.Pipeline.program in
-                (* emission wall time: best of n *)
-                let best = ref infinity and out = ref "" in
-                for _ = 1 to n do
-                  let t0 = Unix.gettimeofday () in
-                  let s = b.b_emit prog in
-                  let dt = Unix.gettimeofday () -. t0 in
-                  if dt < !best then best := dt;
-                  out := s
-                done;
-                let output = !out in
-                let deterministic = String.equal output (b.b_emit prog) in
-                let check =
-                  if b.b_reparses then
-                    (* semantic oracle: the emitted text, re-parsed by
-                       our own frontend, prints what the transformed
-                       program prints *)
-                    match Frontend.Parser.parse_string output with
-                    | exception e -> Error ("reparse: " ^ Printexc.to_string e)
-                    | p2 ->
-                      let want =
-                        (Machine.Interp.run prog).Machine.Interp.output
-                      in
-                      let got =
-                        (Machine.Interp.run p2).Machine.Interp.output
-                      in
-                      if want = got then Ok "reparse+oracle"
-                      else Error "oracle divergence on re-parsed output"
-                  else if deterministic then Ok "digest"
-                  else Error "nondeterministic emission"
-                in
-                (match check with
-                | Ok _ -> ()
-                | Error m ->
-                  incr failures;
-                  Printf.eprintf "backends: %s x %s x %s: FAIL %s\n"
-                    pl.pl_name b.b_name c.name m);
-                ( pl.pl_name, b.b_name, c.name, String.length output,
-                  Digest.to_hex (Digest.string output), !best, deterministic,
-                  check ))
-              Suite.Registry.all)
-          Backend.Registry.all)
-      Core.Registry.presets
-  in
-  Printf.printf "%-10s %-8s | %5s | %9s | %9s | %s\n" "pipeline" "backend"
-    "codes" "bytes" "emit" "check";
-  Printf.printf "%s\n" (String.make 64 '-');
-  List.iter
-    (fun (pl : Core.Registry.pipeline) ->
-      List.iter
-        (fun (b : Backend.Registry.t) ->
-          let cell =
-            List.filter
-              (fun (p, bn, _, _, _, _, _, _) ->
-                p = pl.pl_name && bn = b.b_name)
-              rows
-          in
-          let bytes =
-            List.fold_left (fun a (_, _, _, n, _, _, _, _) -> a + n) 0 cell
-          in
-          let emit_s =
-            List.fold_left (fun a (_, _, _, _, _, s, _, _) -> a +. s) 0.0 cell
-          in
-          let ok =
-            List.for_all
-              (fun (_, _, _, _, _, _, _, ck) -> Result.is_ok ck)
-              cell
-          in
-          let mode = if b.b_reparses then "reparse+oracle" else "digest" in
-          Printf.printf "%-10s %-8s | %5d | %8dB | %7.2fms | %s %s\n"
-            pl.pl_name b.b_name (List.length cell) bytes (emit_s *. 1e3) mode
-            (if ok then "ok" else "FAIL"))
-        Backend.Registry.all)
-    Core.Registry.presets;
-  let json =
-    let open Valid.Trace.Json in
-    obj
-      [ ("iterations", int n);
-        ( "pipelines",
-          arr
-            (List.map
-               (fun (pl : Core.Registry.pipeline) -> str pl.pl_name)
-               Core.Registry.presets) );
-        ( "backends",
-          arr (List.map (fun s -> str s) Backend.Registry.names) );
-        ("failures", int !failures);
-        ( "rows",
-          arr
-            (List.map
-               (fun (p, b, c, bytes, digest, emit_s, det, ck) ->
-                 obj
-                   [ ("pipeline", str p);
-                     ("backend", str b);
-                     ("code", str c);
-                     ("bytes", int bytes);
-                     ("digest", str digest);
-                     ("emit_s", float emit_s);
-                     ("deterministic", bool det);
-                     ( "check",
-                       str (match ck with Ok m -> m | Error m -> m) );
-                     ("ok", bool (Result.is_ok ck)) ])
-               rows) ) ]
-  in
-  let oc = open_out "BENCH_backends.json" in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "\nwrote BENCH_backends.json\n";
-  if !failures > 0 then exit 1
-
 let experiments =
   [ ("table1", table1); ("fig1", fig1); ("fig2", fig2); ("fig3", fig3);
     ("fig4", fig4); ("fig5", fig5); ("fig6", fig6); ("fig7", fig7);
-    ("coverage", coverage); ("validate", validate); ("ablation", ablation);
-    ("chaos", chaos); ("micro", micro); ("perf", fun () -> perf ());
-    ("scale", fun () -> scale ());
-    ("incremental", fun () -> incremental ());
-    ("daemon", fun () -> daemon_bench ());
-    ("storm", fun () -> storm ());
-    ("chaosnet", fun () -> chaosnet ());
-    ("runtime", fun () -> runtime ());
-    ("backends", fun () -> backends_bench ()) ]
+    ("coverage", coverage); ("validate", validate); ("micro", micro);
+    ("ablation", ablation); ("chaos", chaos) ]
 
 let () =
   match Sys.argv with
   | [| _ |] -> List.iter (fun (_, f) -> f ()) experiments
-  | [| _; "perf"; n |] -> (
-    match int_of_string_opt n with
-    | Some n when n > 0 -> perf ~n ()
-    | _ ->
-      Printf.eprintf "usage: %s perf [iterations > 0]\n" Sys.argv.(0);
-      exit 1)
-  | [| _; "scale"; n |] -> (
-    match int_of_string_opt n with
-    | Some n when n > 0 -> scale ~n ()
-    | _ ->
-      Printf.eprintf "usage: %s scale [iterations > 0]\n" Sys.argv.(0);
-      exit 1)
-  | [| _; "runtime"; n |] -> (
-    match int_of_string_opt n with
-    | Some n when n > 0 -> runtime ~n ()
-    | _ ->
-      Printf.eprintf "usage: %s runtime [iterations > 0]\n" Sys.argv.(0);
-      exit 1)
-  | [| _; "daemon"; n |] -> (
-    match int_of_string_opt n with
-    | Some n when n > 0 -> daemon_bench ~sessions:n ()
-    | _ ->
-      Printf.eprintf "usage: %s daemon [sessions > 0]\n" Sys.argv.(0);
-      exit 1)
-  | [| _; "storm"; n |] -> (
-    match int_of_string_opt n with
-    | Some n when n > 0 -> storm ~clients:n ()
-    | _ ->
-      Printf.eprintf "usage: %s storm [clients > 0]\n" Sys.argv.(0);
-      exit 1)
-  | [| _; "backends"; n |] -> (
-    match int_of_string_opt n with
-    | Some n when n > 0 -> backends_bench ~n ()
-    | _ ->
-      Printf.eprintf "usage: %s backends [iterations > 0]\n" Sys.argv.(0);
-      exit 1)
-  | [| _; "chaosnet"; n |] -> (
-    match int_of_string_opt n with
-    | Some n when n > 0 -> chaosnet ~seeds:n ()
-    | _ ->
-      Printf.eprintf "usage: %s chaosnet [seeds > 0]\n" Sys.argv.(0);
-      exit 1)
-  | [| _; name |] -> (
-    match List.assoc_opt name experiments with
-    | Some f -> f ()
-    | None ->
-      Printf.eprintf "unknown experiment %s; available: %s\n" name
-        (String.concat " " (List.map fst experiments));
-      exit 1)
+  | [| _; name |] when List.mem_assoc name experiments ->
+    (List.assoc name experiments) ()
   | _ ->
-    Printf.eprintf "usage: %s [experiment]\n" Sys.argv.(0);
+    Printf.eprintf "usage: %s [experiment]; available: %s\n" Sys.argv.(0)
+      (String.concat " " (List.map fst experiments));
     exit 1

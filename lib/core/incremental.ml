@@ -17,10 +17,9 @@
     incremental compile against a from-scratch compile ({!scratch}) of
     the same source — annotated output, per-loop verdicts (statement
     ids masked), incidents and dependence-test outcome counters must
-    all be byte-identical.  `polaris serve --check`, the bench
-    [incremental] experiment and [test/test_incremental.ml] enforce
-    this; PR 1's differential oracle and PR 2's containment run
-    unchanged underneath. *)
+    all be byte-identical.  `polaris serve --check` and
+    [test/test_incremental.ml] enforce this; the differential oracle
+    and fault containment run unchanged underneath. *)
 
 (* sid-free projection of one loop verdict *)
 type verdict = {

@@ -54,8 +54,8 @@ let index_name (l : Loops.loop) =
 (* Verdict cache and phase timing                                      *)
 
 (* Wall-clock seconds spent inside [array_deps] since process start;
-   the perf benchmark subtracts snapshots to attribute pipeline time to
-   the dependence phase. *)
+   the benchmark in [measure/] subtracts snapshots to attribute pipeline
+   time to the dependence phase. *)
 let wall_in_deps = ref 0.0
 let wall_snapshot () = !wall_in_deps
 

@@ -13,8 +13,8 @@ open Ast
 (* atomic: the validation oracle deep-copies programs inside worker
    domains, so id allocation must be race-free.  Note id *values* then
    depend on allocation order across domains — nothing downstream may
-   key behaviour on them beyond uniqueness (comparisons in the bench
-   and tests deliberately exclude sids). *)
+   key behaviour on them beyond uniqueness (comparisons in the
+   benchmark and tests deliberately exclude sids). *)
 let counter = Atomic.make 0
 
 (** Globally fresh statement id. *)

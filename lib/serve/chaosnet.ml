@@ -23,8 +23,8 @@
       The daemon contains the orphaned session; the client's next
       operation fails transiently and a fresh connection retries.
 
-    {!run_sweep} is the convergence harness the chaos tests and the
-    storm bench share: against a live daemon it compiles a fixed
+    {!run_sweep} is the chaos tests' convergence harness: against a
+    live daemon it compiles a fixed
     source set through [n] differently-seeded chaos transports with
     {!Client.compile_retry}, and checks every result that converged is
     {e byte-identical} to the from-scratch expectation — chaos may cost
@@ -47,8 +47,6 @@ let create ?(p_flip = 0.12) ?(p_drop = 0.08) ?(p_tear = 0.5)
     ?(p_delay = 0.3) (seed : int) : t =
   { prng = Util.Prng.create seed; p_flip; p_drop; p_tear; p_delay;
     n_flips = 0; n_drops = 0; n_tears = 0; n_delays = 0 }
-
-let faults t = t.n_flips + t.n_drops + t.n_tears + t.n_delays
 
 let hit t p = Util.Prng.float t.prng < p
 
@@ -139,19 +137,6 @@ type sweep = {
   sw_tears : int;
   sw_delays : int;
 }
-
-let sweep_json (s : sweep) =
-  let open Valid.Trace.Json in
-  obj
-    [ ("seeds", int s.sw_seeds);
-      ("compiles", int s.sw_compiles);
-      ("converged", int s.sw_converged);
-      ("mismatched", int s.sw_mismatched);
-      ("gave_up", int s.sw_gave_up);
-      ("flips", int s.sw_flips);
-      ("drops", int s.sw_drops);
-      ("tears", int s.sw_tears);
-      ("delays", int s.sw_delays) ]
 
 (** [run_sweep ~socket ~expected sources]: one chaos session per seed
     in [first_seed .. first_seed + seeds - 1] against the live daemon

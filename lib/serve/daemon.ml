@@ -129,9 +129,7 @@ type report = {
   r_shed : int;           (** connections refused with [Busy] *)
   r_evicted_slow : int;   (** sessions evicted for an overfull write queue *)
   r_evicted_idle : int;   (** sessions evicted by the idle timeout *)
-  r_flushes : int;        (** periodic store flushes *)
   r_max_pending : int;    (** high-water mark of queued response bytes *)
-  r_stats_json : string;  (** final server stats (same shape as [Stats]) *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -707,8 +705,8 @@ let run_barriers st dp conns ordered =
 (** Run the daemon until a [Shutdown] request, a SIGINT/SIGTERM (when
     [signals]), or [stop] is set externally.  Returns after draining
     in-flight requests, flushing the store and removing the socket.
-    [on_ready] fires once the socket is listening (tests and the bench
-    use it to gate client connects).
+    [on_ready] fires once the socket is listening (tests use it to gate
+    client connects).
     @raise Already_running when a live daemon owns the socket. *)
 let run ?(signals = false) ?(stop = Atomic.make false) ?on_ready (cfg : cfg) :
     report =
@@ -1014,15 +1012,12 @@ let run ?(signals = false) ?(stop = Atomic.make false) ?on_ready (cfg : cfg) :
          with Unix.Unix_error _ -> close_conn c)
       end)
     (List.rev !conns);
-  let final = stats_json st in
   (let open Valid.Trace.Json in
-   log_line st (obj [ ("event", str "shutdown"); ("stats", final) ]));
+   log_line st (obj [ ("event", str "shutdown"); ("stats", stats_json st) ]));
   { r_graceful = true;
     r_requests = st.st_sv.sv_requests;
     r_sessions = st.st_sv.sv_sessions;
     r_shed = st.st_sv.sv_shed;
     r_evicted_slow = st.st_sv.sv_evicted_slow;
     r_evicted_idle = st.st_sv.sv_evicted_idle;
-    r_flushes = st.st_sv.sv_flushes;
-    r_max_pending = st.st_sv.sv_max_pending;
-    r_stats_json = final }
+    r_max_pending = st.st_sv.sv_max_pending }

@@ -37,7 +37,7 @@
     compiler's one-shot behaviour byte-for-byte: the annotated output
     source, the sid-masked per-loop verdict lines, incident counts,
     and the per-request reuse telemetry (tracked-analysis rate and
-    shared persistent-cache rate) the bench aggregates.  [Busy] and
+    shared persistent-cache rate) the benchmark aggregates.  [Busy] and
     [Rejected] are the daemon's self-protection verdicts: [Busy] sheds
     a connection at the admission cap (retry later — nothing was
     attempted), [Rejected] answers a protocol violation (a retried

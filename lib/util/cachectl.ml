@@ -6,8 +6,8 @@
     [Dep.Driver] verdict caching).  They all answer to this module:
 
     - {!enabled} is the master switch.  [POLARIS_NO_CACHE=1] in the
-      environment turns every cache off (the baseline the `perf`
-      benchmark compares against); [Core.Config.caches] scopes the
+      environment turns every cache off (the baseline the cache
+      tests compare against); [Core.Config.caches] scopes the
       switch per compilation.
     - {!generation} is the coarse invalidation epoch.  [Core.Pipeline]
       still bumps it after every guarded pass and on every fault
@@ -23,8 +23,8 @@
       used while developing new caches (note it recomputes, so budget
       accounting is no longer identical to the uncached compiler).
     - {!register} gives each cache a hit/miss counter and a clear hook;
-      [Valid.Trace] reports the counters and the benchmarks reset the
-      tables between modes via {!clear_all}.
+      [Valid.Trace] reports the counters, and the tests and the
+      benchmark reset the tables between compiles via {!clear_all}.
 
     Soundness contract: a cache may only consult its table when
     [!enabled] is true, must guarantee a stale entry can never hit when

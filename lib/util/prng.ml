@@ -1,7 +1,7 @@
 (** Deterministic splitmix64 pseudo-random generator.
 
     All stochastic pieces of the reproduction (synthetic workload inputs,
-    qcheck-independent fuzzing in the benches) draw from this generator so
+    qcheck-independent fuzzing in the tests) draw from this generator so
     that every experiment is reproducible bit-for-bit from its seed. *)
 
 type t = { mutable state : int64 }

@@ -97,21 +97,31 @@ let test_c_deterministic () =
         (String.equal a b))
     (Lazy.force compiled_suite)
 
-(* every backend that claims [b_reparses] must emit source our own
-   frontend accepts, for every suite code *)
+(* every backend that claims [b_reparses] must, under every preset
+   pipeline and for every suite code, emit source our own frontend
+   accepts and that prints what the transformed program prints *)
 let test_reparse_lane () =
   List.iter
-    (fun (b : Backend.Registry.t) ->
-      if b.b_reparses then
-        List.iter
-          (fun ((c : Suite.Code.t), t) ->
-            let src = b.b_emit t.Core.Pipeline.program in
-            try ignore (Frontend.Parser.parse_string src)
-            with e ->
-              Alcotest.failf "%s via %s does not re-parse: %s" c.name b.b_name
-                (Printexc.to_string e))
-          (Lazy.force compiled_suite))
-    Backend.Registry.all
+    (fun (pl : Core.Registry.pipeline) ->
+      let cfg = Core.Config.with_pipeline pl (Core.Config.polaris ()) in
+      List.iter
+        (fun (c : Suite.Code.t) ->
+          let prog = (Core.Pipeline.compile cfg c.source).Core.Pipeline.program in
+          let want = (Machine.Interp.run prog).Machine.Interp.output in
+          List.iter
+            (fun (b : Backend.Registry.t) ->
+              if b.b_reparses then
+                match Frontend.Parser.parse_string (b.b_emit prog) with
+                | exception e ->
+                  Alcotest.failf "%s x %s x %s does not re-parse: %s" pl.pl_name
+                    b.b_name c.name (Printexc.to_string e)
+                | again ->
+                  if (Machine.Interp.run again).Machine.Interp.output <> want then
+                    Alcotest.failf "%s x %s x %s: re-parsed output prints differently"
+                      pl.pl_name b.b_name c.name)
+            Backend.Registry.all)
+        Suite.Registry.all)
+    Core.Registry.presets
 
 (* ------------------------------------------------------------------ *)
 (* 3. emitted clauses = executor's runtime sets                        *)

@@ -80,6 +80,34 @@ let test_suite_codes () =
         (verdicts cached = verdicts uncached))
     Suite.Registry.all
 
+(* a cache that never hits when the suite is compiled twice is dead
+   weight: a key-design bug (as the original generation+sid [env_at] key
+   was), not a tuning matter.  [analysis.*] entries are keyed by physical
+   program unit, so they cannot hit across fresh parses and are exempt;
+   every other registered cache is content-addressed and must hit. *)
+let test_no_dead_cache () =
+  Util.Cachectl.clear_all ();
+  for _ = 1 to 2 do
+    List.iter
+      (fun (c : Suite.Code.t) ->
+        ignore (Core.Pipeline.compile (cfg ~caches:true) c.source))
+      Suite.Registry.all
+  done;
+  Util.Cachectl.merge_shards ();
+  let content_addressed =
+    List.filter
+      (fun (name, _, _) -> not (String.starts_with ~prefix:"analysis." name))
+      (Util.Cachectl.snapshot ())
+  in
+  Alcotest.(check bool) "some content-addressed caches" true
+    (content_addressed <> []);
+  List.iter
+    (fun (name, hits, misses) ->
+      if hits = 0 then
+        Alcotest.failf "dead cache %s: 0 hits in %d lookups" name misses)
+    content_addressed;
+  Util.Cachectl.clear_all ()
+
 (* a successful guarded pass retires pre-pass cache entries *)
 let test_success_bumps_generation () =
   let src = Test_fuzz.gen_program (Util.Prng.create 42) in
@@ -153,6 +181,7 @@ let test_budget_afford_used () =
 let tests =
   [ ("cached vs uncached, 100 fuzz seeds", `Slow, test_property_100_seeds);
     ("cached vs uncached, suite codes", `Quick, test_suite_codes);
+    ("no dead content-addressed cache", `Quick, test_no_dead_cache);
     ("success bumps cache generation", `Quick, test_success_bumps_generation);
     ("rollback bumps cache generation", `Quick, test_rollback_bumps_generation);
     ("chaos plan with caches on", `Quick, test_chaos_plan_with_caches);

@@ -108,6 +108,38 @@ let test_fixed_seeds_jobs () =
             [ 3; 17; 1996; 424242 ]))
     [ 1; 4 ]
 
+(* the canonical single-unit edit: a CONTINUE spliced in just before the
+   final END line, so exactly one program unit reparses to different IR *)
+let inject_continue (source : string) : string =
+  let lines = String.split_on_char '\n' source in
+  let last_end = ref (-1) in
+  List.iteri (fun i l -> if String.trim l = "END" then last_end := i) lines;
+  List.mapi (fun i l -> if i = !last_end then "      CONTINUE\n" ^ l else l) lines
+  |> String.concat "\n"
+
+(* one session per suite code: compile it, edit one unit, recompile.  The
+   recompile must match a from-scratch compile, reuse at least 70 % of its
+   analyses, and reuse more than the from-scratch compile does within
+   itself (on the suite: 88-96 % against 59-92 %) *)
+let test_suite_edits () =
+  let cfg = Core.Config.polaris () in
+  List.iter
+    (fun (c : Suite.Code.t) ->
+      Util.Cachectl.clear_all ();
+      ignore (Core.Incremental.compile cfg c.source);
+      let edited = inject_continue c.source in
+      let inc = Core.Incremental.compile cfg edited in
+      let scr = Core.Incremental.scratch cfg edited in
+      List.iter
+        (fun d -> Alcotest.failf "%s: %s" c.name d)
+        (Core.Incremental.diverges ~incremental:inc.outcome ~scratch:scr.outcome);
+      let reuse = inc.stats.st_reuse_rate in
+      if reuse < 0.70 || reuse <= scr.stats.st_reuse_rate then
+        Alcotest.failf "%s: edited recompile reuses %.1f %% (from scratch %.1f %%)"
+          c.name (100.0 *. reuse) (100.0 *. scr.stats.st_reuse_rate))
+    Suite.Registry.all
+
 let tests =
-  [ ("fixed incremental seeds at -j 1/4", `Slow, test_fixed_seeds_jobs) ]
+  [ ("fixed incremental seeds at -j 1/4", `Slow, test_fixed_seeds_jobs);
+    ("suite edits reuse and match scratch", `Quick, test_suite_edits) ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_incremental_identical ]

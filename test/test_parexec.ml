@@ -186,23 +186,36 @@ let test_speculation_failure_restores_bitwise () =
 
 let fuzz_seeds = List.init 100 (fun i -> (i * 7919) + i)
 
-let test_fuzz_parallel_vs_serial () =
+(* each [(label, source)], compiled by Polaris, must execute at every team
+   size in [procs] exactly as the serial interpreter does *)
+let check_matches_serial ~procs sources =
   let regions = ref 0 in
   List.iter
-    (fun seed ->
-      let src = Test_fuzz.gen_program (Util.Prng.create seed) in
+    (fun (label, src) ->
       let p = compile_polaris src in
       let reference = Valid.Oracle.execute p in
       List.iter
         (fun procs ->
           let run, stats = Valid.Oracle.execute_real ~procs p in
           regions := !regions + stats.Machine.Parexec.regions;
-          check_identity (Fmt.str "seed %d p=%d" seed procs) reference run)
-        [ 1; 2; 4; 8 ])
-    fuzz_seeds;
-  (* guard against the hook silently never firing: across 100 random
-     programs at least some loops must have actually forked *)
+          check_identity (Fmt.str "%s p=%d" label procs) reference run)
+        procs)
+    sources;
+  (* guard against the hook silently never firing: across the sources at
+     least some loops must have actually forked *)
   Alcotest.(check bool) "some regions executed on domains" true (!regions > 0)
+
+let test_fuzz_parallel_vs_serial () =
+  check_matches_serial ~procs:[ 1; 2; 4; 8 ]
+    (List.map
+       (fun seed ->
+         (Fmt.str "seed %d" seed, Test_fuzz.gen_program (Util.Prng.create seed)))
+       fuzz_seeds)
+
+(* every suite code at the team sizes a 2- and a 4-core host run *)
+let test_suite_matches_serial () =
+  check_matches_serial ~procs:[ 2; 4 ]
+    (List.map (fun (c : Suite.Code.t) -> (c.name, c.source)) Suite.Registry.all)
 
 (* the differential_real entry point used by `polaris validate` *)
 let test_differential_real_report () =
@@ -220,4 +233,5 @@ let tests =
     ("LRPD success commits", `Quick, test_speculation_success_commits);
     ("LRPD failure restores bitwise", `Quick, test_speculation_failure_restores_bitwise);
     ("fuzz parallel vs serial (100 seeds)", `Slow, test_fuzz_parallel_vs_serial);
-    ("differential_real report", `Quick, test_differential_real_report) ]
+    ("differential_real report", `Quick, test_differential_real_report);
+    ("suite codes match serial at p = 2/4", `Quick, test_suite_matches_serial) ]

@@ -169,26 +169,44 @@ let compile_signature src =
         (i.inc_pass, i.inc_reason, i.inc_rolled_back, i.inc_disabled))
       t.incidents )
 
-let test_fuzz_identity () =
-  for seed = 1 to 100 do
-    let src = Test_fuzz.gen_program (Util.Prng.create seed) in
+(* each [(label, source)] must compile identically at -j 1 and at every
+   job count in [jobs]: output, verdicts, incidents and the dependence-test
+   counters, which the tally merge replays in program order *)
+let check_jobs_identity ~jobs sources =
+  let delta (a : Dep.Driver.counters) (b : Dep.Driver.counters) =
+    ( b.range_proved - a.range_proved, b.range_failed - a.range_failed,
+      b.linear_proved - a.linear_proved, b.linear_failed - a.linear_failed,
+      b.unknown - a.unknown )
+  in
+  let compile j src =
     let c0 = Dep.Driver.counters_snapshot () in
-    let serial = compile_signature src in
-    let c1 = Dep.Driver.counters_snapshot () in
-    let pooled = Pool.with_jobs 8 (fun () -> compile_signature src) in
-    let c2 = Dep.Driver.counters_snapshot () in
-    if serial <> pooled then
-      Alcotest.failf "seed %d: -j 8 compile differs from -j 1" seed;
-    (* the dependence-test counters must advance identically too: the
-       tally merge replays them in program order *)
-    let delta (a : Dep.Driver.counters) (b : Dep.Driver.counters) =
-      ( b.range_proved - a.range_proved, b.range_failed - a.range_failed,
-        b.linear_proved - a.linear_proved, b.linear_failed - a.linear_failed,
-        b.unknown - a.unknown )
-    in
-    if delta c0 c1 <> delta c1 c2 then
-      Alcotest.failf "seed %d: -j 8 dependence counters differ from -j 1" seed
-  done
+    let signature = Pool.with_jobs j (fun () -> compile_signature src) in
+    (signature, delta c0 (Dep.Driver.counters_snapshot ()))
+  in
+  List.iter
+    (fun (label, src) ->
+      let serial, serial_counters = compile 1 src in
+      List.iter
+        (fun j ->
+          let pooled, pooled_counters = compile j src in
+          if pooled <> serial then
+            Alcotest.failf "%s: -j %d compile differs from -j 1" label j;
+          if pooled_counters <> serial_counters then
+            Alcotest.failf "%s: -j %d dependence counters differ from -j 1"
+              label j)
+        jobs)
+    sources
+
+let test_fuzz_identity () =
+  check_jobs_identity ~jobs:[ 8 ]
+    (List.init 100 (fun i ->
+         let seed = i + 1 in
+         (Fmt.str "seed %d" seed, Test_fuzz.gen_program (Util.Prng.create seed))))
+
+(* every suite code, at the job counts a 2- and a 4-core host run *)
+let test_suite_identity () =
+  check_jobs_identity ~jobs:[ 2; 4 ]
+    (List.map (fun (c : Suite.Code.t) -> (c.name, c.source)) Suite.Registry.all)
 
 let tests =
   [ Alcotest.test_case "map merges in input order" `Quick test_ordering;
@@ -203,4 +221,6 @@ let tests =
     Alcotest.test_case "chunk size never changes results" `Quick
       test_chunk_identity;
     Alcotest.test_case "-j1 vs -j8 byte-identical (100 fuzz seeds)" `Slow
-      test_fuzz_identity ]
+      test_fuzz_identity;
+    Alcotest.test_case "suite codes byte-identical at -j 1/2/4" `Quick
+      test_suite_identity ]

@@ -547,12 +547,14 @@ let test_daemon_stalled_client_no_hol () =
    its response bytes forever *)
 let test_daemon_evicts_slow_reader () =
   let socket = tmp_name "slowreader.sock" in
+  let max_sessions = 4 and max_wbuf = 8 * 1024 in
   Util.Cachectl.clear_all ();
   let d, stop =
     start_daemon ~socket ~store_dir:None
       ~tweak:(fun c ->
         { c with
-          Serve.Daemon.d_max_wbuf = 8 * 1024;
+          Serve.Daemon.d_max_sessions = max_sessions;
+          d_max_wbuf = max_wbuf;
           d_sndbuf = Some 4096;
           d_max_pipeline = 8 })
       ()
@@ -590,8 +592,132 @@ let test_daemon_evicts_slow_reader () =
   let report = Domain.join d in
   Alcotest.(check bool) "eviction counted" true
     (report.Serve.Daemon.r_evicted_slow >= 1);
-  Alcotest.(check bool) "pending bytes were bounded and observed" true
+  Alcotest.(check bool) "pending bytes were observed" true
     (report.Serve.Daemon.r_max_pending > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "pending bytes %d within %d sessions x %d"
+       report.Serve.Daemon.r_max_pending max_sessions max_wbuf)
+    true
+    (report.Serve.Daemon.r_max_pending <= max_sessions * max_wbuf);
+  Util.Cachectl.clear_all ()
+
+(* the overload storm: honest clients compile the whole suite over
+   per-request connections (retrying on Busy) while a staller holds a
+   slot with half a frame and a chaos transport retries through flips,
+   drops and tears, all against a daemon capped at three sessions.  The
+   daemon must shed, evict the staller, keep queued response bytes
+   bounded, and answer every honest request exactly as a from-scratch
+   compile does. *)
+let test_daemon_storm () =
+  let socket = tmp_name "storm.sock" in
+  let max_sessions = 3 and max_wbuf = 1 lsl 20 in
+  let config = Core.Config.polaris ~procs:8 () in
+  (* expectations first: from-scratch compiles clear the shared caches,
+     so they must not race the daemon *)
+  Util.Cachectl.clear_all ();
+  let scratch =
+    List.map
+      (fun (c : Suite.Code.t) ->
+        let r = Core.Incremental.scratch config c.source in
+        (c.name, (r.outcome.oc_output, Serve.Local.render_verdicts r.outcome)))
+      Suite.Registry.all
+  in
+  let chaos_sources =
+    [ ("smoke", smoke_source); ("reduce", Test_chaosnet.reduce_source) ]
+  in
+  let chaos_expected = Serve.Chaosnet.expected_outputs config chaos_sources in
+  Util.Cachectl.clear_all ();
+  let d, stop =
+    start_daemon ~socket ~store_dir:None
+      ~tweak:(fun c ->
+        { c with
+          Serve.Daemon.d_poll_s = 0.01;
+          d_max_sessions = max_sessions;
+          d_max_wbuf = max_wbuf;
+          d_idle_timeout_s = 1.0 })
+      ()
+  in
+  let staller = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect staller (Unix.ADDR_UNIX socket);
+  let wire =
+    Serve.Protocol.frame (Serve.Protocol.encode_request Serve.Protocol.Stats)
+  in
+  ignore (Unix.write_substring staller wire 0 (String.length wire / 2));
+  (* fill the other two slots; the pings guarantee the staller, accepted
+     first, is counted.  A third client is now shed. *)
+  let pinned =
+    List.init (max_sessions - 1) (fun _ ->
+        match Serve.Client.connect socket with
+        | Error m -> Alcotest.fail m
+        | Ok c ->
+          (match Serve.Client.ping c with
+          | Ok () -> c
+          | Error m -> Alcotest.fail ("ping: " ^ m)))
+  in
+  (match Serve.Client.connect socket with
+  | Error m -> Alcotest.fail m
+  | Ok c ->
+    (match Serve.Client.recv c with
+    | Ok Serve.Protocol.Busy -> ()
+    | Ok _ | Error _ -> Alcotest.fail "expected Busy with the staller at the cap");
+    Serve.Client.close c);
+  List.iter Serve.Client.close pinned;
+  let honest =
+    List.init 3 (fun k ->
+        let n = List.length Suite.Registry.all in
+        let order =
+          List.init n (fun i -> List.nth Suite.Registry.all ((i + (5 * k)) mod n))
+        in
+        Domain.spawn (fun () ->
+            List.map
+              (fun (c : Suite.Code.t) ->
+                match
+                  Serve.Client.compile_retry ~retries:40 ~deadline_s:60.0
+                    ~socket ~label:c.name c.source
+                with
+                | Ok reply -> Ok (c.name, reply)
+                | Error m -> Error (c.name ^ ": " ^ m))
+              order))
+  in
+  let sweep =
+    Serve.Chaosnet.run_sweep ~first_seed:1 ~seeds:5 ~retries:16 ~deadline_s:5.0
+      ~socket ~expected:chaos_expected chaos_sources
+  in
+  let replies = List.concat_map Domain.join honest in
+  (* the staller must have been evicted: its fd sees EOF, not silence *)
+  let staller_evicted =
+    match Unix.select [ staller ] [] [] 10.0 with
+    | [ _ ], _, _ -> Unix.read staller (Bytes.create 1) 0 1 = 0
+    | _ -> false
+  in
+  Unix.close staller;
+  Atomic.set stop true;
+  let report = Domain.join d in
+  List.iter
+    (function
+      | Error m -> Alcotest.fail ("honest request failed: " ^ m)
+      | Ok (name, (r : Serve.Protocol.compile_reply)) ->
+        let out, verdicts = List.assoc name scratch in
+        Alcotest.(check string) (name ^ ": output as from scratch") out
+          r.co_output;
+        Alcotest.(check (list string)) (name ^ ": verdicts as from scratch")
+          verdicts r.co_verdicts)
+    replies;
+  Alcotest.(check int) "every honest request answered"
+    (3 * List.length Suite.Registry.all) (List.length replies);
+  Alcotest.(check int) "chaos lane: no mismatched result" 0
+    sweep.Serve.Chaosnet.sw_mismatched;
+  Alcotest.(check int) "chaos lane: every client converged" 0
+    sweep.Serve.Chaosnet.sw_gave_up;
+  Alcotest.(check bool) "staller evicted (EOF observed)" true staller_evicted;
+  Alcotest.(check bool) "graceful" true report.Serve.Daemon.r_graceful;
+  Alcotest.(check bool) "shed counted" true (report.r_shed >= 1);
+  Alcotest.(check bool) "idle eviction counted" true (report.r_evicted_idle >= 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "pending bytes %d within %d sessions x %d"
+       report.r_max_pending max_sessions max_wbuf)
+    true
+    (report.r_max_pending <= max_sessions * max_wbuf);
   Util.Cachectl.clear_all ()
 
 (* at the admission cap a new connection gets one Busy frame and is
@@ -967,6 +1093,8 @@ let tests =
      test_daemon_evicts_slow_reader);
     ("daemon sheds Busy at the session cap", `Quick,
      test_daemon_sheds_at_session_cap);
+    ("daemon storm: staller and chaos beside honest clients at the cap",
+     `Quick, test_daemon_storm);
     ("daemon evicts idle sessions", `Quick, test_daemon_idle_timeout);
     ("daemon pidfile: refuse live, recover stale", `Quick,
      test_daemon_pidfile_single_instance);
