@@ -72,15 +72,15 @@ let fig1_source = {|
 let fig1 () =
   section "Fig. 1: substitution of cascaded inductions (K1, K2)";
   let p = Frontend.Parser.parse_string fig1_source in
-  let before, arr_before = Machine.Interp.run_capture p in
+  let before = Machine.Interp.run_full p in
   let subs = Passes.Induction.run p in
   Printf.printf "substituted: %s\n"
     (String.concat ", " (List.map (fun (v, l) -> v ^ " in loop " ^ l) subs));
   print_string (Frontend.Unparse.program_to_string p);
-  let after, arr_after = Machine.Interp.run_capture p in
+  let after = Machine.Interp.run_full p in
   Printf.printf "semantics preserved: outputs %b, memory %b\n"
-    (before.output = after.output)
-    (arr_before = arr_after);
+    (before.cap_result.output = after.cap_result.output)
+    (before.cap_arrays = after.cap_arrays);
   print_reports (Passes.Parallelize.run ~mode:Passes.Parallelize.Polaris p)
 
 (* ------------------------------------------------------------------ *)
@@ -109,14 +109,14 @@ let fig2_source = {|
 let fig2 () =
   section "Fig. 2: induction substitution in TRFD (OLDA/100)";
   let p = Frontend.Parser.parse_string fig2_source in
-  let before, mem_before = Machine.Interp.run_capture p in
+  let before = Machine.Interp.run_full p in
   ignore (Passes.Induction.run p);
   Passes.Constprop.run p;
   print_string (Frontend.Unparse.program_to_string p);
-  let after, mem_after = Machine.Interp.run_capture p in
+  let after = Machine.Interp.run_full p in
   Printf.printf "semantics preserved: outputs %b, memory %b\n"
-    (before.output = after.output)
-    (mem_before = mem_after);
+    (before.cap_result.output = after.cap_result.output)
+    (before.cap_arrays = after.cap_arrays);
   Printf.printf "paper: all three loops parallel after substitution; measured:\n";
   print_reports (Passes.Parallelize.run ~mode:Passes.Parallelize.Polaris p);
   Printf.printf "baseline pipeline (classic induction + gcd/banerjee/SIV):\n";

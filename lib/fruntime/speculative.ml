@@ -76,9 +76,7 @@ let run ?(cost = Pd_test.default_cost) ?(procs = 8) ~(loop_sid : int)
   let st = Machine.Interp.fresh_state ~cfg prog in
   let checkpoint = ref None in
   let tested_alloc = ref None in
-  let fr : Machine.Interp.frame =
-    { unit_ = main; vars = Hashtbl.create 32 }
-  in
+  let fr = Machine.Interp.main_frame st in
   st.on_loop_iter <-
     Some
       (fun sid k time ->

@@ -11,7 +11,16 @@
       sequential, so semantics are independent of the timing model).
 
     Simulated time is deterministic: a pure function of program, input
-    and configuration. *)
+    and configuration.
+
+    Execution first lowers every program unit into a tree of OCaml
+    closures ({!lower_program}, once per run): each variable becomes an
+    index into the frame's slot array, each block a prebuilt array of
+    statement closures.  Slots are still bound lazily, on first use,
+    exactly as a name-keyed environment binds names.  The lowered code
+    charges the cost model, consumes fuel and fires the hooks statement
+    for statement like the direct tree-walking evaluator kept in
+    {!Treewalk}, the independent reference the validation oracle runs. *)
 
 open Fir
 open Ast
@@ -69,11 +78,6 @@ type rw = R | W
 
 type outcome = Normal | Jump of int | Returned | Stopped
 
-type frame = {
-  unit_ : Punit.t;
-  vars : (string, Storage.binding) Hashtbl.t;
-}
-
 type state = {
   prog : Program.t;
   cfg : config;
@@ -97,16 +101,40 @@ type state = {
           assignment to a scalar (the real executor tracks last-value
           copy-out of privatized scalars with it) *)
   mutable on_parallel_do :
-    (state -> frame -> int -> do_loop -> init:int -> step:int -> trips:int ->
-     outcome option)
+    (state -> frame -> int -> do_loop -> body:block -> init:int -> step:int ->
+     trips:int -> outcome option)
       option;
       (** real-execution hook: offered every DO loop reached at
-          [par_depth = 0] with its evaluated bounds, {e before} the
-          serial (or Parsim-timed) path runs.  Returning [Some outcome]
-          means the hook executed the loop (e.g. {!Parexec} ran it on
-          domains); [None] falls through to the ordinary path.  The
-          hook must leave [idx] and all memory exactly as serial
-          execution would. *)
+          [par_depth = 0] with its evaluated bounds and lowered body,
+          {e before} the serial (or Parsim-timed) path runs.  Returning
+          [Some outcome] means the hook executed the loop (e.g.
+          {!Parexec} ran it on domains); [None] falls through to the
+          ordinary path.  The hook must leave [idx] and all memory
+          exactly as serial execution would. *)
+}
+
+(** An activation of a program unit: one binding per slot of the unit's
+    lowered code, {!unbound} until the variable is first used. *)
+and frame = {
+  code : code;
+  slots : Storage.binding array;
+}
+
+(** A program unit lowered for one execution. *)
+and code = {
+  c_unit : Punit.t;
+  c_prog : Program.t;
+  c_units : (string, code) Hashtbl.t;  (** every unit of the program *)
+  c_names : string array;              (** slot -> variable name *)
+  c_slot : (string, int) Hashtbl.t;    (** variable name -> slot *)
+  mutable c_body : block;
+}
+
+(** A lowered statement list: one closure per statement, and each
+    statement's label for GOTO resolution. *)
+and block = {
+  stmts : (state -> frame -> outcome) array;
+  labels : int option array;
 }
 
 let charge st n = st.time <- st.time + n
@@ -149,43 +177,102 @@ let maybe_seed st name (b : Storage.binding) =
   b
 
 (* ------------------------------------------------------------------ *)
-(* Variable binding                                                    *)
+(* Slots                                                               *)
 
-let rec const_int_expr st (fr : frame) e =
-  (* dimension expressions: evaluated with parameters and current frame *)
-  Value.to_int (eval st fr e)
+(** Placeholder of a slot whose variable has not been bound yet. *)
+let unbound : Storage.binding =
+  { view = { alloc = { aid = 0; data = Storage.Iarr [||] }; off = 0 };
+    dims = []; elem = Integer }
 
-and binding_for st (fr : frame) name : Storage.binding =
-  match Hashtbl.find_opt fr.vars name with
-  | Some b -> b
-  | None ->
-    let sym = Symtab.lookup fr.unit_.pu_symtab name in
-    let b =
-      match sym.sym_common with
-      | Some blk -> common_binding st fr blk sym
+let new_frame (c : code) =
+  { code = c;
+    slots = Array.make (Array.length c.c_names) unbound }
+
+let slot_index (c : code) name =
+  match Hashtbl.find_opt c.c_slot name with
+  | Some i -> i
+  | None -> error "unit %s: no slot for %s" c.c_unit.pu_name name
+
+(** [name]'s binding in [fr], if it is bound. *)
+let lookup (fr : frame) name =
+  match Hashtbl.find_opt fr.code.c_slot name with
+  | Some i when fr.slots.(i) != unbound -> Some fr.slots.(i)
+  | _ -> None
+
+(** Replace [name]'s binding in [fr] ({!Parexec} privatization). *)
+let rebind (fr : frame) name b = fr.slots.(slot_index fr.code name) <- b
+
+(** Every bound variable of [fr], with its binding. *)
+let bound_vars (fr : frame) =
+  let acc = ref [] in
+  Array.iteri
+    (fun i b -> if b != unbound then acc := (fr.code.c_names.(i), b) :: !acc)
+    fr.slots;
+  !acc
+
+(* ------------------------------------------------------------------ *)
+(* Lowering                                                            *)
+
+(* the variable names a unit can touch: everything its statements
+   mention, its dummies and result variable, and every symbol of its
+   symbol table with the names in its dimension and PARAMETER
+   expressions (evaluated when a variable is first bound) *)
+let unit_names (u : Punit.t) =
+  let acc = ref (u.pu_name :: u.pu_args) in
+  let add_expr e =
+    acc :=
+      Expr.fold
+        (fun acc -> function Var v | Ref (v, _) -> v :: acc | _ -> acc)
+        !acc e
+  in
+  Stmt.iter
+    (fun s ->
+      (match s.kind with Do d -> acc := d.index :: !acc | _ -> ());
+      List.iter (fun (_, e) -> add_expr e) (Stmt.exprs_of s))
+    u.pu_body;
+  Symtab.fold
+    (fun _ (sym : symbol) () ->
+      acc := sym.sym_name :: !acc;
+      List.iter (fun (lo, hi) -> add_expr lo; add_expr hi) sym.sym_dims;
+      Option.iter add_expr sym.sym_param)
+    u.pu_symtab ();
+  List.sort_uniq String.compare !acc
+
+let rec slot st fr i =
+  let b = fr.slots.(i) in
+  if b != unbound then b else bind st fr i
+
+(* first use of slot [i]: bind it as the tree-walker binds a name *)
+and bind st fr i =
+  let sym = Symtab.lookup fr.code.c_unit.pu_symtab fr.code.c_names.(i) in
+  let b =
+    match sym.sym_common with
+    | Some blk -> common_binding st fr blk sym
+    | None ->
+      (match sym.sym_param with
+      | Some value ->
+        (* parameters are bound once to their constant value *)
+        let b = Storage.scalar_binding sym.sym_type in
+        Storage.write_elem b.view 0 (eval_cold st fr value);
+        b
       | None ->
-        (match sym.sym_param with
-        | Some value ->
-          (* parameters are bound once to their constant value *)
-          let b = Storage.scalar_binding sym.sym_type in
-          Storage.write_elem b.view 0 (eval st fr value);
-          b
-        | None ->
-          maybe_seed st sym.sym_name
-            (if sym.sym_dims = [] then Storage.scalar_binding sym.sym_type
-             else Storage.array_binding sym.sym_type (eval_dims st fr sym)))
-    in
-    Hashtbl.replace fr.vars name b;
-    b
+        maybe_seed st sym.sym_name
+          (if sym.sym_dims = [] then Storage.scalar_binding sym.sym_type
+           else Storage.array_binding sym.sym_type (eval_dims st fr sym)))
+  in
+  fr.slots.(i) <- b;
+  b
 
+(* dimension expressions may reference other dummies (e.g. B(N)): they
+   are evaluated in the frame being bound *)
 and eval_dims st fr (sym : symbol) =
   List.map
     (fun (lo, hi) ->
-      let lo = const_int_expr st fr lo in
+      let lo = Value.to_int (eval_cold st fr lo) in
       match hi with
       | Var "*" -> (lo, -1)
       | _ ->
-        let hi = const_int_expr st fr hi in
+        let hi = Value.to_int (eval_cold st fr hi) in
         (lo, hi - lo + 1))
     sym.sym_dims
 
@@ -202,304 +289,482 @@ and common_binding st fr blk (sym : symbol) =
     Hashtbl.replace st.commons key b;
     b
 
-(* ------------------------------------------------------------------ *)
-(* Expression evaluation                                               *)
+(* symbol-table expressions run once per binding: lowered on the spot *)
+and eval_cold st fr e = lower_expr fr.code e st fr
 
-and element_index st fr name (subs : expr list) =
-  let b = binding_for st fr name in
-  if b.dims = [] then error "%s subscripted but bound as scalar" name;
-  let subs = List.map (fun e -> Value.to_int (eval st fr e)) subs in
-  charge st (List.length subs);
-  (b, Storage.linear_index b.dims subs)
-
-and eval st fr (e : expr) : Value.t =
+and lower_expr (c : code) (e : expr) : state -> frame -> Value.t =
   match e with
-  | Int_lit n -> Value.Int n
-  | Real_lit x -> Value.Real x
-  | Logical_lit b -> Value.Bool b
-  | Char_lit s -> Value.Str s
-  | Wildcard n -> error "wildcard ?%d evaluated" n
+  | Int_lit n ->
+    let v = Value.Int n in
+    fun _ _ -> v
+  | Real_lit x ->
+    let v = Value.Real x in
+    fun _ _ -> v
+  | Logical_lit b ->
+    let v = Value.Bool b in
+    fun _ _ -> v
+  | Char_lit s ->
+    let v = Value.Str s in
+    fun _ _ -> v
+  | Wildcard n -> fun _ _ -> error "wildcard ?%d evaluated" n
   | Var v ->
-    let b = binding_for st fr v in
-    if b.dims <> [] then error "array %s used as scalar" v;
-    Storage.read_elem b.view 0
+    let i = slot_index c v in
+    fun st fr ->
+      let b = slot st fr i in
+      (match b.dims with [] -> () | _ -> error "array %s used as scalar" v);
+      Storage.read_elem b.view 0
   | Ref (v, subs) ->
-    let b, i = element_index st fr v subs in
-    (match st.on_access with Some f -> f R v i | None -> ());
-    charge_mem st b.view i;
-    Storage.read_elem b.view i
-  | Unary (op, a) ->
-    charge st Cost.unop;
-    let va = eval st fr a in
-    (match op with Neg -> Value.neg va | Not -> Value.Bool (not (Value.to_bool va)))
-  | Binary (op, a, b) -> (
-    charge st (Cost.binop op);
-    match op with
-    | And ->
-      (* no short-circuit in F77 semantics, but evaluation order is free;
-         we evaluate both, matching most compilers' simple codegen *)
-      let va = Value.to_bool (eval st fr a) in
-      let vb = Value.to_bool (eval st fr b) in
+    let i = slot_index c v in
+    let index = lower_index c v subs in
+    fun st fr ->
+      let b = slot st fr i in
+      let k = index st fr b in
+      (match st.on_access with Some f -> f R v k | None -> ());
+      charge_mem st b.view k;
+      Storage.read_elem b.view k
+  | Unary (Neg, a) ->
+    let a = lower_expr c a in
+    fun st fr ->
+      charge st Cost.unop;
+      Value.neg (a st fr)
+  | Unary (Not, a) ->
+    let a = lower_expr c a in
+    fun st fr ->
+      charge st Cost.unop;
+      Value.Bool (not (Value.to_bool (a st fr)))
+  | Binary (op, a, b) -> lower_binary op (lower_expr c a) (lower_expr c b)
+  | Fun_call (f, args) -> lower_call c f args
+
+(* the operator is charged first, then both operands are evaluated left
+   to right (no short-circuit for .AND./.OR.) *)
+and lower_binary op a b =
+  let cost = Cost.binop op in
+  match op with
+  | Add ->
+    fun st fr ->
+      charge st cost;
+      let va = a st fr in
+      Value.add va (b st fr)
+  | Sub ->
+    fun st fr ->
+      charge st cost;
+      let va = a st fr in
+      Value.sub va (b st fr)
+  | Mul ->
+    fun st fr ->
+      charge st cost;
+      let va = a st fr in
+      Value.mul va (b st fr)
+  | Div ->
+    fun st fr ->
+      charge st cost;
+      let va = a st fr in
+      Value.div va (b st fr)
+  | Pow ->
+    fun st fr ->
+      charge st cost;
+      let va = a st fr in
+      Value.pow va (b st fr)
+  | Eq ->
+    fun st fr ->
+      charge st cost;
+      let va = a st fr in
+      Value.Bool (Value.equal va (b st fr))
+  | Ne ->
+    fun st fr ->
+      charge st cost;
+      let va = a st fr in
+      Value.Bool (not (Value.equal va (b st fr)))
+  | Lt ->
+    fun st fr ->
+      charge st cost;
+      let va = a st fr in
+      Value.Bool (Value.lt va (b st fr))
+  | Le ->
+    fun st fr ->
+      charge st cost;
+      let va = a st fr in
+      Value.Bool (Value.le va (b st fr))
+  | Gt ->
+    fun st fr ->
+      charge st cost;
+      let va = a st fr in
+      Value.Bool (Value.gt va (b st fr))
+  | Ge ->
+    fun st fr ->
+      charge st cost;
+      let va = a st fr in
+      Value.Bool (Value.ge va (b st fr))
+  | And ->
+    fun st fr ->
+      charge st cost;
+      let va = Value.to_bool (a st fr) in
+      let vb = Value.to_bool (b st fr) in
       Value.Bool (va && vb)
-    | Or ->
-      let va = Value.to_bool (eval st fr a) in
-      let vb = Value.to_bool (eval st fr b) in
+  | Or ->
+    fun st fr ->
+      charge st cost;
+      let va = Value.to_bool (a st fr) in
+      let vb = Value.to_bool (b st fr) in
       Value.Bool (va || vb)
-    | _ ->
-      let va = eval st fr a in
-      let vb = eval st fr b in
-      (match op with
-      | Add -> Value.add va vb
-      | Sub -> Value.sub va vb
-      | Mul -> Value.mul va vb
-      | Div -> Value.div va vb
-      | Pow -> Value.pow va vb
-      | Eq -> Value.Bool (Value.equal va vb)
-      | Ne -> Value.Bool (not (Value.equal va vb))
-      | Lt -> Value.Bool (Value.compare_num va vb < 0)
-      | Le -> Value.Bool (Value.compare_num va vb <= 0)
-      | Gt -> Value.Bool (Value.compare_num va vb > 0)
-      | Ge -> Value.Bool (Value.compare_num va vb >= 0)
-      | And | Or -> assert false))
-  | Fun_call (f, args) -> eval_call st fr f args
 
-and eval_call st fr f args =
-  match intrinsic st fr f args with
-  | Some v -> v
-  | None -> (
-    match Program.find_unit st.prog f with
-    | Some u when Punit.is_function u ->
-      charge st Cost.call;
-      let callee = call_frame st fr u args in
-      run_unit_body st callee;
-      let ret = binding_for st callee f in
-      Storage.read_elem ret.view 0
-    | _ -> error "unknown function %s" f)
-
-and intrinsic st fr name args =
-  let open Value in
-  let ev e = eval st fr e in
-  let unary f = match args with [ a ] -> Some (f (ev a)) | _ -> None in
-  let nary2 f =
-    match List.map ev args with
-    | a :: rest -> Some (List.fold_left f a rest)
-    | [] -> None
+(* linear element index of [v(subs)] within binding [b]: subscripts are
+   evaluated left to right, then charged one unit each *)
+and lower_index c v subs : state -> frame -> Storage.binding -> int =
+  let n = List.length subs in
+  let subs = List.map (lower_expr c) subs in
+  let general st fr (b : Storage.binding) =
+    let xs = List.map (fun s -> Value.to_int (s st fr)) subs in
+    charge st n;
+    Storage.linear_index b.dims xs
   in
-  let r =
-    match name with
-    | "ABS" | "IABS" | "DABS" ->
-      unary (function Int n -> Int (abs n) | v -> Real (Float.abs (to_float v)))
-    | "MOD" | "AMOD" | "DMOD" -> (
-      match List.map ev args with
-      | [ Int a; Int b ] -> Some (Int (a mod b))
-      | [ a; b ] -> Some (Real (Float.rem (to_float a) (to_float b)))
-      | _ -> None)
-    | "MAX" | "MAX0" | "AMAX1" | "DMAX1" ->
-      nary2 (fun a b -> if compare_num a b >= 0 then a else b)
-    | "MIN" | "MIN0" | "AMIN1" | "DMIN1" ->
-      nary2 (fun a b -> if compare_num a b <= 0 then a else b)
-    | "SQRT" | "DSQRT" -> unary (fun v -> Real (Float.sqrt (to_float v)))
-    | "SIN" | "DSIN" -> unary (fun v -> Real (Float.sin (to_float v)))
-    | "COS" | "DCOS" -> unary (fun v -> Real (Float.cos (to_float v)))
-    | "TAN" | "DTAN" -> unary (fun v -> Real (Float.tan (to_float v)))
-    | "ATAN" | "DATAN" -> unary (fun v -> Real (Float.atan (to_float v)))
-    | "EXP" | "DEXP" -> unary (fun v -> Real (Float.exp (to_float v)))
-    | "LOG" | "ALOG" | "DLOG" -> unary (fun v -> Real (Float.log (to_float v)))
-    | "INT" | "IFIX" | "IDINT" -> unary (fun v -> Int (to_int v))
-    | "NINT" | "IDNINT" ->
-      unary (fun v -> Int (int_of_float (Float.round (to_float v))))
-    | "REAL" | "FLOAT" | "DBLE" | "SNGL" -> unary (fun v -> Real (to_float v))
-    | "SIGN" | "ISIGN" | "DSIGN" -> (
-      match List.map ev args with
-      | [ a; b ] ->
+  let scalar_error () = error "%s subscripted but bound as scalar" v in
+  match subs with
+  | [ s ] ->
+    fun st fr b ->
+      (match b.dims with
+      | [ (lo, _) ] ->
+        let x = Value.to_int (s st fr) in
+        charge st 1;
+        x - lo
+      | [] -> scalar_error ()
+      | _ -> general st fr b)
+  | [ s1; s2 ] ->
+    fun st fr b ->
+      (match b.dims with
+      | [ (lo1, e1); (lo2, _) ] ->
+        let x1 = Value.to_int (s1 st fr) in
+        let x2 = Value.to_int (s2 st fr) in
+        charge st 2;
+        x1 - lo1 + ((x2 - lo2) * max e1 1)
+      | [] -> scalar_error ()
+      | _ -> general st fr b)
+  | [ s1; s2; s3 ] ->
+    fun st fr b ->
+      (match b.dims with
+      | [ (lo1, e1); (lo2, e2); (lo3, _) ] ->
+        let x1 = Value.to_int (s1 st fr) in
+        let x2 = Value.to_int (s2 st fr) in
+        let x3 = Value.to_int (s3 st fr) in
+        charge st 3;
+        let stride2 = max e1 1 in
+        x1 - lo1 + ((x2 - lo2) * stride2) + ((x3 - lo3) * stride2 * max e2 1)
+      | [] -> scalar_error ()
+      | _ -> general st fr b)
+  | _ ->
+    fun st fr b ->
+      (match b.dims with [] -> scalar_error () | _ -> general st fr b)
+
+(* intrinsics shadow user functions of the same name; an intrinsic
+   called with the wrong arity falls through to the user function *)
+and lower_call c f args =
+  let user = lower_user_function c f args in
+  let args = List.map (lower_expr c) args in
+  let open Value in
+  let unary g =
+    match args with
+    | [ a ] ->
+      fun st fr ->
+        let v = g (a st fr) in
+        charge st Cost.intrinsic;
+        v
+    | _ -> user
+  in
+  (* MOD and SIGN evaluate every argument before checking the arity *)
+  let binary g =
+    match args with
+    | [ a; b ] ->
+      fun st fr ->
+        let va = a st fr in
+        let v = g va (b st fr) in
+        charge st Cost.intrinsic;
+        v
+    | _ ->
+      fun st fr ->
+        List.iter (fun a -> ignore (a st fr)) args;
+        user st fr
+  in
+  let fold g =
+    match args with
+    | [] -> user
+    | [ _; _ ] -> binary g
+    | _ ->
+      fun st fr ->
+        let v =
+          match List.map (fun a -> a st fr) args with
+          | v :: rest -> List.fold_left g v rest
+          | [] -> assert false
+        in
+        charge st Cost.intrinsic;
+        v
+  in
+  match f with
+  | "ABS" | "IABS" | "DABS" ->
+    unary (function Int n -> Int (abs n) | v -> Real (Float.abs (to_float v)))
+  | "MOD" | "AMOD" | "DMOD" ->
+    binary (fun a b ->
+        match (a, b) with
+        | Int a, Int b -> Int (a mod b)
+        | a, b -> Real (Float.rem (to_float a) (to_float b)))
+  | "MAX" | "MAX0" | "AMAX1" | "DMAX1" -> fold max_num
+  | "MIN" | "MIN0" | "AMIN1" | "DMIN1" -> fold min_num
+  | "SQRT" | "DSQRT" -> unary (fun v -> Real (Float.sqrt (to_float v)))
+  | "SIN" | "DSIN" -> unary (fun v -> Real (Float.sin (to_float v)))
+  | "COS" | "DCOS" -> unary (fun v -> Real (Float.cos (to_float v)))
+  | "TAN" | "DTAN" -> unary (fun v -> Real (Float.tan (to_float v)))
+  | "ATAN" | "DATAN" -> unary (fun v -> Real (Float.atan (to_float v)))
+  | "EXP" | "DEXP" -> unary (fun v -> Real (Float.exp (to_float v)))
+  | "LOG" | "ALOG" | "DLOG" -> unary (fun v -> Real (Float.log (to_float v)))
+  | "INT" | "IFIX" | "IDINT" -> unary (fun v -> Int (to_int v))
+  | "NINT" | "IDNINT" ->
+    unary (fun v -> Int (int_of_float (Float.round (to_float v))))
+  | "REAL" | "FLOAT" | "DBLE" | "SNGL" -> unary (fun v -> Real (to_float v))
+  | "SIGN" | "ISIGN" | "DSIGN" ->
+    binary (fun a b ->
         let mag = Float.abs (to_float a) in
         let v = if to_float b < 0.0 then -.mag else mag in
-        Some (match a with Int _ -> Int (int_of_float v) | _ -> Real v)
-      | _ -> None)
-    | _ -> None
-  in
-  if r <> None then charge st Cost.intrinsic;
-  r
+        match a with Int _ -> Int (int_of_float v) | _ -> Real v)
+  | _ -> user
+
+and lower_user_function c f args =
+  match Program.find_unit c.c_prog f with
+  | Some u when Punit.is_function u ->
+    let callee = Hashtbl.find c.c_units u.pu_name in
+    let enter = lower_call_frame c callee args in
+    let result = Hashtbl.find_opt callee.c_slot f in
+    fun st fr ->
+      charge st Cost.call;
+      let cfr = enter st fr in
+      run_unit_body st cfr;
+      let ret =
+        match result with
+        | Some i -> slot st cfr i
+        | None -> error "unit %s: no slot for %s" u.pu_name f
+      in
+      Storage.read_elem ret.view 0
+  | _ -> fun _ _ -> error "unknown function %s" f
+
+(* the callee frame of a call: two-phase binding, scalars first, then
+   arrays, because an array formal's dimension expressions may reference
+   scalar formals that appear later in the argument list (adjustable
+   arrays) *)
+and lower_call_frame c (callee : code) actuals =
+  let u = callee.c_unit in
+  let nf = List.length u.pu_args and na = List.length actuals in
+  if nf <> na then fun _ _ -> error "%s called with %d args, expects %d" u.pu_name na nf
+  else
+    let binders =
+      List.map2
+        (fun formal actual ->
+          let target = slot_index callee formal in
+          match Symtab.find_opt u.pu_symtab formal with
+          | Some sym when sym.sym_dims <> [] ->
+            Either.Right (lower_array_actual c formal actual sym target)
+          | Some _ -> Either.Left (lower_scalar_actual c actual target)
+          | None ->
+            (* an undeclared dummy is an implicit scalar, materialized in
+               the callee's symbol table at the call *)
+            let bind = lower_scalar_actual c actual target in
+            Either.Left
+              (fun st fr cfr ->
+                ignore (Symtab.lookup u.pu_symtab formal);
+                bind st fr cfr))
+        u.pu_args actuals
+    in
+    let scalars, arrays = List.partition_map Fun.id binders in
+    fun st fr ->
+      let cfr = new_frame callee in
+      List.iter (fun bind -> bind st fr cfr) scalars;
+      List.iter (fun bind -> bind st fr cfr) arrays;
+      cfr
+
+and lower_scalar_actual c actual target =
+  match actual with
+  | Var v ->
+    let i = slot_index c v in
+    fun st fr cfr ->
+      (* scalar dummy: alias the caller's cell (or an array's first
+         element when a whole array is passed) *)
+      let b = slot st fr i in
+      cfr.slots.(target) <- { b with dims = [] }
+  | Ref (v, subs) ->
+    let i = slot_index c v in
+    let index = lower_index c v subs in
+    fun st fr cfr ->
+      let b = slot st fr i in
+      let k = index st fr b in
+      let view = { b.view with off = b.view.off + k } in
+      cfr.slots.(target) <- { Storage.view; dims = []; elem = b.elem }
+  | e ->
+    (* expression actual: copy-in, read-only temporary *)
+    let ev = lower_expr c e in
+    fun st fr cfr ->
+      let v = ev st fr in
+      let typ = match v with Value.Int _ -> Integer | _ -> Real in
+      let b = Storage.scalar_binding typ in
+      Storage.write_elem b.view 0 v;
+      cfr.slots.(target) <- b
+
+and lower_array_actual c formal actual sym target =
+  match actual with
+  | Var v ->
+    let i = slot_index c v in
+    fun st fr cfr ->
+      let b = slot st fr i in
+      cfr.slots.(target) <- { b with dims = eval_dims st cfr sym }
+  | Ref (v, subs) ->
+    let i = slot_index c v in
+    let index = lower_index c v subs in
+    fun st fr cfr ->
+      let b = slot st fr i in
+      let k = index st fr b in
+      let view = { b.view with off = b.view.off + k } in
+      cfr.slots.(target) <-
+        { Storage.view; dims = eval_dims st cfr sym; elem = b.elem }
+  | e ->
+    fun _ _ _ ->
+      error "array formal %s bound to expression %s" formal (Expr.to_string e)
 
 (* ------------------------------------------------------------------ *)
-(* Calls                                                               *)
+(* Statements                                                          *)
 
-and call_frame st (caller : frame) (u : Punit.t) (actuals : expr list) : frame =
-  if List.length actuals <> List.length u.pu_args then
-    error "%s called with %d args, expects %d" u.pu_name (List.length actuals)
-      (List.length u.pu_args);
-  let callee = { unit_ = u; vars = Hashtbl.create 16 } in
-  (* two-phase binding: scalars first, then arrays, because an array
-     formal's dimension expressions may reference scalar formals that
-     appear later in the argument list (adjustable arrays) *)
-  let bind_scalar formal actual (sym : symbol) =
-    let bound : Storage.binding =
-      match actual with
-      | Var v ->
-        let b = binding_for st caller v in
-        (* scalar dummy: alias the caller's cell (or an array's first
-           element when a whole array is passed) *)
-        { b with dims = [] }
-      | Ref (v, subs) ->
-        let b, i = element_index st caller v subs in
-        let view = { b.Storage.view with off = b.Storage.view.off + i } in
-        { Storage.view; dims = []; elem = b.elem }
-      | e ->
-        (* expression actual: copy-in, read-only temporary *)
-        let v = eval st caller e in
-        let typ = match v with Value.Int _ -> Integer | _ -> Real in
-        let b = Storage.scalar_binding typ in
-        Storage.write_elem b.view 0 v;
-        b
-    in
-    ignore sym;
-    Hashtbl.replace callee.vars formal bound
-  in
-  let bind_array formal actual (sym : symbol) =
-    let bound : Storage.binding =
-      match actual with
-      | Var v ->
-        let b = binding_for st caller v in
-        { b with dims = eval_dims_in st callee caller sym }
-      | Ref (v, subs) ->
-        let b, i = element_index st caller v subs in
-        let view = { b.Storage.view with off = b.Storage.view.off + i } in
-        { Storage.view; dims = eval_dims_in st callee caller sym; elem = b.elem }
-      | e -> error "array formal %s bound to expression %s" formal (Expr.to_string e)
-    in
-    Hashtbl.replace callee.vars formal bound
-  in
-  let pairs = List.combine u.pu_args actuals in
-  List.iter
-    (fun (formal, actual) ->
-      let sym = Symtab.lookup u.pu_symtab formal in
-      if sym.sym_dims = [] then bind_scalar formal actual sym)
-    pairs;
-  List.iter
-    (fun (formal, actual) ->
-      let sym = Symtab.lookup u.pu_symtab formal in
-      if sym.sym_dims <> [] then bind_array formal actual sym)
-    pairs;
-  callee
+and lower_block c (b : Ast.block) : block =
+  { stmts = Array.of_list (List.map (lower_stmt c) b);
+    labels = Array.of_list (List.map (fun (s : stmt) -> s.label) b) }
 
-(* dummy-array dimension expressions may reference other dummies (e.g.
-   B(N)); they must be evaluated in the callee frame after scalars are
-   bound, falling back to the caller for values not yet bound *)
-and eval_dims_in st (callee : frame) (_caller : frame) (sym : symbol) =
-  eval_dims st callee sym
+(* every statement closure first consumes one unit of fuel *)
+and lower_stmt c (s : stmt) : state -> frame -> outcome =
+  match s.kind with
+  | Assign (lhs, rhs) -> lower_assign c lhs (lower_expr c rhs)
+  | If (cond, t, e) ->
+    let cond = lower_expr c cond in
+    let t = lower_block c t and e = lower_block c e in
+    fun st fr ->
+      tick st;
+      exec_block st fr (if Value.to_bool (cond st fr) then t else e)
+  | Do d -> lower_do c s.sid d
+  | While (cond, body) ->
+    let cond = lower_expr c cond in
+    let body = lower_block c body in
+    fun st fr ->
+      tick st;
+      let rec loop () =
+        charge st Cost.loop_iter;
+        if Value.to_bool (cond st fr) then
+          match exec_block st fr body with
+          | Normal -> loop ()
+          | o -> o
+        else Normal
+      in
+      loop ()
+  | Call (name, args) -> (
+    match Program.find_unit c.c_prog name with
+    | Some u ->
+      let enter = lower_call_frame c (Hashtbl.find c.c_units u.pu_name) args in
+      fun st fr ->
+        tick st;
+        charge st Cost.call;
+        run_unit_body st (enter st fr);
+        Normal
+    | None ->
+      fun st _ ->
+        tick st;
+        error "unknown subroutine %s" name)
+  | Goto l ->
+    let jump = Jump l in
+    fun st _ ->
+      tick st;
+      jump
+  | Continue ->
+    fun st _ ->
+      tick st;
+      Normal
+  | Return ->
+    fun st _ ->
+      tick st;
+      Returned
+  | Stop ->
+    fun st _ ->
+      tick st;
+      Stopped
+  | Print args ->
+    let args = List.map (lower_expr c) args in
+    fun st fr ->
+      tick st;
+      charge st Cost.print;
+      let line =
+        String.concat " " (List.map (fun e -> Value.to_string (e st fr)) args)
+      in
+      st.output <- line :: st.output;
+      Normal
 
-(* ------------------------------------------------------------------ *)
-(* Statement execution                                                 *)
-
-and assign_to st fr lhs v =
+and lower_assign c lhs rhs =
   match lhs with
   | Var name ->
-    let b = binding_for st fr name in
-    if b.dims <> [] then error "array %s assigned as scalar" name;
-    (match st.on_assign with Some f -> f name | None -> ());
-    Storage.write_elem b.view 0 v
-  | Ref (name, subs) ->
-    let b, i = element_index st fr name subs in
-    (match st.on_access with Some f -> f W name i | None -> ());
-    charge_mem st b.view i;
-    Storage.write_elem b.view i v
-  | e -> error "invalid assignment target %s" (Expr.to_string e)
-
-and exec_block st fr (b : block) : outcome =
-  let stmts = Array.of_list b in
-  let n = Array.length stmts in
-  let rec go pc =
-    if pc >= n then Normal
-    else
-      match exec_stmt st fr stmts.(pc) with
-      | Normal -> go (pc + 1)
-      | Jump l -> (
-        match find_label stmts l with
-        | Some target -> go target
-        | None -> Jump l)
-      | (Returned | Stopped) as o -> o
-  in
-  go 0
-
-and find_label stmts l =
-  let n = Array.length stmts in
-  let rec go i =
-    if i >= n then None
-    else if stmts.(i).label = Some l then Some i
-    else go (i + 1)
-  in
-  go 0
-
-and exec_stmt st fr (s : stmt) : outcome =
-  tick st;
-  match s.kind with
-  | Assign (lhs, rhs) ->
-    charge st Cost.assign;
-    let v = eval st fr rhs in
-    assign_to st fr lhs v;
-    Normal
-  | If (c, t, e) ->
-    let cond = Value.to_bool (eval st fr c) in
-    exec_block st fr (if cond then t else e)
-  | Do d -> exec_do st fr s.sid d
-  | While (c, body) ->
-    let rec loop () =
-      charge st Cost.loop_iter;
-      if Value.to_bool (eval st fr c) then
-        match exec_block st fr body with
-        | Normal -> loop ()
-        | o -> o
-      else Normal
-    in
-    loop ()
-  | Call (name, args) -> (
-    match Program.find_unit st.prog name with
-    | Some u ->
-      charge st Cost.call;
-      let callee = call_frame st fr u args in
-      run_unit_body st callee;
+    let i = slot_index c name in
+    fun st fr ->
+      tick st;
+      charge st Cost.assign;
+      let v = rhs st fr in
+      let b = slot st fr i in
+      (match b.dims with [] -> () | _ -> error "array %s assigned as scalar" name);
+      (match st.on_assign with Some f -> f name | None -> ());
+      Storage.write_elem b.view 0 v;
       Normal
-    | None -> error "unknown subroutine %s" name)
-  | Goto l -> Jump l
-  | Continue -> Normal
-  | Return -> Returned
-  | Stop -> Stopped
-  | Print args ->
-    charge st Cost.print;
-    let line =
-      String.concat " " (List.map (fun e -> Value.to_string (eval st fr e)) args)
-    in
-    st.output <- line :: st.output;
-    Normal
+  | Ref (name, subs) ->
+    let i = slot_index c name in
+    let index = lower_index c name subs in
+    fun st fr ->
+      tick st;
+      charge st Cost.assign;
+      let v = rhs st fr in
+      let b = slot st fr i in
+      let k = index st fr b in
+      (match st.on_access with Some f -> f W name k | None -> ());
+      charge_mem st b.view k;
+      Storage.write_elem b.view k v;
+      Normal
+  | e ->
+    fun st fr ->
+      tick st;
+      charge st Cost.assign;
+      ignore (rhs st fr);
+      error "invalid assignment target %s" (Expr.to_string e)
 
-and exec_do st fr sid (d : do_loop) : outcome =
-  (* track the innermost executing loop for fuel-exhaustion diagnostics;
-     restored on normal exit only — on an abort the innermost loop is
-     exactly the location to report *)
-  let enclosing_loop = st.cur_loop in
-  st.cur_loop <- Some d.index;
-  let outcome = exec_do_body st fr sid d in
-  st.cur_loop <- enclosing_loop;
-  outcome
+and lower_do c sid (d : do_loop) =
+  let init = lower_expr c d.init and limit = lower_expr c d.limit in
+  let step = Option.map (lower_expr c) d.step in
+  let index = slot_index c d.index in
+  let body = lower_block c d.body in
+  let here = Some d.index in
+  fun st fr ->
+    tick st;
+    (* track the innermost executing loop for fuel-exhaustion diagnostics;
+       restored on normal exit only — on an abort the innermost loop is
+       exactly the location to report *)
+    let enclosing_loop = st.cur_loop in
+    st.cur_loop <- here;
+    let init = Value.to_int (init st fr) in
+    let limit = Value.to_int (limit st fr) in
+    let step = match step with Some e -> Value.to_int (e st fr) | None -> 1 in
+    if step = 0 then error "DO %s: zero step" d.index;
+    let trips = max 0 ((limit - init + step) / step) in
+    let index = slot st fr index in
+    let outcome = exec_do st fr sid d body ~index ~init ~step ~trips in
+    st.cur_loop <- enclosing_loop;
+    outcome
 
-and exec_do_body st fr sid (d : do_loop) : outcome =
-  let init = Value.to_int (eval st fr d.init) in
-  let limit = Value.to_int (eval st fr d.limit) in
-  let step =
-    match d.step with Some e -> Value.to_int (eval st fr e) | None -> 1
-  in
-  if step = 0 then error "DO %s: zero step" d.index;
-  let trips = max 0 ((limit - init + step) / step) in
-  let idx_binding = binding_for st fr d.index in
+and exec_do st fr sid (d : do_loop) body ~(index : Storage.binding) ~init ~step
+    ~trips : outcome =
   let set_index v =
     (* the DO construct's index updates are scalar writes too: the real
        executor's last-value masks must see nested loop indices *)
     (match st.on_assign with Some f -> f d.index | None -> ());
-    Storage.write_elem idx_binding.view 0 (Value.Int v)
+    Storage.write_int index.view 0 v
   in
   let real_executed =
     match st.on_parallel_do with
-    | Some hook when st.par_depth = 0 -> hook st fr sid d ~init ~step ~trips
+    | Some hook when st.par_depth = 0 -> hook st fr sid d ~body ~init ~step ~trips
     | _ -> None
   in
   match real_executed with
@@ -512,24 +777,25 @@ and exec_do_body st fr sid (d : do_loop) : outcome =
     st.par_depth <- st.par_depth + 1;
     let t0 = st.time in
     let iter_costs = Array.make trips 0 in
-    let outcome = ref Normal in
-    (try
-       for k = 0 to trips - 1 do
-         let before = st.time in
-         (match st.on_loop_iter with Some f -> f sid k st.time | None -> ());
-         set_index (init + (k * step));
-         charge st Cost.loop_iter;
-         (match exec_block st fr d.body with
-         | Normal -> ()
-         | o ->
-           outcome := o;
-           raise Exit);
-         iter_costs.(k) <- st.time - before
-       done
-     with Exit -> ());
+    let rec iterate k =
+      if k >= trips then Normal
+      else begin
+        let before = st.time in
+        (match st.on_loop_iter with Some f -> f sid k st.time | None -> ());
+        set_index (init + (k * step));
+        charge st Cost.loop_iter;
+        match exec_block st fr body with
+        | Normal ->
+          iter_costs.(k) <- st.time - before;
+          iterate (k + 1)
+        | o -> o
+      end
+    in
+    let outcome = iterate 0 in
     set_index (init + (trips * step));
     st.par_depth <- st.par_depth - 1;
-    if !outcome = Normal then begin
+    match outcome with
+    | Normal ->
       let n_private =
         List.length d.info.privates + List.length d.info.lastprivates
       in
@@ -545,7 +811,7 @@ and exec_do_body st fr sid (d : do_loop) : outcome =
                  if every iteration paid one merge-unit *)
               trips
             | Expanded -> (
-              match Symtab.find_opt fr.unit_.pu_symtab r.red_var with
+              match Symtab.find_opt fr.code.c_unit.pu_symtab r.red_var with
               | Some sym -> (
                 match Symtab.const_size sym with Some n -> n | None -> 1)
               | None -> 1))
@@ -555,37 +821,77 @@ and exec_do_body st fr sid (d : do_loop) : outcome =
         t0 + Parsim.doall_time st.cfg.machine ~iter_costs ~n_private ~reduction_elems;
       (match st.on_loop_done with Some f -> f sid st.time | None -> ());
       Normal
-    end
-    else !outcome
+    | o -> o
     (* a non-local exit disables the parallel timing: time stays serial *)
   end
   else begin
-    let outcome = ref Normal in
-    (try
-       for k = 0 to trips - 1 do
-         (match st.on_loop_iter with Some f -> f sid k st.time | None -> ());
-         set_index (init + (k * step));
-         charge st Cost.loop_iter;
-         match exec_block st fr d.body with
-         | Normal -> ()
-         | o ->
-           outcome := o;
-           raise Exit
-       done
-     with Exit -> ());
-    if !outcome = Normal then set_index (init + (trips * step));
+    let rec iterate k =
+      if k >= trips then Normal
+      else begin
+        (match st.on_loop_iter with Some f -> f sid k st.time | None -> ());
+        set_index (init + (k * step));
+        charge st Cost.loop_iter;
+        match exec_block st fr body with
+        | Normal -> iterate (k + 1)
+        | o -> o
+      end
+    in
+    let outcome = iterate 0 in
+    (match outcome with Normal -> set_index (init + (trips * step)) | _ -> ());
     (match st.on_loop_iter with Some f -> f sid trips st.time | None -> ());
     (match st.on_loop_done with Some f -> f sid st.time | None -> ());
-    !outcome
+    outcome
   end
+
+and exec_block st fr (b : block) : outcome =
+  let stmts = b.stmts in
+  let n = Array.length stmts in
+  let rec go pc =
+    if pc >= n then Normal
+    else
+      match stmts.(pc) st fr with
+      | Normal -> go (pc + 1)
+      | Jump l as o -> (
+        match find_label b.labels l with
+        | Some target -> go target
+        | None -> o)
+      | o -> o
+  in
+  go 0
+
+and find_label labels l =
+  let n = Array.length labels in
+  let rec go i =
+    if i >= n then None
+    else match labels.(i) with Some m when m = l -> Some i | _ -> go (i + 1)
+  in
+  go 0
 
 and run_unit_body st (fr : frame) =
   let caller = st.cur_unit in
-  st.cur_unit <- fr.unit_.pu_name;
-  (match exec_block st fr fr.unit_.pu_body with
+  let u = fr.code.c_unit in
+  st.cur_unit <- u.pu_name;
+  (match exec_block st fr fr.code.c_body with
   | Normal | Returned | Stopped -> ()
-  | Jump l -> error "unit %s: GOTO %d escapes the unit" fr.unit_.pu_name l);
+  | Jump l -> error "unit %s: GOTO %d escapes the unit" u.pu_name l);
   st.cur_unit <- caller
+
+(** Lower every unit of [prog]: slot layouts first, so a call site can
+    resolve its callee's dummies, then the bodies.  Lowering only reads
+    the program, and nothing is kept across executions. *)
+let lower_program (prog : Program.t) : (string, code) Hashtbl.t =
+  let units = Hashtbl.create 8 in
+  List.iter
+    (fun (u : Punit.t) ->
+      let names = Array.of_list (unit_names u) in
+      let slot_of = Hashtbl.create (Array.length names) in
+      Array.iteri (fun i n -> Hashtbl.replace slot_of n i) names;
+      Hashtbl.replace units u.pu_name
+        { c_unit = u; c_prog = prog; c_units = units; c_names = names;
+          c_slot = slot_of; c_body = { stmts = [||]; labels = [||] } })
+    (Program.units prog);
+  Hashtbl.iter (fun _ c -> c.c_body <- lower_block c c.c_unit.pu_body) units;
+  units
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -595,6 +901,14 @@ let fresh_state ?(cfg = default_config ()) prog =
     steps = 0; par_depth = 0; cur_unit = "?"; cur_loop = None; output = [];
     on_access = None; on_loop_iter = None; on_loop_done = None;
     on_assign = None; on_parallel_do = None }
+
+(** Lower [st]'s program and return a fresh frame for its main unit. *)
+let main_frame st =
+  let units = lower_program st.prog in
+  new_frame (Hashtbl.find units (Program.main st.prog).pu_name)
+
+(** Resolve [name] in [fr], binding it on first use. *)
+let binding_for st (fr : frame) name = slot st fr (slot_index fr.code name)
 
 type result = {
   time : int;                 (** simulated time units *)
@@ -606,48 +920,27 @@ type result = {
 (* run the main unit and hand back the full machine state *)
 let run_main ?cfg (prog : Program.t) : state * frame =
   let st = fresh_state ?cfg prog in
-  let main = Program.main prog in
-  let fr = { unit_ = main; vars = Hashtbl.create 32 } in
+  let fr = main_frame st in
   run_unit_body st fr;
   (st, fr)
 
 let sorted_by_name xs = List.sort (fun (a, _) (b, _) -> String.compare a b) xs
 
-let final_scalars (fr : frame) =
-  Hashtbl.fold
-    (fun name (b : Storage.binding) acc ->
-      if b.dims = [] then (name, Storage.read_elem b.view 0) :: acc else acc)
-    fr.vars []
-  |> sorted_by_name
-
-let result_of (st : state) (fr : frame) : result =
-  { time = st.time; output = List.rev st.output; final = final_scalars fr }
+(** The {!result} of a finished run whose main frame bound [vars]. *)
+let result_of_vars (st : state) (vars : (string * Storage.binding) list) : result =
+  let final =
+    List.filter_map
+      (fun (name, (b : Storage.binding)) ->
+        if b.dims = [] then Some (name, Storage.read_elem b.view 0) else None)
+      vars
+    |> sorted_by_name
+  in
+  { time = st.time; output = List.rev st.output; final }
 
 (** Run the main program unit to completion. *)
 let run ?cfg (prog : Program.t) : result =
   let st, fr = run_main ?cfg prog in
-  result_of st fr
-
-(** Like {!run} but also returns every array of the main frame, flattened,
-    for memory-equivalence checks between original and transformed code. *)
-let run_capture ?cfg (prog : Program.t) :
-    result * (string * float array) list =
-  let st, fr = run_main ?cfg prog in
-  let arrays =
-    Hashtbl.fold
-      (fun name (b : Storage.binding) acc ->
-        if b.dims = [] then acc
-        else
-          let n = Storage.extent_of b in
-          let out = Array.make n 0.0 in
-          for i = 0 to n - 1 do
-            out.(i) <- Value.to_float (Storage.read_elem b.view i)
-          done;
-          (name, out) :: acc)
-      fr.vars []
-    |> sorted_by_name
-  in
-  (result_of st fr, arrays)
+  result_of_vars st (bound_vars fr)
 
 (** Typed full-state capture for the translation-validation oracle:
     the {!result} plus every main-frame array and every COMMON member,
@@ -662,13 +955,13 @@ type capture = {
 let values_of_binding (b : Storage.binding) =
   Array.init (Storage.extent_of b) (fun i -> Storage.read_elem b.view i)
 
-let run_full ?cfg (prog : Program.t) : capture =
-  let st, fr = run_main ?cfg prog in
+(** The {!capture} of a finished run whose main frame bound [vars]. *)
+let capture_of_vars (st : state) vars : capture =
   let arrays =
-    Hashtbl.fold
-      (fun name (b : Storage.binding) acc ->
-        if b.dims = [] then acc else (name, values_of_binding b) :: acc)
-      fr.vars []
+    List.filter_map
+      (fun (name, (b : Storage.binding)) ->
+        if b.dims = [] then None else Some (name, values_of_binding b))
+      vars
     |> sorted_by_name
   in
   let commons =
@@ -677,4 +970,11 @@ let run_full ?cfg (prog : Program.t) : capture =
       st.commons []
     |> sorted_by_name
   in
-  { cap_result = result_of st fr; cap_arrays = arrays; cap_commons = commons }
+  { cap_result = result_of_vars st vars; cap_arrays = arrays; cap_commons = commons }
+
+(** The {!capture} of a finished run with main frame [fr]. *)
+let capture_of st fr = capture_of_vars st (bound_vars fr)
+
+let run_full ?cfg (prog : Program.t) : capture =
+  let st, fr = run_main ?cfg prog in
+  capture_of st fr

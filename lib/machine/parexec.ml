@@ -11,11 +11,12 @@
     ranges.
 
     Memory-safety argument (DESIGN.md §10):
-    - each domain interprets on its own {!Interp.state} (own time,
-      fuel, output, cache) and its own frame copy;
+    - each domain runs the loop's lowered body (built before the fork,
+      only read by the domains) on its own {!Interp.state} (own time,
+      fuel, output, cache) and its own copy of the frame's slot array;
     - names in the loop body are pre-bound on the parent before the
-      fork, so no domain ever touches the shared symbol table, the
-      COMMON table or the frame's binding table during the region;
+      fork, so no domain ever binds a slot or touches the shared symbol
+      table or the COMMON table during the region;
     - shared arrays are written only at compile-time-proven disjoint
       indices (DOALL) or guarded by the LRPD test (speculation);
       {!Storage} element writes are single word-sized stores, which the
@@ -317,14 +318,14 @@ let identity_value (elem : base_type) (op : reduction_op) : Value.t =
   | _, Rmin -> Value.Real infinity
 
 (* the merge operator, matching the interpreter's semantics for the
-   reduction statement forms ({!Interp.intrinsic} MAX/MIN use the same
-   [compare_num] tie-breaking) *)
+   reduction statement forms (the MAX/MIN intrinsics use the same
+   IEEE predicates) *)
 let merge_value (op : reduction_op) a b =
   match op with
   | Rsum -> Value.add a b
   | Rprod -> Value.mul a b
-  | Rmax -> if Value.compare_num a b >= 0 then a else b
-  | Rmin -> if Value.compare_num a b <= 0 then a else b
+  | Rmax -> Value.max_num a b
+  | Rmin -> Value.min_num a b
 
 (* ------------------------------------------------------------------ *)
 (* Runner                                                              *)
@@ -357,41 +358,40 @@ let child_state (st : Interp.state) : Interp.state =
     on_access = None; on_loop_iter = None; on_loop_done = None;
     on_assign = None; on_parallel_do = None }
 
-(* build one child: copy the frame, rebind [privates] to fresh
+(* build one child: copy the frame's slots, rebind [privates] to fresh
    per-domain copies (with copy-in) and reduction vars to identity
    accumulators; install the write masks *)
 let make_child (st : Interp.state) (fr : Interp.frame) (d : do_loop)
     ~(privates : string list) ~(reductions : reduction list) ~lo ~hi : child =
   let cst = child_state st in
-  let vars = Hashtbl.copy fr.Interp.vars in
-  let cfr = { Interp.unit_ = fr.Interp.unit_; vars } in
+  let cfr = { fr with Interp.slots = Array.copy fr.Interp.slots } in
   let masks = Hashtbl.create 8 in
   let track name (b : Storage.binding) =
     Hashtbl.replace masks name (Bytes.make (max 1 (Storage.extent_of b)) '\000')
   in
   (* the loop index: always private, no copy-in (the construct assigns
      it at every iteration) *)
-  let idx_b = Hashtbl.find vars d.index in
-  Hashtbl.replace vars d.index (private_binding ~copy_in:false idx_b);
+  Interp.rebind cfr d.index
+    (private_binding ~copy_in:false (Interp.binding_for st fr d.index));
   List.iter
     (fun name ->
-      match Hashtbl.find_opt vars name with
+      match Interp.lookup cfr name with
       | Some b ->
         let pb = private_binding b in
-        Hashtbl.replace vars name pb;
+        Interp.rebind cfr name pb;
         track name pb
       | None -> ())
     privates;
   List.iter
     (fun (r : reduction) ->
-      match Hashtbl.find_opt vars r.red_var with
+      match Interp.lookup cfr r.red_var with
       | Some b ->
         let pb = private_binding ~copy_in:false b in
         let id = identity_value pb.elem r.red_op in
         for i = 0 to Storage.extent_of pb - 1 do
           Storage.write_elem pb.view i id
         done;
-        Hashtbl.replace vars r.red_var pb;
+        Interp.rebind cfr r.red_var pb;
         track r.red_var pb
       | None -> ())
     reductions;
@@ -415,7 +415,7 @@ let make_child (st : Interp.state) (fr : Interp.frame) (d : do_loop)
 
 (* iterations [c_lo, c_hi) of [d] on child [c]; [iter_begin] lets the
    speculative path flush shadow iteration state *)
-let exec_child_block (c : child) sid (d : do_loop) ~init ~step
+let exec_child_block (c : child) (d : do_loop) body ~init ~step
     ?(iter_begin = fun _ -> ()) () =
   try
     let cst = c.c_state and cfr = c.c_frame in
@@ -424,16 +424,15 @@ let exec_child_block (c : child) sid (d : do_loop) ~init ~step
     (try
        for k = c.c_lo to c.c_hi - 1 do
          iter_begin k;
-         Storage.write_elem idx_b.view 0 (Value.Int (init + (k * step)));
+         Storage.write_int idx_b.view 0 (init + (k * step));
          Interp.charge cst Interp.Cost.loop_iter;
-         match Interp.exec_block cst cfr d.body with
+         match Interp.exec_block cst cfr body with
          | Interp.Normal -> ()
          | o ->
            outcome := o;
            raise Exit
        done
      with Exit -> ());
-    ignore sid;
     match !outcome with
     | Interp.Normal -> ()
     | _ ->
@@ -479,14 +478,13 @@ let copy_out_privates (fr : Interp.frame) (privates : string list)
     (children : child array) =
   List.iter
     (fun name ->
-      match Hashtbl.find_opt fr.Interp.vars name with
+      match Interp.lookup fr name with
       | None -> ()
       | Some dst ->
         Array.iter
           (fun c ->
             match
-              ( Hashtbl.find_opt c.c_frame.Interp.vars name,
-                Hashtbl.find_opt c.c_masks name )
+              (Interp.lookup c.c_frame name, Hashtbl.find_opt c.c_masks name)
             with
             | Some src, Some mask ->
               for i = 0 to Storage.extent_of dst - 1 do
@@ -505,13 +503,13 @@ let merge_reductions (fr : Interp.frame) (reductions : reduction list)
     (children : child array) =
   List.iter
     (fun (r : reduction) ->
-      match Hashtbl.find_opt fr.Interp.vars r.red_var with
+      match Interp.lookup fr r.red_var with
       | None -> ()
       | Some dst ->
         Array.iter
           (fun c ->
             match
-              ( Hashtbl.find_opt c.c_frame.Interp.vars r.red_var,
+              ( Interp.lookup c.c_frame r.red_var,
                 Hashtbl.find_opt c.c_masks r.red_var )
             with
             | Some src, Some mask ->
@@ -551,7 +549,7 @@ let doall_private_set ~(is_array : string -> bool) (d : do_loop) : string list =
          (not (List.mem v red_vars)) && not (String.equal v d.index))
 
 let exec_doall (t : t) (st : Interp.state) (fr : Interp.frame) sid
-    (d : do_loop) ~init ~step ~trips =
+    (d : do_loop) body ~init ~step ~trips =
   let p = min t.team.t_domains trips in
   (* pre-bind every name the region can touch: after this, no child
      lookup mutates shared tables *)
@@ -569,7 +567,7 @@ let exec_doall (t : t) (st : Interp.state) (fr : Interp.frame) sid
   in
   run_blocks t.team
     (Array.map
-       (fun c -> fun () -> exec_child_block c sid d ~init ~step ())
+       (fun c -> fun () -> exec_child_block c d body ~init ~step ())
        children);
   reraise_child_exn children;
   merge_time st children;
@@ -578,7 +576,7 @@ let exec_doall (t : t) (st : Interp.state) (fr : Interp.frame) sid
   copy_out_privates fr privates children;
   merge_reductions fr d.info.reductions children;
   let idx_b = Interp.binding_for st fr d.index in
-  Storage.write_elem idx_b.view 0 (Value.Int (init + (trips * step)));
+  Storage.write_int idx_b.view 0 (init + (trips * step));
   t.stats.regions <- t.stats.regions + 1;
   t.stats.par_iters <- t.stats.par_iters + trips;
   t.stats.region_infos <-
@@ -595,23 +593,23 @@ let exec_doall (t : t) (st : Interp.state) (fr : Interp.frame) sid
 (* The speculative (LRPD) path                                         *)
 
 (* serial re-execution of the loop on the parent state: the failure
-   path, byte-identical to what {!Interp.exec_do_body} would have done
-   (the body is forkable, so no non-local exits can occur) *)
-let exec_serial (st : Interp.state) (fr : Interp.frame) (d : do_loop) ~init
-    ~step ~trips =
+   path, byte-identical to what {!Interp.exec_do} would have done (the
+   body is forkable, so no non-local exits can occur) *)
+let exec_serial (st : Interp.state) (fr : Interp.frame) (d : do_loop) body
+    ~init ~step ~trips =
   let idx_b = Interp.binding_for st fr d.index in
   for k = 0 to trips - 1 do
-    Storage.write_elem idx_b.view 0 (Value.Int (init + (k * step)));
+    Storage.write_int idx_b.view 0 (init + (k * step));
     Interp.charge st Interp.Cost.loop_iter;
-    match Interp.exec_block st fr d.body with
+    match Interp.exec_block st fr body with
     | Interp.Normal -> ()
     | _ -> raise (Interp.Runtime_error "parallel region aborted by control flow")
   done;
-  Storage.write_elem idx_b.view 0 (Value.Int (init + (trips * step)));
+  Storage.write_int idx_b.view 0 (init + (trips * step));
   Interp.Normal
 
 let exec_speculative (t : t) (backend : spec_backend) (st : Interp.state)
-    (fr : Interp.frame) sid (d : do_loop) ~init ~step ~trips =
+    (fr : Interp.frame) sid (d : do_loop) body ~init ~step ~trips =
   let p = min t.team.t_domains trips in
   List.iter (fun n -> ignore (Interp.binding_for st fr n)) (loop_names d);
   let written = Stmt.assigned_names d.body in
@@ -667,7 +665,7 @@ let exec_speculative (t : t) (backend : spec_backend) (st : Interp.state)
       (Array.map
          (fun (c, insts) ->
            fun () ->
-            exec_child_block c sid d ~init ~step
+            exec_child_block c d body ~init ~step
               ~iter_begin:(fun _ ->
                 List.iter (fun (_, inst) -> inst.s_iter_begin ()) insts)
               ())
@@ -691,7 +689,7 @@ let exec_speculative (t : t) (backend : spec_backend) (st : Interp.state)
         merge_output st children;
         copy_out_privates fr scalars children;
         let idx_b = Interp.binding_for st fr d.index in
-        Storage.write_elem idx_b.view 0 (Value.Int (init + (trips * step)));
+        Storage.write_int idx_b.view 0 (init + (trips * step));
         t.stats.regions <- t.stats.regions + 1;
         t.stats.par_iters <- t.stats.par_iters + trips;
         t.stats.spec_success <- t.stats.spec_success + 1;
@@ -711,7 +709,7 @@ let exec_speculative (t : t) (backend : spec_backend) (st : Interp.state)
               (name, Storage.snapshot b.view.alloc))
             tested;
         t.stats.spec_failures <- t.stats.spec_failures + 1;
-        exec_serial st fr d ~init ~step ~trips
+        exec_serial st fr d body ~init ~step ~trips
       end
     in
     t.stats.events <-
@@ -730,8 +728,9 @@ let exec_speculative (t : t) (backend : spec_backend) (st : Interp.state)
 (* Hook and entry points                                               *)
 
 let hook (t : t) : Interp.state -> Interp.frame -> int -> do_loop ->
-    init:int -> step:int -> trips:int -> Interp.outcome option =
- fun st fr sid d ~init ~step ~trips ->
+    body:Interp.block -> init:int -> step:int -> trips:int ->
+    Interp.outcome option =
+ fun st fr sid d ~body ~init ~step ~trips ->
   let doall = d.info.par && not d.info.speculative in
   let speculative = d.info.speculative && t.spec <> None in
   if (not doall) && not speculative then None
@@ -744,11 +743,11 @@ let hook (t : t) : Interp.state -> Interp.frame -> int -> do_loop ->
     None
   end
   else if doall then
-    Some (exec_doall t st fr sid d ~init ~step ~trips)
+    Some (exec_doall t st fr sid d body ~init ~step ~trips)
   else begin
     match t.spec with
     | Some backend -> (
-      match exec_speculative t backend st fr sid d ~init ~step ~trips with
+      match exec_speculative t backend st fr sid d body ~init ~step ~trips with
       | Some o -> Some o
       | None ->
         (* unsafe scalar pattern: decline, run serially *)
@@ -765,23 +764,8 @@ let default_procs () =
   | Some n -> n
   | None -> max 1 (min 8 (Domain.recommended_domain_count ()))
 
-let capture_of (st : Interp.state) (fr : Interp.frame) : Interp.capture =
-  let arrays =
-    Hashtbl.fold
-      (fun name (b : Storage.binding) acc ->
-        if b.dims = [] then acc else (name, Interp.values_of_binding b) :: acc)
-      fr.Interp.vars []
-    |> Interp.sorted_by_name
-  in
-  let commons =
-    Hashtbl.fold
-      (fun key (b : Storage.binding) acc ->
-        (key, Interp.values_of_binding b) :: acc)
-      st.commons []
-    |> Interp.sorted_by_name
-  in
-  { Interp.cap_result = Interp.result_of st fr; cap_arrays = arrays;
-    cap_commons = commons }
+(** The capture of a finished run (same shape as {!Interp.run_full}). *)
+let capture_of = Interp.capture_of
 
 (** Execute [prog]'s main unit with annotated loops running on [procs]
     OCaml domains; returns the full capture (same shape as
@@ -802,8 +786,7 @@ let run_full ?cfg ?procs ?spec (prog : Program.t) : Interp.capture * stats =
         let st = Interp.fresh_state ?cfg prog in
         let t = { procs; team; spec; stats } in
         st.on_parallel_do <- Some (hook t);
-        let main = Program.main prog in
-        let fr = { Interp.unit_ = main; vars = Hashtbl.create 32 } in
+        let fr = Interp.main_frame st in
         Interp.run_unit_body st fr;
         (capture_of st fr, stats))
   end

@@ -127,6 +127,20 @@ let write_elem (v : view) i (x : Value.t) =
     if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
     a.(j) <- Value.to_bool x
 
+(** [write_elem v i (Value.Int n)] without boxing [n] (DO indices). *)
+let write_int (v : view) i n =
+  let j = v.off + i in
+  match v.alloc.data with
+  | Farr a ->
+    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
+    a.(j) <- float_of_int n
+  | Iarr a ->
+    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
+    a.(j) <- n
+  | Barr a ->
+    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
+    a.(j) <- Value.to_bool (Value.Int n)
+
 (** Snapshot an allocation's contents (for speculative rollback). *)
 let snapshot (a : alloc) : data =
   match a.data with

@@ -27,14 +27,20 @@ let to_bool = function
 let is_real = function Real _ -> true | _ -> false
 
 (* Fortran numeric promotion: Int op Int stays Int, anything Real is Real *)
-let arith fint freal a b =
+let add a b =
   match (a, b) with
-  | Int x, Int y -> Int (fint x y)
-  | _ -> Real (freal (to_float a) (to_float b))
+  | Int x, Int y -> Int (x + y)
+  | _ -> Real (to_float a +. to_float b)
 
-let add = arith ( + ) ( +. )
-let sub = arith ( - ) ( -. )
-let mul = arith ( * ) ( *. )
+let sub a b =
+  match (a, b) with
+  | Int x, Int y -> Int (x - y)
+  | _ -> Real (to_float a -. to_float b)
+
+let mul a b =
+  match (a, b) with
+  | Int x, Int y -> Int (x * y)
+  | _ -> Real (to_float a *. to_float b)
 
 let div a b =
   match (a, b) with
@@ -63,16 +69,26 @@ let pow a b =
 
 let neg = function Int n -> Int (-n) | Real x -> Real (-.x) | _ -> type_error "negation of non-number"
 
-let compare_num a b =
-  match (a, b) with
-  | Int x, Int y -> compare x y
-  | _ -> compare (to_float a) (to_float b)
+(* Relational operators.  Reals compare with the IEEE-754 predicates,
+   like the emitted C: every ordered comparison and [.EQ.] involving a
+   NaN is false, and [.NE.] is true. *)
+let lt a b = match (a, b) with Int x, Int y -> x < y | _ -> to_float a < to_float b
+let le a b = match (a, b) with Int x, Int y -> x <= y | _ -> to_float a <= to_float b
+let gt a b = match (a, b) with Int x, Int y -> x > y | _ -> to_float a > to_float b
+let ge a b = match (a, b) with Int x, Int y -> x >= y | _ -> to_float a >= to_float b
 
 let equal a b =
   match (a, b) with
   | Bool x, Bool y -> x = y
   | Str x, Str y -> String.equal x y
-  | _ -> compare_num a b = 0
+  | Int x, Int y -> x = y
+  | _ -> to_float a = to_float b
+
+(** [MAX]/[MIN] of two values as [a >= b ? a : b] / [a <= b ? a : b]:
+    a NaN second operand wins, a NaN first operand loses. *)
+let max_num a b = if ge a b then a else b
+
+let min_num a b = if le a b then a else b
 
 let pp ppf = function
   | Int n -> Fmt.int ppf n

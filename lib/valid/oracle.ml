@@ -4,9 +4,11 @@
     (paper §2); the analogue for a reproduction that transforms programs
     is an end-to-end check that the transformed program computes the
     same answers as the original.  This module runs an original /
-    transformed program pair through {!Machine.Interp} on deterministic
-    initial stores (zero-filled, plus optional splitmix64-seeded fills)
-    and compares the observable final states:
+    transformed program pair through the reference tree-walker
+    {!Machine.Treewalk} (so the lowered {!Machine.Interp} every other
+    run uses is checked against an independent implementation) on
+    deterministic initial stores (zero-filled, plus optional
+    splitmix64-seeded fills) and compares the observable final states:
 
     - PRINT output must match exactly (execution is sequential under
       every timing model, so even float output is deterministic);
@@ -109,7 +111,7 @@ type outcome =
 let execute ?seed ?(parallel = false) ?(procs = 8) (p : Fir.Program.t) :
     outcome =
   let cfg = Interp.default_config ~parallel ~procs ?seed () in
-  try Finished (Interp.run_full ~cfg p) with
+  try Finished (Treewalk.run_full ~cfg p) with
   | Interp.Runtime_error m -> Fault ("runtime error: " ^ m)
   | Interp.Fuel_exhausted m -> Fault ("fuel exhausted " ^ m)
   | Storage.Fault m -> Fault ("storage fault: " ^ m)

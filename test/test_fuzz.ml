@@ -102,9 +102,11 @@ let gen_program (rand : Util.Prng.t) : string =
 (* ------------------------------------------------------------------ *)
 (* The oracle                                                          *)
 
+(* PRINT output and main-frame arrays of a run *)
 let run_program ?(parallel = false) (p : Program.t) =
   let cfg = Machine.Interp.default_config ~parallel () in
-  Machine.Interp.run_capture ~cfg p
+  let c = Machine.Interp.run_full ~cfg p in
+  (c.cap_result, c.cap_arrays)
 
 let check_one (seed : int) : bool =
   let src = gen_program (Util.Prng.create seed) in

@@ -18,7 +18,7 @@ let test_value_arith () =
   Alcotest.(check bool) "int div negative" true (div (Int (-7)) (Int 2) = Int (-3));
   Alcotest.(check bool) "mixed promotes" true (add (Int 1) (Real 0.5) = Real 1.5);
   Alcotest.(check bool) "int pow" true (pow (Int 2) (Int 10) = Int 1024);
-  Alcotest.(check bool) "compare" true (compare_num (Int 2) (Real 2.5) < 0)
+  Alcotest.(check bool) "compare" true (lt (Int 2) (Real 2.5))
 
 (* ----- storage ----- *)
 
@@ -237,6 +237,88 @@ let test_parallel_timing_preserves_semantics () =
   Alcotest.(check (list string)) "same output" rs.output rp.output;
   Alcotest.(check bool) "parallel faster" true (rp.time < rs.time)
 
+(* NaN compares like IEEE-754 / C: ordered comparisons and .EQ. are
+   false, .NE. true, and MAX/MIN pick the second operand unless the
+   first one compares >= / <= (so a NaN second operand wins) *)
+let nan_src =
+  "      PROGRAM NANCMP\n\
+   \      REAL X, Y, Z, W, V\n\
+   \      INTEGER A, B, C, D, E, F, G\n\
+   \      X = 0.0\n\
+   \      Y = X / X\n\
+   \      A = 0\n\
+   \      B = 0\n\
+   \      C = 0\n\
+   \      D = 0\n\
+   \      E = 0\n\
+   \      F = 0\n\
+   \      G = 0\n\
+   \      IF (Y .LT. 1.0) THEN\n\
+   \        A = 1\n\
+   \      END IF\n\
+   \      IF (Y .EQ. Y) THEN\n\
+   \        B = 1\n\
+   \      END IF\n\
+   \      IF (Y .GE. 1.0) THEN\n\
+   \        C = 1\n\
+   \      END IF\n\
+   \      Z = MAX(1.0, Y)\n\
+   \      W = MAX(Y, 1.0)\n\
+   \      V = MIN(1.0, Y)\n\
+   \      IF (Z .EQ. Z) THEN\n\
+   \        D = 1\n\
+   \      END IF\n\
+   \      IF (W .EQ. W) THEN\n\
+   \        E = 1\n\
+   \      END IF\n\
+   \      IF (Y .NE. Y) THEN\n\
+   \        F = 1\n\
+   \      END IF\n\
+   \      IF (V .EQ. V) THEN\n\
+   \        G = 1\n\
+   \      END IF\n\
+   \      PRINT *, A, B, C, D, E, F, G\n\
+   \      END\n"
+
+let nan_expected = "0 0 0 0 1 1 0"
+
+let test_nan_comparisons () =
+  Alcotest.(check string) "lowered executor" nan_expected (out1 nan_src);
+  Alcotest.(check (list string)) "reference tree-walker" [ nan_expected ]
+    (Machine.Treewalk.run_full (parse nan_src)).cap_result.output;
+  let open Machine.Value in
+  let nan = Real Float.nan in
+  Alcotest.(check bool) "Rmax merge keeps a NaN partial" true
+    (match Machine.Parexec.merge_value Fir.Ast.Rmax (Real 1.0) nan with
+    | Real x -> Float.is_nan x
+    | _ -> false)
+
+(* the same program compiled by the C backend and run natively; skipped
+   when the host has no C compiler *)
+let test_nan_comparisons_native () =
+  if Sys.command "command -v cc >/dev/null 2>&1" <> 0 then ()
+  else begin
+    let dir = Filename.temp_dir "polaris-nan" "" in
+    Fun.protect
+      ~finally:(fun () ->
+        ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
+      (fun () ->
+        let file = Filename.concat dir in
+        let oc = open_out (file "nan.c") in
+        output_string oc (Backend.Cgen.emit (parse nan_src));
+        close_out oc;
+        let status =
+          Sys.command
+            (Printf.sprintf "cd %s && cc -O1 -o nan.exe nan.c -lm 2>/dev/null && ./nan.exe > out.txt"
+               (Filename.quote dir))
+        in
+        Alcotest.(check int) "compiles and runs" 0 status;
+        let ic = open_in (file "out.txt") in
+        let line = String.trim (input_line ic) in
+        close_in ic;
+        Alcotest.(check string) "native output = interpreter" nan_expected line)
+  end
+
 (* ----- parsim ----- *)
 
 let test_block_schedule () =
@@ -337,6 +419,8 @@ let tests =
     ("interp fuel", `Quick, test_interp_fuel);
     ("interp deterministic", `Quick, test_interp_determinism);
     ("parallel timing preserves semantics", `Quick, test_parallel_timing_preserves_semantics);
+    ("IEEE NaN comparisons", `Quick, test_nan_comparisons);
+    ("IEEE NaN comparisons, native C lane", `Quick, test_nan_comparisons_native);
     ("parsim block schedule", `Quick, test_block_schedule);
     ("parsim block boundaries pinned", `Quick, test_block_boundaries);
     ("parsim doall overheads", `Quick, test_doall_time_overheads);

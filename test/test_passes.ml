@@ -9,12 +9,13 @@ let parse = Frontend.Parser.parse_string
 (* semantic oracle: a pass must not change observable behaviour *)
 let preserves_semantics name transform src =
   let p0 = parse src in
-  let r0, m0 = Machine.Interp.run_capture p0 in
+  let c0 = Machine.Interp.run_full p0 in
   let p1 = parse src in
   transform p1;
-  let r1, m1 = Machine.Interp.run_capture p1 in
-  Alcotest.(check (list string)) (name ^ ": output") r0.output r1.output;
-  Alcotest.(check bool) (name ^ ": memory") true (m0 = m1)
+  let c1 = Machine.Interp.run_full p1 in
+  Alcotest.(check (list string)) (name ^ ": output") c0.cap_result.output
+    c1.cap_result.output;
+  Alcotest.(check bool) (name ^ ": memory") true (c0.cap_arrays = c1.cap_arrays)
 
 (* ----- induction ----- *)
 
