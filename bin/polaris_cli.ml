@@ -833,28 +833,9 @@ let daemon_cmd =
             "Pipelined requests executed per connection per loop turn; an \
              aggressive pipeliner round-robins with the other sessions")
   in
-  let max_inflight =
-    let inflight_conv =
-      let parse s =
-        match Util.Env.parse_inflight s with
-        | Ok n -> Ok n
-        | Error m -> Error (`Msg m)
-      in
-      Arg.conv (parse, Fmt.int)
-    in
-    Arg.(
-      value
-      & opt inflight_conv Util.Env.max_inflight
-      & info [ "max-inflight" ] ~docv:"N"
-          ~doc:
-            "Compile requests from different sessions executed concurrently \
-             (default \\$(b,POLARIS_MAX_INFLIGHT) or 1).  Responses stay \
-             byte-identical and in per-session order at every N; 1 is the \
-             classic serial loop.")
-  in
   let go socket store max_mb baseline budget_steps deadline log max_sessions
-      idle_timeout flush_every flush_interval max_pipeline max_inflight jobs
-      chunk pipeline backend =
+      idle_timeout flush_every flush_interval max_pipeline jobs chunk pipeline
+      backend =
     with_errors (fun () ->
         Util.Pool.set_chunk chunk;
         let cfg =
@@ -869,7 +850,6 @@ let daemon_cmd =
               | None, None -> None
               | _ -> Some (resolve_backend backend));
             d_jobs = jobs;
-            d_max_inflight = max_inflight;
             d_budget_steps = budget_steps;
             d_deadline_s = deadline;
             d_log = log;
@@ -888,9 +868,6 @@ let daemon_cmd =
               | None -> Fmt.pr "persistent store: disabled@.");
               Fmt.pr "admission: %d session(s), idle timeout %.0fs@."
                 max_sessions idle_timeout;
-              if max_inflight > 1 then
-                Fmt.pr "concurrency: up to %d compile(s) in flight@."
-                  max_inflight;
               Fmt.pr "stop with SIGINT/SIGTERM or `polaris client --shutdown'@.")
             cfg
         in
@@ -910,7 +887,7 @@ let daemon_cmd =
     Term.(
       const go $ socket_flag $ store $ max_mb $ baseline $ budget_steps
       $ deadline $ log $ max_sessions $ idle_timeout $ flush_every
-      $ flush_interval $ max_pipeline $ max_inflight $ jobs_flag
+      $ flush_interval $ max_pipeline $ jobs_flag
       $ chunk_flag $ pipeline_flag $ backend_flag)
 
 (* ----- client ----- *)

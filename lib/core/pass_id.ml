@@ -62,10 +62,10 @@ let consumes = function
 
 (** Analyses whose cached facts the pass invalidates by rewriting the
     IR.  Mutating passes retire every structural/semantic fact about
-    the units they touch (the guard's generation bump enforces this
-    wholesale; the list documents which tables that bump actually
-    ages).  [Parallelize] only annotates loop info — it rewrites no
-    statements, so it invalidates nothing. *)
+    the units they touch (unit-version probes and content-addressed
+    keys enforce this; the list documents which tables a rewrite
+    actually ages).  [Parallelize] only annotates loop info — it
+    rewrites no statements, so it invalidates nothing. *)
 let invalidates = function
   | Inline | Constprop | Induction | Constprop2 | Deadcode ->
     [ "analysis.loops"; "analysis.access"; "analysis.defuse";

@@ -175,9 +175,6 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
           v)
     with
     | v ->
-      (* the pass may have rewritten the program: retire every cache
-         entry keyed on pre-pass program state *)
-      Util.Cachectl.bump_generation ();
       reuse :=
         { pr_pass = pass;
           pr_consumes = consumes;
@@ -208,19 +205,12 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
         (* COW rollback: reset every ever-touched unit to its
            pre-pipeline snapshot, then replay the already-succeeded
            passes in order to rebuild the state this pass started from.
-           Replay mutations bump unit versions through the touch seam
-           and the generation bump below retires cross-pass cache
-           entries, so no cache can serve facts about the discarded
-           intermediate states. *)
+           Replay mutations bump unit versions through the touch seam,
+           so no cache can serve facts about the discarded intermediate
+           states. *)
         List.iter (fun (live, snap) -> Fir.Punit.restore ~from:snap live)
           !pristine;
-        Util.Cachectl.bump_generation ();
-        (try
-           List.iter
-             (fun replay ->
-               replay ();
-               Util.Cachectl.bump_generation ())
-             (List.rev !completed)
+        (try List.iter (fun replay -> replay ()) (List.rev !completed)
          with re ->
            (* A deterministic pass that succeeded before diverged on
               replay — should be impossible.  Fall back to the parse
@@ -234,9 +224,6 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
                  " (replay of prior passes failed: %s; program reset to \
                   parse state)"
                  (Printexc.to_string re)));
-      (* rollback rewrote the program too (fresh statement ids): stale
-         hits after an incident must be impossible *)
-      Util.Cachectl.bump_generation ();
       Option.iter (fun c -> disabled := c :: !disabled) disables;
       incidents :=
         { inc_pass = pass; inc_reason = !reason; inc_rolled_back = true;

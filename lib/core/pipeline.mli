@@ -20,10 +20,10 @@
     list.
 
     {b Caches.}  [run]/[compile] scope {!Util.Cachectl.enabled} to
-    [config.caches] and bump the cache invalidation generation after
-    every guarded pass and every rollback, so the compile-time caches
-    can never serve results derived from a rewritten-away program
-    state. *)
+    [config.caches].  The compile-time caches can never serve results
+    derived from a rewritten-away program state: physically-keyed
+    analyses revalidate against unit versions, which every rewrite and
+    every rollback bumps, and the semantic caches are content-addressed. *)
 
 type loop_result = {
   unit_name : string;                      (** enclosing program unit *)

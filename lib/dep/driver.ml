@@ -84,36 +84,16 @@ let fresh_tally () =
 let tally_key : tally option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-(* Per-request isolation (the daemon's concurrent compile workers).
-   [isolate] parks a second, longer-lived tally in domain-local storage
-   for the whole request: every counter update and snapshot inside it
-   reads/writes the private record, so two requests compiling
-   concurrently in different domains each observe exactly their own
-   dependence-test outcome deltas — byte-identical to running the same
-   request alone.  The private tally folds into the process-wide
-   counters (under a mutex) when the request ends, keeping the
-   process-lifetime telemetry whole. *)
-let isolated_key : tally option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let global_m = Mutex.create ()
-
 (* the counters record to charge from the current context: a
-   [collecting] task tally first, then a per-request [isolate] tally,
-   then the process-wide record *)
+   [collecting] task tally first, then the process-wide record *)
 let live_counters () =
   match !(Domain.DLS.get tally_key) with
   | Some t -> t.t_counters
-  | None -> (
-    match !(Domain.DLS.get isolated_key) with
-    | Some t -> t.t_counters
-    | None -> counters)
+  | None -> counters
 
 (** A copy of the counters of the current context (safe to keep across
-    {!reset_counters}): inside {!isolate} the request's private record,
-    the process-wide record otherwise.  {!Core.Incremental} brackets a
-    compile with two snapshots and reports the delta, so under
-    [isolate] the delta covers exactly that one compile. *)
+    {!reset_counters}).  {!Core.Incremental} brackets a compile with
+    two snapshots and reports the delta. *)
 let counters_snapshot () =
   let c = live_counters () in
   { c with range_proved = c.range_proved }
@@ -121,10 +101,7 @@ let counters_snapshot () =
 let add_wall dt =
   match !(Domain.DLS.get tally_key) with
   | Some t -> t.t_wall <- t.t_wall +. dt
-  | None -> (
-    match !(Domain.DLS.get isolated_key) with
-    | Some t -> t.t_wall <- t.t_wall +. dt
-    | None -> wall_in_deps := !wall_in_deps +. dt)
+  | None -> wall_in_deps := !wall_in_deps +. dt
 
 (** Run [f] with counter and wall updates diverted into a fresh private
     tally; returns [f]'s outcome (exceptions are captured, not raised —
@@ -150,36 +127,11 @@ let fold_into (dst : counters) (src : counters) =
   dst.linear_failed <- dst.linear_failed + src.linear_failed;
   dst.unknown <- dst.unknown + src.unknown
 
-(** Fold a {!collecting} tally into the enclosing context — the
-    per-request {!isolate} tally when one is active, the process-wide
-    counters and wall clock otherwise (submitting domain only, in
-    program order). *)
+(** Fold a {!collecting} tally into the process-wide counters and
+    wall clock (submitting domain only, in program order). *)
 let apply_tally (t : tally) =
-  match !(Domain.DLS.get isolated_key) with
-  | Some iso ->
-    fold_into iso.t_counters t.t_counters;
-    iso.t_wall <- iso.t_wall +. t.t_wall
-  | None ->
-    fold_into counters t.t_counters;
-    wall_in_deps := !wall_in_deps +. t.t_wall
-
-(** Run [f] as an isolated request: counter and wall snapshots inside
-    [f] observe only this request's own dependence-test activity, no
-    matter what other domains are doing.  On exit (exceptions included)
-    the private tally folds into the process-wide records under a
-    mutex, so lifetime telemetry still adds up. *)
-let isolate (f : unit -> 'a) : 'a =
-  let t = fresh_tally () in
-  let cell = Domain.DLS.get isolated_key in
-  let saved = !cell in
-  cell := Some t;
-  Fun.protect
-    ~finally:(fun () ->
-      cell := saved;
-      Mutex.protect global_m (fun () ->
-          fold_into counters t.t_counters;
-          wall_in_deps := !wall_in_deps +. t.t_wall))
-    f
+  fold_into counters t.t_counters;
+  wall_in_deps := !wall_in_deps +. t.t_wall
 
 let record method_ verdict =
   let c = live_counters () in
@@ -240,17 +192,6 @@ let default_budget_steps = 200_000
 let budget_factory : (unit -> Util.Budget.t) ref =
   ref (fun () -> Util.Budget.create ~steps:default_budget_steps ())
 
-(* Inside {!isolate} the factory lives in domain-local storage: two
-   requests installing budgets concurrently must not see (or restore)
-   each other's factories through the process-wide ref. *)
-let budget_override_key : (unit -> Util.Budget.t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let current_budget_factory () =
-  match !(Domain.DLS.get budget_override_key) with
-  | Some f -> f
-  | None -> !budget_factory
-
 (** Run [f] with budgets drawn as [steps] of fuel plus an optional
     deadline; restores the previous factory on exit. *)
 let with_budget ?steps ?deadline_s f =
@@ -259,17 +200,9 @@ let with_budget ?steps ?deadline_s f =
       ~steps:(Option.value steps ~default:default_budget_steps)
       ?deadline_s ()
   in
-  if Option.is_some !(Domain.DLS.get isolated_key) then begin
-    let cell = Domain.DLS.get budget_override_key in
-    let saved = !cell in
-    cell := Some factory;
-    Fun.protect ~finally:(fun () -> cell := saved) f
-  end
-  else begin
-    let saved = !budget_factory in
-    budget_factory := factory;
-    Fun.protect ~finally:(fun () -> budget_factory := saved) f
-  end
+  let saved = !budget_factory in
+  budget_factory := factory;
+  Fun.protect ~finally:(fun () -> budget_factory := saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Access-pair enumeration                                             *)
@@ -436,7 +369,7 @@ let array_deps ?budget ~(method_ : method_) ~(symtab : Fir.Symtab.t)
   @@ fun () ->
   !verdict_hook (index_name target);
   let budget =
-    match budget with Some b -> b | None -> current_budget_factory () ()
+    match budget with Some b -> b | None -> !budget_factory ()
   in
   let body = target.dloop.body in
   let assigned_scalars =

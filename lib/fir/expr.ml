@@ -158,46 +158,10 @@ end)
 
 let pool : expr Pool.t = Pool.create 4096
 
-(* Historically the intern pool was single-writer (parse time, always
-   the submitting domain).  The daemon's concurrent compile workers
-   broke that assumption — each worker parses its own request — so the
-   pool now follows the same discipline as {!Symbolic.Cache}: the
-   shared pool is read-only whenever the caller holds a
-   {!Util.Pool.slot}, slot-local shard pools absorb new expressions,
-   and the merge hook promotes them at the next sequential point.
-   Unlike the memo caches, lookups here stay shared-first: the shared
-   pool holds the canonical representatives, and maximal [==] sharing
-   with already-interned expressions is the whole point. *)
-let pool_shards : expr Pool.t option array = Array.make Util.Pool.max_jobs None
-
-let pool_shard i =
-  match pool_shards.(i) with
-  | Some t -> t
-  | None ->
-    let t = Pool.create 256 in
-    pool_shards.(i) <- Some t;
-    t
-
-let clear_pool_shards () =
-  Array.fill pool_shards 0 (Array.length pool_shards) None
-
+(* The intern pool is single-writer: only the parser interns, and it
+   never runs inside a {!Util.Pool} task. *)
 let pool_stats =
-  Util.Cachectl.register ~name:"fir.intern"
-    ~merge:(fun () ->
-      Array.iter
-        (function
-          | None -> ()
-          | Some sh ->
-            (* first-comer wins: an already-canonical representative in
-               the shared pool must never be displaced *)
-            Pool.iter
-              (fun k v -> if not (Pool.mem pool k) then Pool.add pool k v)
-              sh)
-        pool_shards;
-      clear_pool_shards ())
-    ~clear:(fun () ->
-      Pool.reset pool;
-      clear_pool_shards ())
+  Util.Cachectl.register ~name:"fir.intern" ~clear:(fun () -> Pool.reset pool)
     ()
 
 (** [intern e] returns the canonical physical representative of [e]'s
@@ -222,22 +186,10 @@ let rec intern (e : expr) : expr =
     | Some canonical ->
       Util.Cachectl.hit pool_stats;
       canonical
-    | None -> (
-      match Util.Pool.slot () with
-      | None ->
-        Util.Cachectl.miss pool_stats;
-        Pool.add pool e e;
-        e
-      | Some i -> (
-        let sh = pool_shard i in
-        match Pool.find_opt sh e with
-        | Some canonical ->
-          Util.Cachectl.hit pool_stats;
-          canonical
-        | None ->
-          Util.Cachectl.miss pool_stats;
-          Pool.add sh e e;
-          e))
+    | None ->
+      Util.Cachectl.miss pool_stats;
+      Pool.add pool e e;
+      e
 
 (* ------------------------------------------------------------------ *)
 (* Traversal                                                           *)

@@ -19,11 +19,11 @@ open Ast
 
 type stats = { mutable sites_expanded : int; mutable sites_skipped : int }
 
-(* Copy-in temporary numbering.  Domain-local (the daemon compiles
-   concurrent requests in separate domains) and reset at the start of
-   every {!run}, so the ITMP names a compile emits are a pure function
-   of its own source — identical across processes, requests and job
-   counts. *)
+(* Copy-in temporary numbering.  Domain-local (a daemon running on its
+   own domain, as in the serve tests, may compile beside another
+   domain's compile) and reset at the start of every {!run}, so the
+   ITMP names a compile emits are a pure function of its own source —
+   identical across processes, requests and job counts. *)
 let temp_counter : int ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref 0)
 

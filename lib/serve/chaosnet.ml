@@ -18,10 +18,14 @@
       Tearing is loss-free, so it must be invisible in the results.
     - {b delays} — sub-frame stalls (≤ 2 ms) between chunks, jittering
       the interleaving the daemon's select loop observes.
-    - {b mid-frame disconnects} — the connection closes partway
+    - {b mid-frame disconnects} — the connection is shut down partway
       through a write or instead of a read ([EPIPE]/[ECONNRESET]).
       The daemon contains the orphaned session; the client's next
       operation fails transiently and a fresh connection retries.
+      A drop shuts the socket down but leaves the descriptor open: its
+      owner ({!Client.close}) does the only close, so a second close
+      can never hit a number the process has since reused for another
+      connection.
 
     {!run_sweep} is the chaos tests' convergence harness: against a
     live daemon it compiles a fixed
@@ -67,7 +71,7 @@ let flip_in t b off len =
 
 let drop t fd err =
   t.n_drops <- t.n_drops + 1;
-  (try Unix.close fd with Unix.Unix_error _ -> ());
+  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   raise (Unix.Unix_error (err, "chaosnet", ""))
 
 (* ------------------------------------------------------------------ *)

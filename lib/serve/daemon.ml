@@ -3,23 +3,10 @@
 
     Architecture (DESIGN.md §9): one server loop multiplexes every
     client session with [Unix.select]; requests are decoded from
-    length-prefixed frames ({!Protocol}) and, by default, executed
-    {e one at a time, in arrival order} — the determinism anchor —
-    while each compile internally fans its dependence analysis and
-    validation across the {!Util.Pool} worker domains ([-j N]).
-
-    With [--max-inflight N] (N > 1) independent compile requests from
-    {e distinct} sessions execute concurrently on N dedicated worker
-    domains instead; each worker pins a cache shard slot
-    ({!Util.Pool.with_slot}) and compiles with jobs-here = 1, so
-    cross-request parallelism replaces intra-request fan-out.  Each
-    session still sees its responses in request order (at most one of
-    its requests is in flight at a time), per-request dependence
-    counters are domain-isolated ({!Dep.Driver.isolate}), shard
-    promotion and [--check] verification compiles (which clear the
-    caches) run only at quiescent points (zero requests in flight), and
-    all daemon bookkeeping stays on the select loop — responses are
-    byte-identical to the serial daemon's.
+    length-prefixed frames ({!Protocol}) and executed {e one at a time,
+    in arrival order} — the determinism anchor — while each compile
+    internally fans its dependence analysis and validation across the
+    {!Util.Pool} worker domains ([-j N]).
 
     The analysis facts live in
     the process-wide content-addressed caches, so every session warms
@@ -31,8 +18,8 @@
     faults (bad source, contained pass incident, exhausted budget)
     answers with an error or degraded-but-sound result and the session
     lives on; a session that breaks the framing protocol is closed
-    alone; SIGINT/SIGTERM drain in-flight requests, flush the store
-    and return cleanly.  One greedy client cannot starve the fleet:
+    alone; SIGINT/SIGTERM answer the requests already sent, flush the
+    store and return cleanly.  One greedy client cannot starve the fleet:
     every request draws its own analysis budget
     ([--budget-steps]/[--deadline]), so a pathological source degrades
     its own verdicts to serial and nothing else.
@@ -70,12 +57,6 @@ type cfg = {
   d_backend : Backend.Registry.t option;
       (** default emission backend ([None] = the f77 unparser) *)
   d_jobs : int;                 (** worker domains per compile *)
-  d_max_inflight : int;
-      (** compile requests executed concurrently (from distinct
-          sessions, on dedicated worker domains).  1 = the classic
-          serial select loop; N > 1 trades intra-request fan-out for
-          cross-request parallelism: each worker compiles with a pinned
-          cache shard slot and jobs-here = 1 *)
   d_budget_steps : int option;  (** per-request analysis fuel *)
   d_deadline_s : float option;  (** per-request analysis deadline *)
   d_log : string option;        (** JSON-lines server log path (appended) *)
@@ -107,7 +88,6 @@ let default_cfg () =
     d_pipeline = None;
     d_backend = None;
     d_jobs = Util.Pool.jobs ();
-    d_max_inflight = Util.Env.max_inflight;
     d_budget_steps = None;
     d_deadline_s = None;
     d_log = None;
@@ -190,12 +170,6 @@ type conn = {
   mutable c_closing : bool;  (* flush the queue, then close; no more reads *)
   c_session : Metrics.session;
   mutable c_open : bool;
-  (* concurrent dispatch (--max-inflight > 1) only: *)
-  mutable c_busy : bool;     (* a compile of this session is in flight *)
-  mutable c_barrier : Protocol.compile_req option;
-      (* a peeled --check compile waiting for the in-flight count to
-         reach zero (scratch verification clears the caches, so it must
-         run exclusively); blocks further peeling on this session *)
 }
 
 let close_conn c =
@@ -248,22 +222,6 @@ let flush_store st ~reason =
            ("reason", str reason);
            ("entries", int (Store.entry_count store)) ])
 
-(* everything one compile produced, before any daemon bookkeeping — the
-   part that is safe to run on a dispatcher worker domain (no [st]
-   mutation, no metrics) *)
-type compile_done = {
-  k_resp : Protocol.response;
-  k_incidents : int;
-  k_shared_hits : int;
-  k_shared_lookups : int;
-  k_tracked_hits : int;
-  k_tracked_lookups : int;
-}
-
-let compile_error msg =
-  { k_resp = Protocol.Error_r msg; k_incidents = 0; k_shared_hits = 0;
-    k_shared_lookups = 0; k_tracked_hits = 0; k_tracked_lookups = 0 }
-
 (* per-request pipeline/backend resolution: an unknown name in a
    request is an application error ([Error_r] — deterministic, not
    retryable), never a daemon fault; "" picks the daemon's default *)
@@ -289,9 +247,12 @@ let resolve_backend st (c : Protocol.compile_req) :
     Ok (Option.value st.st_cfg.d_backend ~default:Backend.Registry.default)
   else Backend.Registry.find c.cr_backend
 
-let compile_response st (c : Protocol.compile_req) : compile_done =
+(* compile one request and fold its counters into the session and
+   server metrics *)
+let handle_compile st (sess : Metrics.session) (c : Protocol.compile_req) :
+    Protocol.response =
   match (resolve_config st c, resolve_backend st c) with
-  | Error m, _ | _, Error m -> compile_error m
+  | Error m, _ | _, Error m -> Protocol.Error_r m
   | Ok config, Ok backend -> (
   match
     Local.compile_source ?budget_steps:st.st_cfg.d_budget_steps
@@ -301,74 +262,28 @@ let compile_response st (c : Protocol.compile_req) : compile_done =
   | compiled ->
     let r = compiled.lc_result in
     let incidents = List.length r.pipeline.incidents in
-    { k_resp =
-        Protocol.Compiled
-          { co_label = c.cr_label;
-            co_output = compiled.lc_output;
-            co_verdicts = compiled.lc_verdicts;
-            co_incidents = incidents;
-            co_reuse_rate = r.stats.st_reuse_rate;
-            co_shared_hits = compiled.lc_shared_hits;
-            co_shared_lookups = compiled.lc_shared_lookups;
-            co_wall_ms = 1000.0 *. compiled.lc_wall_s;
-            co_check_divergences = compiled.lc_check_divergences };
-      k_incidents = incidents;
-      k_shared_hits = compiled.lc_shared_hits;
-      k_shared_lookups = compiled.lc_shared_lookups;
-      k_tracked_hits = r.stats.st_hits;
-      k_tracked_lookups = r.stats.st_lookups }
-  | exception Frontend.Lexer.Error m -> compile_error ("lexical error: " ^ m)
-  | exception Frontend.Parser.Error m -> compile_error ("syntax error: " ^ m)
+    sess.ss_incidents <- sess.ss_incidents + incidents;
+    st.st_sv.sv_incidents <- st.st_sv.sv_incidents + incidents;
+    sess.ss_shared_hits <- sess.ss_shared_hits + compiled.lc_shared_hits;
+    sess.ss_shared_lookups <-
+      sess.ss_shared_lookups + compiled.lc_shared_lookups;
+    sess.ss_tracked_hits <- sess.ss_tracked_hits + r.stats.st_hits;
+    sess.ss_tracked_lookups <- sess.ss_tracked_lookups + r.stats.st_lookups;
+    Protocol.Compiled
+      { co_label = c.cr_label;
+        co_output = compiled.lc_output;
+        co_verdicts = compiled.lc_verdicts;
+        co_incidents = incidents;
+        co_reuse_rate = r.stats.st_reuse_rate;
+        co_shared_hits = compiled.lc_shared_hits;
+        co_shared_lookups = compiled.lc_shared_lookups;
+        co_wall_ms = 1000.0 *. compiled.lc_wall_s;
+        co_check_divergences = compiled.lc_check_divergences }
+  | exception Frontend.Lexer.Error m -> Protocol.Error_r ("lexical error: " ^ m)
+  | exception Frontend.Parser.Error m -> Protocol.Error_r ("syntax error: " ^ m)
   | exception e ->
     (* contained: the request failed, the session and server live on *)
-    compile_error ("compile failed: " ^ Printexc.to_string e))
-
-(* fold a finished compile into the session/server metrics (select loop
-   only) and hand back its response *)
-let apply_compile st (sess : Metrics.session) (d : compile_done) :
-    Protocol.response =
-  sess.ss_incidents <- sess.ss_incidents + d.k_incidents;
-  st.st_sv.sv_incidents <- st.st_sv.sv_incidents + d.k_incidents;
-  sess.ss_shared_hits <- sess.ss_shared_hits + d.k_shared_hits;
-  sess.ss_shared_lookups <- sess.ss_shared_lookups + d.k_shared_lookups;
-  sess.ss_tracked_hits <- sess.ss_tracked_hits + d.k_tracked_hits;
-  sess.ss_tracked_lookups <- sess.ss_tracked_lookups + d.k_tracked_lookups;
-  d.k_resp
-
-let handle_compile st (sess : Metrics.session) (c : Protocol.compile_req) :
-    Protocol.response =
-  apply_compile st sess (compile_response st c)
-
-(* count an error response against the session and the server *)
-let note_error st (sess : Metrics.session) (resp : Protocol.response) =
-  match resp with
-  | Protocol.Error_r _ ->
-    sess.ss_errors <- sess.ss_errors + 1;
-    st.st_sv.sv_errors <- st.st_sv.sv_errors + 1
-  | _ -> ()
-
-(* crash-window discipline: the flush that covers a compile's facts
-   happens before its response can reach the client *)
-let compile_flush_tick st =
-  st.st_since_flush <- st.st_since_flush + 1;
-  if st.st_store <> None && st.st_since_flush >= st.st_cfg.d_flush_every then
-    flush_store st ~reason:"request-count"
-
-let log_request st (sess : Metrics.session) ~kind ~dt =
-  Metrics.add sess.ss_lat dt;
-  Metrics.add st.st_sv.sv_lat dt;
-  let open Valid.Trace.Json in
-  log_line st
-    (obj
-       [ ("event", str "request");
-         ("session", int sess.ss_id);
-         ("seq", int sess.ss_requests);
-         ("kind", str kind);
-         ("wall_ms", float (1000.0 *. dt));
-         ( "shared_hit_rate",
-           float (Metrics.rate_of sess.ss_shared_hits sess.ss_shared_lookups) );
-         ("incidents", int sess.ss_incidents);
-         ("errors", int sess.ss_errors) ])
+    Protocol.Error_r ("compile failed: " ^ Printexc.to_string e))
 
 let request_kind = function
   | Protocol.Compile c -> "compile " ^ c.cr_label
@@ -385,8 +300,16 @@ let handle_request st conn (req : Protocol.request) : Protocol.response =
     match req with
     | Protocol.Compile c ->
       let r = handle_compile st sess c in
-      note_error st sess r;
-      compile_flush_tick st;
+      (match r with
+      | Protocol.Error_r _ ->
+        sess.ss_errors <- sess.ss_errors + 1;
+        st.st_sv.sv_errors <- st.st_sv.sv_errors + 1
+      | _ -> ());
+      (* crash-window discipline: the flush that covers a compile's
+         facts happens before its response can reach the client *)
+      st.st_since_flush <- st.st_since_flush + 1;
+      if st.st_store <> None && st.st_since_flush >= st.st_cfg.d_flush_every
+      then flush_store st ~reason:"request-count";
       r
     | Protocol.Stats ->
       (match st.st_store with
@@ -398,131 +321,23 @@ let handle_request st conn (req : Protocol.request) : Protocol.response =
       st.st_stop <- true;
       Protocol.Bye
   in
-  log_request st sess ~kind:(request_kind req)
-    ~dt:(Unix.gettimeofday () -. t0);
+  let dt = Unix.gettimeofday () -. t0 in
+  Metrics.add sess.ss_lat dt;
+  Metrics.add st.st_sv.sv_lat dt;
+  (let open Valid.Trace.Json in
+   log_line st
+     (obj
+        [ ("event", str "request");
+          ("session", int sess.ss_id);
+          ("seq", int sess.ss_requests);
+          ("kind", str (request_kind req));
+          ("wall_ms", float (1000.0 *. dt));
+          ( "shared_hit_rate",
+            float (Metrics.rate_of sess.ss_shared_hits sess.ss_shared_lookups)
+          );
+          ("incidents", int sess.ss_incidents);
+          ("errors", int sess.ss_errors) ]));
   resp
-
-(* ------------------------------------------------------------------ *)
-(* Concurrent compile dispatch (--max-inflight > 1)                    *)
-
-(* Plain compile requests from distinct sessions execute concurrently
-   on dedicated worker domains; the select loop stays the only writer
-   of daemon state.  Each worker pins a {!Util.Pool} cache shard slot
-   (its cache misses go to a private shard, the shared tier stays
-   read-only) and compiles with jobs-here = 1; per-request dependence
-   counters and budgets are isolated with {!Dep.Driver.isolate}.
-   Completions travel back through a mutex-guarded list plus a
-   self-pipe that wakes [select]. *)
-
-type job = { j_conn : conn; j_req : Protocol.compile_req }
-
-type completion = {
-  k_conn : conn;
-  k_kind : string;          (* request-log label *)
-  k_compile : compile_done;
-  k_wall : float;           (* worker-side wall seconds *)
-}
-
-type dispatcher = {
-  dp_m : Mutex.t;                    (* guards jobs, done, stop *)
-  dp_work : Condition.t;
-  dp_jobs : job Queue.t;
-  mutable dp_done : completion list; (* newest first *)
-  mutable dp_stop : bool;
-  dp_wake_r : Unix.file_descr;       (* self-pipe: workers wake select *)
-  dp_wake_w : Unix.file_descr;
-  mutable dp_domains : unit Domain.t list;
-  mutable dp_inflight : int;         (* select loop only *)
-  mutable dp_merge_due : bool;       (* worker shards await promotion *)
-}
-
-let wake_byte = Bytes.make 1 '!'
-
-let worker_loop st dp slot () =
-  Util.Pool.with_slot slot @@ fun () ->
-  Util.Pool.with_jobs_here 1 @@ fun () ->
-  let rec loop () =
-    Mutex.lock dp.dp_m;
-    while Queue.is_empty dp.dp_jobs && not dp.dp_stop do
-      Condition.wait dp.dp_work dp.dp_m
-    done;
-    match Queue.take_opt dp.dp_jobs with
-    | None -> Mutex.unlock dp.dp_m (* stopping, queue drained *)
-    | Some j ->
-      Mutex.unlock dp.dp_m;
-      let t0 = Unix.gettimeofday () in
-      let d =
-        try Dep.Driver.isolate (fun () -> compile_response st j.j_req)
-        with e ->
-          (* belt and braces: a worker domain must never die *)
-          compile_error ("compile failed: " ^ Printexc.to_string e)
-      in
-      let k =
-        { k_conn = j.j_conn;
-          k_kind = "compile " ^ j.j_req.Protocol.cr_label;
-          k_compile = d;
-          k_wall = Unix.gettimeofday () -. t0 }
-      in
-      Mutex.lock dp.dp_m;
-      dp.dp_done <- k :: dp.dp_done;
-      Mutex.unlock dp.dp_m;
-      (try ignore (Unix.write dp.dp_wake_w wake_byte 0 1 : int)
-       with Unix.Unix_error _ -> ());
-      loop ()
-  in
-  loop ()
-
-let dispatcher_start st n =
-  let dp_wake_r, dp_wake_w = Unix.pipe () in
-  Unix.set_nonblock dp_wake_r;
-  Unix.set_nonblock dp_wake_w;
-  let dp =
-    { dp_m = Mutex.create (); dp_work = Condition.create ();
-      dp_jobs = Queue.create (); dp_done = []; dp_stop = false;
-      dp_wake_r; dp_wake_w; dp_domains = []; dp_inflight = 0;
-      dp_merge_due = false }
-  in
-  dp.dp_domains <- List.init n (fun i -> Domain.spawn (worker_loop st dp i));
-  dp
-
-let dispatcher_stop dp =
-  Mutex.lock dp.dp_m;
-  dp.dp_stop <- true;
-  Condition.broadcast dp.dp_work;
-  Mutex.unlock dp.dp_m;
-  List.iter Domain.join dp.dp_domains;
-  dp.dp_domains <- [];
-  (try Unix.close dp.dp_wake_r with Unix.Unix_error _ -> ());
-  try Unix.close dp.dp_wake_w with Unix.Unix_error _ -> ()
-
-(* hand a compile to the workers; the session is busy until its
-   completion is processed *)
-let dispatch st dp conn (c : Protocol.compile_req) =
-  let sess = conn.c_session in
-  sess.ss_requests <- sess.ss_requests + 1;
-  st.st_sv.sv_requests <- st.st_sv.sv_requests + 1;
-  conn.c_busy <- true;
-  dp.dp_inflight <- dp.dp_inflight + 1;
-  Mutex.lock dp.dp_m;
-  Queue.add { j_conn = conn; j_req = c } dp.dp_jobs;
-  Condition.signal dp.dp_work;
-  Mutex.unlock dp.dp_m
-
-(* drain the wake pipe and collect finished compiles, oldest first *)
-let take_completions dp =
-  let buf = Bytes.create 64 in
-  (try
-     while Unix.read dp.dp_wake_r buf 0 (Bytes.length buf) > 0 do
-       ()
-     done
-   with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | Unix.Unix_error _ -> ());
-  Mutex.lock dp.dp_m;
-  let ks = dp.dp_done in
-  dp.dp_done <- [];
-  Mutex.unlock dp.dp_m;
-  List.rev ks
 
 (* ------------------------------------------------------------------ *)
 (* Outgoing write queues                                               *)
@@ -634,77 +449,13 @@ let drain_frames ?budget st conns conn =
       reject st conns conn ("broken framing: " ^ m)
   done
 
-(* Peel and route buffered frames in concurrent mode.  At most one
-   request of a session is ever in flight (no peeling while busy), so a
-   session's responses come back in request order; non-compile requests
-   execute inline (they are cheap and touch daemon state); a [--check]
-   compile parks as a barrier until nothing is in flight (its scratch
-   verification clears the caches). *)
-let dispatch_frames st dp conns conn =
-  let budget = ref st.st_cfg.d_max_pipeline in
-  let continue = ref true in
-  while
-    !continue && conn.c_open && (not conn.c_closing) && (not conn.c_busy)
-    && conn.c_barrier = None && !budget > 0
-    && dp.dp_inflight < st.st_cfg.d_max_inflight
-  do
-    match Protocol.peel conn.c_buf with
-    | None -> continue := false
-    | Some payload -> (
-      decr budget;
-      match Protocol.decode_request payload with
-      | Protocol.Compile c when c.cr_check -> conn.c_barrier <- Some c
-      | Protocol.Compile c -> dispatch st dp conn c
-      | req ->
-        let resp = handle_request st conn req in
-        enqueue st conns conn (Protocol.frame (Protocol.encode_response resp));
-        if resp = Protocol.Bye then conn.c_closing <- true
-      | exception Protocol.Malformed m ->
-        reject st conns conn ("malformed request: " ^ m))
-    | exception Protocol.Malformed m ->
-      reject st conns conn ("broken framing: " ^ m)
-  done
-
-(* fold one finished compile back into the daemon (select loop only):
-   metrics, flush cadence, request log, response — the same sequence
-   the synchronous path runs inside [handle_request] *)
-let process_completion st dp conns (k : completion) =
-  let conn = k.k_conn in
-  let sess = conn.c_session in
-  conn.c_busy <- false;
-  dp.dp_inflight <- dp.dp_inflight - 1;
-  dp.dp_merge_due <- true;
-  let resp = apply_compile st sess k.k_compile in
-  note_error st sess resp;
-  compile_flush_tick st;
-  log_request st sess ~kind:k.k_kind ~dt:k.k_wall;
-  enqueue st conns conn (Protocol.frame (Protocol.encode_response resp))
-
-(* run every parked [--check] compile, oldest session first — caller
-   guarantees zero requests in flight.  Shards are promoted first so
-   the incremental half of the check sees every fact the workers
-   computed. *)
-let run_barriers st dp conns ordered =
-  List.iter
-    (fun conn ->
-      match conn.c_barrier with
-      | None -> ()
-      | Some c ->
-        conn.c_barrier <- None;
-        if conn.c_open && not conn.c_closing then begin
-          Util.Cachectl.merge_shards ();
-          dp.dp_merge_due <- false;
-          let resp = handle_request st conn (Protocol.Compile c) in
-          enqueue st conns conn (Protocol.frame (Protocol.encode_response resp))
-        end)
-    ordered
-
 (* ------------------------------------------------------------------ *)
 (* The server loop                                                     *)
 
 (** Run the daemon until a [Shutdown] request, a SIGINT/SIGTERM (when
-    [signals]), or [stop] is set externally.  Returns after draining
-    in-flight requests, flushing the store and removing the socket.
+    [signals]), or [stop] is set externally.  Returns after answering
+    the requests already sent, flushing the store and removing the
+    socket.
     [on_ready] fires once the socket is listening (tests use it to gate
     client connects).
     @raise Already_running when a live daemon owns the socket. *)
@@ -761,16 +512,7 @@ let run ?(signals = false) ?(stop = Atomic.make false) ?on_ready (cfg : cfg) :
       st_log = log_oc }
   in
   let conns : conn list ref = ref [] in
-  (* concurrent dispatch only when asked: at the default
-     --max-inflight 1 the classic synchronous select loop runs
-     unchanged *)
-  let dp =
-    if cfg.d_max_inflight > 1 then
-      Some (dispatcher_start st (min cfg.d_max_inflight Util.Pool.max_jobs))
-    else None
-  in
   let cleanup () =
-    Option.iter dispatcher_stop dp;
     List.iter close_conn !conns;
     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
     (try Unix.unlink cfg.d_socket with Unix.Unix_error _ -> ());
@@ -842,8 +584,7 @@ let run ?(signals = false) ?(stop = Atomic.make false) ?on_ready (cfg : cfg) :
         conns :=
           { c_fd = fd; c_buf = Buffer.create 4096; c_outq = Queue.create ();
             c_out_off = 0; c_out_bytes = 0; c_last_active = now;
-            c_closing = false; c_session = sess; c_open = true;
-            c_busy = false; c_barrier = None }
+            c_closing = false; c_session = sess; c_open = true }
           :: !conns
       end
     | exception Unix.Unix_error _ -> ()
@@ -855,14 +596,9 @@ let run ?(signals = false) ?(stop = Atomic.make false) ?on_ready (cfg : cfg) :
       store <> None && st.st_since_flush > 0
       && now -. st.st_last_flush >= cfg.d_flush_interval_s
     then flush_store st ~reason:"interval";
-    (* idle eviction (a session whose compile is in flight or parked at
-       a barrier is waiting on us, not idle) *)
     List.iter
       (fun c ->
-        if
-          c.c_open && (not c.c_busy) && c.c_barrier = None
-          && now -. c.c_last_active > cfg.d_idle_timeout_s
-        then begin
+        if c.c_open && now -. c.c_last_active > cfg.d_idle_timeout_s then begin
           st.st_sv.sv_evicted_idle <- st.st_sv.sv_evicted_idle + 1;
           log_evict st c ~kind:"idle";
           close_conn c
@@ -872,41 +608,25 @@ let run ?(signals = false) ?(stop = Atomic.make false) ?on_ready (cfg : cfg) :
     (* oldest-first keeps per-turn processing in arrival order *)
     let ordered = List.rev !conns in
     let read_fds =
-      (match dp with Some d -> [ d.dp_wake_r ] | None -> [])
-      @ listen_fd
-        :: List.filter_map
-             (fun c ->
-               if c.c_open && not c.c_closing then Some c.c_fd else None)
-             ordered
+      listen_fd
+      :: List.filter_map
+           (fun c -> if c.c_open && not c.c_closing then Some c.c_fd else None)
+           ordered
     in
     let write_fds =
       List.filter_map
         (fun c -> if c.c_open && c.c_out_bytes > 0 then Some c.c_fd else None)
         ordered
     in
-    (* frames deferred by the pipelining cap (or, in concurrent mode,
-       by capacity/barriers) are work we already have — but only poll
-       at zero when acting on them is actually possible now *)
+    (* frames deferred by the pipelining cap are work we already have:
+       poll at zero while any are buffered *)
     let timeout =
-      let dispatchable c =
-        c.c_open && (not c.c_closing) && Protocol.has_frame c.c_buf
-      in
-      let progress =
-        match dp with
-        | None -> List.exists dispatchable ordered
-        | Some d ->
-          let barrier_waiting =
-            List.exists (fun c -> c.c_open && c.c_barrier <> None) ordered
-          in
-          if barrier_waiting then d.dp_inflight = 0
-          else
-            d.dp_inflight < cfg.d_max_inflight
-            && List.exists
-                 (fun c ->
-                   dispatchable c && (not c.c_busy) && c.c_barrier = None)
-                 ordered
-      in
-      if progress then 0.0 else cfg.d_poll_s
+      if
+        List.exists
+          (fun c -> c.c_open && (not c.c_closing) && Protocol.has_frame c.c_buf)
+          ordered
+      then 0.0
+      else cfg.d_poll_s
     in
     (match Unix.select read_fds write_fds [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -933,48 +653,12 @@ let run ?(signals = false) ?(stop = Atomic.make false) ?on_ready (cfg : cfg) :
         ordered;
       (* execute buffered frames — fresh and deferred alike, capped per
          connection per turn *)
-      (match dp with
-      | None -> List.iter (fun c -> drain_frames st !conns c) ordered
-      | Some d ->
-        (* finished compiles first: they free capacity and sessions *)
-        List.iter (process_completion st d !conns) (take_completions d);
-        if d.dp_inflight = 0 then begin
-          (* quiescent point: promote worker shards so every fact found
-             this round reaches the shared tier, then run any parked
-             --check compiles exclusively *)
-          if d.dp_merge_due then begin
-            Util.Cachectl.merge_shards ();
-            d.dp_merge_due <- false
-          end;
-          run_barriers st d !conns ordered
-        end;
-        (* dispatch new work unless a barrier is (still) waiting for
-           the in-flight compiles to drain *)
-        if
-          not (List.exists (fun c -> c.c_open && c.c_barrier <> None) !conns)
-        then List.iter (fun c -> dispatch_frames st d !conns c) ordered);
+      List.iter (fun c -> drain_frames st !conns c) ordered;
       (* opportunistic flush: the common case writes the response now;
          the select write set only exists to wake us for the backlog *)
       List.iter (fun c -> if c.c_out_bytes > 0 then flush_conn c) ordered);
     conns := List.filter (fun c -> c.c_open) !conns
   done;
-  (* concurrent mode: wait out the compiles still in flight (their
-     sessions are owed answers), then run any parked --check compiles
-     at the now-quiescent point *)
-  (match dp with
-  | None -> ()
-  | Some d ->
-    while d.dp_inflight > 0 do
-      (match Unix.select [ d.dp_wake_r ] [] [] 0.2 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | _ -> ());
-      List.iter (process_completion st d !conns) (take_completions d)
-    done;
-    if d.dp_merge_due then begin
-      Util.Cachectl.merge_shards ();
-      d.dp_merge_due <- false
-    end;
-    run_barriers st d !conns (List.rev !conns));
   (* graceful drain: answer every request already sent (one last
      non-blocking read picks up bytes in flight — nothing waits for
      new work), then flush the queues blocking, flush the store and go

@@ -19,13 +19,13 @@
       exhaustion are never cached — they recompute honestly, exactly as
       the uncached compiler would.
 
-    {b Domain safety.}  During a parallel phase ({!Util.Pool.map}, or
-    the daemon's pinned compile workers) the shared table is treated as
-    {e read-only}: a task (identified by its {!Util.Pool.slot}) records
-    misses in a private per-slot shard table and looks keys up
-    {e shard-first}, falling back to the read-mostly shared tier.  When
-    the batch ends the pool calls {!Util.Cachectl.merge_shards} at a
-    sequential point and the shards are promoted into the shared store
+    {b Domain safety.}  During a parallel phase ({!Util.Pool.map}) the
+    shared table is treated as {e read-only}: a task (identified by its
+    {!Util.Pool.slot}) records misses in a private per-slot shard table
+    and looks keys up {e shard-first}, falling back to the read-mostly
+    shared tier.  When the batch ends the pool calls
+    {!Util.Cachectl.merge_shards} at a sequential point and the shards
+    are promoted into the shared store
     ([Hashtbl.replace]: a shard entry supersedes a shared one — values
     for equal keys are equal by the purity discipline, and validated
     caches prefer the fresher entry; either way the choice is

@@ -28,10 +28,10 @@ let n_poly = Poly.of_atom n_atom
 (* Memoized S_0..S_d as an immutable array published through an atomic:
    readers never take a lock — the common case (the table already holds
    S_k) is one [Atomic.get] and an array index.  The table outlives
-   (and is shared by) the parallel dependence phase and the daemon's
-   concurrent compile workers, so extension happens under a mutex and
-   republishes a fresh array; a reader racing the publication sees
-   either snapshot, and S_k is a pure function of k, so both agree.
+   (and is shared by) every task of the parallel dependence phase, so
+   extension happens under a mutex and republishes a fresh array; a
+   reader racing the publication sees either snapshot, and S_k is a
+   pure function of k, so both agree.
    S_k for k' <= k is computed bottom-up so the extension loop can read
    its own snapshot-in-progress. *)
 let power_sums : Poly.t array Atomic.t = Atomic.make [||]

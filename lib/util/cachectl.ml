@@ -9,14 +9,10 @@
       environment turns every cache off (the baseline the cache
       tests compare against); [Core.Config.caches] scopes the
       switch per compilation.
-    - {!generation} is the coarse invalidation epoch.  [Core.Pipeline]
-      still bumps it after every guarded pass and on every fault
-      rollback, but since the analysis-manager PR no cache keys on it:
-      physically-keyed analyses revalidate per entry
-      ({!Analysis.Manager}'s unit-version and block-identity probes)
-      and the semantic caches are content-addressed.  The epoch remains
-      as telemetry and as the seam a future coarse-grained cache could
-      hook into.
+    - Invalidation is per entry: physically-keyed analyses revalidate
+      through {!Analysis.Manager}'s unit-version and block-identity
+      probes, and the semantic caches are content-addressed, so a pass
+      rewrite or a fault rollback can never be served a stale fact.
     - {!debug} ([POLARIS_CACHE_DEBUG=1]) makes every cache hit
       cross-check against a fresh computation and raise
       {!Debug_mismatch} on divergence; this is the belt-and-braces mode
@@ -55,9 +51,6 @@ let default_enabled = not Env.no_cache
 let enabled = ref default_enabled
 let debug = ref Env.cache_debug
 
-let generation = ref 0
-let bump_generation () = incr generation
-
 (* ------------------------------------------------------------------ *)
 (* Backing store (the compile daemon's persistent analysis store)      *)
 
@@ -91,8 +84,8 @@ let registry : entry list ref = ref []
     remembers [clear] for {!clear_all}.  [merge], if given, folds the
     cache's per-slot shard tables into its shared store; the domain
     pool calls {!merge_shards} at the end of every parallel phase
-    (caches with no sharding — e.g. the single-writer expression
-    intern pool — pass none).  [persist] declares the cache's entries
+    (caches with no sharding — e.g. the parse-time expression intern
+    pool — pass none).  [persist] declares the cache's entries
     content-addressed pure data, safe to spill to the {!backing}
     store and reload in a later process. *)
 let register ~name ?merge ?(persist = false) ~clear () =

@@ -93,17 +93,6 @@ let parse_chunk raw : (int, string) result =
     Error (Printf.sprintf "expected a chunk size <= 1000000, got %d" n)
   | Some n -> Ok n
 
-(** [parse_inflight raw]: the daemon's concurrent-compile bound, in
-    [1 .. max_jobs].  Each in-flight compile occupies a worker domain
-    with a dedicated cache shard slot, so the job-count ceiling is also
-    the hard ceiling here; larger values clamp like [parse_jobs]. *)
-let parse_inflight raw : (int, string) result =
-  match int_of_string_opt (String.trim raw) with
-  | None -> Error (Printf.sprintf "expected an integer, got %S" raw)
-  | Some n when n < 1 ->
-    Error (Printf.sprintf "expected an in-flight bound >= 1, got %d" n)
-  | Some n -> Ok (if n > max_jobs then max_jobs else n)
-
 (** Hard ceiling on runtime execution domains; the modeled machine is
     an 8-way SGI Challenge and the real executor mirrors its block
     schedule, but larger hosts may still ask for more. *)
@@ -174,11 +163,6 @@ let read var ~default parse =
 
 (** Parsed [POLARIS_JOBS] (default 1: parallelism is opt-in). *)
 let jobs : int = read "POLARIS_JOBS" ~default:1 parse_jobs
-
-(** Parsed [POLARIS_MAX_INFLIGHT]: how many compile requests the
-    daemon may execute concurrently (default 1: requests are
-    serialized, the pre-concurrency behaviour). *)
-let max_inflight : int = read "POLARIS_MAX_INFLIGHT" ~default:1 parse_inflight
 
 (** Parsed [POLARIS_NO_CACHE] (default false: caches on). *)
 let no_cache : bool = read "POLARIS_NO_CACHE" ~default:false parse_flag

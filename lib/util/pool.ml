@@ -50,20 +50,13 @@ let max_jobs = Env.max_jobs
 let clamp n = if n < 1 then 1 else if n > max_jobs then max_jobs else n
 
 (* POLARIS_JOBS is parsed (with validation) in {!Env}, the single parse
-   site for environment knobs.  The process-wide default is atomic so a
-   daemon worker reading it mid-[set_jobs] sees one value or the other;
-   [with_jobs_here] overrides it per domain. *)
+   site for environment knobs.  The job count is atomic because a daemon
+   started on its own domain (as the serve tests do) sets it while
+   other domains may read it. *)
 let jobs_default = Atomic.make Env.jobs
 
-let jobs_here : int option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-(** Current job count (>= 1): this domain's override if
-    {!with_jobs_here} is active, the process default otherwise. *)
-let jobs () =
-  match !(Domain.DLS.get jobs_here) with
-  | Some n -> n
-  | None -> Atomic.get jobs_default
+(** Current job count (>= 1). *)
+let jobs () = Atomic.get jobs_default
 
 (** Set the process-wide job count (clamped to [1 .. max_jobs]);
     [polaris -j N]. *)
@@ -80,54 +73,24 @@ let with_jobs n f =
   set_jobs n;
   Fun.protect ~finally:(fun () -> Atomic.set jobs_default saved) f
 
-(** [with_jobs_here n f]: like {!with_jobs} but scoped to the calling
-    domain only.  The daemon's compile workers pin their job count to 1
-    with this — cross-request parallelism replaces intra-request
-    fan-out — without perturbing other domains. *)
-let with_jobs_here n f =
-  let cell = Domain.DLS.get jobs_here in
-  let saved = !cell in
-  cell := Some (clamp n);
-  Fun.protect ~finally:(fun () -> cell := saved) f
-
 (* ------------------------------------------------------------------ *)
 (* Task identity (domain-local)                                        *)
 
-(* [Some i] while the domain holds cache shard slot i: i = 0 on the
-   submitting domain of a batch, i >= 1 on pool workers, and a pinned
-   id on daemon compile workers ({!with_slot}).  The cache layer keys
-   its per-slot shard tables on this. *)
+(* [Some i] while the domain runs tasks of a batch as cache shard slot
+   i: i = 0 on the submitting domain, i >= 1 on pool workers (which
+   exist only to run tasks).  The cache layer keys its per-slot shard
+   tables on this. *)
 let slot_key : int option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-(** Shard slot of the current domain ([None] outside tasks and
-    unpinned domains). *)
+(** Shard slot of the current domain ([None] outside tasks). *)
 let slot () = !(Domain.DLS.get slot_key)
 
-(* true only while executing a task of a [map] batch — distinct from
-   holding a slot, because daemon compile workers hold a pinned slot
-   for cache routing without being pool tasks *)
-let task_key : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
-
 (** True while executing inside a pool task. *)
-let in_task () = !(Domain.DLS.get task_key)
+let in_task () = slot () <> None
 
 exception Nested_submit
 (** Raised by {!map} when called from inside a pool task. *)
-
-(** [with_slot i f]: run [f ()] with this domain pinned to cache shard
-    slot [i].  For long-lived non-pool domains (the daemon's compile
-    workers): every cache write routes to shard [i] while the shared
-    tier stays read-only.  The caller guarantees slot uniqueness among
-    concurrently running pinned domains and that
-    {!Cachectl.merge_shards} only runs when all of them are idle.
-    Inside [f], {!map} runs serially (a pinned domain must not occupy
-    batch slots that belong to the pool). *)
-let with_slot i f =
-  let cell = Domain.DLS.get slot_key in
-  let saved = !cell in
-  cell := Some i;
-  Fun.protect ~finally:(fun () -> cell := saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler telemetry                                                 *)
@@ -355,10 +318,8 @@ let work_batch (pool : pool) (b : batch) (slot_i : int) =
   loop ()
 
 let worker_body pool i () =
-  (* workers exist only to run tasks: pin slot and task identity once *)
+  (* workers exist only to run tasks: pin the slot once *)
   Domain.DLS.set slot_key (ref (Some i));
-  let in_task_cell = ref false in
-  Domain.DLS.set task_key in_task_cell;
   let seen = ref 0 in
   Mutex.lock pool.m;
   let rec loop () =
@@ -368,9 +329,7 @@ let worker_body pool i () =
       | Some b when !seen <> pool.generation ->
         seen := pool.generation;
         Mutex.unlock pool.m;
-        in_task_cell := true;
         work_batch pool b i;
-        in_task_cell := false;
         Mutex.lock pool.m;
         loop ()
       | _ ->
@@ -422,8 +381,7 @@ type 'a task_result =
   | Err of exn * Printexc.raw_backtrace
 
 (** [map ?weight f xs]: apply [f] to every element of [xs], results in
-    input order.  With jobs = 1 (or from a {!with_slot}-pinned domain)
-    this {e is} [List.map f xs].  With jobs = N the batcher cuts the
+    input order.  With jobs = 1 this {e is} [List.map f xs].  With jobs = N the batcher cuts the
     elements into contiguous chunks — balanced by [?weight]'s relative
     cost estimate when given, or pinned by [POLARIS_CHUNK] — seeds them
     into per-slot deques and lets N domains (the caller's included)
@@ -435,10 +393,7 @@ type 'a task_result =
     (with its backtrace) — the serial prefix semantics. *)
 let map ?(weight : ('a -> int) option) (f : 'a -> 'b) (xs : 'a list) : 'b list =
   if in_task () then raise Nested_submit;
-  (* a pinned domain (daemon compile worker) runs serially: its cache
-     writes already route to its own shard, and the pool's batch slots
-     belong to pool domains *)
-  let n = if slot () <> None then 1 else jobs () in
+  let n = jobs () in
   if n <= 1 then List.map f xs
   else
     match xs with
@@ -489,13 +444,9 @@ let map ?(weight : ('a -> int) option) (f : 'a -> 'b) (xs : 'a list) : 'b list =
         Mutex.unlock pool.m;
         (* participate as slot 0, then wait for the stragglers *)
         let my_slot = Domain.DLS.get slot_key in
-        let my_task = Domain.DLS.get task_key in
         my_slot := Some 0;
-        my_task := true;
         Fun.protect
-          ~finally:(fun () ->
-            my_slot := None;
-            my_task := false)
+          ~finally:(fun () -> my_slot := None)
           (fun () -> work_batch pool b 0);
         Mutex.lock pool.m;
         while Atomic.get b.b_remaining > 0 do

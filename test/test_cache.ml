@@ -4,8 +4,8 @@
    observationally identical to compiling with POLARIS_NO_CACHE=1 —
    same unparsed output, same per-loop verdicts, same oracle results.
    We pin that with a seeded property over random fuzz programs, and
-   pin the invalidation protocol (every rollback bumps the cache
-   generation, so stale hits after an incident are impossible). *)
+   pin the same identity across fault rollbacks, where a stale hit on
+   a discarded program state would show. *)
 
 let cfg ~caches = { (Core.Config.polaris ()) with caches }
 
@@ -108,40 +108,40 @@ let test_no_dead_cache () =
     content_addressed;
   Util.Cachectl.clear_all ()
 
-(* a successful guarded pass retires pre-pass cache entries *)
-let test_success_bumps_generation () =
-  let src = Test_fuzz.gen_program (Util.Prng.create 42) in
-  let p = Frontend.Parser.parse_string src in
-  let gen0 = !Util.Cachectl.generation in
-  let t = Core.Pipeline.run (cfg ~caches:true) p in
-  Alcotest.(check bool) "clean run" true (Core.Pipeline.clean t);
-  Alcotest.(check bool)
-    "generation advanced" true
-    (!Util.Cachectl.generation > gen0)
-
-(* chaos: an injected fault must roll the pass back AND bump the cache
-   generation, so no cache entry computed from the corrupted / discarded
-   program state can ever be served afterwards *)
-let test_rollback_bumps_generation () =
+(* a pass rolled back by an injected fault leaves cache entries
+   computed from the discarded program state behind; none may be served
+   afterwards.  Output, verdicts and incidents must match the uncached
+   compile, with the caches cold and again warm from the first run. *)
+let test_rollback_cached_vs_uncached () =
   let src = Test_fuzz.gen_program (Util.Prng.create 1996) in
-  let p = Frontend.Parser.parse_string src in
-  let gen0 = !Util.Cachectl.generation in
   let fault_hook pass _ =
     if String.equal pass "constprop" then failwith "chaos: injected fault"
   in
-  let t = Core.Pipeline.run ~fault_hook (cfg ~caches:true) p in
-  Alcotest.(check bool) "incident recorded" true (t.incidents <> []);
+  let compile caches = Core.Pipeline.compile ~fault_hook (cfg ~caches) src in
+  Util.Cachectl.clear_all ();
+  let uncached = compile false in
+  Alcotest.(check bool) "incident recorded" true (uncached.incidents <> []);
   Alcotest.(check bool)
     "rolled back" true
     (List.for_all
        (fun (i : Core.Pipeline.incident) -> i.inc_rolled_back)
-       t.incidents);
-  Alcotest.(check bool)
-    "generation advanced past rollback" true
-    (!Util.Cachectl.generation > gen0)
+       uncached.incidents);
+  List.iter
+    (fun run ->
+      let cached = compile true in
+      Alcotest.(check string) (run ^ ": output")
+        (Core.Pipeline.output_source uncached)
+        (Core.Pipeline.output_source cached);
+      Alcotest.(check bool) (run ^ ": verdicts") true
+        (verdicts cached = verdicts uncached);
+      Alcotest.(check bool) (run ^ ": incidents") true
+        (cached.incidents = uncached.incidents))
+    [ "cold caches"; "warm caches" ];
+  Util.Cachectl.clear_all ()
 
 (* full chaos harness run with the caches on: containment, attribution
-   and the oracle must all still hold, and the generation must advance *)
+   and the oracle must all still hold, with the same incidents and the
+   same oracle verdict as the run with the caches off *)
 let test_chaos_plan_with_caches () =
   Util.Cachectl.with_enabled true @@ fun () ->
   let _, source = List.hd (Valid.Chaos.default_sources ()) in
@@ -150,15 +150,20 @@ let test_chaos_plan_with_caches () =
       pl_injections = [ ("constprop", Valid.Chaos.Raise_exn) ];
       pl_zero_budget = false }
   in
-  let gen0 = !Util.Cachectl.generation in
   let outcome = Valid.Chaos.run_plan ~config:(cfg ~caches:true) plan source in
   Alcotest.(check bool) "outcome ok" true (Valid.Chaos.outcome_ok outcome);
   Alcotest.(check bool)
     "incident contained" true
     (outcome.oc_incidents <> []);
-  Alcotest.(check bool)
-    "generation advanced" true
-    (!Util.Cachectl.generation > gen0)
+  let uncached =
+    Util.Cachectl.with_enabled false @@ fun () ->
+    Valid.Chaos.run_plan ~config:(cfg ~caches:false) plan source
+  in
+  Alcotest.(check bool) "incidents as uncached" true
+    (outcome.oc_incidents = uncached.oc_incidents);
+  Alcotest.(check bool) "oracle verdict as uncached" true
+    (Option.map Valid.Oracle.equivalent outcome.oc_oracle
+    = Option.map Valid.Oracle.equivalent uncached.oc_oracle)
 
 (* budget replay plumbing: [afford] must not mutate, [used] must track
    spend — the cache hit path depends on both *)
@@ -182,7 +187,7 @@ let tests =
   [ ("cached vs uncached, 100 fuzz seeds", `Slow, test_property_100_seeds);
     ("cached vs uncached, suite codes", `Quick, test_suite_codes);
     ("no dead content-addressed cache", `Quick, test_no_dead_cache);
-    ("success bumps cache generation", `Quick, test_success_bumps_generation);
-    ("rollback bumps cache generation", `Quick, test_rollback_bumps_generation);
+    ("rollback: cached vs uncached", `Quick,
+     test_rollback_cached_vs_uncached);
     ("chaos plan with caches on", `Quick, test_chaos_plan_with_caches);
     ("budget afford/used", `Quick, test_budget_afford_used) ]

@@ -85,6 +85,30 @@ let test_chaos_transport_deterministic () =
   Alcotest.(check bool) "faults actually occur" true
     (f1 + d1 + t1 + f2 + d2 + t2 > 0)
 
+(* a forced drop disconnects the peer but leaves the descriptor open:
+   the connection's owner closes it exactly once.  Closing it inside the
+   transport too would let the owner's close hit whatever connection
+   the process had accepted under the same number in between. *)
+let test_chaos_drop_leaves_fd_to_owner () =
+  let t = Serve.Chaosnet.create ~p_flip:0.0 ~p_drop:1.0 ~p_tear:0.0 ~p_delay:0.0 1 in
+  let io = Serve.Chaosnet.io t in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close a with Unix.Unix_error _ -> ());
+      try Unix.close b with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Alcotest.(check bool) "forced drop raises" true
+    (match io.Serve.Client.io_read a (Bytes.create 1) 0 1 with
+    | _ -> false
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true);
+  Alcotest.(check int) "drop counted" 1 t.Serve.Chaosnet.n_drops;
+  Alcotest.(check bool) "fd still open" true
+    (match Unix.fstat a with
+    | _ -> true
+    | exception Unix.Unix_error (Unix.EBADF, _, _) -> false);
+  Alcotest.(check int) "peer reads EOF" 0 (Unix.read b (Bytes.create 1) 0 1)
+
 (* the tentpole sweep: 100 seeds of transport chaos against one
    daemon.  Every retried client must converge to the byte-exact
    from-scratch output; the daemon must survive all of it and go down
@@ -162,5 +186,7 @@ let tests =
      test_chaos_transport_deterministic);
     ("chaos contained to the guilty session", `Quick,
      test_chaos_contained_to_guilty_session);
+    ("drop leaves the fd to its owner", `Quick,
+     test_chaos_drop_leaves_fd_to_owner);
     ("100-seed chaos sweep converges byte-identically", `Slow,
      test_chaos_sweep_converges) ]

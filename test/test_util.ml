@@ -176,8 +176,7 @@ let test_env_parse_seconds () =
   Alcotest.(check bool) "inf rejected" true (rejected "inf");
   Alcotest.(check bool) "non-numeric rejected" true (rejected "soon")
 
-(* the scheduling knobs: POLARIS_CHUNK (work-stealing batch size) and
-   POLARIS_MAX_INFLIGHT (daemon concurrent-compile bound) *)
+(* the scheduling knob POLARIS_CHUNK (work-stealing batch size) *)
 let test_env_parse_chunk () =
   let rejected s =
     match Env.parse_chunk s with Error _ -> true | Ok _ -> false
@@ -193,21 +192,6 @@ let test_env_parse_chunk () =
   Alcotest.(check bool) "absurd size rejected as a typo" true
     (rejected "1000001");
   Alcotest.(check bool) "non-numeric rejected" true (rejected "auto");
-  Alcotest.(check bool) "empty rejected" true (rejected "")
-
-let test_env_parse_inflight () =
-  let rejected s =
-    match Env.parse_inflight s with Error _ -> true | Ok _ -> false
-  in
-  Alcotest.(check bool) "plain" true (Env.parse_inflight "1" = Ok 1);
-  Alcotest.(check bool) "whitespace trimmed" true
-    (Env.parse_inflight " 2 " = Ok 2);
-  Alcotest.(check bool) "huge bound clamps to the job ceiling" true
-    (Env.parse_inflight "9999" = Ok Env.max_jobs);
-  Alcotest.(check bool) "zero rejected (the daemon must make progress)" true
-    (rejected "0");
-  Alcotest.(check bool) "negative rejected" true (rejected "-1");
-  Alcotest.(check bool) "non-numeric rejected" true (rejected "all");
   Alcotest.(check bool) "empty rejected" true (rejected "")
 
 (* POLARIS_RUNTIME_PROCS: the real executor's domain count *)
@@ -242,7 +226,6 @@ let tests =
     ("env count parsing", `Quick, test_env_parse_count);
     ("env seconds parsing", `Quick, test_env_parse_seconds);
     ("env chunk parsing", `Quick, test_env_parse_chunk);
-    ("env inflight parsing", `Quick, test_env_parse_inflight);
     ("env runtime-procs parsing", `Quick, test_env_parse_procs);
     ("env path parsing", `Quick, test_env_parse_path);
     ("rat zero denominator", `Quick, test_make_zero_den);
