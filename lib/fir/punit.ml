@@ -85,22 +85,31 @@ let used_scalars (u : t) : string list =
   List.sort_uniq String.compare !acc
 
 (** Resolve the PARAMETER constants of the unit as an expression
-    substitution (transitively resolved). *)
+    substitution (transitively resolved).  Each value is the one the
+    declared type stores ({!Sclass.stored_as}): a literal of the other
+    numeric class is converted, and a value the static classes cannot
+    show to be stored unchanged is left out, so its uses keep reading
+    the PARAMETER. *)
 let parameter_bindings u =
-  let rec resolve seen e =
+  let var = Sclass.of_symtab u.pu_symtab in
+  let rec stored seen name =
+    match Symtab.find_opt u.pu_symtab name with
+    | Some { sym_param = Some value; sym_type; _ } when not (List.mem name seen) ->
+      Sclass.stored_as var (Sclass.of_type sym_type)
+        (Expr.simplify (resolve (name :: seen) value))
+    | _ -> None
+  and resolve seen e =
     Expr.map
       (function
-        | Var v when not (List.mem v seen) -> (
-          match Symtab.find_opt u.pu_symtab v with
-          | Some { sym_param = Some value; _ } -> resolve (v :: seen) value
-          | _ -> Var v)
+        | Var v as x -> Option.value (stored seen v) ~default:x
         | x -> x)
       e
   in
   Symtab.fold
-    (fun name sym acc ->
+    (fun name (sym : symbol) acc ->
       match sym.sym_param with
-      | Some value -> (name, Expr.simplify (resolve [ name ] value)) :: acc
+      | Some _ -> (
+        match stored [] name with Some e -> (name, e) :: acc | None -> acc)
       | None -> acc)
     u.pu_symtab []
 

@@ -4,36 +4,26 @@
     locality signal (stride-1 loops cheap, large-stride or scattered
     access expensive) so that code-generation differences between the
     Polaris and baseline pipelines show up in simulated time, as they
-    did between Polaris and PFA on the SGI Challenge (paper §4.2). *)
+    did between Polaris and PFA on the SGI Challenge (paper §4.2).
+    1024 sets of 8-word lines. *)
 
-type t = {
-  lines : int array;        (** tag per set; -1 = empty *)
-  sets : int;               (** number of sets, power of two *)
-  line_words : int;         (** 8-byte words per line *)
-  mutable hits : int;
-  mutable misses : int;
-}
+(** Tag per set; -1 = empty. *)
+type t = int array
 
-let create ?(sets = 1024) ?(line_words = 8) () =
-  { lines = Array.make sets (-1); sets; line_words; hits = 0; misses = 0 }
+let sets = 1024
 
-let reset t =
-  Array.fill t.lines 0 t.sets (-1);
-  t.hits <- 0;
-  t.misses <- 0
+(* log2 of the 8-byte words per line *)
+let line_shift = 3
 
-(** [access t addr] records a word access; returns [true] on hit. *)
-let access t addr =
-  let line = addr / t.line_words in
-  let set = line land (t.sets - 1) in
-  if t.lines.(set) = line then begin
-    t.hits <- t.hits + 1;
-    true
-  end
+let create () : t = Array.make sets (-1)
+
+(** [access t addr] records a word access; returns [true] on hit.
+    Addresses of accessed elements are non-negative. *)
+let access (t : t) addr =
+  let line = addr lsr line_shift in
+  let set = line land (sets - 1) in
+  if t.(set) = line then true
   else begin
-    t.lines.(set) <- line;
-    t.misses <- t.misses + 1;
+    t.(set) <- line;
     false
   end
-
-let stats t = (t.hits, t.misses)

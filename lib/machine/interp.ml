@@ -16,7 +16,9 @@
     Execution first lowers every program unit into a tree of OCaml
     closures ({!lower_program}, once per run): each variable becomes an
     index into the frame's slot array, each block a prebuilt array of
-    statement closures.  Slots are still bound lazily, on first use,
+    statement closures, and each expression whose static class the
+    declarations fix ({!Fir.Sclass}) a closure returning an unboxed
+    [int], [float] or [bool].  Slots are still bound lazily, on first use,
     exactly as a name-keyed environment binds names.  The lowered code
     charges the cost model, consumes fuel and fires the hooks statement
     for statement like the direct tree-walking evaluator kept in
@@ -127,6 +129,9 @@ and code = {
   c_units : (string, code) Hashtbl.t;  (** every unit of the program *)
   c_names : string array;              (** slot -> variable name *)
   c_slot : (string, int) Hashtbl.t;    (** variable name -> slot *)
+  c_class : Sclass.t option array;
+      (** slot -> static class of the allocation bound to it; [None]
+          when the declarations do not fix it ({!slot_classes}) *)
   mutable c_body : block;
 }
 
@@ -238,6 +243,47 @@ let unit_names (u : Punit.t) =
     u.pu_symtab ();
   List.sort_uniq String.compare !acc
 
+(* the static class of [e] in unit [c] (see {!slot_classes}) *)
+let class_of (c : code) e =
+  Sclass.classify
+    (fun v ->
+      match Hashtbl.find_opt c.c_slot v with Some i -> c.c_class.(i) | None -> None)
+    e
+
+(* An intrinsic call evaluates its arguments left to right, then is
+   charged. *)
+let intrinsic1 a g st fr =
+  let v = g (a st fr) in
+  charge st Cost.intrinsic;
+  v
+
+let intrinsic2 a b g st fr =
+  let x = a st fr in
+  let v = g x (b st fr) in
+  charge st Cost.intrinsic;
+  v
+
+(* MAX/MIN over one or more arguments of one class *)
+let intrinsic_fold args g =
+  match args with
+  | [ a; b ] -> intrinsic2 a b g
+  | a :: rest ->
+    fun st fr ->
+      let v = List.fold_left (fun acc f -> g acc (f st fr)) (a st fr) rest in
+      charge st Cost.intrinsic;
+      v
+  | [] -> invalid_arg "intrinsic_fold"
+
+(* [Value.max_num]/[min_num] of one class *)
+let imax (x : int) y = if x >= y then x else y
+let imin (x : int) y = if x <= y then x else y
+let fmax (x : float) y = if x >= y then x else y
+let fmin (x : float) y = if x <= y then x else y
+
+let sign_float x y =
+  let mag = Float.abs x in
+  if y < 0.0 then -.mag else mag
+
 let rec slot st fr i =
   let b = fr.slots.(i) in
   if b != unbound then b else bind st fr i
@@ -292,7 +338,275 @@ and common_binding st fr blk (sym : symbol) =
 (* symbol-table expressions run once per binding: lowered on the spot *)
 and eval_cold st fr e = lower_expr fr.code e st fr
 
+(* A classified expression lowers to a closure that returns its value
+   unboxed: [lower_int], [lower_real] and [lower_bool] take an
+   expression of that class.  [lower_expr] boxes such a value where a
+   [Value.t] is needed, and lowers an unclassified expression to boxed
+   closures ([lower_boxed]), whose operands are lowered by class again. *)
 and lower_expr (c : code) (e : expr) : state -> frame -> Value.t =
+  match (e, class_of c e) with
+  | (Int_lit _ | Real_lit _ | Logical_lit _), _ | _, None -> lower_boxed c e
+  | _, Some Sclass.Int ->
+    let f = lower_int c e in
+    fun st fr -> Value.Int (f st fr)
+  | _, Some Sclass.Real ->
+    let f = lower_real c e in
+    fun st fr -> Value.Real (f st fr)
+  | _, Some Sclass.Bool ->
+    let f = lower_bool c e in
+    fun st fr -> Value.Bool (f st fr)
+
+(* [Value.to_int] of [e], [Value.to_float] of a numeric [e],
+   [Value.to_bool] of [e] *)
+and lower_to_int c e : state -> frame -> int =
+  match class_of c e with
+  | Some Sclass.Int -> lower_int c e
+  | Some Sclass.Real ->
+    let f = lower_real c e in
+    fun st fr -> int_of_float (f st fr)
+  | _ ->
+    let f = lower_expr c e in
+    fun st fr -> Value.to_int (f st fr)
+
+and lower_num c e : state -> frame -> float =
+  match class_of c e with
+  | Some Sclass.Real -> lower_real c e
+  | Some Sclass.Int ->
+    let f = lower_int c e in
+    fun st fr -> float_of_int (f st fr)
+  | _ ->
+    let f = lower_expr c e in
+    fun st fr -> Value.to_float (f st fr)
+
+and lower_to_bool c e : state -> frame -> bool =
+  match class_of c e with
+  | Some Sclass.Bool -> lower_bool c e
+  | _ ->
+    let f = lower_expr c e in
+    fun st fr -> Value.to_bool (f st fr)
+
+(* variable reads: the scalar check, or the subscript, the access hook
+   and the memory charge; then [read] *)
+and lower_scalar_read : 'a. code -> string -> (Storage.view -> int -> 'a) ->
+    state -> frame -> 'a =
+ fun c v read ->
+  let i = slot_index c v in
+  fun st fr ->
+    let b = slot st fr i in
+    (match b.dims with [] -> () | _ -> error "array %s used as scalar" v);
+    read b.view 0
+
+and lower_elem_read : 'a. code -> string -> expr list ->
+    (Storage.view -> int -> 'a) -> state -> frame -> 'a =
+ fun c v subs read ->
+  let i = slot_index c v in
+  let index = lower_index c v subs in
+  fun st fr ->
+    let b = slot st fr i in
+    let k = index st fr b in
+    (match st.on_access with Some f -> f R v k | None -> ());
+    charge_mem st b.view k;
+    read b.view k
+
+(* the fallback of a typed lowering, for a shape it does not cover: the
+   boxed closure, unboxed *)
+and unbox : 'a. code -> expr -> (Value.t -> 'a) -> state -> frame -> 'a =
+ fun c e conv ->
+  let f = lower_boxed c e in
+  fun st fr -> conv (f st fr)
+
+and lower_int c e : state -> frame -> int =
+  match e with
+  | Int_lit n -> fun _ _ -> n
+  | Var v -> lower_scalar_read c v Storage.read_int
+  | Ref (v, subs) -> lower_elem_read c v subs Storage.read_int
+  | Unary (Neg, a) ->
+    let a = lower_int c a in
+    fun st fr ->
+      charge st Cost.unop;
+      -(a st fr)
+  | Binary (((Add | Sub | Mul | Div | Pow) as op), a, b) -> (
+    let cost = Cost.binop op in
+    let a = lower_int c a and b = lower_int c b in
+    match op with
+    | Add ->
+      fun st fr ->
+        charge st cost;
+        let x = a st fr in
+        x + b st fr
+    | Sub ->
+      fun st fr ->
+        charge st cost;
+        let x = a st fr in
+        x - b st fr
+    | Mul ->
+      fun st fr ->
+        charge st cost;
+        let x = a st fr in
+        x * b st fr
+    | Div ->
+      (* Fortran integer division truncates toward zero, as does OCaml's
+         [/], which raises [Division_by_zero] as [Value.div] does *)
+      fun st fr ->
+        charge st cost;
+        let x = a st fr in
+        x / b st fr
+    | _ ->
+      fun st fr ->
+        charge st cost;
+        let x = a st fr in
+        Value.pow_int x (b st fr))
+  | Fun_call (f, args) -> (
+    match (f, args) with
+    | ("ABS" | "IABS" | "DABS"), [ a ] -> intrinsic1 (lower_int c a) abs
+    | ("MOD" | "AMOD" | "DMOD"), [ a; b ] ->
+      intrinsic2 (lower_int c a) (lower_int c b) (fun x y -> x mod y)
+    | ("MAX" | "MAX0" | "AMAX1" | "DMAX1"), _ ->
+      intrinsic_fold (List.map (lower_int c) args) imax
+    | ("MIN" | "MIN0" | "AMIN1" | "DMIN1"), _ ->
+      intrinsic_fold (List.map (lower_int c) args) imin
+    | ("INT" | "IFIX" | "IDINT"), [ a ] -> intrinsic1 (lower_to_int c a) Fun.id
+    | ("NINT" | "IDNINT"), [ a ] ->
+      intrinsic1 (lower_num c a) (fun x -> int_of_float (Float.round x))
+    | ("SIGN" | "ISIGN" | "DSIGN"), [ a; b ] ->
+      intrinsic2 (lower_int c a) (lower_num c b) (fun x y ->
+          int_of_float (sign_float (float_of_int x) y))
+    | _ -> unbox c e Value.to_int)
+  | _ -> unbox c e Value.to_int
+
+and lower_real c e : state -> frame -> float =
+  match e with
+  | Real_lit x -> fun _ _ -> x
+  | Var v -> lower_scalar_read c v Storage.read_float
+  | Ref (v, subs) -> lower_elem_read c v subs Storage.read_float
+  | Unary (Neg, a) ->
+    let a = lower_real c a in
+    fun st fr ->
+      charge st Cost.unop;
+      -.(a st fr)
+  | Binary (Pow, a, b) when class_of c b = Some Sclass.Int ->
+    let a = lower_num c a and b = lower_int c b in
+    fun st fr ->
+      charge st (Cost.binop Pow);
+      let x = a st fr in
+      Value.pow_real_int x (b st fr)
+  | Binary (((Add | Sub | Mul | Div | Pow) as op), a, b) -> (
+    let cost = Cost.binop op in
+    let a = lower_num c a and b = lower_num c b in
+    match op with
+    | Add ->
+      fun st fr ->
+        charge st cost;
+        let x = a st fr in
+        x +. b st fr
+    | Sub ->
+      fun st fr ->
+        charge st cost;
+        let x = a st fr in
+        x -. b st fr
+    | Mul ->
+      fun st fr ->
+        charge st cost;
+        let x = a st fr in
+        x *. b st fr
+    | Div ->
+      fun st fr ->
+        charge st cost;
+        let x = a st fr in
+        x /. b st fr
+    | _ ->
+      fun st fr ->
+        charge st cost;
+        let x = a st fr in
+        Float.pow x (b st fr))
+  | Fun_call (f, args) -> (
+    let unary g =
+      match args with [ a ] -> intrinsic1 (lower_num c a) g | _ -> unbox c e Value.to_float
+    in
+    match (f, args) with
+    | ("ABS" | "IABS" | "DABS"), _ -> unary Float.abs
+    | ("MOD" | "AMOD" | "DMOD"), [ a; b ] ->
+      intrinsic2 (lower_num c a) (lower_num c b) Float.rem
+    | ("MAX" | "MAX0" | "AMAX1" | "DMAX1"), _ ->
+      intrinsic_fold (List.map (lower_real c) args) fmax
+    | ("MIN" | "MIN0" | "AMIN1" | "DMIN1"), _ ->
+      intrinsic_fold (List.map (lower_real c) args) fmin
+    | ("SQRT" | "DSQRT"), _ -> unary Float.sqrt
+    | ("SIN" | "DSIN"), _ -> unary Float.sin
+    | ("COS" | "DCOS"), _ -> unary Float.cos
+    | ("TAN" | "DTAN"), _ -> unary Float.tan
+    | ("ATAN" | "DATAN"), _ -> unary Float.atan
+    | ("EXP" | "DEXP"), _ -> unary Float.exp
+    | ("LOG" | "ALOG" | "DLOG"), _ -> unary Float.log
+    | ("REAL" | "FLOAT" | "DBLE" | "SNGL"), _ -> unary Fun.id
+    | ("SIGN" | "ISIGN" | "DSIGN"), [ a; b ] ->
+      intrinsic2 (lower_real c a) (lower_num c b) sign_float
+    | _ -> unbox c e Value.to_float)
+  | _ -> unbox c e Value.to_float
+
+and lower_bool c e : state -> frame -> bool =
+  match e with
+  | Logical_lit b -> fun _ _ -> b
+  | Var v -> lower_scalar_read c v Storage.read_bool
+  | Ref (v, subs) -> lower_elem_read c v subs Storage.read_bool
+  | Unary (Not, a) ->
+    let a = lower_bool c a in
+    fun st fr ->
+      charge st Cost.unop;
+      not (a st fr)
+  | Binary (((And | Or) as op), a, b) -> (
+    let cost = Cost.binop op in
+    let a = lower_bool c a and b = lower_bool c b in
+    (* no short-circuit: both operands are evaluated *)
+    match op with
+    | And ->
+      fun st fr ->
+        charge st cost;
+        let x = a st fr in
+        let y = b st fr in
+        x && y
+    | _ ->
+      fun st fr ->
+        charge st cost;
+        let x = a st fr in
+        let y = b st fr in
+        x || y)
+  | Binary (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) -> (
+    let cost = Cost.binop op in
+    let relation la lb cmp =
+      let a = la c a and b = lb c b in
+      fun st fr ->
+        charge st cost;
+        let x = a st fr in
+        cmp x (b st fr)
+    in
+    match (class_of c a, class_of c b, op) with
+    | Some Sclass.Int, Some Sclass.Int, _ ->
+      relation lower_int lower_int
+        (match op with
+        | Eq -> fun (x : int) y -> x = y
+        | Ne -> fun (x : int) y -> x <> y
+        | Lt -> fun (x : int) y -> x < y
+        | Le -> fun (x : int) y -> x <= y
+        | Gt -> fun (x : int) y -> x > y
+        | _ -> fun (x : int) y -> x >= y)
+    | Some Sclass.Bool, Some Sclass.Bool, Eq -> relation lower_bool lower_bool Bool.equal
+    | Some Sclass.Bool, Some Sclass.Bool, _ ->
+      relation lower_bool lower_bool (fun x y -> not (Bool.equal x y))
+    | _ ->
+      (* IEEE-754 predicates, as [Value]'s *)
+      relation lower_num lower_num
+        (match op with
+        | Eq -> fun (x : float) y -> x = y
+        | Ne -> fun (x : float) y -> not (x = y)
+        | Lt -> fun (x : float) y -> x < y
+        | Le -> fun (x : float) y -> x <= y
+        | Gt -> fun (x : float) y -> x > y
+        | _ -> fun (x : float) y -> x >= y))
+  | _ -> unbox c e Value.to_bool
+
+(* an unclassified expression: every value boxed *)
+and lower_boxed (c : code) (e : expr) : state -> frame -> Value.t =
   match e with
   | Int_lit n ->
     let v = Value.Int n in
@@ -307,21 +621,8 @@ and lower_expr (c : code) (e : expr) : state -> frame -> Value.t =
     let v = Value.Str s in
     fun _ _ -> v
   | Wildcard n -> fun _ _ -> error "wildcard ?%d evaluated" n
-  | Var v ->
-    let i = slot_index c v in
-    fun st fr ->
-      let b = slot st fr i in
-      (match b.dims with [] -> () | _ -> error "array %s used as scalar" v);
-      Storage.read_elem b.view 0
-  | Ref (v, subs) ->
-    let i = slot_index c v in
-    let index = lower_index c v subs in
-    fun st fr ->
-      let b = slot st fr i in
-      let k = index st fr b in
-      (match st.on_access with Some f -> f R v k | None -> ());
-      charge_mem st b.view k;
-      Storage.read_elem b.view k
+  | Var v -> lower_scalar_read c v Storage.read_elem
+  | Ref (v, subs) -> lower_elem_read c v subs Storage.read_elem
   | Unary (Neg, a) ->
     let a = lower_expr c a in
     fun st fr ->
@@ -412,9 +713,9 @@ and lower_binary op a b =
    evaluated left to right, then charged one unit each *)
 and lower_index c v subs : state -> frame -> Storage.binding -> int =
   let n = List.length subs in
-  let subs = List.map (lower_expr c) subs in
+  let subs = List.map (lower_to_int c) subs in
   let general st fr (b : Storage.binding) =
-    let xs = List.map (fun s -> Value.to_int (s st fr)) subs in
+    let xs = List.map (fun s -> s st fr) subs in
     charge st n;
     Storage.linear_index b.dims xs
   in
@@ -424,7 +725,7 @@ and lower_index c v subs : state -> frame -> Storage.binding -> int =
     fun st fr b ->
       (match b.dims with
       | [ (lo, _) ] ->
-        let x = Value.to_int (s st fr) in
+        let x = s st fr in
         charge st 1;
         x - lo
       | [] -> scalar_error ()
@@ -433,8 +734,8 @@ and lower_index c v subs : state -> frame -> Storage.binding -> int =
     fun st fr b ->
       (match b.dims with
       | [ (lo1, e1); (lo2, _) ] ->
-        let x1 = Value.to_int (s1 st fr) in
-        let x2 = Value.to_int (s2 st fr) in
+        let x1 = s1 st fr in
+        let x2 = s2 st fr in
         charge st 2;
         x1 - lo1 + ((x2 - lo2) * max e1 1)
       | [] -> scalar_error ()
@@ -443,9 +744,9 @@ and lower_index c v subs : state -> frame -> Storage.binding -> int =
     fun st fr b ->
       (match b.dims with
       | [ (lo1, e1); (lo2, e2); (lo3, _) ] ->
-        let x1 = Value.to_int (s1 st fr) in
-        let x2 = Value.to_int (s2 st fr) in
-        let x3 = Value.to_int (s3 st fr) in
+        let x1 = s1 st fr in
+        let x2 = s2 st fr in
+        let x3 = s3 st fr in
         charge st 3;
         let stride2 = max e1 1 in
         x1 - lo1 + ((x2 - lo2) * stride2) + ((x3 - lo3) * stride2 * max e2 1)
@@ -635,22 +936,22 @@ and lower_block c (b : Ast.block) : block =
 (* every statement closure first consumes one unit of fuel *)
 and lower_stmt c (s : stmt) : state -> frame -> outcome =
   match s.kind with
-  | Assign (lhs, rhs) -> lower_assign c lhs (lower_expr c rhs)
+  | Assign (lhs, rhs) -> lower_assign c lhs rhs
   | If (cond, t, e) ->
-    let cond = lower_expr c cond in
+    let cond = lower_to_bool c cond in
     let t = lower_block c t and e = lower_block c e in
     fun st fr ->
       tick st;
-      exec_block st fr (if Value.to_bool (cond st fr) then t else e)
+      exec_block st fr (if cond st fr then t else e)
   | Do d -> lower_do c s.sid d
   | While (cond, body) ->
-    let cond = lower_expr c cond in
+    let cond = lower_to_bool c cond in
     let body = lower_block c body in
     fun st fr ->
       tick st;
       let rec loop () =
         charge st Cost.loop_iter;
-        if Value.to_bool (cond st fr) then
+        if cond st fr then
           match exec_block st fr body with
           | Normal -> loop ()
           | o -> o
@@ -698,7 +999,19 @@ and lower_stmt c (s : stmt) : state -> frame -> outcome =
       st.output <- line :: st.output;
       Normal
 
+(* the right-hand side is lowered by its class and stored with the
+   matching conversion, which [write] performs as [Storage.write_elem]
+   would *)
 and lower_assign c lhs rhs =
+  match class_of c rhs with
+  | Some Sclass.Int -> assign c lhs (lower_int c rhs) Storage.write_int
+  | Some Sclass.Real -> assign c lhs (lower_real c rhs) Storage.write_float
+  | Some Sclass.Bool -> assign c lhs (lower_bool c rhs) Storage.write_bool
+  | None -> assign c lhs (lower_boxed c rhs) Storage.write_elem
+
+and assign : 'a. code -> expr -> (state -> frame -> 'a) ->
+    (Storage.view -> int -> 'a -> unit) -> state -> frame -> outcome =
+ fun c lhs rhs write ->
   match lhs with
   | Var name ->
     let i = slot_index c name in
@@ -709,7 +1022,7 @@ and lower_assign c lhs rhs =
       let b = slot st fr i in
       (match b.dims with [] -> () | _ -> error "array %s assigned as scalar" name);
       (match st.on_assign with Some f -> f name | None -> ());
-      Storage.write_elem b.view 0 v;
+      write b.view 0 v;
       Normal
   | Ref (name, subs) ->
     let i = slot_index c name in
@@ -722,7 +1035,7 @@ and lower_assign c lhs rhs =
       let k = index st fr b in
       (match st.on_access with Some f -> f W name k | None -> ());
       charge_mem st b.view k;
-      Storage.write_elem b.view k v;
+      write b.view k v;
       Normal
   | e ->
     fun st fr ->
@@ -732,8 +1045,8 @@ and lower_assign c lhs rhs =
       error "invalid assignment target %s" (Expr.to_string e)
 
 and lower_do c sid (d : do_loop) =
-  let init = lower_expr c d.init and limit = lower_expr c d.limit in
-  let step = Option.map (lower_expr c) d.step in
+  let init = lower_to_int c d.init and limit = lower_to_int c d.limit in
+  let step = Option.map (lower_to_int c) d.step in
   let index = slot_index c d.index in
   let body = lower_block c d.body in
   let here = Some d.index in
@@ -744,9 +1057,9 @@ and lower_do c sid (d : do_loop) =
        exactly the location to report *)
     let enclosing_loop = st.cur_loop in
     st.cur_loop <- here;
-    let init = Value.to_int (init st fr) in
-    let limit = Value.to_int (limit st fr) in
-    let step = match step with Some e -> Value.to_int (e st fr) | None -> 1 in
+    let init = init st fr in
+    let limit = limit st fr in
+    let step = match step with Some e -> e st fr | None -> 1 in
     if step = 0 then error "DO %s: zero step" d.index;
     let trips = max 0 ((limit - init + step) / step) in
     let index = slot st fr index in
@@ -843,21 +1156,19 @@ and exec_do st fr sid (d : do_loop) body ~(index : Storage.binding) ~init ~step
     outcome
   end
 
-and exec_block st fr (b : block) : outcome =
-  let stmts = b.stmts in
-  let n = Array.length stmts in
-  let rec go pc =
-    if pc >= n then Normal
-    else
-      match stmts.(pc) st fr with
-      | Normal -> go (pc + 1)
-      | Jump l as o -> (
-        match find_label b.labels l with
-        | Some target -> go target
-        | None -> o)
-      | o -> o
-  in
-  go 0
+and exec_block st fr (b : block) : outcome = exec_from st fr b 0
+
+(* statements [pc ..] of [b], following GOTOs to labels of [b] *)
+and exec_from st fr (b : block) pc : outcome =
+  if pc >= Array.length b.stmts then Normal
+  else
+    match b.stmts.(pc) st fr with
+    | Normal -> exec_from st fr b (pc + 1)
+    | Jump l as o -> (
+      match find_label b.labels l with
+      | Some target -> exec_from st fr b target
+      | None -> o)
+    | o -> o
 
 and find_label labels l =
   let n = Array.length labels in
@@ -876,11 +1187,47 @@ and run_unit_body st (fr : frame) =
   | Jump l -> error "unit %s: GOTO %d escapes the unit" u.pu_name l);
   st.cur_unit <- caller
 
+(* COMMON members ("BLK/NAME") that two units declare with different
+   classes: the first unit to bind one fixes its allocation's class *)
+let mixed_commons units =
+  let first = Hashtbl.create 16 and mixed = Hashtbl.create 4 in
+  List.iter
+    (fun (u : Punit.t) ->
+      Symtab.fold
+        (fun _ (sym : symbol) () ->
+          match sym.sym_common with
+          | Some blk -> (
+            let key = blk ^ "/" ^ sym.sym_name and cls = Sclass.of_type sym.sym_type in
+            match Hashtbl.find_opt first key with
+            | Some c -> if c <> cls then Hashtbl.replace mixed key ()
+            | None -> Hashtbl.replace first key cls)
+          | None -> ())
+        u.pu_symtab ())
+    units;
+  mixed
+
+(* The static class of each slot's allocation.  A local, a PARAMETER or
+   a COMMON member is allocated by its declared or implicit type, so its
+   class is fixed before the run and every typed read of it is safe by
+   construction.  Two kinds of variable are left unclassified, and so
+   read boxed: a dummy, whose allocation is the actual argument's, and
+   a COMMON member declared with two classes. *)
+let slot_classes mixed (u : Punit.t) names =
+  Array.map
+    (fun name ->
+      if List.mem name u.pu_args then None
+      else
+        match Symtab.find_opt u.pu_symtab name with
+        | Some { sym_common = Some blk; _ } when Hashtbl.mem mixed (blk ^ "/" ^ name) -> None
+        | _ -> Sclass.of_symtab u.pu_symtab name)
+    names
+
 (** Lower every unit of [prog]: slot layouts first, so a call site can
     resolve its callee's dummies, then the bodies.  Lowering only reads
     the program, and nothing is kept across executions. *)
 let lower_program (prog : Program.t) : (string, code) Hashtbl.t =
   let units = Hashtbl.create 8 in
+  let mixed = mixed_commons (Program.units prog) in
   List.iter
     (fun (u : Punit.t) ->
       let names = Array.of_list (unit_names u) in
@@ -888,7 +1235,8 @@ let lower_program (prog : Program.t) : (string, code) Hashtbl.t =
       Array.iteri (fun i n -> Hashtbl.replace slot_of n i) names;
       Hashtbl.replace units u.pu_name
         { c_unit = u; c_prog = prog; c_units = units; c_names = names;
-          c_slot = slot_of; c_body = { stmts = [||]; labels = [||] } })
+          c_slot = slot_of; c_class = slot_classes mixed u names;
+          c_body = { stmts = [||]; labels = [||] } })
     (Program.units prog);
   Hashtbl.iter (fun _ c -> c.c_body <- lower_block c c.c_unit.pu_body) units;
   units

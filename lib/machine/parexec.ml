@@ -299,23 +299,25 @@ let private_binding ?(copy_in = true) (b : Storage.binding) : Storage.binding =
     { Storage.view = { alloc = Storage.allocate b.elem n; off = 0 };
       dims = b.dims; elem = b.elem }
   in
-  if copy_in then
-    for i = 0 to Storage.extent_of b - 1 do
-      Storage.write_elem pb.view i (Storage.read_elem b.view i)
-    done;
+  if copy_in then Storage.blit b.view pb.view (Storage.extent_of b);
   pb
 
-let identity_value (elem : base_type) (op : reduction_op) : Value.t =
-  match (elem, op) with
-  | Integer, Rsum -> Value.Int 0
-  | Integer, Rprod -> Value.Int 1
-  | Integer, Rmax -> Value.Int min_int
-  | Integer, Rmin -> Value.Int max_int
-  | Logical, _ -> Value.Bool false
-  | _, Rsum -> Value.Real 0.0
-  | _, Rprod -> Value.Real 1.0
-  | _, Rmax -> Value.Real neg_infinity
-  | _, Rmin -> Value.Real infinity
+(* fill a fresh accumulator with [op]'s identity; its allocation's class
+   is its element type's *)
+let fill_identity (pb : Storage.binding) (op : reduction_op) =
+  let n = Storage.extent_of pb in
+  match pb.view.alloc.data with
+  | Storage.Iarr a ->
+    Array.fill a 0 n
+      (match op with Rsum -> 0 | Rprod -> 1 | Rmax -> min_int | Rmin -> max_int)
+  | Storage.Farr a ->
+    Array.fill a 0 n
+      (match op with
+      | Rsum -> 0.0
+      | Rprod -> 1.0
+      | Rmax -> neg_infinity
+      | Rmin -> infinity)
+  | Storage.Barr a -> Array.fill a 0 n false
 
 (* the merge operator, matching the interpreter's semantics for the
    reduction statement forms (the MAX/MIN intrinsics use the same
@@ -341,7 +343,7 @@ type t = {
 type child = {
   c_state : Interp.state;
   c_frame : Interp.frame;
-  c_masks : (string, Bytes.t) Hashtbl.t;
+  c_masks : (string * Bytes.t) list;
       (** per-name written-element masks (privates + reduction vars) *)
   c_lo : int;
   c_hi : int;
@@ -358,16 +360,26 @@ let child_state (st : Interp.state) : Interp.state =
     on_access = None; on_loop_iter = None; on_loop_done = None;
     on_assign = None; on_parallel_do = None }
 
+(* [List.assoc_opt] for the short per-region lists of masks and shadow
+   markers: a scan of a few names beats hashing one *)
+let rec find_named name = function
+  | [] -> None
+  | (n, x) :: rest -> if String.equal n name then Some x else find_named name rest
+
 (* build one child: copy the frame's slots, rebind [privates] to fresh
    per-domain copies (with copy-in) and reduction vars to identity
-   accumulators; install the write masks *)
+   accumulators; install the write masks.  Array writes reach the masks
+   through [on_access], scalar writes and DO-index updates through
+   [on_assign] (an assignment of the other kind faults before its hook
+   fires, and [Fir.Consistency] rejects an array DO index), so each
+   hook is installed only when a mask of its kind exists *)
 let make_child (st : Interp.state) (fr : Interp.frame) (d : do_loop)
     ~(privates : string list) ~(reductions : reduction list) ~lo ~hi : child =
   let cst = child_state st in
   let cfr = { fr with Interp.slots = Array.copy fr.Interp.slots } in
-  let masks = Hashtbl.create 8 in
+  let masks = ref [] in
   let track name (b : Storage.binding) =
-    Hashtbl.replace masks name (Bytes.make (max 1 (Storage.extent_of b)) '\000')
+    masks := (name, b, Bytes.make (max 1 (Storage.extent_of b)) '\000') :: !masks
   in
   (* the loop index: always private, no copy-in (the construct assigns
      it at every iteration) *)
@@ -387,31 +399,41 @@ let make_child (st : Interp.state) (fr : Interp.frame) (d : do_loop)
       match Interp.lookup cfr r.red_var with
       | Some b ->
         let pb = private_binding ~copy_in:false b in
-        let id = identity_value pb.elem r.red_op in
-        for i = 0 to Storage.extent_of pb - 1 do
-          Storage.write_elem pb.view i id
-        done;
+        fill_identity pb r.red_op;
         Interp.rebind cfr r.red_var pb;
         track r.red_var pb
       | None -> ())
     reductions;
-  cst.on_access <-
-    Some
-      (fun rw name i ->
-        match rw with
-        | Interp.W -> (
-          match Hashtbl.find_opt masks name with
-          | Some m when i >= 0 && i < Bytes.length m -> Bytes.set m i '\001'
-          | _ -> ())
-        | Interp.R -> ());
-  cst.on_assign <-
-    Some
-      (fun name ->
-        match Hashtbl.find_opt masks name with
-        | Some m -> Bytes.set m 0 '\001'
-        | None -> ());
-  { c_state = cst; c_frame = cfr; c_masks = masks; c_lo = lo; c_hi = hi;
-    c_exn = None }
+  let of_kind array =
+    List.filter_map
+      (fun (name, (b : Storage.binding), m) ->
+        if (b.dims <> []) = array then Some (name, m) else None)
+      !masks
+  in
+  (match of_kind true with
+  | [] -> ()
+  | arrays ->
+    cst.on_access <-
+      Some
+        (fun rw name i ->
+          match rw with
+          | Interp.W -> (
+            match find_named name arrays with
+            | Some m when i >= 0 && i < Bytes.length m -> Bytes.set m i '\001'
+            | _ -> ())
+          | Interp.R -> ()));
+  (match of_kind false with
+  | [] -> ()
+  | scalars ->
+    cst.on_assign <-
+      Some
+        (fun name ->
+          match find_named name scalars with
+          | Some m -> Bytes.set m 0 '\001'
+          | None -> ()));
+  { c_state = cst; c_frame = cfr;
+    c_masks = List.map (fun (name, _, m) -> (name, m)) !masks;
+    c_lo = lo; c_hi = hi; c_exn = None }
 
 (* iterations [c_lo, c_hi) of [d] on child [c]; [iter_begin] lets the
    speculative path flush shadow iteration state *)
@@ -471,6 +493,76 @@ let reraise_child_exn (children : child array) =
       | None -> ())
     children
 
+(* Masked element loops over a parent binding [dst] and a child's
+   private copy [src].  They visit the elements [i] of [dst] below the
+   mask's length that the mask marks, as typed loops over the two
+   allocations when those have one class and every such element is in
+   bounds, and otherwise element by element through {!Storage}, which
+   faults where it faults. *)
+
+let masked_length (dst : Storage.binding) (src : Storage.binding) mask =
+  let n = min (Storage.extent_of dst) (Bytes.length mask) in
+  if Storage.in_bounds dst.view n && Storage.in_bounds src.view n then Some n else None
+
+let masked_boxed (dst : Storage.binding) mask f =
+  for i = 0 to Storage.extent_of dst - 1 do
+    if i < Bytes.length mask && Bytes.get mask i <> '\000' then f i
+  done
+
+(* last-value copy-out of one child's private copy *)
+let copy_out_masked (dst : Storage.binding) (src : Storage.binding) mask =
+  let d0 = dst.view.off and s0 = src.view.off in
+  match (masked_length dst src mask, dst.view.alloc.data, src.view.alloc.data) with
+  | Some n, Storage.Farr d, Storage.Farr s ->
+    for i = 0 to n - 1 do
+      if Bytes.unsafe_get mask i <> '\000' then d.(d0 + i) <- s.(s0 + i)
+    done
+  | Some n, Storage.Iarr d, Storage.Iarr s ->
+    for i = 0 to n - 1 do
+      if Bytes.unsafe_get mask i <> '\000' then d.(d0 + i) <- s.(s0 + i)
+    done
+  | Some n, Storage.Barr d, Storage.Barr s ->
+    for i = 0 to n - 1 do
+      if Bytes.unsafe_get mask i <> '\000' then d.(d0 + i) <- s.(s0 + i)
+    done
+  | _ ->
+    masked_boxed dst mask (fun i ->
+        Storage.write_elem dst.view i (Storage.read_elem src.view i))
+
+(* [dst op= src] over one child's accumulator *)
+let merge_masked (op : reduction_op) (dst : Storage.binding) (src : Storage.binding)
+    mask =
+  let d0 = dst.view.off and s0 = src.view.off in
+  match (masked_length dst src mask, dst.view.alloc.data, src.view.alloc.data) with
+  | Some n, Storage.Farr d, Storage.Farr s ->
+    for i = 0 to n - 1 do
+      if Bytes.unsafe_get mask i <> '\000' then begin
+        let x = d.(d0 + i) and y = s.(s0 + i) in
+        d.(d0 + i) <-
+          (match op with
+          | Rsum -> x +. y
+          | Rprod -> x *. y
+          | Rmax -> if x >= y then x else y
+          | Rmin -> if x <= y then x else y)
+      end
+    done
+  | Some n, Storage.Iarr d, Storage.Iarr s ->
+    for i = 0 to n - 1 do
+      if Bytes.unsafe_get mask i <> '\000' then begin
+        let x = d.(d0 + i) and y = s.(s0 + i) in
+        d.(d0 + i) <-
+          (match op with
+          | Rsum -> x + y
+          | Rprod -> x * y
+          | Rmax -> if x >= y then x else y
+          | Rmin -> if x <= y then x else y)
+      end
+    done
+  | _ ->
+    masked_boxed dst mask (fun i ->
+        Storage.write_elem dst.view i
+          (merge_value op (Storage.read_elem dst.view i) (Storage.read_elem src.view i)))
+
 (* last-value copy-out: ascending domain order replays iteration order,
    so the surviving value of every masked element is the one the
    highest-numbered writing iteration produced — exactly serial *)
@@ -483,14 +575,8 @@ let copy_out_privates (fr : Interp.frame) (privates : string list)
       | Some dst ->
         Array.iter
           (fun c ->
-            match
-              (Interp.lookup c.c_frame name, Hashtbl.find_opt c.c_masks name)
-            with
-            | Some src, Some mask ->
-              for i = 0 to Storage.extent_of dst - 1 do
-                if i < Bytes.length mask && Bytes.get mask i <> '\000' then
-                  Storage.write_elem dst.view i (Storage.read_elem src.view i)
-              done
+            match (Interp.lookup c.c_frame name, find_named name c.c_masks) with
+            | Some src, Some mask -> copy_out_masked dst src mask
             | _ -> ())
           children)
     privates
@@ -508,18 +594,8 @@ let merge_reductions (fr : Interp.frame) (reductions : reduction list)
       | Some dst ->
         Array.iter
           (fun c ->
-            match
-              ( Interp.lookup c.c_frame r.red_var,
-                Hashtbl.find_opt c.c_masks r.red_var )
-            with
-            | Some src, Some mask ->
-              for i = 0 to Storage.extent_of dst - 1 do
-                if i < Bytes.length mask && Bytes.get mask i <> '\000' then
-                  Storage.write_elem dst.view i
-                    (merge_value r.red_op
-                       (Storage.read_elem dst.view i)
-                       (Storage.read_elem src.view i))
-              done
+            match (Interp.lookup c.c_frame r.red_var, find_named r.red_var c.c_masks) with
+            | Some src, Some mask -> merge_masked r.red_op dst src mask
             | _ -> ())
           children)
     reductions
@@ -653,7 +729,7 @@ let exec_speculative (t : t) (backend : spec_backend) (st : Interp.state)
             Some
               (fun rw name i ->
                 (match masks_hook with Some f -> f rw name i | None -> ());
-                match List.assoc_opt name insts with
+                match find_named name insts with
                 | Some inst -> (
                   match rw with
                   | Interp.R -> inst.s_read i

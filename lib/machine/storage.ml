@@ -15,10 +15,10 @@
     are being speculatively tested) to write disjoint elements, and
     block scheduling gives each domain a contiguous index range.
     Element writes here are plain [Array.unsafe_set]-style stores of
-    immediate ints/bools or boxed-float array slots, all word-sized;
-    under the OCaml 5 memory model, racing accesses to {e distinct}
-    array cells are independent non-atomic locations, so disjoint
-    writes neither tear nor interfere, and the join at region end
+    immediate ints/bools or the unboxed doubles of a [float array],
+    all word-sized; under the OCaml 5 memory model, racing accesses to
+    {e distinct} array cells are independent non-atomic locations, so
+    disjoint writes neither tear nor interfere, and the join at region end
     (domain termination) publishes every child store to the parent.
     No location is written by two domains in the same region — scalars
     are privatized per-domain and merged by the parent after the
@@ -127,7 +127,7 @@ let write_elem (v : view) i (x : Value.t) =
     if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
     a.(j) <- Value.to_bool x
 
-(** [write_elem v i (Value.Int n)] without boxing [n] (DO indices). *)
+(** [write_elem v i (Value.Int n)] without boxing [n]. *)
 let write_int (v : view) i n =
   let j = v.off + i in
   match v.alloc.data with
@@ -140,6 +140,87 @@ let write_int (v : view) i n =
   | Barr a ->
     if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
     a.(j) <- Value.to_bool (Value.Int n)
+
+(** [write_elem v i (Value.Real x)] without boxing [x]. *)
+let write_float (v : view) i x =
+  let j = v.off + i in
+  match v.alloc.data with
+  | Farr a ->
+    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
+    a.(j) <- x
+  | Iarr a ->
+    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
+    a.(j) <- int_of_float x
+  | Barr a ->
+    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
+    a.(j) <- Value.to_bool (Value.Real x)
+
+(** [write_elem v i (Value.Bool b)] without boxing [b]. *)
+let write_bool (v : view) i b =
+  let j = v.off + i in
+  match v.alloc.data with
+  | Barr a ->
+    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
+    a.(j) <- b
+  | Farr a ->
+    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
+    a.(j) <- Value.to_float (Value.Bool b)
+  | Iarr a ->
+    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
+    a.(j) <- Value.to_int (Value.Bool b)
+
+(* Typed reads, for the lowered executor.  It reads a variable through
+   them only when the variable's static class ({!Fir.Sclass}) fixes the
+   class of the allocation bound to it, so a mismatch is a broken
+   invariant, reported as a fault rather than a wrong value. *)
+
+let class_fault what = fault "storage class: %s read of another class's allocation" what
+
+(** [Value.to_int (read_elem v i)] of an INTEGER allocation. *)
+let read_int (v : view) i =
+  match v.alloc.data with
+  | Iarr a ->
+    let j = v.off + i in
+    if j < 0 || j >= Array.length a then fault "read out of bounds (%d)" j;
+    a.(j)
+  | _ -> class_fault "INTEGER"
+
+(** [Value.to_float (read_elem v i)] of a REAL allocation. *)
+let read_float (v : view) i =
+  match v.alloc.data with
+  | Farr a ->
+    let j = v.off + i in
+    if j < 0 || j >= Array.length a then fault "read out of bounds (%d)" j;
+    a.(j)
+  | _ -> class_fault "REAL"
+
+(** [Value.to_bool (read_elem v i)] of a LOGICAL allocation. *)
+let read_bool (v : view) i =
+  match v.alloc.data with
+  | Barr a ->
+    let j = v.off + i in
+    if j < 0 || j >= Array.length a then fault "read out of bounds (%d)" j;
+    a.(j)
+  | _ -> class_fault "LOGICAL"
+
+(** Elements [0, n) of [v] lie inside its allocation. *)
+let in_bounds (v : view) n = v.off >= 0 && v.off + n <= size_of_data v.alloc.data
+
+(** Copy elements [0, n) of [src] into [dst], a different allocation:
+    [n] {!read_elem}/{!write_elem} pairs, done as one [Array.blit] when
+    both have the same class and every element is in bounds. *)
+let blit (src : view) (dst : view) n =
+  match (src.alloc.data, dst.alloc.data) with
+  | Farr s, Farr d when in_bounds src n && in_bounds dst n ->
+    Array.blit s src.off d dst.off n
+  | Iarr s, Iarr d when in_bounds src n && in_bounds dst n ->
+    Array.blit s src.off d dst.off n
+  | Barr s, Barr d when in_bounds src n && in_bounds dst n ->
+    Array.blit s src.off d dst.off n
+  | _ ->
+    for i = 0 to n - 1 do
+      write_elem dst i (read_elem src i)
+    done
 
 (** Snapshot an allocation's contents (for speculative rollback). *)
 let snapshot (a : alloc) : data =

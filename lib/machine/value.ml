@@ -52,19 +52,25 @@ let div a b =
 
 let rec ipow b e = if e <= 0 then 1 else b * ipow b (e - 1)
 
+(** INTEGER ** INTEGER. *)
+let pow_int x y =
+  if y >= 0 then ipow x y
+  else if x = 1 then 1
+  else if x = -1 then if y mod 2 = 0 then 1 else -1
+  else 0
+
+(** REAL ** INTEGER. *)
+let pow_real_int b y =
+  if y >= 0 then
+    (* iterated multiplication: matches unrolled recurrences exactly *)
+    let rec go acc n = if n = 0 then acc else go (acc *. b) (n - 1) in
+    go 1.0 y
+  else Float.pow b (float_of_int y)
+
 let pow a b =
   match (a, b) with
-  | Int x, Int y ->
-    if y >= 0 then Int (ipow x y)
-    else if x = 1 then Int 1
-    else if x = -1 then Int (if y mod 2 = 0 then 1 else -1)
-    else Int 0
-  | _, Int y when y >= 0 ->
-    (* iterated multiplication: matches unrolled recurrences exactly *)
-    let b = to_float a in
-    let rec go acc n = if n = 0 then acc else go (acc *. b) (n - 1) in
-    Real (go 1.0 y)
-  | _, Int y -> Real (Float.pow (to_float a) (float_of_int y))
+  | Int x, Int y -> Int (pow_int x y)
+  | _, Int y -> Real (pow_real_int (to_float a) y)
   | _ -> Real (Float.pow (to_float a) (to_float b))
 
 let neg = function Int n -> Int (-n) | Real x -> Real (-.x) | _ -> type_error "negation of non-number"

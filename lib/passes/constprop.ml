@@ -2,11 +2,14 @@
 
     Propagates scalar definitions [v = e] to later uses when the
     definition dominates the use and neither [v] nor anything [e]
-    depends on is redefined in between.  PARAMETER constants are
-    propagated unconditionally.  This is the pass that turns TRFD's
-    [X = X0] into the fully substituted subscript after induction
-    substitution (paper Fig. 2), and it feeds interprocedural constants
-    after inlining (paper §3.3, OCEAN preconditioning).
+    depends on is redefined in between, and [e] has [v]'s static class
+    ({!Fir.Sclass}), so the substitution keeps the conversion the store
+    performs.  PARAMETER constants are propagated everywhere, as their
+    declared types store them ({!Fir.Punit.parameter_bindings}).
+    This is the pass that turns TRFD's [X = X0] into the fully
+    substituted subscript after induction substitution (paper Fig. 2),
+    and it feeds interprocedural constants after inlining (paper §3.3,
+    OCEAN preconditioning).
 
     A definition is propagated into a loop body only if none of its
     dependencies (including the defined variable) is assigned anywhere
@@ -55,8 +58,13 @@ let rec prop_block (symtab : Symtab.t) (env : envmap) (b : block) :
         let rhs' = apply env rhs in
         let env = kill env [ v ] in
         let env =
+          (* the store converts to [v]'s class: [rhs'] stands for [v]
+             only when it already has that class *)
+          let cls = Sclass.of_symtab symtab in
           if
-            expr_size rhs' <= max_propagated_size
+            Option.is_some (cls v)
+            && Sclass.classify cls rhs' = cls v
+            && expr_size rhs' <= max_propagated_size
             && (not (Expr.mentions v rhs'))
             && (not
                   (List.exists

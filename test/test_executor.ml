@@ -7,7 +7,9 @@
    simulated time and a digest of the hook trace (on_access,
    on_loop_iter, on_loop_done, on_assign, in order) must agree bit for
    bit, and runs that fault must fault with the same exception and
-   message.  The simulated times of the suite are also pinned to
+   message.  Reads whose storage class the declarations do not fix
+   (dummies, COMMON members declared with two classes) are pinned too.
+   The simulated times of the suite are also pinned to
    golden/simtime.txt, so the cost model cannot drift in both executors
    at once. *)
 
@@ -163,6 +165,41 @@ let test_fault_classes () =
     (fun (label, src) -> check_same label (cfg false) (Frontend.Parser.parse_string src))
     faulting
 
+(* unclassified expressions, and reads whose class the declarations do
+   not fix (a dummy, a COMMON member declared with two classes): they
+   stay boxed and yield the class of value the allocation holds, as the
+   reference does *)
+let unclassified =
+  [ ( "INTEGER actuals to REAL dummies",
+      "      PROGRAM T\n      INTEGER K, IA(3)\n      K = 17\n      IA(2) = 14\n\
+      \      CALL S(K, IA(2), K - 17)\n      END\n      SUBROUTINE S(X, Y, Z)\n\
+      \      REAL X, Y, Z\n      PRINT *, X, Y, Z\n      Y = X\n\
+      \      PRINT *, X, Y, Z + 2.5\n      END\n",
+      [ "17 14 0"; "17 17 2.5" ] );
+    ( "REAL actual to an INTEGER dummy",
+      "      PROGRAM T\n      REAL X\n      X = 2.75\n      CALL S(X)\n\
+      \      PRINT *, X\n      END\n      SUBROUTINE S(K)\n      INTEGER K\n\
+      \      PRINT *, K, K / 2, K + 1\n      K = K * 2\n      END\n",
+      [ "2.75 1.375 3.75"; "5.5" ] );
+    ( "COMMON member INTEGER here, REAL there",
+      "      PROGRAM T\n      INTEGER N\n      COMMON /B/ N\n      N = 7\n\
+      \      CALL S\n      PRINT *, N\n      END\n      SUBROUTINE S\n      REAL N\n\
+      \      COMMON /B/ N\n      PRINT *, N / 2\n      N = N + 0.5\n      END\n",
+      [ "3"; "7" ] );
+    ( "CHARACTER literal and mixed-class MAX/MIN",
+      "      PROGRAM T\n      INTEGER K\n      REAL X\n      K = 3\n      X = 2.5\n\
+      \      PRINT *, 'MAX', MAX(K, X), MAX(X, K), MIN(K, X)\n      END\n",
+      [ "MAX 3 3 2.5" ] ) ]
+
+let test_unclassified () =
+  List.iter
+    (fun (label, src, expected) ->
+      let p = Frontend.Parser.parse_string src in
+      check_same label (cfg false) p;
+      Alcotest.(check (list string)) (label ^ ": output") expected
+        (Machine.Interp.run p).output)
+    unclassified
+
 (* ------------------------------------------------------------------ *)
 (* Simulated times pinned                                              *)
 
@@ -211,4 +248,5 @@ let tests =
     ("100 fuzz seeds on seeded stores", `Quick, test_fuzz_seeded);
     ("fuel exhaustion messages", `Quick, test_fuel_messages);
     ("fault classes", `Quick, test_fault_classes);
+    ("unclassified reads stay boxed", `Quick, test_unclassified);
     ("simulated times pinned (golden)", `Quick, test_simtime_golden) ]

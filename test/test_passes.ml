@@ -318,6 +318,27 @@ let test_constprop_kill_through_loop () =
   in
   preserves_semantics "kill through loop" Passes.Constprop.run src
 
+(* an assignment and a PARAMETER convert to the declared type: the
+   propagated expression must carry that conversion *)
+let test_constprop_store_conversion () =
+  List.iter
+    (fun (label, src, expected) ->
+      preserves_semantics label Passes.Constprop.run src;
+      List.iter
+        (fun cfg ->
+          let t = Core.Pipeline.compile cfg src in
+          Alcotest.(check (list string)) (label ^ ": compiled output") [ expected ]
+            (Machine.Interp.run t.program).output)
+        [ Core.Config.polaris (); Core.Config.baseline () ])
+    [ ( "REAL X = 7 / 2",
+        "      PROGRAM T\n      REAL X, Y\n      X = 7 / 2\n      Y = X / 2\n\
+        \      PRINT *, Y\n      END\n",
+        "1.5" );
+      ( "PARAMETER (H = 3, M = 2.75)",
+        "      PROGRAM T\n      REAL H\n      INTEGER M\n\
+        \      PARAMETER (H = 3, M = 2.75)\n      PRINT *, H / 2, M * 2\n      END\n",
+        "1.5 4" ) ]
+
 (* ----- inlining ----- *)
 
 let test_inline_semantics () =
@@ -675,6 +696,7 @@ let tests =
     ("constprop: folding", `Quick, test_constprop_basic);
     ("constprop: goto safety", `Quick, test_constprop_goto_safe);
     ("constprop: loop kill", `Quick, test_constprop_kill_through_loop);
+    ("constprop: store conversions", `Quick, test_constprop_store_conversion);
     ("inline: semantics + full expansion", `Quick, test_inline_semantics);
     ("inline: linearization", `Quick, test_inline_linearization);
     ("inline: common blocks", `Quick, test_inline_common);
