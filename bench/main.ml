@@ -1,11 +1,13 @@
 (** Experiment harness: regenerates every table and figure of the paper.
 
-    Usage: [main.exe [table1|fig1|...|fig7|coverage|validate|micro|ablation|chaos]]
+    Usage: [main.exe [table1|fig1|...|fig7|coverage|micro|ablation]]
     With no argument every experiment runs in order.  EXPERIMENTS.md
     records paper-vs-measured for each.  Every result except [micro] is a
-    deterministic simulated-time measurement; [micro] times a few
-    compiler kernels with bechamel, and end-to-end wall-clock performance
-    is measured by [measure/]. *)
+    deterministic simulated-time measurement, pinned byte for byte by
+    [test/golden/bench/]; [micro] times a few compiler kernels with
+    bechamel, and end-to-end wall-clock performance is measured by
+    [measure/].  Translation validation and the chaos sweep are
+    [polaris validate --suite] and [polaris chaos]. *)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -369,63 +371,6 @@ let coverage () =
     !successes
 
 (* ------------------------------------------------------------------ *)
-(* Translation validation: the full suite through the snapshot oracle   *)
-
-let validate () =
-  section
-    "validate: per-pass translation validation of all 16 codes (both pipelines)";
-  Printf.printf "%-8s %-9s | %6s %6s | %s\n" "Program" "config" "stages"
-    "checks" "verdict";
-  Printf.printf "%s\n" (String.make 56 '-');
-  let failures = ref 0 in
-  let dep0 = Dep.Driver.counters_snapshot () in
-  List.iter
-    (fun (c : Suite.Code.t) ->
-      List.iter
-        (fun config ->
-          let _, report =
-            Valid.Snapshot.validated_compile ~procs_list:[ 1; 2; 4; 8 ] config
-              c.source
-          in
-          let checks =
-            List.fold_left
-              (fun acc (s : Valid.Snapshot.stage_report) ->
-                match s.status with
-                | Valid.Snapshot.Ok_validated o | Valid.Snapshot.Diverged o ->
-                  acc + o.checks
-                | _ -> acc)
-              0 report.stages
-          in
-          let verdict =
-            match report.failed_stage with
-            | None -> "ok"
-            | Some s ->
-              incr failures;
-              "FAIL at " ^ s
-          in
-          Printf.printf "%-8s %-9s | %6d %6d | %s\n" c.name
-            config.Core.Config.name
-            (List.length report.stages)
-            checks verdict)
-        [ Core.Config.polaris (); Core.Config.baseline () ])
-    Suite.Registry.all;
-  let d =
-    let now = Dep.Driver.counters_snapshot () in
-    { Dep.Driver.range_proved = now.range_proved - dep0.range_proved;
-      range_failed = now.range_failed - dep0.range_failed;
-      linear_proved = now.linear_proved - dep0.linear_proved;
-      linear_failed = now.linear_failed - dep0.linear_failed;
-      unknown = now.unknown - dep0.unknown }
-  in
-  Printf.printf
-    "\ndependence tests during validation: range %d/%d proved, gcd/banerjee %d/%d proved\n"
-    d.range_proved
-    (d.range_proved + d.range_failed)
-    d.linear_proved
-    (d.linear_proved + d.linear_failed);
-  Printf.printf "validation failures: %d (expected 0)\n" !failures
-
-(* ------------------------------------------------------------------ *)
 (* Micro-benchmarks of the compiler itself (bechamel, wall clock)      *)
 
 let micro () =
@@ -487,33 +432,10 @@ let ablation () =
       Printf.printf "\n")
     [ "TRFD"; "OCEAN"; "ARC2D"; "TFFT2"; "MDG" ]
 
-(* ------------------------------------------------------------------ *)
-(* Chaos: fault-injection resilience of the fail-safe pipeline         *)
-
-let chaos () =
-  section
-    "chaos: seeded fault injection (exceptions, IR corruption, budget \
-     exhaustion)";
-  let sources = Valid.Chaos.default_sources () in
-  let sweep =
-    Valid.Chaos.run_sweep ~procs_list:[ 4 ] ~first_seed:1 ~n:100 sources
-  in
-  Printf.printf
-    "seeds run            : %d\nfaults contained     : %d\ncontract failures    : %d\nstrict-mode failures : %d\n"
-    sweep.sw_seeds sweep.sw_contained
-    (List.length sweep.sw_failures)
-    (List.length sweep.sw_strict_failures);
-  List.iter
-    (fun o -> Fmt.pr "  %a@." Valid.Chaos.pp_outcome o)
-    sweep.sw_failures;
-  Printf.printf "chaos failures: %d (expected 0)\n"
-    (List.length sweep.sw_failures + List.length sweep.sw_strict_failures)
-
 let experiments =
   [ ("table1", table1); ("fig1", fig1); ("fig2", fig2); ("fig3", fig3);
     ("fig4", fig4); ("fig5", fig5); ("fig6", fig6); ("fig7", fig7);
-    ("coverage", coverage); ("validate", validate); ("micro", micro);
-    ("ablation", ablation); ("chaos", chaos) ]
+    ("coverage", coverage); ("micro", micro); ("ablation", ablation) ]
 
 let () =
   match Sys.argv with

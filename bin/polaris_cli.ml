@@ -164,32 +164,6 @@ let jobs_flag =
            (default \\$(b,POLARIS_JOBS) or 1).  Output is byte-identical at \
            every N.")
 
-(* --chunk rides along with -j everywhere; both go through the same
-   validated Util.Env parses the environment variables use, so a typo
-   fails loudly instead of silently degrading the schedule *)
-let chunk_conv =
-  let parse s =
-    match Util.Env.parse_chunk s with
-    | Ok n -> Ok n
-    | Error m -> Error (`Msg m)
-  in
-  Arg.conv (parse, Fmt.int)
-
-let chunk_flag =
-  Arg.(
-    value
-    & opt (some chunk_conv) (Util.Pool.chunk ())
-    & info [ "chunk" ] ~docv:"N"
-        ~doc:
-          "Pin the work-stealing pool's batch size to N tasks per chunk \
-           (default \\$(b,POLARIS_CHUNK), or unset: the batcher's cost \
-           model decides).  A wall-clock knob only: output is \
-           byte-identical at every N.")
-
-let setup_pool jobs chunk =
-  Util.Pool.set_jobs jobs;
-  Util.Pool.set_chunk chunk
-
 (* fail-safe contract: a compilation that contained pass faults still
    produced a correct (possibly less optimized) program, but the caller
    must be able to tell — exit 2, distinct from hard failures (exit 1) *)
@@ -230,10 +204,9 @@ let compile_cmd =
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only print the transformed source")
   in
-  let run file baseline quiet strict jobs chunk explain_reuse pipeline backend
-      =
+  let run file baseline quiet strict jobs explain_reuse pipeline backend =
     with_errors (fun () ->
-        setup_pool jobs chunk;
+        Util.Pool.set_jobs jobs;
         let file = required_file file in
         let config =
           apply_pipeline (resolve_pipeline pipeline)
@@ -250,7 +223,7 @@ let compile_cmd =
     (Cmd.info "compile" ~doc:"Restructure a Fortran program and print it")
     Term.(
       const run $ file_pos $ baseline $ quiet $ strict_flag $ jobs_flag
-      $ chunk_flag $ explain_reuse_flag $ pipeline_flag $ backend_flag)
+      $ explain_reuse_flag $ pipeline_flag $ backend_flag)
 
 (* ----- run ----- *)
 
@@ -276,13 +249,14 @@ let run_cmd =
       & opt (some int) None
       & info [ "real-procs" ] ~docv:"N"
           ~doc:
-            "Domain count for $(b,--real) (default \
+            "Domains that run $(b,--real)'s parallel regions, as batches \
+             on the compiler's worker pool (default \
              \\$(b,POLARIS_RUNTIME_PROCS), or the host's recommended domain \
              count capped at 8)")
   in
-  let go file baseline procs real real_procs strict jobs chunk pipeline =
+  let go file baseline procs real real_procs strict jobs pipeline =
     with_errors (fun () ->
-        setup_pool jobs chunk;
+        Util.Pool.set_jobs jobs;
         let file = required_file file in
         let cfg =
           apply_pipeline (resolve_pipeline pipeline) (config_of ~baseline ~procs)
@@ -325,7 +299,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Compile and execute on the simulated multiprocessor")
     Term.(
       const go $ file_pos $ baseline $ procs $ real $ real_procs $ strict_flag
-      $ jobs_flag $ chunk_flag $ pipeline_flag)
+      $ jobs_flag $ pipeline_flag)
 
 (* ----- suite ----- *)
 
@@ -336,9 +310,9 @@ let suite_cmd =
   let procs =
     Arg.(value & opt int 8 & info [ "p"; "procs" ] ~doc:"Simulated processor count")
   in
-  let go code_name procs jobs chunk pipeline =
+  let go code_name procs jobs pipeline =
     with_errors (fun () ->
-        setup_pool jobs chunk;
+        Util.Pool.set_jobs jobs;
         let pl = resolve_pipeline pipeline in
         match code_name with
         | None ->
@@ -372,7 +346,7 @@ let suite_cmd =
   in
   Cmd.v
     (Cmd.info "suite" ~doc:"List or run the evaluation-suite codes")
-    Term.(const go $ code_name $ procs $ jobs_flag $ chunk_flag $ pipeline_flag)
+    Term.(const go $ code_name $ procs $ jobs_flag $ pipeline_flag)
 
 (* ----- validate ----- *)
 
@@ -452,9 +426,9 @@ let validate_cmd =
                    reassociation-aware ULP tolerance; default: off)")
   in
   let go file suite baseline_only polaris_only ulp seeds procs trace_out
-      real_procs jobs chunk pipeline =
+      real_procs jobs pipeline =
     with_errors (fun () ->
-        setup_pool jobs chunk;
+        Util.Pool.set_jobs jobs;
         let cmp = { Valid.Oracle.default_cmp with ulp_tol = ulp } in
         let seeds = parse_int_list ~what:"seed" seeds in
         let procs_list = parse_int_list ~what:"processor" procs in
@@ -610,8 +584,7 @@ let validate_cmd =
        ~doc:"Translation-validate the pipeline by differential execution")
     Term.(
       const go $ file_pos $ suite $ baseline_only $ polaris_only $ ulp $ seeds
-      $ procs $ trace_out $ real_procs $ jobs_flag $ chunk_flag
-      $ pipeline_flag)
+      $ procs $ trace_out $ real_procs $ jobs_flag $ pipeline_flag)
 
 (* ----- serve ----- *)
 
@@ -644,10 +617,10 @@ let serve_cmd =
       value & flag
       & info [ "emit" ] ~doc:"Print each compile's transformed source")
   in
-  let go files baseline check emit strict jobs chunk explain_reuse pipeline
+  let go files baseline check emit strict jobs explain_reuse pipeline
       backend =
     with_errors (fun () ->
-        setup_pool jobs chunk;
+        Util.Pool.set_jobs jobs;
         let paths =
           if files <> [] then files
           else
@@ -726,7 +699,7 @@ let serve_cmd =
           process, reusing every analysis whose program unit is unchanged")
     Term.(
       const go $ files $ baseline $ check $ emit $ strict_flag $ jobs_flag
-      $ chunk_flag $ explain_reuse_flag $ pipeline_flag $ backend_flag)
+      $ explain_reuse_flag $ pipeline_flag $ backend_flag)
 
 (* ----- daemon ----- *)
 
@@ -834,10 +807,9 @@ let daemon_cmd =
              aggressive pipeliner round-robins with the other sessions")
   in
   let go socket store max_mb baseline budget_steps deadline log max_sessions
-      idle_timeout flush_every flush_interval max_pipeline jobs chunk pipeline
+      idle_timeout flush_every flush_interval max_pipeline jobs pipeline
       backend =
     with_errors (fun () ->
-        Util.Pool.set_chunk chunk;
         let cfg =
           { (Serve.Daemon.default_cfg ()) with
             d_socket = socket;
@@ -887,8 +859,8 @@ let daemon_cmd =
     Term.(
       const go $ socket_flag $ store $ max_mb $ baseline $ budget_steps
       $ deadline $ log $ max_sessions $ idle_timeout $ flush_every
-      $ flush_interval $ max_pipeline $ jobs_flag
-      $ chunk_flag $ pipeline_flag $ backend_flag)
+      $ flush_interval $ max_pipeline $ jobs_flag $ pipeline_flag
+      $ backend_flag)
 
 (* ----- client ----- *)
 
@@ -1079,9 +1051,9 @@ let chaos_cmd =
       & info [ "out" ] ~docv:"OUT.json"
           ~doc:"Write the sweep report (failures, incidents) as JSON")
   in
-  let go seeds first_seed out jobs chunk =
+  let go seeds first_seed out jobs =
     with_errors (fun () ->
-        setup_pool jobs chunk;
+        Util.Pool.set_jobs jobs;
         let sources = Valid.Chaos.default_sources () in
         let sweep =
           Valid.Chaos.run_sweep ~procs_list:[ 4 ] ~first_seed ~n:seeds sources
@@ -1103,7 +1075,7 @@ let chaos_cmd =
          "Fault-injection sweep: seeded exceptions, IR corruptions and \
           budget exhaustion must all be contained, attributed and \
           oracle-equivalent")
-    Term.(const go $ seeds $ first_seed $ out $ jobs_flag $ chunk_flag)
+    Term.(const go $ seeds $ first_seed $ out $ jobs_flag)
 
 (* ----- registry listings ----- *)
 
@@ -1186,9 +1158,9 @@ let native_cmd =
       & info [ "backends" ] ~docv:"B1,B2"
           ~doc:"Comma-separated backends to compile natively")
   in
-  let go codes backends pipeline jobs chunk =
+  let go codes backends pipeline jobs =
     with_errors (fun () ->
-        setup_pool jobs chunk;
+        Util.Pool.set_jobs jobs;
         let pl = resolve_pipeline pipeline in
         let names = String.split_on_char ',' codes |> List.map String.trim in
         let codes =
@@ -1308,7 +1280,7 @@ let native_cmd =
           interpreter oracle; lanes whose compiler is absent are skipped \
           cleanly")
     Term.(
-      const go $ codes $ backends $ pipeline_flag $ jobs_flag $ chunk_flag)
+      const go $ codes $ backends $ pipeline_flag $ jobs_flag)
 
 let () =
   let doc = "Polaris-style automatic parallelizer (ICPP'96 reproduction)" in

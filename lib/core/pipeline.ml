@@ -9,8 +9,7 @@
     {b Fail-safe contract} (paper §2: a restructurer must never
     miscompile).  Every pass runs inside a fault-containment guard: a
     unit is snapshotted copy-on-write at its {e first} mutation across
-    the whole pipeline (deep-copied wholesale per pass under [strict]
-    or a chaos [fault_hook]), the pass result is re-checked with
+    the whole pipeline, the units the pass touched are re-checked with
     {!Fir.Consistency}, and any exception or consistency violation
     rolls the program back — restoring the first-touch snapshots and
     replaying the passes that already succeeded — disables the guilty
@@ -80,10 +79,13 @@ let pp_incident ppf (i : incident) =
     [fault_hook] is invoked {e inside} the guard, right after the pass
     body and before the post-pass consistency check — the seam the chaos
     injector ({!Valid.Chaos}) uses to raise exceptions or corrupt the IR
-    at a pass boundary and have the fault attributed to that pass.
+    at a pass boundary and have the fault attributed to that pass.  Like
+    a pass, a hook that mutates a unit announces it first through
+    {!Fir.Program.touch}: the guard re-checks and rolls back only the
+    units it saw touched.
 
-    [strict] disables containment: the first fault re-raises (the
-    debugging mode behind [polaris --strict]). *)
+    [strict] disables containment: the first fault re-raises before any
+    rollback (the debugging mode behind [polaris --strict]). *)
 let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
     ?(fault_hook : (string -> Fir.Program.t -> unit) option)
     (config : Config.t) (program : Fir.Program.t) : t =
@@ -98,27 +100,22 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
   let reuse = ref [] in
   let disabled = ref [] in
   let enabled cap = not (List.mem cap !disabled) in
-  (* Snapshot strategy.  Under [strict] or an installed [fault_hook]
-     (chaos runs) the guard deep-copies the whole program per pass and
-     re-checks every unit: injected faults corrupt arbitrary units
-     behind the passes' backs, so nothing weaker is sound.  Otherwise
-     the guard is copy-on-write with {e pipeline-level} snapshot
-     elision: passes announce each unit they are about to mutate
-     through the {!Fir.Program.touch} seam, and the guard deep-copies a
-     unit only on its {e first} touch in the whole pipeline run (the
-     [pristine] map below) — a unit rewritten by four passes is copied
-     once, not four times.  Per pass the guard tracks only the touched
-     units' identities for the post-pass consistency re-check.  On a
-     fault the guard rolls every pristine-snapshotted unit back to its
-     pre-pipeline state and deterministically {e replays} the passes
-     that already succeeded (the [completed] thunks), reproducing the
-     state the per-pass scheme would have restored directly; the
-     observer and the reuse ledger are not re-fired during replay.
-     Replay is fault-free by construction — it re-runs deterministic
-     passes on the same pre-pipeline state they succeeded on — but if
-     it ever diverges the program is reset to its parse state, which
-     still satisfies the fail-safe contract. *)
-  let full_guard = strict || fault_hook <> None in
+  (* Snapshot strategy: copy-on-write with {e pipeline-level} snapshot
+     elision.  Passes (and chaos fault hooks) announce each unit they
+     are about to mutate through the {!Fir.Program.touch} seam, and the
+     guard deep-copies a unit only on its {e first} touch in the whole
+     pipeline run (the [pristine] map below) — a unit rewritten by four
+     passes is copied once, not four times.  Per pass the guard tracks
+     only the touched units' identities for the post-pass consistency
+     re-check.  On a fault the guard rolls every pristine-snapshotted
+     unit back to its pre-pipeline state and deterministically
+     {e replays} the passes that already succeeded (the [completed]
+     thunks), reproducing the state a per-pass snapshot would have
+     restored directly; the observer and the reuse ledger are not
+     re-fired during replay.  Replay is fault-free by construction — it
+     re-runs deterministic passes on the same pre-pipeline state they
+     succeeded on — but if it ever diverges the program is reset to its
+     parse state, which still satisfies the fail-safe contract. *)
   (* (live unit, deep copy at its first-ever touch) — grows monotonically
      across passes; the rollback baseline for the COW guard *)
   let pristine : (Fir.Punit.t * Fir.Punit.t) list ref = ref [] in
@@ -142,36 +139,24 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
     let cache_base = Util.Cachectl.snapshot () in
     let inval_base = Analysis.Manager.invalidation_snapshot () in
     let dirty : Fir.Punit.t list ref = ref [] in
-    let snapshot =
-      if full_guard then Some (Fir.Program.copy program)
-      else begin
-        Fir.Program.set_touch_hook program
-          (Some
-             (fun u ->
-               if not (List.memq u !dirty) then dirty := u :: !dirty;
-               if not (List.exists (fun (live, _) -> live == u) !pristine)
-               then pristine := (u, Fir.Punit.copy u) :: !pristine));
-        None
-      end
-    in
+    Fir.Program.set_touch_hook program
+      (Some
+         (fun u ->
+           if not (List.memq u !dirty) then dirty := u :: !dirty;
+           if not (List.exists (fun (live, _) -> live == u) !pristine) then
+             pristine := (u, Fir.Punit.copy u) :: !pristine));
     let release () = Fir.Program.set_touch_hook program None in
     match
       Fun.protect ~finally:release (fun () ->
           let v = f () in
           (match fault_hook with Some h -> h pass program | None -> ());
-          (match snapshot with
-          | Some _ -> ignore (Fir.Consistency.check program : Fir.Program.t)
-          | None ->
-            (* unit-local re-checks of the touched units; at -j > 1
-               the checks fan out across domains (each reads one unit,
-               writes nothing) and Pool.map's earliest-failure merge
-               re-raises the same violation the serial left-to-right
-               iteration would *)
-            ignore
-              (Util.Pool.map
-                 (fun live -> Fir.Consistency.check_unit live)
-                 !dirty
-                : unit list));
+          (* unit-local re-checks of the touched units; at -j > 1 the
+             checks fan out across domains (each reads one unit, writes
+             nothing) and Pool.map's earliest-failure merge re-raises the
+             same violation the serial left-to-right iteration would *)
+          ignore
+            (Util.Pool.map (fun live -> Fir.Consistency.check_unit live) !dirty
+              : unit list);
           v)
     with
     | v ->
@@ -188,7 +173,7 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
             |> List.filter (fun (_, n) -> n > 0) }
         :: !reuse;
       obs pass;
-      if not full_guard then completed := (fun () -> ignore (f ())) :: !completed;
+      completed := (fun () -> ignore (f ())) :: !completed;
       Some v
     | exception e ->
       if strict then raise e;
@@ -199,31 +184,26 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
             "post-pass IR consistency violation: " ^ m
           | e -> Printexc.to_string e)
       in
-      (match snapshot with
-      | Some s -> Fir.Program.restore ~from:s program
-      | None ->
-        (* COW rollback: reset every ever-touched unit to its
-           pre-pipeline snapshot, then replay the already-succeeded
-           passes in order to rebuild the state this pass started from.
-           Replay mutations bump unit versions through the touch seam,
-           so no cache can serve facts about the discarded intermediate
-           states. *)
-        List.iter (fun (live, snap) -> Fir.Punit.restore ~from:snap live)
-          !pristine;
-        (try List.iter (fun replay -> replay ()) (List.rev !completed)
-         with re ->
-           (* A deterministic pass that succeeded before diverged on
-              replay — should be impossible.  Fall back to the parse
-              state (fail-safe: worst output is the original program). *)
-           List.iter (fun (live, snap) -> Fir.Punit.restore ~from:snap live)
-             !pristine;
-           completed := [];
-           reason :=
-             !reason
-             ^ Printf.sprintf
-                 " (replay of prior passes failed: %s; program reset to \
-                  parse state)"
-                 (Printexc.to_string re)));
+      (* COW rollback: reset every ever-touched unit to its pre-pipeline
+         snapshot, then replay the already-succeeded passes in order to
+         rebuild the state this pass started from.  Replay mutations bump
+         unit versions through the touch seam, so no cache can serve
+         facts about the discarded intermediate states. *)
+      List.iter (fun (live, snap) -> Fir.Punit.restore ~from:snap live) !pristine;
+      (try List.iter (fun replay -> replay ()) (List.rev !completed)
+       with re ->
+         (* A deterministic pass that succeeded before diverged on
+            replay — should be impossible.  Fall back to the parse
+            state (fail-safe: worst output is the original program). *)
+         List.iter (fun (live, snap) -> Fir.Punit.restore ~from:snap live)
+           !pristine;
+         completed := [];
+         reason :=
+           !reason
+           ^ Printf.sprintf
+               " (replay of prior passes failed: %s; program reset to parse \
+                state)"
+               (Printexc.to_string re));
       Option.iter (fun c -> disabled := c :: !disabled) disables;
       incidents :=
         { inc_pass = pass; inc_reason = !reason; inc_rolled_back = true;

@@ -7,10 +7,8 @@
 
     {b Fail-safe contract.}  Every pass runs inside a fault-containment
     guard: a unit is snapshotted copy-on-write at its first mutation in
-    the whole pipeline run (through the {!Fir.Program.touch} seam;
-    under [strict] or a [fault_hook] the whole program is deep-copied
-    per pass instead), the result is re-checked with {!Fir.Consistency}
-    (dirty units only, or the whole program under the full guard), and
+    the whole pipeline run (through the {!Fir.Program.touch} seam), the
+    units the pass touched are re-checked with {!Fir.Consistency}, and
     any exception or consistency violation rolls the program back —
     first-touch snapshots restored and the already-succeeded passes
     replayed — disables the guilty capability for the rest of the run,
@@ -76,9 +74,11 @@ val pp_incident : Format.formatter -> incident -> unit
 
     [fault_hook] runs {e inside} each pass's guard, after the pass body
     and before the consistency check — the fault-injection seam used by
-    {!Valid.Chaos}.
+    {!Valid.Chaos}.  A hook that mutates a unit must announce it through
+    {!Fir.Program.touch} first, as passes do.
 
-    [strict] disables containment: the first fault re-raises. *)
+    [strict] disables containment: the first fault re-raises before any
+    rollback. *)
 val run :
   ?strict:bool ->
   ?observer:(string -> Fir.Program.t -> unit) ->

@@ -87,7 +87,7 @@ let run_measured ?procs ?(use_cache = true) ?seed (program : Fir.Program.t) :
   let procs =
     match procs with
     | Some p -> max 1 p
-    | None -> Machine.Parexec.default_procs ()
+    | None -> Util.Env.runtime_procs
   in
   let cfg =
     Machine.Interp.default_config ~parallel:false ~procs ~use_cache ?seed ()

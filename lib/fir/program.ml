@@ -52,20 +52,5 @@ let merge a b =
 
 let copy t = create (List.map Punit.copy t.units)
 
-(** In-place rollback: restore every unit of [t] from [from], a {!copy}
-    taken earlier.  Unit records keep their identity — outstanding
-    references to [t] and its units observe the restored state — while
-    bodies and symbol tables are replaced by fresh deep copies of the
-    snapshot (fresh statement ids, so id-uniqueness invariants hold even
-    if the aborted pass leaked statements elsewhere).
-
-    The unit list itself is immutable, so [t] and [from] always pair up
-    positionally; {!Fir.Consistency} violations introduced by a failed
-    pass are erased wholesale. *)
-let restore ~(from : t) (t : t) =
-  List.iter2
-    (fun (u : Punit.t) (s : Punit.t) -> Punit.restore ~from:s u)
-    t.units from.units
-
 let pp ppf t = List.iter (fun u -> Fmt.pf ppf "%a@." Punit.pp u) t.units
 let to_string t = Fmt.str "%a" pp t

@@ -4,14 +4,18 @@
     {!Interp} prices DOALL loops with the {!Parsim} model but executes
     them sequentially; this module actually runs them.  It installs the
     interpreter's [on_parallel_do] hook and, for every annotated loop
-    reached at [par_depth = 0], forks the iteration space across a
-    persistent team of worker domains under the {e same} static block
-    schedule the model prices ({!Parsim.block_start}), so modeled
-    processor [j] and runtime domain [j] own identical iteration
-    ranges.
+    reached at [par_depth = 0], cuts the iteration space into blocks
+    under the {e same} static schedule the model prices
+    ({!Parsim.block_start}), so modeled processor [j] and block [j] own
+    identical iteration ranges, and runs the blocks as one
+    {!Util.Pool.map} batch on the execution's [procs] slots.  Which
+    domain runs block [j] is the pool's choice and does not matter:
+    each block has its own child state and its own place in the
+    block-order merges.  A region must not start inside a pool task
+    ([Pool.map] would raise [Nested_submit]); no caller does that.
 
     Memory-safety argument (DESIGN.md §10):
-    - each domain runs the loop's lowered body (built before the fork,
+    - each block runs the loop's lowered body (built before the fork,
       only read by the domains) on its own {!Interp.state} (own time,
       fuel, output, cache) and its own copy of the frame's slot array;
     - names in the loop body are pre-bound on the parent before the
@@ -22,11 +26,11 @@
       {!Storage} element writes are single word-sized stores, which the
       OCaml memory model guarantees tear-free;
     - privatized names and reduction variables are rebound to fresh
-      per-domain allocations and merged after the join, in ascending
-      domain order — a deterministic order that equals iteration order
+      per-block allocations and merged after the batch, in ascending
+      block order — a deterministic order that equals iteration order
       under block scheduling.
 
-    Speculative (LRPD) loops run against per-domain shadow arrays
+    Speculative (LRPD) loops run against per-block shadow arrays
     supplied by a {!spec_backend} (implemented by [Fruntime.Specexec];
     this library cannot depend on [Fruntime]).  The shared written
     arrays are checkpointed with {!Storage.snapshot} before the fork;
@@ -103,82 +107,6 @@ type stats = {
 let fresh_stats () =
   { regions = 0; par_iters = 0; serial_loops = 0; spec_attempts = 0;
     spec_success = 0; spec_failures = 0; events = []; region_infos = [] }
-
-(* ------------------------------------------------------------------ *)
-(* Worker team                                                         *)
-
-type worker = {
-  w_mutex : Mutex.t;
-  w_cond : Condition.t;
-  mutable w_job : (unit -> unit) option;
-  mutable w_stop : bool;
-  mutable w_dom : unit Domain.t option;
-}
-
-type team = {
-  t_domains : int;              (** block count = workers + the caller *)
-  t_workers : worker array;     (** [t_domains - 1] persistent domains *)
-}
-
-let rec worker_loop (w : worker) =
-  Mutex.lock w.w_mutex;
-  while w.w_job = None && not w.w_stop do
-    Condition.wait w.w_cond w.w_mutex
-  done;
-  match w.w_job with
-  | Some job ->
-    Mutex.unlock w.w_mutex;
-    job ();  (* jobs trap their own exceptions *)
-    Mutex.lock w.w_mutex;
-    w.w_job <- None;
-    Condition.broadcast w.w_cond;
-    Mutex.unlock w.w_mutex;
-    worker_loop w
-  | None -> Mutex.unlock w.w_mutex
-
-let make_team domains : team =
-  let workers =
-    Array.init (max 0 (domains - 1)) (fun _ ->
-        { w_mutex = Mutex.create (); w_cond = Condition.create ();
-          w_job = None; w_stop = false; w_dom = None })
-  in
-  Array.iter
-    (fun w -> w.w_dom <- Some (Domain.spawn (fun () -> worker_loop w)))
-    workers;
-  { t_domains = domains; t_workers = workers }
-
-let stop_team (t : team) =
-  Array.iter
-    (fun w ->
-      Mutex.lock w.w_mutex;
-      w.w_stop <- true;
-      Condition.broadcast w.w_cond;
-      Mutex.unlock w.w_mutex)
-    t.t_workers;
-  Array.iter
-    (fun w -> match w.w_dom with Some d -> Domain.join d | None -> ())
-    t.t_workers
-
-(** Run [fns.(1 ..)] on worker domains, [fns.(0)] on the caller, and
-    wait for all of them (a synchronous fork-join). *)
-let run_blocks (t : team) (fns : (unit -> unit) array) =
-  let n = Array.length fns in
-  for i = 1 to n - 1 do
-    let w = t.t_workers.(i - 1) in
-    Mutex.lock w.w_mutex;
-    w.w_job <- Some fns.(i);
-    Condition.broadcast w.w_cond;
-    Mutex.unlock w.w_mutex
-  done;
-  fns.(0) ();
-  for i = 1 to n - 1 do
-    let w = t.t_workers.(i - 1) in
-    Mutex.lock w.w_mutex;
-    while w.w_job <> None do
-      Condition.wait w.w_cond w.w_mutex
-    done;
-    Mutex.unlock w.w_mutex
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Structural safety                                                   *)
@@ -333,13 +261,12 @@ let merge_value (op : reduction_op) a b =
 (* Runner                                                              *)
 
 type t = {
-  procs : int;
-  team : team;
+  procs : int;                  (** the pool slots a region runs on *)
   spec : spec_backend option;
   stats : stats;
 }
 
-(* per-domain execution context *)
+(* per-block execution context *)
 type child = {
   c_state : Interp.state;
   c_frame : Interp.frame;
@@ -626,7 +553,7 @@ let doall_private_set ~(is_array : string -> bool) (d : do_loop) : string list =
 
 let exec_doall (t : t) (st : Interp.state) (fr : Interp.frame) sid
     (d : do_loop) body ~init ~step ~trips =
-  let p = min t.team.t_domains trips in
+  let p = min t.procs trips in
   (* pre-bind every name the region can touch: after this, no child
      lookup mutates shared tables *)
   List.iter (fun n -> ignore (Interp.binding_for st fr n)) (loop_names d);
@@ -641,10 +568,11 @@ let exec_doall (t : t) (st : Interp.state) (fr : Interp.frame) sid
           ~lo:(Parsim.block_start ~p ~n:trips j)
           ~hi:(Parsim.block_start ~p ~n:trips (j + 1)))
   in
-  run_blocks t.team
-    (Array.map
-       (fun c -> fun () -> exec_child_block c d body ~init ~step ())
-       children);
+  ignore
+    (Util.Pool.map ~slots:t.procs
+       (fun c -> exec_child_block c d body ~init ~step ())
+       (Array.to_list children)
+      : unit list);
   reraise_child_exn children;
   merge_time st children;
   merge_steps st children;
@@ -686,7 +614,7 @@ let exec_serial (st : Interp.state) (fr : Interp.frame) (d : do_loop) body
 
 let exec_speculative (t : t) (backend : spec_backend) (st : Interp.state)
     (fr : Interp.frame) sid (d : do_loop) body ~init ~step ~trips =
-  let p = min t.team.t_domains trips in
+  let p = min t.procs trips in
   List.iter (fun n -> ignore (Interp.binding_for st fr n)) (loop_names d);
   let written = Stmt.assigned_names d.body in
   let arrays, scalars =
@@ -737,15 +665,15 @@ let exec_speculative (t : t) (backend : spec_backend) (st : Interp.state)
                 | None -> ());
           (c, insts))
     in
-    run_blocks t.team
-      (Array.map
+    ignore
+      (Util.Pool.map ~slots:t.procs
          (fun (c, insts) ->
-           fun () ->
-            exec_child_block c d body ~init ~step
-              ~iter_begin:(fun _ ->
-                List.iter (fun (_, inst) -> inst.s_iter_begin ()) insts)
-              ())
-         children);
+           exec_child_block c d body ~init ~step
+             ~iter_begin:(fun _ ->
+               List.iter (fun (_, inst) -> inst.s_iter_begin ()) insts)
+             ())
+         (Array.to_list children)
+        : unit list);
     let children = Array.map fst children in
     let child_failed = Array.exists (fun c -> c.c_exn <> None) children in
     let verdicts = List.map (fun (_, _, finalize) -> finalize ()) shadows in
@@ -810,7 +738,7 @@ let hook (t : t) : Interp.state -> Interp.frame -> int -> do_loop ->
   let doall = d.info.par && not d.info.speculative in
   let speculative = d.info.speculative && t.spec <> None in
   if (not doall) && not speculative then None
-  else if trips < 2 || t.team.t_domains < 2 then begin
+  else if trips < 2 || t.procs < 2 then begin
     t.stats.serial_loops <- t.stats.serial_loops + 1;
     None
   end
@@ -832,37 +760,24 @@ let hook (t : t) : Interp.state -> Interp.frame -> int -> do_loop ->
     | None -> None
   end
 
-(** Runtime domain count: [POLARIS_RUNTIME_PROCS] when set, otherwise
-    the machine's recommended domain count capped at the modeled
-    machine size (8). *)
-let default_procs () =
-  match Util.Env.runtime_procs with
-  | Some n -> n
-  | None -> max 1 (min 8 (Domain.recommended_domain_count ()))
-
 (** The capture of a finished run (same shape as {!Interp.run_full}). *)
 let capture_of = Interp.capture_of
 
 (** Execute [prog]'s main unit with annotated loops running on [procs]
-    OCaml domains; returns the full capture (same shape as
+    pool slots; returns the full capture (same shape as
     {!Interp.run_full}) and the runtime statistics.  [spec] enables
     real LRPD speculation for loops the compiler marked [speculative];
     without it they run serially. *)
 let run_full ?cfg ?procs ?spec (prog : Program.t) : Interp.capture * stats =
   let procs =
-    match procs with Some p -> max 1 p | None -> default_procs ()
+    match procs with Some p -> max 1 p | None -> Util.Env.runtime_procs
   in
   let stats = fresh_stats () in
   if procs <= 1 then (Interp.run_full ?cfg prog, stats)
   else begin
-    let team = make_team procs in
-    Fun.protect
-      ~finally:(fun () -> stop_team team)
-      (fun () ->
-        let st = Interp.fresh_state ?cfg prog in
-        let t = { procs; team; spec; stats } in
-        st.on_parallel_do <- Some (hook t);
-        let fr = Interp.main_frame st in
-        Interp.run_unit_body st fr;
-        (capture_of st fr, stats))
+    let st = Interp.fresh_state ?cfg prog in
+    st.on_parallel_do <- Some (hook { procs; spec; stats });
+    let fr = Interp.main_frame st in
+    Interp.run_unit_body st fr;
+    (capture_of st fr, stats)
   end

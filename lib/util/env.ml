@@ -14,17 +14,20 @@
     pin the validation behaviour without touching the process
     environment. *)
 
-(** Hard ceiling on the job count; {!Pool} sizes its per-slot cache
+(** Hard ceiling on a domain count: the compile job count and the
+    runtime processor count alike.  {!Pool} sizes its per-slot cache
     shard arrays with it. *)
 let max_jobs = 64
 
-(** [parse_jobs raw]: a job count in [1 .. max_jobs].  Values above the
+(** [parse_jobs raw]: a domain count in [1 .. max_jobs], for
+    [POLARIS_JOBS] and [POLARIS_RUNTIME_PROCS].  Values above the
     ceiling clamp (a big [-j] is a wish, not an error); zero, negative
     and non-numeric values are rejected. *)
 let parse_jobs raw : (int, string) result =
   match int_of_string_opt (String.trim raw) with
   | None -> Error (Printf.sprintf "expected an integer, got %S" raw)
-  | Some n when n < 1 -> Error (Printf.sprintf "expected a job count >= 1, got %d" n)
+  | Some n when n < 1 ->
+    Error (Printf.sprintf "expected a domain count >= 1, got %d" n)
   | Some n -> Ok (if n > max_jobs then max_jobs else n)
 
 (** [parse_flag raw]: a boolean knob.  Accepts 1/0, true/false, yes/no,
@@ -79,35 +82,6 @@ let parse_seconds raw : (float, string) result =
   | Some s when not (Float.is_finite s) || s <= 0.0 ->
     Error (Printf.sprintf "expected a duration > 0, got %s" (String.trim raw))
   | Some s -> Ok s
-
-(** [parse_chunk raw]: a task-batch size for the work-stealing pool, in
-    [1 .. 1_000_000].  One chunk is one scheduler transaction, so a
-    chunk of 0 would livelock the batcher and absurd sizes are a typo,
-    not a wish: both are rejected. *)
-let parse_chunk raw : (int, string) result =
-  match int_of_string_opt (String.trim raw) with
-  | None -> Error (Printf.sprintf "expected an integer, got %S" raw)
-  | Some n when n < 1 ->
-    Error (Printf.sprintf "expected a chunk size >= 1, got %d" n)
-  | Some n when n > 1_000_000 ->
-    Error (Printf.sprintf "expected a chunk size <= 1000000, got %d" n)
-  | Some n -> Ok n
-
-(** Hard ceiling on runtime execution domains; the modeled machine is
-    an 8-way SGI Challenge and the real executor mirrors its block
-    schedule, but larger hosts may still ask for more. *)
-let max_runtime_procs = 64
-
-(** [parse_procs raw]: a runtime domain count in
-    [1 .. max_runtime_procs].  Values above the ceiling clamp (like
-    [parse_jobs]); zero, negative and non-numeric values are
-    rejected. *)
-let parse_procs raw : (int, string) result =
-  match int_of_string_opt (String.trim raw) with
-  | None -> Error (Printf.sprintf "expected an integer, got %S" raw)
-  | Some n when n < 1 ->
-    Error (Printf.sprintf "expected a processor count >= 1, got %d" n)
-  | Some n -> Ok (if n > max_runtime_procs then max_runtime_procs else n)
 
 let is_name_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
@@ -175,11 +149,6 @@ let cache_debug : bool = read "POLARIS_CACHE_DEBUG" ~default:false parse_flag
 let read_opt var parse =
   read var ~default:None (fun raw -> Result.map Option.some (parse raw))
 
-(** Parsed [POLARIS_CHUNK]: fixed task-batch size for the
-    work-stealing pool ([None] = the pool's cost model picks chunk
-    sizes per batch). *)
-let chunk : int option = read_opt "POLARIS_CHUNK" parse_chunk
-
 (** Parsed [POLARIS_CACHE_DIR]: directory of the daemon's persistent
     analysis store ([None] = persistence off). *)
 let cache_dir : string option = read_opt "POLARIS_CACHE_DIR" parse_path
@@ -194,10 +163,14 @@ let socket : string option = read_opt "POLARIS_SOCKET" parse_path
 
 (** Parsed [POLARIS_RUNTIME_PROCS]: how many OCaml domains
     [Machine.Parexec] uses to execute DOALL/speculative loops for real
-    ([None] = auto: the host's recommended domain count capped at the
-    modeled machine size).  Deliberately distinct from [POLARIS_JOBS]:
-    compile-side pool state must not leak into runtime execution. *)
-let runtime_procs : int option = read_opt "POLARIS_RUNTIME_PROCS" parse_procs
+    (default: the host's recommended domain count capped at the modeled
+    machine size, 8).  A separate setting from [POLARIS_JOBS]: this one
+    sizes the {!Pool} batches that run parallel regions, that one sizes
+    the compiler's batches. *)
+let runtime_procs : int =
+  read "POLARIS_RUNTIME_PROCS"
+    ~default:(max 1 (min 8 (Domain.recommended_domain_count ())))
+    parse_jobs
 
 (** Parsed [POLARIS_PIPELINE]: default pass pipeline for compiles that
     don't say otherwise ([None] = the built-in [thorough] preset).

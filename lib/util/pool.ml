@@ -26,18 +26,21 @@
     handshake per task — measurably slower than serial for the
     fine-grained (unit, nest) tasks the compiler produces.  This pool
     instead {e batches}: a cost-model batcher coalesces elements into
-    contiguous index chunks (caller-supplied [?weight] balances them;
-    [POLARIS_CHUNK] / [--chunk] pins the size), seeds the chunks into
-    per-slot deques, and wakes the workers {e once} per batch.  Each
-    slot pops its own deque from the front; a slot that runs dry steals
-    the {e back half} of a victim's deque.  Batches that collapse to a
-    single chunk run inline on the submitter — no wake-up at all.
+    contiguous index chunks (caller-supplied [?weight] balances them),
+    seeds the chunks into per-slot deques, and wakes the workers
+    {e once} per batch.  Each slot pops its own deque from the front; a
+    slot that runs dry steals the {e back half} of a victim's deque.
+    Batches that collapse to a single chunk run inline on the submitter
+    — no wake-up at all.
 
     The submitting domain participates in the batch (as slot 0), so
-    [-j N] means N domains doing work, not N+1.  Nested submission
-    ([map] from inside a task) is a programming error and raises
-    {!Nested_submit}: worker domains must never block on work only they
-    could execute. *)
+    [-j N] means N domains doing work, not N+1.  The compiler's batches
+    take their slot count from [-j]; [Machine.Parexec]'s parallel
+    regions pass the execution's processor count instead, so compile
+    phases and runtime regions share one set of domains.  Nested
+    submission ([map] from inside a task) is a programming error and
+    raises {!Nested_submit}: worker domains must never block on work
+    only they could execute. *)
 
 (* ------------------------------------------------------------------ *)
 (* Job count                                                           *)
@@ -130,18 +133,7 @@ let reset_counters () =
   Atomic.set chunks_n 0; Atomic.set steals_n 0
 
 (* ------------------------------------------------------------------ *)
-(* Chunk size                                                          *)
-
-(* POLARIS_CHUNK pins the batcher; None = cost model.  Atomic for the
-   same reason as [jobs_default]. *)
-let chunk_default : int option Atomic.t = Atomic.make Env.chunk
-
-(** Fixed chunk size in effect ([None] = the cost model decides). *)
-let chunk () = Atomic.get chunk_default
-
-(** Pin (or with [None] unpin) the batcher's chunk size;
-    [polaris --chunk N]. *)
-let set_chunk c = Atomic.set chunk_default (Option.map (fun n -> max 1 n) c)
+(* Batch plan                                                          *)
 
 (* how many chunks the batcher aims to cut per slot: enough headroom
    that a slot finishing early finds something to steal, few enough
@@ -149,11 +141,12 @@ let set_chunk c = Atomic.set chunk_default (Option.map (fun n -> max 1 n) c)
 let chunks_per_slot = 4
 
 (* [plan ?weight k n]: cut [0..k-1] into contiguous chunks as (lo, hi)
-   pairs, in index order.  A pinned chunk size wins; otherwise the
-   batcher targets [n * chunks_per_slot] chunks, packing by the
-   caller's weight estimate when one is given so heavy items don't pile
-   into one chunk.  Pure arithmetic on the input list: identical at
-   every job count that reaches it. *)
+   pairs, in index order.  The batcher targets [n * chunks_per_slot]
+   chunks, packing by the caller's weight estimate when one is given so
+   heavy items don't pile into one chunk; an unweighted batch of at
+   most [n * chunks_per_slot] items is cut one item per chunk.  Pure
+   arithmetic on the input list: identical at every job count that
+   reaches it. *)
 let plan ?weight (k : int) (n : int) : (int * int) list =
   let cut size =
     let rec go lo acc =
@@ -164,26 +157,23 @@ let plan ?weight (k : int) (n : int) : (int * int) list =
     in
     go 0 []
   in
-  match chunk () with
-  | Some c -> cut c
-  | None -> (
-    let target_chunks = n * chunks_per_slot in
-    match weight with
-    | None -> cut (max 1 ((k + target_chunks - 1) / target_chunks))
-    | Some w ->
-      let weights = Array.init k (fun i -> max 1 (w i)) in
-      let total = Array.fold_left ( + ) 0 weights in
-      let per_chunk = max 1 ((total + target_chunks - 1) / target_chunks) in
-      let acc = ref [] and lo = ref 0 and seen = ref 0 in
-      for i = 0 to k - 1 do
-        seen := !seen + weights.(i);
-        if !seen >= per_chunk || i = k - 1 then begin
-          acc := (!lo, i + 1) :: !acc;
-          lo := i + 1;
-          seen := 0
-        end
-      done;
-      List.rev !acc)
+  let target_chunks = n * chunks_per_slot in
+  match weight with
+  | None -> cut (max 1 ((k + target_chunks - 1) / target_chunks))
+  | Some w ->
+    let weights = Array.init k (fun i -> max 1 (w i)) in
+    let total = Array.fold_left ( + ) 0 weights in
+    let per_chunk = max 1 ((total + target_chunks - 1) / target_chunks) in
+    let acc = ref [] and lo = ref 0 and seen = ref 0 in
+    for i = 0 to k - 1 do
+      seen := !seen + weights.(i);
+      if !seen >= per_chunk || i = k - 1 then begin
+        acc := (!lo, i + 1) :: !acc;
+        lo := i + 1;
+        seen := 0
+      end
+    done;
+    List.rev !acc
 
 (* ------------------------------------------------------------------ *)
 (* Per-slot deques                                                     *)
@@ -380,20 +370,25 @@ type 'a task_result =
   | Ok_ of 'a
   | Err of exn * Printexc.raw_backtrace
 
-(** [map ?weight f xs]: apply [f] to every element of [xs], results in
-    input order.  With jobs = 1 this {e is} [List.map f xs].  With jobs = N the batcher cuts the
-    elements into contiguous chunks — balanced by [?weight]'s relative
-    cost estimate when given, or pinned by [POLARIS_CHUNK] — seeds them
-    into per-slot deques and lets N domains (the caller's included)
-    pop-and-steal until done.  A plan of one chunk short-circuits to
-    the serial path: small batches never pay the wake-up.  Once every
-    task has finished, cache shards are merged back into the shared
-    stores and either the ordered results are returned or, if any task
-    raised, the exception of the {e earliest} failed element re-raises
-    (with its backtrace) — the serial prefix semantics. *)
-let map ?(weight : ('a -> int) option) (f : 'a -> 'b) (xs : 'a list) : 'b list =
+(** [map ?slots ?weight f xs]: apply [f] to every element of [xs],
+    results in input order.  [slots] is the number of domains that work
+    on the batch, the caller's included (default {!jobs}, clamped to
+    [1 .. max_jobs]); at one slot [map] {e is} [List.map f xs].
+    Otherwise the batcher cuts the elements into contiguous chunks —
+    balanced by [?weight]'s relative cost estimate when given — seeds
+    them into per-slot deques and lets the slots' domains pop-and-steal
+    until done.  A plan of one chunk short-circuits to the serial path:
+    small batches never pay the wake-up.  The pool's worker domains are
+    kept between batches and respawned only when the slot count
+    changes.  Once every task has finished, cache shards are merged back
+    into the shared stores and either the ordered results are returned
+    or, if any task raised, the exception of the {e earliest} failed
+    element re-raises (with its backtrace) — the serial prefix
+    semantics. *)
+let map ?slots ?(weight : ('a -> int) option) (f : 'a -> 'b) (xs : 'a list) :
+    'b list =
   if in_task () then raise Nested_submit;
-  let n = jobs () in
+  let n = match slots with Some s -> clamp s | None -> jobs () in
   if n <= 1 then List.map f xs
   else
     match xs with

@@ -259,13 +259,13 @@ let differential ?(cmp = default_cmp) ?(procs_list = [ 1; 2; 4; 8 ])
   let failures = ref [] in
   let stores = None :: List.map Option.some seeds in
   (* Interpretation mutates IR-adjacent state: {!Fir.Symtab.lookup}
-     materializes implicitly-declared symbols on first touch.  The
-     serial oracle runs every execution on the one shared program pair;
-     the parallel oracle therefore gives each concurrent run of the
-     {e transformed} program its own deep copy (annotations travel with
-     the copy) and keeps the original's reference run as the sole task
-     touching [original].  Results are compared in the serial order, so
-     reports — including the order of [failures] — are identical. *)
+     materializes implicitly-declared symbols on first touch.  So each
+     run of the {e transformed} program gets its own deep copy
+     (annotations travel with the copy), and the original's reference
+     run is the sole task touching [original].  The runs are one
+     {!Util.Pool.map} batch ([List.map] at [-j 1]); results are
+     compared in list order, so reports — including the order of
+     [failures] — are identical at every job count. *)
   List.iter
     (fun seed ->
       let seed_ctx =
@@ -277,40 +277,25 @@ let differential ?(cmp = default_cmp) ?(procs_list = [ 1; 2; 4; 8 ])
         if divergences <> [] then
           failures := { context; divergences } :: !failures
       in
-      if not (Util.Pool.parallel ()) then begin
-        let reference = execute ?seed original in
-        check reference (seed_ctx ^ " serial") (execute ?seed transformed);
-        List.iter
-          (fun procs ->
-            check reference
-              (Fmt.str "%s parallel p=%d" seed_ctx procs)
-              (execute ?seed ~parallel:true ~procs transformed))
-          procs_list
-      end
-      else begin
-        let specs =
-          `Ref :: `Serial :: List.map (fun p -> `Par p) procs_list
-        in
-        let outcomes =
-          Util.Pool.map
-            (fun spec ->
-              match spec with
-              | `Ref -> execute ?seed original
-              | `Serial -> execute ?seed (Fir.Program.copy transformed)
-              | `Par procs ->
-                execute ?seed ~parallel:true ~procs
-                  (Fir.Program.copy transformed))
-            specs
-        in
-        match outcomes with
-        | reference :: serial :: pars ->
-          check reference (seed_ctx ^ " serial") serial;
-          List.iter2
-            (fun procs run ->
-              check reference (Fmt.str "%s parallel p=%d" seed_ctx procs) run)
-            procs_list pars
-        | _ -> assert false
-      end)
+      let specs = `Ref :: `Serial :: List.map (fun p -> `Par p) procs_list in
+      let outcomes =
+        Util.Pool.map
+          (fun spec ->
+            match spec with
+            | `Ref -> execute ?seed original
+            | `Serial -> execute ?seed (Fir.Program.copy transformed)
+            | `Par procs ->
+              execute ?seed ~parallel:true ~procs (Fir.Program.copy transformed))
+          specs
+      in
+      match outcomes with
+      | reference :: serial :: pars ->
+        check reference (seed_ctx ^ " serial") serial;
+        List.iter2
+          (fun procs run ->
+            check reference (Fmt.str "%s parallel p=%d" seed_ctx procs) run)
+          procs_list pars
+      | _ -> assert false)
     stores;
   { checks = !checks; failures = List.rev !failures }
 

@@ -56,11 +56,15 @@ let test_containment_per_pass () =
 
 let test_corruption_contained () =
   (* corrupt the IR inside the guard: the post-pass consistency check
-     must catch it, roll back, and name the violation *)
+     must catch it, roll back, and name the violation.  The planted
+     duplicate announces itself through [Program.touch], as a pass and
+     [Valid.Chaos.corrupt] do: the guard checks touched units only *)
   let fault_hook p (prog : Fir.Program.t) =
     if p = "induction" then
       match Fir.Program.units prog with
-      | u :: _ -> u.pu_body <- List.hd u.pu_body :: u.pu_body
+      | u :: _ ->
+        Fir.Program.touch prog u;
+        u.pu_body <- List.hd u.pu_body :: u.pu_body
       | [] -> ()
   in
   let t =

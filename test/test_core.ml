@@ -71,6 +71,45 @@ let test_determinism_end_to_end () =
   Alcotest.(check int) "same serial time" r1.serial_time r2.serial_time;
   Alcotest.(check int) "same parallel time" r1.parallel_time r2.parallel_time
 
+(* The pass guard re-checks and rolls back only the units a pass
+   announced through [Fir.Program.touch], so the guard rests on this
+   contract: a pass that changes a unit's text bumps its version.
+   [parallelize] writes only loop decisions (the CPOLARIS$ lines) and by
+   design does not touch, so those lines are left out of the text. *)
+let unit_text (u : Fir.Punit.t) =
+  String.split_on_char '\n' (Frontend.Unparse.unit_to_string u)
+  |> List.filter (fun l -> not (String.starts_with ~prefix:"CPOLARIS$" l))
+
+let test_passes_touch_what_they_rewrite () =
+  let rewrites = ref 0 and violations = ref [] in
+  List.iter
+    (fun (c : Suite.Code.t) ->
+      List.iter
+        (fun (config : Core.Config.t) ->
+          let seen = ref [] in
+          let observer pass prog =
+            List.iter
+              (fun (u : Fir.Punit.t) ->
+                let now = (Fir.Punit.version u, unit_text u) in
+                (match List.assq_opt u !seen with
+                | Some (version, text) when text <> snd now ->
+                  incr rewrites;
+                  if version = fst now then
+                    violations :=
+                      Fmt.str "%s/%s: %s rewrote %s untouched" c.name config.name
+                        pass u.pu_name
+                      :: !violations
+                | _ -> ());
+                seen := (u, now) :: List.remove_assq u !seen)
+              (Fir.Program.units prog)
+          in
+          ignore (Core.Pipeline.compile ~observer config c.source : Core.Pipeline.t))
+        [ Core.Config.polaris (); Core.Config.baseline () ])
+    Suite.Registry.all;
+  Alcotest.(check bool) "some pass rewrote some unit" true (!rewrites > 0);
+  Alcotest.(check (list string)) "no unit rewritten without a touch" []
+    (List.rev !violations)
+
 let tests =
   [ ("pipeline loop counts", `Quick, test_pipeline_counts);
     ("annotated output reparses", `Quick, test_pipeline_output_source_parses);
@@ -79,4 +118,6 @@ let tests =
     ("baseline ahead on SU2COR/WAVE5", `Slow, test_baseline_wins_su2cor_wave5);
     ("ablations hurt where expected", `Slow, test_ablation_ordering);
     ("speculative candidates reported", `Quick, test_speculative_candidates_reported);
-    ("end-to-end determinism", `Quick, test_determinism_end_to_end) ]
+    ("end-to-end determinism", `Quick, test_determinism_end_to_end);
+    ("passes touch the units they rewrite", `Quick,
+     test_passes_touch_what_they_rewrite) ]

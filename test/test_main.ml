@@ -52,6 +52,7 @@ let () =
          ("runtime", Test_runtime.tests);
          ("parexec", Test_parexec.tests);
          ("executor", Test_executor.tests);
+         ("bench", Test_bench.tests);
          ("core", Test_core.tests);
          ("suite", Test_suite.tests);
          ("fuzz", Test_fuzz.tests);

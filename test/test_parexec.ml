@@ -186,8 +186,8 @@ let test_speculation_failure_restores_bitwise () =
 
 let fuzz_seeds = List.init 100 (fun i -> (i * 7919) + i)
 
-(* each [(label, source)], compiled by Polaris, must execute at every team
-   size in [procs] exactly as the serial interpreter does *)
+(* each [(label, source)], compiled by Polaris, must execute at every
+   processor count in [procs] exactly as the serial interpreter does *)
 let check_matches_serial ~procs sources =
   let regions = ref 0 in
   List.iter
@@ -212,7 +212,7 @@ let test_fuzz_parallel_vs_serial () =
          (Fmt.str "seed %d" seed, Test_fuzz.gen_program (Util.Prng.create seed)))
        fuzz_seeds)
 
-(* every suite code at the team sizes a 2- and a 4-core host run *)
+(* every suite code at the processor counts a 2- and a 4-core host run *)
 let test_suite_matches_serial () =
   check_matches_serial ~procs:[ 2; 4 ]
     (List.map (fun (c : Suite.Code.t) -> (c.name, c.source)) Suite.Registry.all)
@@ -226,6 +226,57 @@ let test_differential_real_report () =
   Alcotest.(check bool) "equivalent" true (Valid.Oracle.equivalent report);
   Alcotest.(check int) "checks = stores x procs" 6 report.Valid.Oracle.checks
 
+(* ------------------------------------------------------------------ *)
+(* One domain substrate: regions are Util.Pool batches                 *)
+
+(* every forked region, DOALL or speculative, is exactly one fanned-out
+   pool batch (a failed speculation forked too, then re-ran serially);
+   p = 1 never reaches the pool *)
+let test_one_batch_per_region () =
+  let forked = ref 0 in
+  List.iter
+    (fun (c : Suite.Code.t) ->
+      let p = compile_polaris c.source in
+      List.iter
+        (fun procs ->
+          let base = Util.Pool.counters () in
+          let _, (s : Machine.Parexec.stats) = Valid.Oracle.execute_real ~procs p in
+          let d = Util.Pool.counters_delta ~base (Util.Pool.counters ()) in
+          let regions = if procs = 1 then 0 else s.regions + s.spec_failures in
+          forked := !forked + regions;
+          Alcotest.(check int)
+            (Fmt.str "%s p=%d: one fanned batch per forked region" c.name procs)
+            regions d.c_batches;
+          Alcotest.(check int) (Fmt.str "%s p=%d: no inline batch" c.name procs) 0
+            d.c_inline)
+        [ 1; 2 ])
+    Suite.Registry.all;
+  Alcotest.(check bool) "regions forked" true (!forked > 0)
+
+(* compile batches at -j 4 and runtime regions at p = 2 and p = 4 take
+   turns on the one pool: neither may disturb the other *)
+let test_compile_and_regions_interleave () =
+  List.iter
+    (fun (c : Suite.Code.t) ->
+      let compile () =
+        Core.Pipeline.compile (Core.Config.polaris ()) c.source
+      in
+      let serial_source =
+        Util.Pool.with_jobs 1 (fun () -> Core.Pipeline.output_source (compile ()))
+      in
+      let compile_and_run procs =
+        let t = Util.Pool.with_jobs 4 compile in
+        Alcotest.(check string)
+          (Fmt.str "%s: -j 4 compile before p=%d equals -j 1" c.name procs)
+          serial_source (Core.Pipeline.output_source t);
+        let run, _ = Valid.Oracle.execute_real ~procs t.program in
+        check_identity (Fmt.str "%s p=%d" c.name procs)
+          (Valid.Oracle.execute t.program) run
+      in
+      compile_and_run 2;
+      compile_and_run 4)
+    Suite.Registry.all
+
 let tests =
   [ ("DOALL executes on domains", `Quick, test_doall_executes_for_real);
     ("reductions match serial", `Quick, test_reductions_match_serial);
@@ -234,4 +285,7 @@ let tests =
     ("LRPD failure restores bitwise", `Quick, test_speculation_failure_restores_bitwise);
     ("fuzz parallel vs serial (100 seeds)", `Slow, test_fuzz_parallel_vs_serial);
     ("differential_real report", `Quick, test_differential_real_report);
-    ("suite codes match serial at p = 2/4", `Quick, test_suite_matches_serial) ]
+    ("suite codes match serial at p = 2/4", `Quick, test_suite_matches_serial);
+    ("one pool batch per forked region", `Quick, test_one_batch_per_region);
+    ("compile batches and regions interleave", `Quick,
+     test_compile_and_regions_interleave) ]

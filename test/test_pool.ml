@@ -3,7 +3,7 @@
    compiler between -j 1 and -j 8.
 
    The pool's contract is that [Pool.map f xs] is observably
-   [List.map f xs] at any job count and any chunk size: results in
+   [List.map f xs] at any job count: results in
    input order, earliest failure re-raised.  The fuzz check below is
    the teeth: 100 random programs through the full Polaris pipeline,
    comparing the annotated output source, the per-loop verdicts and the
@@ -84,61 +84,37 @@ let test_shutdown_respawn () =
   Alcotest.(check (list int)) "resized pool" [ 10; 20; 30 ] wider
 
 let test_scheduler_counters () =
-  let saved = Pool.chunk () in
-  Fun.protect ~finally:(fun () -> Pool.set_chunk saved) @@ fun () ->
-  (* a pinned chunk of 1 makes the plan exact: 40 tasks -> 40 chunks in
-     one fanned batch, nothing inline *)
-  Pool.set_chunk (Some 1);
-  let base = Pool.counters () in
-  let r =
-    Pool.with_jobs 4 (fun () -> Pool.map (fun i -> i + 1) (List.init 40 Fun.id))
+  let delta f =
+    let base = Pool.counters () in
+    let r = f () in
+    (r, Pool.counters_delta ~base (Pool.counters ()))
   in
-  Alcotest.(check (list int)) "fanned results"
-    (List.init 40 (fun i -> i + 1))
-    r;
-  let d = Pool.counters_delta ~base (Pool.counters ()) in
+  (* the cost model cuts 40 unweighted tasks on 4 slots into chunks of
+     ceil (40 / (4 * 4)) = 3 tasks: 14 chunks in one fanned batch *)
+  let r, d =
+    delta (fun () ->
+        Pool.with_jobs 4 (fun () -> Pool.map (fun i -> i + 1) (List.init 40 Fun.id)))
+  in
+  Alcotest.(check (list int)) "fanned results" (List.init 40 (fun i -> i + 1)) r;
   Alcotest.(check int) "one fanned batch" 1 d.c_batches;
   Alcotest.(check int) "no inline batch" 0 d.c_inline;
   Alcotest.(check int) "every task executed exactly once" 40 d.c_tasks;
-  Alcotest.(check int) "one chunk per task under --chunk 1" 40 d.c_chunks;
+  Alcotest.(check int) "chunks of three tasks" 14 d.c_chunks;
   Alcotest.(check bool) "steal count is sane" true (d.c_steals >= 0);
-  (* a chunk swallowing the whole batch short-circuits to the inline
-     path: no fan-out, no wake-up *)
-  Pool.set_chunk (Some 1000);
-  let base = Pool.counters () in
-  let r =
-    Pool.with_jobs 4 (fun () -> Pool.map (fun i -> i * 2) (List.init 10 Fun.id))
-  in
-  Alcotest.(check (list int)) "inline results"
-    (List.init 10 (fun i -> i * 2))
-    r;
-  let d = Pool.counters_delta ~base (Pool.counters ()) in
+  (* a plan of one chunk short-circuits to the inline path: no fan-out,
+     no wake-up *)
+  let r, d = delta (fun () -> Pool.with_jobs 4 (fun () -> Pool.map (fun i -> i * 2) [ 21 ])) in
+  Alcotest.(check (list int)) "inline results" [ 42 ] r;
   Alcotest.(check int) "inline batch counted" 1 d.c_inline;
-  Alcotest.(check int) "no fanned batch" 0 d.c_batches
-
-let test_chunk_identity () =
-  (* the chunk size is a scheduling knob only: any pin must produce the
-     same results as the cost model *)
-  let xs = List.init 57 Fun.id in
-  let expect = List.map (fun i -> i * i - i) xs in
-  let saved = Pool.chunk () in
-  Fun.protect ~finally:(fun () -> Pool.set_chunk saved) @@ fun () ->
-  List.iter
-    (fun pin ->
-      Pool.set_chunk pin;
-      let got =
-        Pool.with_jobs 4 (fun () ->
-            Pool.map
-              (fun i ->
-                burn ((i * 7) mod 13);
-                (i * i) - i)
-              xs)
-      in
-      Alcotest.(check (list int))
-        (Printf.sprintf "chunk %s"
-           (match pin with None -> "auto" | Some c -> string_of_int c))
-        expect got)
-    [ None; Some 1; Some 3; Some 7; Some 1000 ]
+  Alcotest.(check int) "no fanned batch" 0 d.c_batches;
+  (* [~slots] overrides the job count, as a parallel region's procs do:
+     two slots fan out at -j 1, one task per chunk *)
+  let r, d =
+    delta (fun () -> Pool.with_jobs 1 (fun () -> Pool.map ~slots:2 (fun i -> i - 1) [ 1; 2 ]))
+  in
+  Alcotest.(check (list int)) "slot results" [ 0; 1 ] r;
+  Alcotest.(check int) "two slots fan out" 1 d.c_batches;
+  Alcotest.(check int) "one chunk per block" 2 d.c_chunks
 
 let test_jobs_clamping () =
   (* the ambient job count is whatever POLARIS_JOBS says (the whole
@@ -218,8 +194,6 @@ let tests =
     Alcotest.test_case "job count clamping" `Quick test_jobs_clamping;
     Alcotest.test_case "scheduler counters are exact" `Quick
       test_scheduler_counters;
-    Alcotest.test_case "chunk size never changes results" `Quick
-      test_chunk_identity;
     Alcotest.test_case "-j1 vs -j8 byte-identical (100 fuzz seeds)" `Slow
       test_fuzz_identity;
     Alcotest.test_case "suite codes byte-identical at -j 1/2/4" `Quick

@@ -119,6 +119,24 @@ let test_env_parse_jobs () =
   Alcotest.(check bool) "non-numeric rejected" true (rejected "four");
   Alcotest.(check bool) "empty rejected" true (rejected "")
 
+(* POLARIS_RUNTIME_PROCS: the real executor's domain count, read with
+   the same parser as POLARIS_JOBS *)
+let test_env_parse_procs () =
+  let rejected s =
+    match Env.parse_jobs s with Error _ -> true | Ok _ -> false
+  in
+  Alcotest.(check bool) "plain" true (Env.parse_jobs "4" = Ok 4);
+  Alcotest.(check bool) "one is fine (serial)" true (Env.parse_jobs "1" = Ok 1);
+  Alcotest.(check bool) "whitespace trimmed" true (Env.parse_jobs " 8 " = Ok 8);
+  Alcotest.(check bool) "huge count clamps to the ceiling" true
+    (Env.parse_jobs "9999" = Ok Env.max_jobs);
+  Alcotest.(check bool) "zero rejected" true (rejected "0");
+  Alcotest.(check bool) "negative rejected" true (rejected "-2");
+  Alcotest.(check bool) "non-numeric rejected" true (rejected "all");
+  Alcotest.(check bool) "empty rejected" true (rejected "");
+  Alcotest.(check bool) "the runtime count is in range" true
+    (Env.runtime_procs >= 1 && Env.runtime_procs <= Env.max_jobs)
+
 let test_env_parse_flag () =
   let rejected s =
     match Env.parse_flag s with Error _ -> true | Ok _ -> false
@@ -176,39 +194,6 @@ let test_env_parse_seconds () =
   Alcotest.(check bool) "inf rejected" true (rejected "inf");
   Alcotest.(check bool) "non-numeric rejected" true (rejected "soon")
 
-(* the scheduling knob POLARIS_CHUNK (work-stealing batch size) *)
-let test_env_parse_chunk () =
-  let rejected s =
-    match Env.parse_chunk s with Error _ -> true | Ok _ -> false
-  in
-  Alcotest.(check bool) "plain" true (Env.parse_chunk "16" = Ok 16);
-  Alcotest.(check bool) "one is fine" true (Env.parse_chunk "1" = Ok 1);
-  Alcotest.(check bool) "whitespace trimmed" true (Env.parse_chunk " 64 " = Ok 64);
-  Alcotest.(check bool) "ceiling accepted" true
-    (Env.parse_chunk "1000000" = Ok 1_000_000);
-  Alcotest.(check bool) "zero rejected (would livelock the batcher)" true
-    (rejected "0");
-  Alcotest.(check bool) "negative rejected" true (rejected "-8");
-  Alcotest.(check bool) "absurd size rejected as a typo" true
-    (rejected "1000001");
-  Alcotest.(check bool) "non-numeric rejected" true (rejected "auto");
-  Alcotest.(check bool) "empty rejected" true (rejected "")
-
-(* POLARIS_RUNTIME_PROCS: the real executor's domain count *)
-let test_env_parse_procs () =
-  let rejected s =
-    match Env.parse_procs s with Error _ -> true | Ok _ -> false
-  in
-  Alcotest.(check bool) "plain" true (Env.parse_procs "4" = Ok 4);
-  Alcotest.(check bool) "one is fine (serial)" true (Env.parse_procs "1" = Ok 1);
-  Alcotest.(check bool) "whitespace trimmed" true (Env.parse_procs " 8 " = Ok 8);
-  Alcotest.(check bool) "huge count clamps to the ceiling" true
-    (Env.parse_procs "9999" = Ok Env.max_runtime_procs);
-  Alcotest.(check bool) "zero rejected" true (rejected "0");
-  Alcotest.(check bool) "negative rejected" true (rejected "-2");
-  Alcotest.(check bool) "non-numeric rejected" true (rejected "all");
-  Alcotest.(check bool) "empty rejected" true (rejected "")
-
 let test_env_parse_path () =
   Alcotest.(check bool) "plain path" true
     (Env.parse_path "/tmp/cache" = Ok "/tmp/cache");
@@ -225,7 +210,6 @@ let tests =
     ("env cache-size parsing", `Quick, test_env_parse_mb);
     ("env count parsing", `Quick, test_env_parse_count);
     ("env seconds parsing", `Quick, test_env_parse_seconds);
-    ("env chunk parsing", `Quick, test_env_parse_chunk);
     ("env runtime-procs parsing", `Quick, test_env_parse_procs);
     ("env path parsing", `Quick, test_env_parse_path);
     ("rat zero denominator", `Quick, test_make_zero_den);
