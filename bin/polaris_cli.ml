@@ -17,8 +17,14 @@
       compile against a from-scratch one.
     - [polaris daemon]: the long-lived compile server — multiple client
       sessions over a unix-domain socket share one analysis store,
-      persistent on disk under \$POLARIS_CACHE_DIR.
-    - [polaris client FILE...]: compile files on a running daemon. *)
+      persistent on disk under [--store].
+    - [polaris client FILE...]: compile files on a running daemon.
+
+    Every setting is one Cmdliner declaration, from which Cmdliner
+    derives its [--help] entry and its default; the settings several
+    commands share are declared once below.  Numeric and path flags
+    parse through the {!Util.Env} validators, so an out-of-range value
+    is a usage error (exit 124) before any work starts. *)
 
 open Cmdliner
 
@@ -64,84 +70,100 @@ let with_errors f =
       pid sock;
     exit 1
 
-let config_of ~baseline ~procs =
-  if baseline then Core.Config.baseline ~procs ()
-  else Core.Config.polaris ~procs ()
+(* ----- shared flags ----- *)
 
-(* ----- pass-pipeline and emission-backend selection -----
+let jobs_conv = Arg.conv' (Util.Env.parse_jobs, Fmt.int)
+let count_conv = Arg.conv' (Util.Env.parse_count, Fmt.int)
+let seconds_conv = Arg.conv' (Util.Env.parse_seconds, Fmt.float)
+let mb_conv = Arg.conv' (Util.Env.parse_mb, Fmt.int)
+let path_conv = Arg.conv' (Util.Env.parse_path, Fmt.string)
 
-   Both registries are first-class tables: --pipeline resolves against
-   Core.Registry (presets + custom:p1,p2,... with ordering constraints
-   checked), --emit-backend against Backend.Registry.  A bad flag value
-   is a hard error (exit 1); a bad environment value was already warned
-   about and dropped by Util.Env's validated parsers, and an
-   env-supplied name that fails registry resolution degrades to the
-   default with a warning — the environment must never turn a working
-   invocation into a failing one. *)
-
-let pipeline_flag =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "pipeline" ] ~docv:"SPEC"
-        ~doc:
-          "Pass pipeline to run: a preset ($(b,thorough), $(b,fast), \
-           $(b,serial)) or $(b,custom:)$(i,P1,P2,..) over registered pass \
-           names (see $(b,polaris list-passes)).  Unknown passes and \
-           orderings that violate a registered constraint are refused.  \
-           Default \\$(b,POLARIS_PIPELINE), or the thorough preset.")
-
-let resolve_pipeline (flag : string option) : Core.Registry.pipeline option =
-  match flag with
-  | Some spec -> (
+(* --pipeline resolves against Core.Registry (presets + custom:p1,p2,...
+   with ordering constraints checked), --emit-backend against
+   Backend.Registry; a bad value is a hard error (exit 1) *)
+let pipeline_term : Core.Registry.pipeline option Term.t =
+  let spec =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "pipeline" ] ~docv:"SPEC"
+          ~doc:
+            "Pass pipeline to run: a preset ($(b,thorough), the default; \
+             $(b,fast); $(b,serial)) or $(b,custom:)$(i,P1,P2,..) over \
+             registered pass names (see $(b,polaris list-passes)).  Unknown \
+             passes and orderings that violate a registered constraint are \
+             refused.")
+  in
+  let resolve spec =
     match Core.Registry.parse spec with
-    | Ok pl -> Some pl
+    | Ok pl -> pl
     | Error m ->
       Fmt.epr "polaris: --pipeline: %s@." m;
-      exit 1)
-  | None -> (
-    match Util.Env.pipeline with
-    | None -> None
-    | Some spec -> (
-      match Core.Registry.parse spec with
-      | Ok pl -> Some pl
-      | Error m ->
-        Fmt.epr "polaris: warning: POLARIS_PIPELINE ignored: %s@." m;
-        None))
+      exit 1
+  in
+  Term.(const (Option.map resolve) $ spec)
 
 let apply_pipeline (pl : Core.Registry.pipeline option) (c : Core.Config.t) :
     Core.Config.t =
   match pl with Some pl -> Core.Config.with_pipeline pl c | None -> c
 
-let backend_flag =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "emit-backend" ] ~docv:"NAME"
-        ~doc:
-          "Emission backend for the transformed source: $(b,f77) (the \
-           default round-tripping unparser), $(b,f77-omp) (!\\$OMP \
-           directives from the compiler's verdicts) or $(b,c) (portable C \
-           with OpenMP pragmas); see $(b,polaris list-backends).  Default \
-           \\$(b,POLARIS_BACKEND), or f77.")
-
-let resolve_backend (flag : string option) : Backend.Registry.t =
-  match flag with
-  | Some name -> (
+let backend_term : Backend.Registry.t option Term.t =
+  let flag =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "emit-backend" ] ~docv:"NAME"
+          ~doc:
+            "Emission backend for the transformed source: $(b,f77) (the \
+             default round-tripping unparser), $(b,f77-omp) (!\\$OMP \
+             directives from the compiler's verdicts) or $(b,c) (portable C \
+             with OpenMP pragmas); see $(b,polaris list-backends).")
+  in
+  let resolve name =
     match Backend.Registry.find name with
     | Ok b -> b
     | Error m ->
       Fmt.epr "polaris: --emit-backend: %s@." m;
-      exit 1)
-  | None -> (
-    match Util.Env.backend with
-    | None -> Backend.Registry.default
-    | Some name -> (
-      match Backend.Registry.find name with
-      | Ok b -> b
-      | Error m ->
-        Fmt.epr "polaris: warning: POLARIS_BACKEND ignored: %s@." m;
-        Backend.Registry.default))
+      exit 1
+  in
+  Term.(const (Option.map resolve) $ flag)
+
+(* -j/--jobs on every command that compiles, applied to the process-wide
+   pool before the command body runs.  Output is byte-identical at any
+   job count, so this is purely a wall-clock knob. *)
+let jobs_term : unit Term.t =
+  let jobs =
+    Arg.(
+      value
+      & opt jobs_conv (Util.Pool.jobs ())
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Compiler worker domains for dependence analysis and validation; \
+             the default follows $(b,POLARIS_JOBS).  Output is \
+             byte-identical at every N.")
+  in
+  Term.(const Util.Pool.set_jobs $ jobs)
+
+let baseline_flag =
+  Arg.(value & flag & info [ "baseline" ] ~doc:"Use the baseline (PFA-like) pipeline")
+
+let procs_flag =
+  Arg.(
+    value & opt count_conv 8
+    & info [ "p"; "procs" ] ~docv:"N" ~doc:"Simulated processor count")
+
+let emit_flag =
+  Arg.(value & flag & info [ "emit" ] ~doc:"Print each compile's transformed source")
+
+(* the compile configuration: --baseline, the simulated machine size and
+   --pipeline *)
+let config_term (procs : int Term.t) : Core.Config.t Term.t =
+  let make baseline procs pl =
+    apply_pipeline pl
+      (if baseline then Core.Config.baseline ~procs ()
+       else Core.Config.polaris ~procs ())
+  in
+  Term.(const make $ baseline_flag $ procs $ pipeline_term)
 
 let strict_flag =
   Arg.(
@@ -150,19 +172,6 @@ let strict_flag =
         ~doc:
           "Disable fault containment: re-raise the first pass fault instead \
            of rolling the pass back (debugging)")
-
-(* -j/--jobs on every command; the default comes from POLARIS_JOBS (or 1).
-   Output is byte-identical at any job count, so this is purely a
-   wall-clock knob. *)
-let jobs_flag =
-  Arg.(
-    value
-    & opt int (Util.Pool.jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Compiler worker domains for dependence analysis and validation \
-           (default \\$(b,POLARIS_JOBS) or 1).  Output is byte-identical at \
-           every N.")
 
 (* fail-safe contract: a compilation that contained pass faults still
    produced a correct (possibly less optimized) program, but the caller
@@ -198,21 +207,13 @@ let required_file file =
 (* ----- compile ----- *)
 
 let compile_cmd =
-  let baseline =
-    Arg.(value & flag & info [ "baseline" ] ~doc:"Use the baseline (PFA-like) pipeline")
-  in
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only print the transformed source")
   in
-  let run file baseline quiet strict jobs explain_reuse pipeline backend =
+  let run file config quiet strict () explain_reuse backend =
     with_errors (fun () ->
-        Util.Pool.set_jobs jobs;
         let file = required_file file in
-        let config =
-          apply_pipeline (resolve_pipeline pipeline)
-            (config_of ~baseline ~procs:8)
-        in
-        let b = resolve_backend backend in
+        let b = Option.value backend ~default:Backend.Registry.default in
         let t = Core.Pipeline.compile ~strict config (read_file file) in
         if not quiet then Fmt.pr "%a@." Core.Pipeline.pp_summary t;
         if explain_reuse then Fmt.pr "%a" Valid.Trace.pp_reuse_table t.reuse;
@@ -222,18 +223,12 @@ let compile_cmd =
   Cmd.v
     (Cmd.info "compile" ~doc:"Restructure a Fortran program and print it")
     Term.(
-      const run $ file_pos $ baseline $ quiet $ strict_flag $ jobs_flag
-      $ explain_reuse_flag $ pipeline_flag $ backend_flag)
+      const run $ file_pos $ config_term (const 8) $ quiet $ strict_flag
+      $ jobs_term $ explain_reuse_flag $ backend_term)
 
 (* ----- run ----- *)
 
 let run_cmd =
-  let baseline =
-    Arg.(value & flag & info [ "baseline" ] ~doc:"Use the baseline (PFA-like) pipeline")
-  in
-  let procs =
-    Arg.(value & opt int 8 & info [ "p"; "procs" ] ~doc:"Simulated processor count")
-  in
   let real =
     Arg.(
       value & flag
@@ -246,28 +241,24 @@ let run_cmd =
   let real_procs =
     Arg.(
       value
-      & opt (some int) None
+      & opt jobs_conv Util.Env.runtime_procs
       & info [ "real-procs" ] ~docv:"N"
           ~doc:
             "Domains that run $(b,--real)'s parallel regions, as batches \
-             on the compiler's worker pool (default \
-             \\$(b,POLARIS_RUNTIME_PROCS), or the host's recommended domain \
-             count capped at 8)")
+             on the compiler's worker pool; the default follows \
+             $(b,POLARIS_RUNTIME_PROCS), or the host's recommended domain \
+             count capped at 8")
   in
-  let go file baseline procs real real_procs strict jobs pipeline =
+  let go file (cfg : Core.Config.t) real real_procs strict () =
     with_errors (fun () ->
-        Util.Pool.set_jobs jobs;
         let file = required_file file in
-        let cfg =
-          apply_pipeline (resolve_pipeline pipeline) (config_of ~baseline ~procs)
-        in
         let t, r = Core.Simulate.compile_and_run ~strict cfg (read_file file) in
         Fmt.pr "%a@." Core.Pipeline.pp_summary t;
         Fmt.pr "serial time   : %d@." r.serial_time;
-        Fmt.pr "parallel time : %d (%d processors)@." r.parallel_time procs;
+        Fmt.pr "parallel time : %d (%d processors)@." r.parallel_time cfg.procs;
         Fmt.pr "speedup       : %.2fx@." r.speedup;
         if real then begin
-          let m = Core.Simulate.run_measured ?procs:real_procs t.program in
+          let m = Core.Simulate.run_measured ~procs:real_procs t.program in
           let s = m.stats in
           Fmt.pr
             "real exec     : p=%d  serial %.4fs  parallel %.4fs  speedup \
@@ -298,8 +289,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute on the simulated multiprocessor")
     Term.(
-      const go $ file_pos $ baseline $ procs $ real $ real_procs $ strict_flag
-      $ jobs_flag $ pipeline_flag)
+      const go $ file_pos $ config_term procs_flag $ real $ real_procs
+      $ strict_flag $ jobs_term)
 
 (* ----- suite ----- *)
 
@@ -307,13 +298,8 @@ let suite_cmd =
   let code_name =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"NAME" ~doc:"Suite code name")
   in
-  let procs =
-    Arg.(value & opt int 8 & info [ "p"; "procs" ] ~doc:"Simulated processor count")
-  in
-  let go code_name procs jobs pipeline =
+  let go code_name procs () pl =
     with_errors (fun () ->
-        Util.Pool.set_jobs jobs;
-        let pl = resolve_pipeline pipeline in
         match code_name with
         | None ->
           Fmt.pr "%-8s %-8s %s@." "name" "origin" "description";
@@ -346,20 +332,26 @@ let suite_cmd =
   in
   Cmd.v
     (Cmd.info "suite" ~doc:"List or run the evaluation-suite codes")
-    Term.(const go $ code_name $ procs $ jobs_flag $ pipeline_flag)
+    Term.(const go $ code_name $ procs_flag $ jobs_term $ pipeline_term)
 
 (* ----- validate ----- *)
 
-let parse_int_list ~what s =
+(* a comma-separated list, each element through [parse]; a bad element
+   exits 1 *)
+let parse_list ~what parse s =
   if String.trim s = "" then []
   else
     String.split_on_char ',' s
     |> List.map (fun tok ->
-           match int_of_string_opt (String.trim tok) with
-           | Some n -> n
-           | None ->
-             Fmt.epr "polaris: bad %s list %S@." what s;
+           match parse tok with
+           | Ok n -> n
+           | Error m ->
+             Fmt.epr "polaris: bad %s list %S: %s@." what s m;
              exit 1)
+
+let parse_int tok =
+  Option.to_result ~none:"expected an integer"
+    (int_of_string_opt (String.trim tok))
 
 let checks_of_report (r : Valid.Snapshot.report) =
   List.fold_left
@@ -426,15 +418,17 @@ let validate_cmd =
                    reassociation-aware ULP tolerance; default: off)")
   in
   let go file suite baseline_only polaris_only ulp seeds procs trace_out
-      real_procs jobs pipeline =
+      real_procs () pl =
     with_errors (fun () ->
-        Util.Pool.set_jobs jobs;
         let cmp = { Valid.Oracle.default_cmp with ulp_tol = ulp } in
-        let seeds = parse_int_list ~what:"seed" seeds in
-        let procs_list = parse_int_list ~what:"processor" procs in
+        let seeds = parse_list ~what:"seed" parse_int seeds in
+        let procs_list =
+          parse_list ~what:"processor" Util.Env.parse_count procs
+        in
         let procs_list = if procs_list = [] then [ 1; 2; 4; 8 ] else procs_list in
-        let real_procs_list = parse_int_list ~what:"processor" real_procs in
-        let pl = resolve_pipeline pipeline in
+        let real_procs_list =
+          parse_list ~what:"processor" Util.Env.parse_jobs real_procs
+        in
         let configs =
           List.map (apply_pipeline pl)
             (match (baseline_only, polaris_only) with
@@ -584,7 +578,7 @@ let validate_cmd =
        ~doc:"Translation-validate the pipeline by differential execution")
     Term.(
       const go $ file_pos $ suite $ baseline_only $ polaris_only $ ulp $ seeds
-      $ procs $ trace_out $ real_procs $ jobs_flag $ pipeline_flag)
+      $ procs $ trace_out $ real_procs $ jobs_term $ pipeline_term)
 
 (* ----- serve ----- *)
 
@@ -599,9 +593,6 @@ let serve_cmd =
              read from stdin, one per line — an editor or build daemon can \
              stream recompile requests.")
   in
-  let baseline =
-    Arg.(value & flag & info [ "baseline" ] ~doc:"Use the baseline (PFA-like) pipeline")
-  in
   let check =
     Arg.(
       value & flag
@@ -612,15 +603,8 @@ let serve_cmd =
              per-loop verdicts, incidents and dependence counters; exit \
              non-zero on any divergence")
   in
-  let emit =
-    Arg.(
-      value & flag
-      & info [ "emit" ] ~doc:"Print each compile's transformed source")
-  in
-  let go files baseline check emit strict jobs explain_reuse pipeline
-      backend =
+  let go files config check emit strict () explain_reuse backend =
     with_errors (fun () ->
-        Util.Pool.set_jobs jobs;
         let paths =
           if files <> [] then files
           else
@@ -637,11 +621,7 @@ let serve_cmd =
           Fmt.epr "polaris: serve: no input files@.";
           exit 1
         end;
-        let config =
-          apply_pipeline (resolve_pipeline pipeline)
-            (config_of ~baseline ~procs:8)
-        in
-        let bk = resolve_backend backend in
+        let bk = Option.value backend ~default:Backend.Registry.default in
         let divergent = ref 0 in
         let incidents = ref 0 in
         let failed = ref 0 in
@@ -698,43 +678,38 @@ let serve_cmd =
          "Incremental recompilation: compile a sequence of sources in one \
           process, reusing every analysis whose program unit is unchanged")
     Term.(
-      const go $ files $ baseline $ check $ emit $ strict_flag $ jobs_flag
-      $ explain_reuse_flag $ pipeline_flag $ backend_flag)
+      const go $ files $ config_term (const 8) $ check $ emit_flag
+      $ strict_flag $ jobs_term $ explain_reuse_flag $ backend_term)
 
 (* ----- daemon ----- *)
 
 let socket_flag =
   Arg.(
     value
-    & opt string (Serve.Daemon.default_socket ())
+    & opt path_conv Serve.Daemon.default_socket
     & info [ "socket" ] ~docv:"PATH"
-        ~doc:
-          "Unix-domain socket the daemon listens on (default \
-           \\$(b,POLARIS_SOCKET) or a per-user path under the temp dir)")
+        ~doc:"Unix-domain socket of the daemon")
 
 let daemon_cmd =
+  let d = Serve.Daemon.default_cfg in
   let store =
     Arg.(
       value
-      & opt (some string) Util.Env.cache_dir
+      & opt (some path_conv) d.d_store_dir
       & info [ "store" ] ~docv:"DIR"
           ~doc:
-            "Directory of the persistent analysis store (default \
-             \\$(b,POLARIS_CACHE_DIR); no persistence when unset — facts \
-             are still shared across sessions in memory)")
+            "Directory of the persistent analysis store; without it there \
+             is no persistence, and facts are still shared across sessions \
+             in memory")
   in
   let max_mb =
     Arg.(
       value
-      & opt int Util.Env.max_cache_mb
+      & opt mb_conv d.d_max_cache_mb
       & info [ "max-cache-mb" ] ~docv:"MB"
           ~doc:
             "Size bound of the persistent store; least-recently-used \
-             facts are evicted beyond it (default \
-             \\$(b,POLARIS_MAX_CACHE_MB) or 64)")
-  in
-  let baseline =
-    Arg.(value & flag & info [ "baseline" ] ~doc:"Serve the baseline (PFA-like) pipeline")
+             facts are evicted beyond it")
   in
   let budget_steps =
     Arg.(
@@ -762,66 +737,58 @@ let daemon_cmd =
   let max_sessions =
     Arg.(
       value
-      & opt int Util.Env.max_sessions
+      & opt count_conv d.d_max_sessions
       & info [ "max-sessions" ] ~docv:"N"
           ~doc:
             "Admission cap: connections beyond N concurrent sessions are \
-             shed with a Busy response (default \\$(b,POLARIS_MAX_SESSIONS) \
-             or 64)")
+             shed with a Busy response")
   in
   let idle_timeout =
     Arg.(
       value
-      & opt float Util.Env.idle_timeout_s
+      & opt seconds_conv d.d_idle_timeout_s
       & info [ "idle-timeout" ] ~docv:"SECONDS"
-          ~doc:
-            "Evict sessions idle longer than this (default \
-             \\$(b,POLARIS_IDLE_TIMEOUT_S) or 600)")
+          ~doc:"Evict sessions idle longer than this")
   in
   let flush_every =
     Arg.(
       value
-      & opt int Util.Env.flush_every
+      & opt count_conv d.d_flush_every
       & info [ "flush-every" ] ~docv:"N"
           ~doc:
             "Flush the persistent store after every N compile requests, \
-             bounding what a crash can lose (default \
-             \\$(b,POLARIS_FLUSH_EVERY) or 64)")
+             bounding what a crash can lose")
   in
   let flush_interval =
     Arg.(
       value
-      & opt float Util.Env.flush_interval_s
+      & opt seconds_conv d.d_flush_interval_s
       & info [ "flush-interval" ] ~docv:"SECONDS"
           ~doc:
             "Also flush the persistent store after this many seconds with \
-             unflushed work (default \\$(b,POLARIS_FLUSH_INTERVAL_S) or 30)")
+             unflushed work")
   in
   let max_pipeline =
     Arg.(
       value
-      & opt int 32
+      & opt count_conv d.d_max_pipeline
       & info [ "max-pipeline" ] ~docv:"N"
           ~doc:
             "Pipelined requests executed per connection per loop turn; an \
              aggressive pipeliner round-robins with the other sessions")
   in
   let go socket store max_mb baseline budget_steps deadline log max_sessions
-      idle_timeout flush_every flush_interval max_pipeline jobs pipeline
+      idle_timeout flush_every flush_interval max_pipeline () pipeline
       backend =
     with_errors (fun () ->
         let cfg =
-          { (Serve.Daemon.default_cfg ()) with
+          { d with
             d_socket = socket;
             d_store_dir = store;
             d_max_cache_mb = max_mb;
             d_baseline = baseline;
-            d_pipeline = resolve_pipeline pipeline;
-            d_backend =
-              (match (backend, Util.Env.backend) with
-              | None, None -> None
-              | _ -> Some (resolve_backend backend));
-            d_jobs = jobs;
+            d_pipeline = pipeline;
+            d_backend = backend;
             d_budget_steps = budget_steps;
             d_deadline_s = deadline;
             d_log = log;
@@ -857,10 +824,10 @@ let daemon_cmd =
          "Run the compile daemon: a multi-client server whose sessions \
           share one persistent analysis store")
     Term.(
-      const go $ socket_flag $ store $ max_mb $ baseline $ budget_steps
+      const go $ socket_flag $ store $ max_mb $ baseline_flag $ budget_steps
       $ deadline $ log $ max_sessions $ idle_timeout $ flush_every
-      $ flush_interval $ max_pipeline $ jobs_flag $ pipeline_flag
-      $ backend_flag)
+      $ flush_interval $ max_pipeline $ jobs_term $ pipeline_term
+      $ backend_term)
 
 (* ----- client ----- *)
 
@@ -876,12 +843,6 @@ let client_cmd =
       & info [ "check" ]
           ~doc:
             "Ask the daemon to verify each compile against a from-scratch one")
-  in
-  let baseline =
-    Arg.(value & flag & info [ "baseline" ] ~doc:"Use the baseline (PFA-like) pipeline")
-  in
-  let emit =
-    Arg.(value & flag & info [ "emit" ] ~doc:"Print each compile's transformed source")
   in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print the server's stats report (JSON)")
@@ -903,7 +864,7 @@ let client_cmd =
   let timeout =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some seconds_conv) None
       & info [ "timeout" ] ~docv:"SECONDS"
           ~doc:
             "Per-request wall deadline: fail (and with --retries, retry) \
@@ -918,19 +879,19 @@ let client_cmd =
   let go socket files check baseline emit stats shutdown retries timeout ping
       pipeline backend =
     with_errors (fun () ->
-        (* resolve the names locally against the same registries the
-           daemon uses, so a typo exits 1 before a connection is even
-           attempted; the wire carries the resolved spec ("" = let the
-           daemon pick its own default) *)
+        (* a daemon that sheds this connection may close it before the
+           request is written: the failed write must be a transient
+           "send failed" that --retries retries, not a SIGPIPE death *)
+        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+        (* the names were resolved locally against the same registries
+           the daemon uses, so a typo exits 1 before a connection is
+           even attempted; the wire carries the resolved spec ("" = let
+           the daemon pick its own default) *)
         let pipeline =
-          match resolve_pipeline pipeline with
-          | Some pl -> pl.Core.Registry.pl_name
-          | None -> ""
+          Option.fold ~none:"" ~some:(fun pl -> pl.Core.Registry.pl_name) pipeline
         in
         let backend =
-          match (backend, Util.Env.backend) with
-          | None, None -> ""
-          | _ -> (resolve_backend backend).Backend.Registry.b_name
+          Option.fold ~none:"" ~some:(fun b -> b.Backend.Registry.b_name) backend
         in
         if files = [] && not (stats || shutdown || ping) then begin
           Fmt.epr
@@ -1031,8 +992,9 @@ let client_cmd =
     (Cmd.info "client"
        ~doc:"Compile files on a running polaris daemon (thin client)")
     Term.(
-      const go $ socket_flag $ files $ check $ baseline $ emit $ stats
-      $ shutdown $ retries $ timeout $ ping $ pipeline_flag $ backend_flag)
+      const go $ socket_flag $ files $ check $ baseline_flag $ emit_flag
+      $ stats $ shutdown $ retries $ timeout $ ping $ pipeline_term
+      $ backend_term)
 
 (* ----- chaos ----- *)
 
@@ -1051,9 +1013,8 @@ let chaos_cmd =
       & info [ "out" ] ~docv:"OUT.json"
           ~doc:"Write the sweep report (failures, incidents) as JSON")
   in
-  let go seeds first_seed out jobs =
+  let go seeds first_seed out () =
     with_errors (fun () ->
-        Util.Pool.set_jobs jobs;
         let sources = Valid.Chaos.default_sources () in
         let sweep =
           Valid.Chaos.run_sweep ~procs_list:[ 4 ] ~first_seed ~n:seeds sources
@@ -1075,7 +1036,7 @@ let chaos_cmd =
          "Fault-injection sweep: seeded exceptions, IR corruptions and \
           budget exhaustion must all be contained, attributed and \
           oracle-equivalent")
-    Term.(const go $ seeds $ first_seed $ out $ jobs_flag)
+    Term.(const go $ seeds $ first_seed $ out $ jobs_term)
 
 (* ----- registry listings ----- *)
 
@@ -1158,10 +1119,8 @@ let native_cmd =
       & info [ "backends" ] ~docv:"B1,B2"
           ~doc:"Comma-separated backends to compile natively")
   in
-  let go codes backends pipeline jobs =
+  let go codes backends pl () =
     with_errors (fun () ->
-        Util.Pool.set_jobs jobs;
-        let pl = resolve_pipeline pipeline in
         let names = String.split_on_char ',' codes |> List.map String.trim in
         let codes =
           if names = [ "all" ] then Suite.Registry.all
@@ -1280,7 +1239,7 @@ let native_cmd =
           interpreter oracle; lanes whose compiler is absent are skipped \
           cleanly")
     Term.(
-      const go $ codes $ backends $ pipeline_flag $ jobs_flag)
+      const go $ codes $ backends $ pipeline_term $ jobs_term)
 
 let () =
   let doc = "Polaris-style automatic parallelizer (ICPP'96 reproduction)" in

@@ -64,10 +64,6 @@ let innermost (n : nest) = Util.Listx.last n.loops
 (** Indices of all loops in the nest, outermost first. *)
 let indices (n : nest) = List.map (fun l -> l.index) n.loops
 
-(** Trip-count polynomial of a loop with step 1 (hi - lo + 1). *)
-let trip_count (l : loop) =
-  Symbolic.Poly.add (Symbolic.Poly.sub l.hi l.lo) Symbolic.Poly.one
-
 (** Does the loop body contain unstructured control flow (GOTO), STOP,
     RETURN or I/O that prevents parallelization? *)
 let has_disqualifying_control (b : block) =

@@ -1,7 +1,7 @@
 (** Backend registry: every emission target is a first-class value.
 
     The compiler's output stage is a lookup in this table — CLI, daemon
-    and benchmark all resolve [--emit-backend] / [POLARIS_BACKEND] here,
+    and benchmark all resolve [--emit-backend] here,
     so adding a backend is one entry, and the validate and test matrices
     enumerate [all] instead of hard-coding names. *)
 

@@ -4,8 +4,8 @@
     [thorough] (the classic full Polaris order, the default), [fast]
     (skip inlining, the second propagation round and dead-code cleanup)
     and [serial] (every restructuring pass but no parallelization) —
-    and [custom:p1,p2,...] builds one from pass names on the CLI or in
-    [POLARIS_PIPELINE].  {!check} enforces the registry's ordering
+    and [custom:p1,p2,...] builds one from pass names given to
+    [--pipeline].  {!check} enforces the registry's ordering
     constraints ({!Pass_id.ordering_edges}) and rejects duplicates, so
     an ill-formed pipeline is a clean configuration error, never a
     miscompile. *)

@@ -17,9 +17,6 @@ type direction = Lt | Eq | Gt | Star
 
 type verdict = Independent | Maybe_dependent
 
-let pp_direction ppf d =
-  Fmt.string ppf (match d with Lt -> "<" | Eq -> "=" | Gt -> ">" | Star -> "*")
-
 (* vertices of {(x,y) | 0 <= x,y <= d, constraint}; empty if infeasible *)
 let vertices (dir : direction) (d : int) : (int * int) list =
   match dir with

@@ -20,8 +20,6 @@ type verdict =
   | Parallel of string          (** proof description *)
   | Dependent of string         (** first failure reason *)
 
-let is_parallel = function Parallel _ -> true | Dependent _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Outcome counters (the flight recorder's dependence-test telemetry)   *)
 

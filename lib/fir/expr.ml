@@ -31,9 +31,6 @@ let gt a b = Binary (Gt, a, b)
 let ge a b = Binary (Ge, a, b)
 let eq a b = Binary (Eq, a, b)
 let ne a b = Binary (Ne, a, b)
-let and_ a b = Binary (And, a, b)
-let or_ a b = Binary (Or, a, b)
-let not_ a = Unary (Not, a)
 
 (* ------------------------------------------------------------------ *)
 (* Equality / ordering                                                 *)

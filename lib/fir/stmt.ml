@@ -29,8 +29,6 @@ let do_ ?label ?step index ~init ~limit body =
     (Do { index = String.uppercase_ascii index; init; limit; step; body;
           info = fresh_loop_info () })
 
-let if_ ?label cond then_ else_ = mk ?label (If (cond, then_, else_))
-
 (* ------------------------------------------------------------------ *)
 (* Copying                                                             *)
 
@@ -141,12 +139,6 @@ let assigned_names b =
     [] b
   |> List.sort_uniq String.compare
 
-(** All names referenced anywhere in [b] (reads and writes). *)
-let referenced_names b =
-  let acc = ref [] in
-  iter_exprs (fun e -> acc := Expr.all_names e @ !acc) b;
-  List.sort_uniq String.compare !acc
-
 (** [mentions name b]: does any expression of [b] reference [name]? *)
 let mentions name b =
   exists (fun s -> List.exists (fun (_, e) -> Expr.mentions name e) (exprs_of s)) b
@@ -209,5 +201,3 @@ and pp_stmt ~indent ppf s =
   | Stop -> Fmt.pf ppf "%s%sSTOP@." pad lbl
   | Print args ->
     Fmt.pf ppf "%s%sPRINT *, %a@." pad lbl Fmt.(list ~sep:(any ", ") Expr.pp) args
-
-let block_to_string b = Fmt.str "%a" (pp_block ~indent:0) b

@@ -32,9 +32,5 @@ let marking_time cm ~accesses ~p = cm.mark_cost * accesses / max 1 p
 let analysis_time cm ~size ~p =
   (cm.analysis_per_elem * size / max 1 p) + (cm.merge_log_cost * log2i (max 1 p))
 
-(** Total PD-test overhead (marking + analysis), the paper's T_pdt. *)
-let total_overhead cm ~accesses ~size ~p =
-  marking_time cm ~accesses ~p + analysis_time cm ~size ~p
-
 let checkpoint_time cm ~size ~p = cm.checkpoint_per_elem * size / max 1 p
 let restore_time cm ~size ~p = cm.restore_per_elem * size / max 1 p

@@ -73,9 +73,6 @@ let is_induction_stmt (s : stmt) : (string * update) option =
     match incr_of v rhs with Some u -> Some (v, u) | None -> None)
   | _ -> None
 
-(* additive update's increment, if it is one *)
-let add_inc = function Add p -> Some p | Mul _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Candidate discovery over a region (a block)                         *)
 
@@ -356,8 +353,6 @@ let closed_form o v = Poly.add (Poly.var v) (offset o v)
    the current point *)
 let resolve (order : string list) (o : offsets) (p : Poly.t) : Poly.t =
   List.fold_left (fun p v -> Poly.subst (Atom.var v) (closed_form o v) p) p order
-
-let resolve_expr order o (e : expr) = resolve order o (Poly.of_expr e)
 
 let rewrite_expr ?(mulvars : (string * expr) list = []) (order : string list)
     (o : offsets) (e : expr) : expr =

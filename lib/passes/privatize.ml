@@ -302,13 +302,6 @@ let so_far_region env (d : do_loop) (r : region) : region option =
 
 let point_region subs = { rdims = List.map (fun p -> (p, p)) subs }
 
-let covered_by_region st env (subs : Poly.t list) (r : region) =
-  List.length subs = List.length r.rdims
-  && List.for_all2
-       (fun sub (lo, hi) ->
-         (Demand.prove_le st.ddefs env lo sub && Demand.prove_le st.ddefs env sub hi))
-       subs r.rdims
-
 (* effective region of a read subscript dimension through a monotonic
    index-array fact, if applicable *)
 let fact_region st env (sub : Poly.t) : (Poly.t * Poly.t) option =

@@ -10,9 +10,9 @@
 
     The analysis facts live in
     the process-wide content-addressed caches, so every session warms
-    every other session; with a {!Store} attached
-    ([POLARIS_CACHE_DIR]) the persistent subset also survives daemon
-    restarts, bounded by LRU eviction and guarded by integrity checks.
+    every other session; with a {!Store} attached ([--store]) the
+    persistent subset also survives daemon restarts, bounded by LRU
+    eviction and guarded by integrity checks.
 
     Fault containment is per request and per session: a compile that
     faults (bad source, contained pass incident, exhausted budget)
@@ -56,7 +56,6 @@ type cfg = {
           their own ([None] = the configuration's own, i.e. thorough) *)
   d_backend : Backend.Registry.t option;
       (** default emission backend ([None] = the f77 unparser) *)
-  d_jobs : int;                 (** worker domains per compile *)
   d_budget_steps : int option;  (** per-request analysis fuel *)
   d_deadline_s : float option;  (** per-request analysis deadline *)
   d_log : string option;        (** JSON-lines server log path (appended) *)
@@ -73,33 +72,33 @@ type cfg = {
   d_flush_interval_s : float;   (** store flush cadence in seconds *)
 }
 
-let default_socket () =
-  match Util.Env.socket with
-  | Some p -> p
-  | None ->
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "polaris-%d.sock" (Unix.getuid ()))
+(** The socket a daemon listens on when [--socket] is not given: a
+    per-user path under the temp dir. *)
+let default_socket =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "polaris-%d.sock" (Unix.getuid ()))
 
-let default_cfg () =
-  { d_socket = default_socket ();
-    d_store_dir = Util.Env.cache_dir;
-    d_max_cache_mb = Util.Env.max_cache_mb;
+(** The defaults of every daemon setting, and the only source of the
+    [polaris daemon] flags' defaults. *)
+let default_cfg =
+  { d_socket = default_socket;
+    d_store_dir = None;
+    d_max_cache_mb = 64;
     d_baseline = false;
     d_pipeline = None;
     d_backend = None;
-    d_jobs = Util.Pool.jobs ();
     d_budget_steps = None;
     d_deadline_s = None;
     d_log = None;
     d_poll_s = 0.1;
-    d_max_sessions = Util.Env.max_sessions;
-    d_idle_timeout_s = Util.Env.idle_timeout_s;
+    d_max_sessions = 64;
+    d_idle_timeout_s = 600.0;
     d_max_rbuf = Protocol.max_frame + Protocol.header_len;
     d_max_wbuf = Protocol.max_frame + Protocol.header_len;
     d_max_pipeline = 32;
     d_sndbuf = None;
-    d_flush_every = Util.Env.flush_every;
-    d_flush_interval_s = Util.Env.flush_interval_s }
+    d_flush_every = 64;
+    d_flush_interval_s = 30.0 }
 
 (** What {!run} hands back when the loop ends. *)
 type report = {
@@ -465,7 +464,6 @@ let run ?(signals = false) ?(stop = Atomic.make false) ?on_ready (cfg : cfg) :
   (match probe ~socket:cfg.d_socket with
   | Live pid -> raise (Already_running (pid, cfg.d_socket))
   | Stale _ | Absent -> ());
-  Util.Pool.set_jobs cfg.d_jobs;
   let store =
     Option.map
       (fun dir ->

@@ -23,7 +23,7 @@
 
     {b Eviction.}  The store tracks a recency tick per entry (bumped on
     every lookup hit and insert).  When the byte total exceeds the
-    bound ([POLARIS_MAX_CACHE_MB]), least-recently-used entries are
+    bound ([--max-cache-mb]), least-recently-used entries are
     evicted — on insert (so one pathological session cannot balloon the
     daemon's memory) and again at {!flush} (so the file on disk never
     exceeds the bound either).

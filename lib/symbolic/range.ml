@@ -18,10 +18,6 @@ let bound_mentions_var name = function
   | Finite p -> Poly.mentions_var name p
   | Neg_inf | Pos_inf -> false
 
-let bound_contains_atom a = function
-  | Finite p -> Poly.contains_atom a p
-  | Neg_inf | Pos_inf -> false
-
 (** An environment: ordered association of atoms to intervals.  Later
     entries shadow earlier ones (insertion = refinement push). *)
 type env = (Atom.t * interval) list

@@ -57,7 +57,7 @@ let debug = ref Env.cache_debug
 (** A second-level store behind the content-addressed caches.  Keys and
     values are opaque byte strings (the cache layer marshals them); the
     [name] namespaces entries per cache.  Installed by
-    [Serve.Store.install] when a daemon runs with [POLARIS_CACHE_DIR];
+    [Serve.Store.install] when a daemon runs with [--store];
     absent in ordinary one-shot compiles.  Implementations must be
     domain-safe: during a parallel phase worker domains look up and
     insert concurrently. *)

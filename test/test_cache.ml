@@ -108,6 +108,49 @@ let test_no_dead_cache () =
     content_addressed;
   Util.Cachectl.clear_all ()
 
+(* the debug cross-check (POLARIS_CACHE_DEBUG): in debug mode every hit
+   of a semantic cache is recomputed and compared, and a difference
+   raises Debug_mismatch.  Compiling the 16 codes under both
+   configurations, with the caches warm from a debug-off compile, must
+   raise nothing (strict, so no pass guard can swallow it), must really
+   cross-check hits of every semantic cache, and must emit what the
+   debug-off compile emits. *)
+let test_debug_cross_check () =
+  let cross_checked =
+    [ "poly.of_expr"; "compare.eliminate"; "compare.monotonicity";
+      "range_prop.env_at"; "dep.verdict" ]
+  in
+  let compile_all () =
+    List.concat_map
+      (fun (c : Suite.Code.t) ->
+        List.map
+          (fun config ->
+            let t = Core.Pipeline.compile ~strict:true config c.source in
+            (c.name ^ " " ^ config.Core.Config.name, Core.Pipeline.output_source t))
+          [ cfg ~caches:true; { (Core.Config.baseline ()) with caches = true } ])
+      Suite.Registry.all
+  in
+  Util.Cachectl.clear_all ();
+  let saved = !Util.Cachectl.debug in
+  Fun.protect
+    ~finally:(fun () ->
+      Util.Cachectl.debug := saved;
+      Util.Cachectl.clear_all ())
+  @@ fun () ->
+  Util.Cachectl.debug := false;
+  let plain = compile_all () in
+  let base = Util.Cachectl.snapshot () in
+  Util.Cachectl.debug := true;
+  let debugged = compile_all () in
+  List.iter
+    (fun (name, hits, _) ->
+      if List.mem name cross_checked && hits = 0 then
+        Alcotest.failf "debug mode cross-checked no hit of %s" name)
+    (Util.Cachectl.delta ~base (Util.Cachectl.snapshot ()));
+  List.iter2
+    (fun (label, want) (_, got) -> Alcotest.(check string) label want got)
+    plain debugged
+
 (* a pass rolled back by an injected fault leaves cache entries
    computed from the discarded program state behind; none may be served
    afterwards.  Output, verdicts and incidents must match the uncached
@@ -187,6 +230,7 @@ let tests =
   [ ("cached vs uncached, 100 fuzz seeds", `Slow, test_property_100_seeds);
     ("cached vs uncached, suite codes", `Quick, test_suite_codes);
     ("no dead content-addressed cache", `Quick, test_no_dead_cache);
+    ("debug cross-check, suite codes", `Quick, test_debug_cross_check);
     ("rollback: cached vs uncached", `Quick,
      test_rollback_cached_vs_uncached);
     ("chaos plan with caches on", `Quick, test_chaos_plan_with_caches);

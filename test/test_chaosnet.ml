@@ -44,7 +44,7 @@ let start_daemon ~socket =
      holding a forever-incomplete frame while the client waits for a
      reply that cannot come — idle eviction is the designed unstick *)
   let cfg =
-    { (Serve.Daemon.default_cfg ()) with
+    { Serve.Daemon.default_cfg with
       d_socket = socket;
       d_store_dir = None;
       d_poll_s = 0.01;

@@ -1,5 +1,5 @@
 (* The declarative pass/pipeline registry (Core.Registry / Core.Pass_id)
-   and the validated environment knobs behind it (Util.Env).
+   and the command line that selects from it.
 
    Three layers are pinned here.  (1) Registry invariants: the presets
    parse to their documented pass lists, custom pipelines resolve
@@ -10,7 +10,10 @@
    [consumes] set refers to analysis caches the reuse ledger actually
    tracks, so --explain-reuse can never report on a phantom cache.
    (3) The CLI boundary: an ill-formed --pipeline/--emit-backend is a
-   clean exit 1 from the real binary, never a traceback. *)
+   clean exit 1 from the real binary, never a traceback; an
+   out-of-range numeric flag is a usage error (exit 124) before any
+   work; every command's --help renders; and the environment reaches
+   only the four process-wide switches of Util.Env. *)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -158,56 +161,6 @@ let test_of_name_total () =
   Alcotest.(check bool) "junk" true (Core.Pass_id.of_name "junk" = None)
 
 (* ------------------------------------------------------------------ *)
-(* Util.Env validated parsers                                          *)
-
-let test_env_pipeline_spec () =
-  let ok s =
-    match Util.Env.parse_pipeline_spec s with
-    | Ok v -> v
-    | Error m -> Alcotest.failf "parse_pipeline_spec %S rejected: %s" s m
-  in
-  let err s =
-    match Util.Env.parse_pipeline_spec s with
-    | Ok v -> Alcotest.failf "parse_pipeline_spec %S accepted as %S" s v
-    | Error _ -> ()
-  in
-  Alcotest.(check string) "preset" "thorough" (ok "thorough");
-  Alcotest.(check string) "trimmed" "fast" (ok "  fast  ");
-  ignore (ok "custom:constprop,parallelize");
-  ignore (ok "CUSTOM:deadcode");
-  err "";
-  err "   ";
-  err "weird:constprop";
-  err "custom:";
-  err "custom: , ,";
-  err "custom:const prop";
-  err "no good"
-
-let test_env_backend_name () =
-  (match Util.Env.parse_backend_name "F77-OMP" with
-  | Ok v -> Alcotest.(check string) "lowercased" "f77-omp" v
-  | Error m -> Alcotest.failf "F77-OMP rejected: %s" m);
-  (match Util.Env.parse_backend_name " c " with
-  | Ok v -> Alcotest.(check string) "trimmed" "c" v
-  | Error m -> Alcotest.failf "' c ' rejected: %s" m);
-  List.iter
-    (fun s ->
-      match Util.Env.parse_backend_name s with
-      | Ok v -> Alcotest.failf "backend %S accepted as %S" s v
-      | Error _ -> ())
-    [ ""; "f 77"; "c!" ]
-
-(* every registry backend name round-trips through the env parser, so
-   POLARIS_BACKEND can always select any registered backend *)
-let test_env_accepts_all_registered () =
-  List.iter
-    (fun name ->
-      match Util.Env.parse_backend_name name with
-      | Ok v -> Alcotest.(check string) name name v
-      | Error m -> Alcotest.failf "registered backend %s rejected: %s" name m)
-    Backend.Registry.names
-
-(* ------------------------------------------------------------------ *)
 (* Backend registry resolution                                         *)
 
 let test_backend_find () =
@@ -243,6 +196,40 @@ let with_temp_source f =
 let run_cli args =
   Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" polaris_exe args)
 
+(* [polaris args] with stdin and stderr on /dev/null, killed after 20 s
+   (so a daemon that accepted a bad value fails the test instead of
+   hanging it): its exit code, if it exited, and its stdout *)
+let run_cli_bounded args =
+  let out = Filename.temp_file "polaris_registry" ".out" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process polaris_exe
+      (Array.of_list (polaris_exe :: args))
+      null fd null
+  in
+  Unix.close null;
+  Unix.close fd;
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.02;
+      wait ()
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      None
+    | _, Unix.WEXITED n -> Some n
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> None
+  in
+  let code = wait () in
+  let ic = open_in_bin out in
+  let stdout = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove out;
+  (code, stdout)
+
 let test_cli_rejects_bad_pipeline () =
   with_temp_source @@ fun src ->
   Alcotest.(check int) "unknown pass exits 1" 1
@@ -262,22 +249,37 @@ let test_cli_rejects_bad_backend () =
   Alcotest.(check int) "known backend exits 0" 0
     (run_cli (Printf.sprintf "compile --emit-backend f77-omp %s" src))
 
-(* a malformed POLARIS_PIPELINE must warn and fall back, never break a
-   working invocation (flags are strict; the environment is advisory) *)
-let test_cli_env_falls_back () =
+(* every numeric flag parses through its Util.Env validator, so an
+   out-of-range value is Cmdliner's usage error (exit 124) before any
+   work: nothing is printed, and a daemon never binds its socket *)
+let test_cli_rejects_out_of_range () =
   with_temp_source @@ fun src ->
-  Alcotest.(check int) "bad env pipeline still compiles" 0
-    (Sys.command
-       (Printf.sprintf
-          "POLARIS_PIPELINE=custom:nope %s compile %s >/dev/null 2>&1"
-          polaris_exe src));
-  Alcotest.(check int) "bad env backend still compiles" 0
-    (Sys.command
-       (Printf.sprintf "POLARIS_BACKEND=rust %s compile %s >/dev/null 2>&1"
-          polaris_exe src))
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let code, stdout = run_cli_bounded args in
+      Alcotest.(check (option int)) (what ^ " exits 124") (Some 124) code;
+      Alcotest.(check string) (what ^ " does no work") "" stdout)
+    [ [ "run"; src; "-p"; "0" ]; [ "run"; src; "--procs=-2" ];
+      [ "compile"; src; "-j"; "0" ] ];
+  let socket = Filename.temp_file "polaris_registry" ".sock" in
+  Sys.remove socket;
+  List.iter
+    (fun flag ->
+      let code, _ = run_cli_bounded [ "daemon"; "--socket"; socket; flag; "0" ] in
+      let bound = Sys.file_exists socket in
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ socket; socket ^ ".pid" ];
+      Alcotest.(check (option int)) ("daemon " ^ flag ^ " 0 exits 124")
+        (Some 124) code;
+      Alcotest.(check bool) ("daemon " ^ flag ^ " 0 never binds") false bound)
+    [ "--max-pipeline"; "--max-sessions" ]
 
-let read_cli args =
-  let ic = Unix.open_process_in (Printf.sprintf "%s %s 2>&1" polaris_exe args) in
+let read_cli ?(env = "") args =
+  let ic =
+    Unix.open_process_in (Printf.sprintf "%s %s %s 2>&1" env polaris_exe args)
+  in
   let b = Buffer.create 256 in
   (try
      while true do
@@ -286,8 +288,55 @@ let read_cli args =
    with End_of_file -> ());
   (match Unix.close_process_in ic with
   | Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.failf "%s %s exited non-zero" polaris_exe args);
+  | _ -> Alcotest.failf "%s %s %s exited non-zero" env polaris_exe args);
   Buffer.contents b
+
+(* the environment reaches only the four process-wide switches; a
+   malformed one warns and falls back, never breaking a working
+   invocation.  The retired twins of flags are inert. *)
+let test_cli_env_falls_back () =
+  with_temp_source @@ fun src ->
+  List.iter
+    (fun (var, value) ->
+      let out = read_cli ~env:(var ^ "=" ^ value) ("compile " ^ src) in
+      check_contains (var ^ " warns")
+        (Printf.sprintf "warning: ignoring %s=%s" var value)
+        out)
+    [ ("POLARIS_JOBS", "abc"); ("POLARIS_RUNTIME_PROCS", "0");
+      ("POLARIS_NO_CACHE", "maybe"); ("POLARIS_CACHE_DEBUG", "2") ];
+  let out =
+    read_cli ~env:"POLARIS_PIPELINE=custom:nope POLARIS_BACKEND=rust"
+      ("compile " ^ src)
+  in
+  if contains ~sub:"warning" out then
+    Alcotest.failf "a retired variable was read:\n%s" out
+
+let subcommands =
+  [ "compile"; "run"; "suite"; "validate"; "serve"; "daemon"; "client";
+    "chaos"; "list-passes"; "list-pipelines"; "list-backends"; "native" ]
+
+let retired_variables =
+  [ "POLARIS_PIPELINE"; "POLARIS_BACKEND"; "POLARIS_SOCKET";
+    "POLARIS_CACHE_DIR"; "POLARIS_MAX_CACHE_MB"; "POLARIS_MAX_SESSIONS";
+    "POLARIS_IDLE_TIMEOUT_S"; "POLARIS_FLUSH_EVERY";
+    "POLARIS_FLUSH_INTERVAL_S" ]
+
+(* every command's help renders: no escaped Cmdliner markup printed
+   literally, and no mention of a variable that is no longer read *)
+let test_cli_help_renders () =
+  let top = read_cli "--help=plain" in
+  List.iter (fun cmd -> check_contains "command listed" cmd top) subcommands;
+  List.iter
+    (fun cmd ->
+      let help = read_cli (cmd ^ " --help=plain") in
+      if contains ~sub:"$(" help then
+        Alcotest.failf "%s --help prints unrendered markup:\n%s" cmd help;
+      List.iter
+        (fun v ->
+          if contains ~sub:v help then
+            Alcotest.failf "%s --help names the retired %s" cmd v)
+        retired_variables)
+    subcommands
 
 let test_cli_listings () =
   let passes = read_cli "list-passes" in
@@ -321,14 +370,14 @@ let tests =
       test_ordering_irrelevant_edges_pass;
     Alcotest.test_case "consumes are tracked" `Quick test_consumes_are_tracked;
     Alcotest.test_case "of_name total" `Quick test_of_name_total;
-    Alcotest.test_case "env pipeline syntax" `Quick test_env_pipeline_spec;
-    Alcotest.test_case "env backend syntax" `Quick test_env_backend_name;
-    Alcotest.test_case "env accepts registered backends" `Quick
-      test_env_accepts_all_registered;
     Alcotest.test_case "backend find" `Quick test_backend_find;
     Alcotest.test_case "cli rejects bad pipeline" `Quick
       test_cli_rejects_bad_pipeline;
     Alcotest.test_case "cli rejects bad backend" `Quick
       test_cli_rejects_bad_backend;
+    Alcotest.test_case "cli rejects out-of-range flags" `Quick
+      test_cli_rejects_out_of_range;
     Alcotest.test_case "cli env falls back" `Quick test_cli_env_falls_back;
+    Alcotest.test_case "cli help renders for every command" `Quick
+      test_cli_help_renders;
     Alcotest.test_case "cli listings" `Quick test_cli_listings ]

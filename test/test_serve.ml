@@ -312,7 +312,7 @@ let start_daemon ?(signals = false) ?(tweak = fun c -> c) ~socket ~store_dir
   let ready = Atomic.make false in
   let cfg =
     tweak
-      { (Serve.Daemon.default_cfg ()) with
+      { Serve.Daemon.default_cfg with
         d_socket = socket;
         d_store_dir = store_dir;
         d_poll_s = 0.02 }
@@ -800,7 +800,7 @@ let test_daemon_pidfile_single_instance () =
   let d, stop = start_daemon ~socket ~store_dir:None () in
   (* a second daemon must refuse to stomp the live one's socket *)
   (match
-     Serve.Daemon.run { (Serve.Daemon.default_cfg ()) with d_socket = socket }
+     Serve.Daemon.run { Serve.Daemon.default_cfg with d_socket = socket }
    with
   | _ -> Alcotest.fail "second daemon must refuse a live socket"
   | exception Serve.Daemon.Already_running (pid, s) ->
@@ -886,12 +886,12 @@ let test_daemon_log_appends_restart_event () =
    by the same executable.) *)
 let polaris_exe = "../bin/polaris_cli.exe"
 
-let spawn_daemon_proc ~socket ~store_dir extra =
+let spawn_daemon_proc ~socket ?store_dir extra =
   let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let store = match store_dir with Some d -> [ "--store"; d ] | None -> [] in
   let argv =
     Array.of_list
-      ([ polaris_exe; "daemon"; "--socket"; socket; "--store"; store_dir;
-         "-j"; "1" ]
+      (([ polaris_exe; "daemon"; "--socket"; socket ] @ store @ [ "-j"; "1" ])
       @ extra)
   in
   let pid = Unix.create_process polaris_exe argv null null null in
@@ -946,6 +946,92 @@ let test_daemon_sigkill_recovery () =
     Serve.Client.close c);
   ignore (Unix.waitpid [] pid2);
   rm_rf_dir store_dir
+
+(* A client that the admission cap sheds may find its connection closed
+   before its request is written.  The real client must turn that
+   failed write into a transient error that --retries retries, exit 1
+   once the retries are spent, and exit 0 once the held session has
+   left; a SIGPIPE must not kill it first.  Both sides are real
+   processes, and the client starts with SIGPIPE at its default
+   disposition: an in-process daemon ignores SIGPIPE for the whole test
+   process, and a child would inherit that and hide the bug.  The
+   source is padded with comment lines past the socket buffers, so a
+   shed write fails even when it starts before the daemon closes. *)
+let test_client_survives_shed () =
+  let socket = tmp_name "shed.sock" in
+  (if Sys.file_exists socket then Sys.remove socket);
+  (if Sys.file_exists (socket ^ ".pid") then Sys.remove (socket ^ ".pid"));
+  let src = tmp_name "shed.f" and out = tmp_name "shed.out" in
+  let oc = open_out src in
+  for i = 1 to 16_384 do
+    Printf.fprintf oc "C     padding line %05d of a request larger than a socket buffer\n" i
+  done;
+  output_string oc smoke_source;
+  close_out oc;
+  let run_client () =
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+    let fd =
+      Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    in
+    let argv =
+      [| polaris_exe; "client"; "--socket"; socket; "--retries"; "1";
+         "--timeout"; "10"; src |]
+    in
+    let prev = Sys.signal Sys.sigpipe Sys.Signal_default in
+    let pid =
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.set_signal Sys.sigpipe prev;
+          Unix.close null;
+          Unix.close fd)
+        (fun () -> Unix.create_process polaris_exe argv null fd fd)
+    in
+    let _, status = Unix.waitpid [] pid in
+    let ic = open_in_bin out in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    (status, text)
+  in
+  let fail_status what status text =
+    match status with
+    | Unix.WEXITED n -> Alcotest.failf "%s: client exited %d:\n%s" what n text
+    | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+      Alcotest.failf "%s: client killed by %s:\n%s" what
+        (if n = Sys.sigpipe then "SIGPIPE" else string_of_int n)
+        text
+  in
+  let daemon = spawn_daemon_proc ~socket [ "--max-sessions"; "1" ] in
+  (* SIGTERM, not a Shutdown request: at the cap that would be shed *)
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill daemon Sys.sigterm with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] daemon) with Unix.Unix_error _ -> ());
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ src; out ])
+  @@ fun () ->
+  (match Serve.Client.connect ~wait_s:30.0 socket with
+  | Error m -> Alcotest.fail m
+  | Ok held ->
+    (* the ping guarantees the held session is admitted and counted *)
+    (match Serve.Client.ping held with
+    | Ok () -> ()
+    | Error m -> Alcotest.fail ("ping: " ^ m));
+    (match run_client () with
+    | Unix.WEXITED 1, text ->
+      Alcotest.(check bool) "shed client gives up after its retries" true
+        (contains text "giving up")
+    | status, text -> fail_status "at the session cap" status text);
+    Serve.Client.close held);
+  (* the daemon notices the held session's close on its next turn; until
+     then a run may still be shed, and must still exit 1 *)
+  let rec admitted n =
+    match run_client () with
+    | Unix.WEXITED 0, _ -> ()
+    | Unix.WEXITED 1, _ when n > 1 ->
+      Unix.sleepf 0.1;
+      admitted (n - 1)
+    | status, text -> fail_status "after the held session left" status text
+  in
+  admitted 50
 
 (* ------------------------------------------------------------------ *)
 (* Pipelined sessions                                                  *)
@@ -1056,5 +1142,7 @@ let tests =
      test_daemon_log_appends_restart_event);
     ("daemon SIGKILL: restart recovers the flushed store", `Quick,
      test_daemon_sigkill_recovery);
+    ("client exits 1 when shed, not by SIGPIPE", `Quick,
+     test_client_survives_shed);
     ("daemon pipelined sessions in order", `Quick,
      test_daemon_pipelined_sessions) ]

@@ -104,8 +104,10 @@ let test_listx () =
   Alcotest.(check int) "last" 3 (Listx.last [ 1; 2; 3 ]);
   Alcotest.(check int) "pairs incl diagonal" 9 (List.length (Listx.pairs [ 1; 2; 3 ]))
 
-(* Env.parse_* are the single validation site for POLARIS_* variables;
-   pin accepted forms, clamping and rejection of malformed values *)
+(* Env.parse_* validate the four POLARIS_* switches and, as Cmdliner
+   converters, the CLI's numeric and path flags; pin accepted forms,
+   clamping and rejection of malformed values.  parse_jobs reads
+   POLARIS_JOBS and -j *)
 let test_env_parse_jobs () =
   let rejected s =
     match Env.parse_jobs s with Error _ -> true | Ok _ -> false
@@ -119,8 +121,8 @@ let test_env_parse_jobs () =
   Alcotest.(check bool) "non-numeric rejected" true (rejected "four");
   Alcotest.(check bool) "empty rejected" true (rejected "")
 
-(* POLARIS_RUNTIME_PROCS: the real executor's domain count, read with
-   the same parser as POLARIS_JOBS *)
+(* POLARIS_RUNTIME_PROCS and --real-procs: the real executor's domain
+   count, read with the same parser as POLARIS_JOBS *)
 let test_env_parse_procs () =
   let rejected s =
     match Env.parse_jobs s with Error _ -> true | Ok _ -> false
@@ -153,21 +155,19 @@ let test_env_parse_flag () =
     (fun s -> Alcotest.(check bool) (s ^ " rejected") true (rejected s))
     [ ""; "2"; "enable"; "oui" ]
 
-(* the daemon-store knobs: POLARIS_MAX_CACHE_MB and the two path
-   variables (POLARIS_CACHE_DIR, POLARIS_SOCKET) *)
+(* the daemon's store bound, --max-cache-mb *)
 let test_env_parse_mb () =
   let rejected s = match Env.parse_mb s with Error _ -> true | Ok _ -> false in
   Alcotest.(check bool) "plain" true (Env.parse_mb "64" = Ok 64);
   Alcotest.(check bool) "whitespace trimmed" true (Env.parse_mb " 128 " = Ok 128);
-  Alcotest.(check bool) "zero rejected (store off = unset CACHE_DIR)" true
+  Alcotest.(check bool) "zero rejected (store off = no --store)" true
     (rejected "0");
   Alcotest.(check bool) "negative rejected" true (rejected "-5");
   Alcotest.(check bool) "non-numeric rejected" true (rejected "big");
   Alcotest.(check bool) "empty rejected" true (rejected "")
 
-(* the daemon self-protection knobs: POLARIS_MAX_SESSIONS /
-   POLARIS_FLUSH_EVERY (counts) and POLARIS_IDLE_TIMEOUT_S /
-   POLARIS_FLUSH_INTERVAL_S (durations) *)
+(* counts: the simulated -p and the daemon's --max-sessions,
+   --flush-every and --max-pipeline *)
 let test_env_parse_count () =
   let rejected s =
     match Env.parse_count s with Error _ -> true | Ok _ -> false
@@ -180,6 +180,8 @@ let test_env_parse_count () =
   Alcotest.(check bool) "non-numeric rejected" true (rejected "many");
   Alcotest.(check bool) "empty rejected" true (rejected "")
 
+(* durations: the daemon's --idle-timeout and --flush-interval and the
+   client's --timeout *)
 let test_env_parse_seconds () =
   let rejected s =
     match Env.parse_seconds s with Error _ -> true | Ok _ -> false
@@ -194,6 +196,7 @@ let test_env_parse_seconds () =
   Alcotest.(check bool) "inf rejected" true (rejected "inf");
   Alcotest.(check bool) "non-numeric rejected" true (rejected "soon")
 
+(* paths: the daemon's --socket and --store *)
 let test_env_parse_path () =
   Alcotest.(check bool) "plain path" true
     (Env.parse_path "/tmp/cache" = Ok "/tmp/cache");
