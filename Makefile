@@ -1,8 +1,10 @@
 # Convenience wrapper around dune.  `make check` is the CI entry point:
 # build, unit/property tests, translation-validate the full evaluation
 # suite by differential execution (bit-for-bit integers, 2-ULP floats,
-# serial + p in {1,2,4,8}), then a 120-seed chaos sweep: injected pass
-# faults must be contained, attributed and oracle-equivalent.
+# serial + p in {1,2,4,8}), execute both configurations of every code
+# for real on 1, 2 and 4 domains against the serial interpreter, then a
+# 120-seed chaos sweep: injected pass faults must be contained,
+# attributed and oracle-equivalent.
 
 .PHONY: all build test validate chaos check bench measure native clean
 
@@ -15,14 +17,14 @@ test: build
 	dune runtest
 
 validate: build
-	dune exec bin/polaris_cli.exe -- validate --suite --trace trace-report.json
+	dune exec bin/polaris_cli.exe -- validate --suite --real-procs 1,2,4 --trace trace-report.json
 
 chaos: build
 	dune exec bin/polaris_cli.exe -- chaos --seeds 120 --out chaos-report.json
 
 check: build
 	dune runtest
-	dune exec bin/polaris_cli.exe -- validate --suite --trace trace-report.json
+	dune exec bin/polaris_cli.exe -- validate --suite --real-procs 1,2,4 --trace trace-report.json
 	dune exec bin/polaris_cli.exe -- chaos --seeds 120 --out chaos-report.json
 
 # The paper's tables and figures, in simulated time (EXPERIMENTS.md).

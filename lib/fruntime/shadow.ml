@@ -87,6 +87,14 @@ let merge_into dst src =
   done;
   dst.wa <- dst.wa + src.wa
 
+(** Forget every mark: afterwards [t] behaves as a fresh {!create}. *)
+let clear t =
+  end_iteration t;
+  Bytes.fill t.w 0 t.size '\000';
+  Bytes.fill t.r 0 t.size '\000';
+  Bytes.fill t.np 0 t.size '\000';
+  t.wa <- 0
+
 (** Post-execution analysis of the marks (paper §3.5.2). *)
 type analysis = {
   flow_or_anti : bool;     (** any(A_w and A_r) *)

@@ -9,27 +9,35 @@
     domain), marked concurrently without any synchronization, then
     merged with {!Shadow.merge_into} at the join and rendered into a
     verdict with the same {!Shadow.verdict_of_analysis} the modeled
-    lane uses.  A loop is committed only on a plain [Parallel] verdict:
-    [Parallel_privatized] means the as-executed in-place writes had
-    output dependences, so the results are discarded exactly like a
-    failure. *)
+    lane uses.  A region creates its shadows once; the verdict clears
+    them for the region's next execution.  A loop is committed only on
+    a plain [Parallel] verdict: [Parallel_privatized] means the
+    as-executed in-place writes had output dependences, so the results
+    are discarded exactly like a failure. *)
 
 let backend : Machine.Parexec.spec_backend =
   { Machine.Parexec.sb_make =
       (fun ~size ~domains ->
         let shadows = Array.init domains (fun _ -> Shadow.create size) in
-        let make j =
-          let s = shadows.(j) in
-          { Machine.Parexec.s_read = Shadow.read s;
-            s_write = Shadow.write s;
-            s_iter_begin = (fun () -> Shadow.begin_iteration s) }
+        let merged = Shadow.create size in
+        let markers =
+          Array.map
+            (fun s ->
+              { Machine.Parexec.s_read = Shadow.read s;
+                s_write = Shadow.write s;
+                s_iter_begin = (fun () -> Shadow.begin_iteration s) })
+            shadows
         in
-        let finalize () =
-          let merged = Shadow.create size in
+        let verdict () =
           Array.iter (fun s -> Shadow.merge_into merged s) shadows;
-          match Shadow.verdict merged with
-          | Shadow.Parallel -> Machine.Parexec.Spec_parallel
-          | Shadow.Parallel_privatized -> Machine.Parexec.Spec_privatize
-          | Shadow.Not_parallel -> Machine.Parexec.Spec_fail
+          let v =
+            match Shadow.verdict merged with
+            | Shadow.Parallel -> Machine.Parexec.Spec_parallel
+            | Shadow.Parallel_privatized -> Machine.Parexec.Spec_privatize
+            | Shadow.Not_parallel -> Machine.Parexec.Spec_fail
+          in
+          Shadow.clear merged;
+          Array.iter Shadow.clear shadows;
+          v
         in
-        (make, finalize)) }
+        { Machine.Parexec.sh_marker = Array.get markers; sh_verdict = verdict }) }

@@ -17,6 +17,9 @@ let line_shift = 3
 
 let create () : t = Array.make sets (-1)
 
+(** Empty [t] in place: afterwards it behaves as a fresh {!create}. *)
+let reset (t : t) = Array.fill t 0 sets (-1)
+
 (** [access t addr] records a word access; returns [true] on hit.
     Addresses of accessed elements are non-negative. *)
 let access (t : t) addr =

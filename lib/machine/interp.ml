@@ -198,15 +198,6 @@ let slot_index (c : code) name =
   | Some i -> i
   | None -> error "unit %s: no slot for %s" c.c_unit.pu_name name
 
-(** [name]'s binding in [fr], if it is bound. *)
-let lookup (fr : frame) name =
-  match Hashtbl.find_opt fr.code.c_slot name with
-  | Some i when fr.slots.(i) != unbound -> Some fr.slots.(i)
-  | _ -> None
-
-(** Replace [name]'s binding in [fr] ({!Parexec} privatization). *)
-let rebind (fr : frame) name b = fr.slots.(slot_index fr.code name) <- b
-
 (** Every bound variable of [fr], with its binding. *)
 let bound_vars (fr : frame) =
   let acc = ref [] in
@@ -1292,29 +1283,29 @@ let run ?cfg (prog : Program.t) : result =
 
 (** Typed full-state capture for the translation-validation oracle:
     the {!result} plus every main-frame array and every COMMON member,
-    flattened to typed values so integers and logicals compare
-    bit-for-bit and floats can be compared within an ULP tolerance. *)
+    each copied from its binding's view as typed {!Storage.data}, so
+    integers and logicals compare bit-for-bit and floats can be
+    compared within an ULP tolerance. *)
 type capture = {
   cap_result : result;
-  cap_arrays : (string * Value.t array) list;   (** main-frame arrays *)
-  cap_commons : (string * Value.t array) list;  (** key "BLK/NAME" *)
+  cap_arrays : (string * Storage.data) list;   (** main-frame arrays *)
+  cap_commons : (string * Storage.data) list;  (** key "BLK/NAME" *)
 }
 
-let values_of_binding (b : Storage.binding) =
-  Array.init (Storage.extent_of b) (fun i -> Storage.read_elem b.view i)
+let data_of_binding (b : Storage.binding) = Storage.sub b.view (Storage.extent_of b)
 
 (** The {!capture} of a finished run whose main frame bound [vars]. *)
 let capture_of_vars (st : state) vars : capture =
   let arrays =
     List.filter_map
       (fun (name, (b : Storage.binding)) ->
-        if b.dims = [] then None else Some (name, values_of_binding b))
+        if b.dims = [] then None else Some (name, data_of_binding b))
       vars
     |> sorted_by_name
   in
   let commons =
     Hashtbl.fold
-      (fun key (b : Storage.binding) acc -> (key, values_of_binding b) :: acc)
+      (fun key (b : Storage.binding) acc -> (key, data_of_binding b) :: acc)
       st.commons []
     |> sorted_by_name
   in

@@ -14,6 +14,13 @@
     block-order merges.  A region must not start inside a pool task
     ([Pool.map] would raise [Nested_submit]); no caller does that.
 
+    Each annotated loop is planned once per execution, at its first
+    region ({!plan}): whether it can fork, the slots to pre-bind, what
+    it privatizes and reduces, and what speculation tests.  The plan
+    keeps every block's buffers (child state, slot array, private
+    copies, accumulators, write masks, and for LRPD the checkpoints and
+    shadows) and refills them in place on each later execution.
+
     Memory-safety argument (DESIGN.md §10):
     - each block runs the loop's lowered body (built before the fork,
       only read by the domains) on its own {!Interp.state} (own time,
@@ -25,7 +32,7 @@
       indices (DOALL) or guarded by the LRPD test (speculation);
       {!Storage} element writes are single word-sized stores, which the
       OCaml memory model guarantees tear-free;
-    - privatized names and reduction variables are rebound to fresh
+    - privatized names and reduction variables are rebound to
       per-block allocations and merged after the batch, in ascending
       block order — a deterministic order that equals iteration order
       under block scheduling.
@@ -57,13 +64,19 @@ type spec_verdict =
                            re-runs sequentially *)
   | Spec_fail          (** flow/anti dependence: restore and re-run *)
 
-(** [sb_make ~size ~domains] returns the per-domain marker factory and
-    the finalizer that merges the [domains] shadows and renders the
-    verdict. *)
-type spec_backend = {
-  sb_make :
-    size:int -> domains:int -> (int -> shadow_inst) * (unit -> spec_verdict);
+(** The shadows of one tested array in one region: a marker per
+    domain, and the verdict, which merges the domains' marks, judges
+    them and clears every shadow for the region's next execution. *)
+type spec_shadows = {
+  sh_marker : int -> shadow_inst;    (** domain [j]'s marker *)
+  sh_verdict : unit -> spec_verdict;
 }
+
+(** [sb_make ~size ~domains] creates the shadows of a [size]-element
+    array marked by [domains] domains.  A region creates them once and
+    keeps them while the array's size and its domain count stay the
+    same. *)
+type spec_backend = { sb_make : size:int -> domains:int -> spec_shadows }
 
 (** One speculative region instance, for tests and reporting. *)
 type spec_event = {
@@ -73,7 +86,8 @@ type spec_event = {
   se_trips : int;
   se_domains : int;
   se_checkpoints : (string * Storage.data) list;
-      (** entry snapshots of every tested array *)
+      (** entry snapshots of every tested array on the failure path;
+          [[]] when the speculation succeeded *)
   se_after_restore : (string * Storage.data) list;
       (** snapshots taken immediately after {!Storage.restore} on the
           failure path; [[]] when the speculation succeeded *)
@@ -101,7 +115,8 @@ type stats = {
   mutable spec_failures : int;  (** restored + re-executed sequentially *)
   mutable events : spec_event list;  (** newest first *)
   mutable region_infos : region_info list;
-      (** per-DOALL-region privatization/reduction records, newest first *)
+      (** one privatization/reduction record per forked DOALL loop, in
+          the order of their first forks, newest first *)
 }
 
 let fresh_stats () =
@@ -220,31 +235,21 @@ let scalar_privatizable body v =
 (* ------------------------------------------------------------------ *)
 (* Private copies, masks, merges                                       *)
 
-(* fresh per-domain allocation shaped like [b], copied in from it *)
-let private_binding ?(copy_in = true) (b : Storage.binding) : Storage.binding =
-  let n = max 1 (Storage.extent_of b) in
-  let pb =
-    { Storage.view = { alloc = Storage.allocate b.elem n; off = 0 };
-      dims = b.dims; elem = b.elem }
-  in
-  if copy_in then Storage.blit b.view pb.view (Storage.extent_of b);
-  pb
+let int_identity = function Rsum -> 0 | Rprod -> 1 | Rmax -> min_int | Rmin -> max_int
 
-(* fill a fresh accumulator with [op]'s identity; its allocation's class
-   is its element type's *)
+let float_identity = function
+  | Rsum -> 0.0
+  | Rprod -> 1.0
+  | Rmax -> neg_infinity
+  | Rmin -> infinity
+
+(* fill an accumulator with [op]'s identity; its allocation's class is
+   its element type's *)
 let fill_identity (pb : Storage.binding) (op : reduction_op) =
   let n = Storage.extent_of pb in
   match pb.view.alloc.data with
-  | Storage.Iarr a ->
-    Array.fill a 0 n
-      (match op with Rsum -> 0 | Rprod -> 1 | Rmax -> min_int | Rmin -> max_int)
-  | Storage.Farr a ->
-    Array.fill a 0 n
-      (match op with
-      | Rsum -> 0.0
-      | Rprod -> 1.0
-      | Rmax -> neg_infinity
-      | Rmin -> infinity)
+  | Storage.Iarr a -> Array.fill a 0 n (int_identity op)
+  | Storage.Farr a -> Array.fill a 0 n (float_identity op)
   | Storage.Barr a -> Array.fill a 0 n false
 
 (* the merge operator, matching the interpreter's semantics for the
@@ -257,172 +262,41 @@ let merge_value (op : reduction_op) a b =
   | Rmax -> Value.max_num a b
   | Rmin -> Value.min_num a b
 
-(* ------------------------------------------------------------------ *)
-(* Runner                                                              *)
-
-type t = {
-  procs : int;                  (** the pool slots a region runs on *)
-  spec : spec_backend option;
-  stats : stats;
+(* One block's private copy or reduction accumulator of a shared
+   binding, with the mask of the elements the block wrote.  [fit] is
+   the element type, dims and extent of the binding it was allocated
+   for.  Between executions the mask is clear and an accumulator holds
+   its operator's identity: the merges restore both as they go. *)
+type copy = {
+  mutable cb : Storage.binding;
+  mutable mask : Bytes.t;
+  mutable fit : (base_type * (int * int) list * int) option;
 }
 
-(* per-block execution context *)
-type child = {
-  c_state : Interp.state;
-  c_frame : Interp.frame;
-  c_masks : (string * Bytes.t) list;
-      (** per-name written-element masks (privates + reduction vars) *)
-  c_lo : int;
-  c_hi : int;
-  mutable c_exn : (exn * Printexc.raw_backtrace) option;
-}
+let empty_copy () = { cb = Interp.unbound; mask = Bytes.empty; fit = None }
 
-let child_state (st : Interp.state) : Interp.state =
-  { st with
-    cache = Cache.create ();
-    time = 0;
-    steps = st.steps;
-    par_depth = 1;
-    output = [];
-    on_access = None; on_loop_iter = None; on_loop_done = None;
-    on_assign = None; on_parallel_do = None }
+(* size [c] for shared binding [b]: keep its buffers when they were
+   made for [b]'s element type, dims and extent, else allocate fresh
+   ones ([red]'s identity in an accumulator).  Only a dummy argument
+   bound to another actual changes them. *)
+let refit ?red (c : copy) (b : Storage.binding) =
+  let n = Storage.extent_of b in
+  let fit = Some (b.elem, b.dims, n) in
+  if c.fit <> fit then begin
+    let size = max 1 n in
+    c.cb <-
+      { Storage.view = { alloc = Storage.allocate b.elem size; off = 0 };
+        dims = b.dims; elem = b.elem };
+    c.mask <- Bytes.make size '\000';
+    c.fit <- fit;
+    Option.iter (fill_identity c.cb) red
+  end
 
-(* [List.assoc_opt] for the short per-region lists of masks and shadow
-   markers: a scan of a few names beats hashing one *)
-let rec find_named name = function
-  | [] -> None
-  | (n, x) :: rest -> if String.equal n name then Some x else find_named name rest
+let clear_mask (c : copy) = Bytes.fill c.mask 0 (Bytes.length c.mask) '\000'
 
-(* build one child: copy the frame's slots, rebind [privates] to fresh
-   per-domain copies (with copy-in) and reduction vars to identity
-   accumulators; install the write masks.  Array writes reach the masks
-   through [on_access], scalar writes and DO-index updates through
-   [on_assign] (an assignment of the other kind faults before its hook
-   fires, and [Fir.Consistency] rejects an array DO index), so each
-   hook is installed only when a mask of its kind exists *)
-let make_child (st : Interp.state) (fr : Interp.frame) (d : do_loop)
-    ~(privates : string list) ~(reductions : reduction list) ~lo ~hi : child =
-  let cst = child_state st in
-  let cfr = { fr with Interp.slots = Array.copy fr.Interp.slots } in
-  let masks = ref [] in
-  let track name (b : Storage.binding) =
-    masks := (name, b, Bytes.make (max 1 (Storage.extent_of b)) '\000') :: !masks
-  in
-  (* the loop index: always private, no copy-in (the construct assigns
-     it at every iteration) *)
-  Interp.rebind cfr d.index
-    (private_binding ~copy_in:false (Interp.binding_for st fr d.index));
-  List.iter
-    (fun name ->
-      match Interp.lookup cfr name with
-      | Some b ->
-        let pb = private_binding b in
-        Interp.rebind cfr name pb;
-        track name pb
-      | None -> ())
-    privates;
-  List.iter
-    (fun (r : reduction) ->
-      match Interp.lookup cfr r.red_var with
-      | Some b ->
-        let pb = private_binding ~copy_in:false b in
-        fill_identity pb r.red_op;
-        Interp.rebind cfr r.red_var pb;
-        track r.red_var pb
-      | None -> ())
-    reductions;
-  let of_kind array =
-    List.filter_map
-      (fun (name, (b : Storage.binding), m) ->
-        if (b.dims <> []) = array then Some (name, m) else None)
-      !masks
-  in
-  (match of_kind true with
-  | [] -> ()
-  | arrays ->
-    cst.on_access <-
-      Some
-        (fun rw name i ->
-          match rw with
-          | Interp.W -> (
-            match find_named name arrays with
-            | Some m when i >= 0 && i < Bytes.length m -> Bytes.set m i '\001'
-            | _ -> ())
-          | Interp.R -> ()));
-  (match of_kind false with
-  | [] -> ()
-  | scalars ->
-    cst.on_assign <-
-      Some
-        (fun name ->
-          match find_named name scalars with
-          | Some m -> Bytes.set m 0 '\001'
-          | None -> ()));
-  { c_state = cst; c_frame = cfr;
-    c_masks = List.map (fun (name, _, m) -> (name, m)) !masks;
-    c_lo = lo; c_hi = hi; c_exn = None }
-
-(* iterations [c_lo, c_hi) of [d] on child [c]; [iter_begin] lets the
-   speculative path flush shadow iteration state *)
-let exec_child_block (c : child) (d : do_loop) body ~init ~step
-    ?(iter_begin = fun _ -> ()) () =
-  try
-    let cst = c.c_state and cfr = c.c_frame in
-    let idx_b = Interp.binding_for cst cfr d.index in
-    let outcome = ref Interp.Normal in
-    (try
-       for k = c.c_lo to c.c_hi - 1 do
-         iter_begin k;
-         Storage.write_int idx_b.view 0 (init + (k * step));
-         Interp.charge cst Interp.Cost.loop_iter;
-         match Interp.exec_block cst cfr body with
-         | Interp.Normal -> ()
-         | o ->
-           outcome := o;
-           raise Exit
-       done
-     with Exit -> ());
-    match !outcome with
-    | Interp.Normal -> ()
-    | _ ->
-      (* unreachable: [body_forkable] rejects escaping control flow *)
-      raise (Interp.Runtime_error "parallel region aborted by control flow")
-  with e -> c.c_exn <- Some (e, Printexc.get_raw_backtrace ())
-
-(* after a successful join: fold child fuel into the parent and re-check
-   the budget (serial execution counts the same statements, so serial
-   and parallel runs exhaust fuel on the same programs) *)
-let merge_steps (st : Interp.state) (children : child array) =
-  let base = st.steps in
-  Array.iter (fun c -> st.steps <- st.steps + (c.c_state.steps - base)) children;
-  if st.steps > st.cfg.max_steps then
-    raise
-      (Interp.Fuel_exhausted
-         (Fmt.str "after %d statements in unit %s (parallel region)" st.steps
-            st.cur_unit))
-
-(* child PRINT lines, spliced in ascending domain order (= iteration
-   order under block scheduling).  [st.output] is newest-first, so
-   prepending domain 0's lines first leaves the highest domain's lines
-   at the head — exactly the serial emission order once reversed *)
-let merge_output (st : Interp.state) (children : child array) =
-  Array.iter (fun c -> st.output <- c.c_state.output @ st.output) children
-
-let merge_time (st : Interp.state) (children : child array) =
-  let slowest = Array.fold_left (fun m c -> max m c.c_state.time) 0 children in
-  st.time <- st.time + slowest
-
-let reraise_child_exn (children : child array) =
-  Array.iter
-    (fun c ->
-      match c.c_exn with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ())
-    children
-
-(* Masked element loops over a parent binding [dst] and a child's
-   private copy [src].  They visit the elements [i] of [dst] below the
-   mask's length that the mask marks, as typed loops over the two
+(* Masked element loops over a parent binding [dst] and a block's copy.
+   They visit the elements [i] of [dst] below the mask's length that the
+   mask marks, clearing each mark, as typed loops over the two
    allocations when those have one class and every such element is in
    bounds, and otherwise element by element through {!Storage}, which
    faults where it faults. *)
@@ -436,32 +310,45 @@ let masked_boxed (dst : Storage.binding) mask f =
     if i < Bytes.length mask && Bytes.get mask i <> '\000' then f i
   done
 
-(* last-value copy-out of one child's private copy *)
-let copy_out_masked (dst : Storage.binding) (src : Storage.binding) mask =
+(* last-value copy-out of one block's private copy *)
+let copy_out_masked (dst : Storage.binding) (c : copy) =
+  let src = c.cb and mask = c.mask in
   let d0 = dst.view.off and s0 = src.view.off in
   match (masked_length dst src mask, dst.view.alloc.data, src.view.alloc.data) with
   | Some n, Storage.Farr d, Storage.Farr s ->
     for i = 0 to n - 1 do
-      if Bytes.unsafe_get mask i <> '\000' then d.(d0 + i) <- s.(s0 + i)
+      if Bytes.unsafe_get mask i <> '\000' then begin
+        d.(d0 + i) <- s.(s0 + i);
+        Bytes.unsafe_set mask i '\000'
+      end
     done
   | Some n, Storage.Iarr d, Storage.Iarr s ->
     for i = 0 to n - 1 do
-      if Bytes.unsafe_get mask i <> '\000' then d.(d0 + i) <- s.(s0 + i)
+      if Bytes.unsafe_get mask i <> '\000' then begin
+        d.(d0 + i) <- s.(s0 + i);
+        Bytes.unsafe_set mask i '\000'
+      end
     done
   | Some n, Storage.Barr d, Storage.Barr s ->
     for i = 0 to n - 1 do
-      if Bytes.unsafe_get mask i <> '\000' then d.(d0 + i) <- s.(s0 + i)
+      if Bytes.unsafe_get mask i <> '\000' then begin
+        d.(d0 + i) <- s.(s0 + i);
+        Bytes.unsafe_set mask i '\000'
+      end
     done
   | _ ->
     masked_boxed dst mask (fun i ->
-        Storage.write_elem dst.view i (Storage.read_elem src.view i))
+        Storage.write_elem dst.view i (Storage.read_elem src.view i));
+    clear_mask c
 
-(* [dst op= src] over one child's accumulator *)
-let merge_masked (op : reduction_op) (dst : Storage.binding) (src : Storage.binding)
-    mask =
+(* [dst op= acc] over one block's accumulator, which goes back to
+   [op]'s identity *)
+let merge_masked (op : reduction_op) (dst : Storage.binding) (c : copy) =
+  let src = c.cb and mask = c.mask in
   let d0 = dst.view.off and s0 = src.view.off in
   match (masked_length dst src mask, dst.view.alloc.data, src.view.alloc.data) with
   | Some n, Storage.Farr d, Storage.Farr s ->
+    let id = float_identity op in
     for i = 0 to n - 1 do
       if Bytes.unsafe_get mask i <> '\000' then begin
         let x = d.(d0 + i) and y = s.(s0 + i) in
@@ -470,10 +357,13 @@ let merge_masked (op : reduction_op) (dst : Storage.binding) (src : Storage.bind
           | Rsum -> x +. y
           | Rprod -> x *. y
           | Rmax -> if x >= y then x else y
-          | Rmin -> if x <= y then x else y)
+          | Rmin -> if x <= y then x else y);
+        s.(s0 + i) <- id;
+        Bytes.unsafe_set mask i '\000'
       end
     done
   | Some n, Storage.Iarr d, Storage.Iarr s ->
+    let id = int_identity op in
     for i = 0 to n - 1 do
       if Bytes.unsafe_get mask i <> '\000' then begin
         let x = d.(d0 + i) and y = s.(s0 + i) in
@@ -482,53 +372,69 @@ let merge_masked (op : reduction_op) (dst : Storage.binding) (src : Storage.bind
           | Rsum -> x + y
           | Rprod -> x * y
           | Rmax -> if x >= y then x else y
-          | Rmin -> if x <= y then x else y)
+          | Rmin -> if x <= y then x else y);
+        s.(s0 + i) <- id;
+        Bytes.unsafe_set mask i '\000'
       end
     done
   | _ ->
     masked_boxed dst mask (fun i ->
         Storage.write_elem dst.view i
-          (merge_value op (Storage.read_elem dst.view i) (Storage.read_elem src.view i)))
-
-(* last-value copy-out: ascending domain order replays iteration order,
-   so the surviving value of every masked element is the one the
-   highest-numbered writing iteration produced — exactly serial *)
-let copy_out_privates (fr : Interp.frame) (privates : string list)
-    (children : child array) =
-  List.iter
-    (fun name ->
-      match Interp.lookup fr name with
-      | None -> ()
-      | Some dst ->
-        Array.iter
-          (fun c ->
-            match (Interp.lookup c.c_frame name, find_named name c.c_masks) with
-            | Some src, Some mask -> copy_out_masked dst src mask
-            | _ -> ())
-          children)
-    privates
-
-(* deterministic reduction merge: shared op partial_0 op partial_1 ...
-   in ascending domain order; only elements the domain actually updated
-   participate (the mask), so untouched elements keep their serial
-   bit pattern *)
-let merge_reductions (fr : Interp.frame) (reductions : reduction list)
-    (children : child array) =
-  List.iter
-    (fun (r : reduction) ->
-      match Interp.lookup fr r.red_var with
-      | None -> ()
-      | Some dst ->
-        Array.iter
-          (fun c ->
-            match (Interp.lookup c.c_frame r.red_var, find_named r.red_var c.c_masks) with
-            | Some src, Some mask -> merge_masked r.red_op dst src mask
-            | _ -> ())
-          children)
-    reductions
+          (merge_value op (Storage.read_elem dst.view i) (Storage.read_elem src.view i)));
+    fill_identity src op;
+    clear_mask c
 
 (* ------------------------------------------------------------------ *)
-(* The DOALL path                                                      *)
+(* Plans                                                               *)
+
+(* A name a region rebinds in each block: a private, copied in, or a
+   reduction variable, with an identity accumulator *)
+type var = {
+  v_name : string;
+  v_slot : int;
+  v_red : reduction_op option;
+  v_array : bool;  (** writes reach its mask through [on_access] *)
+}
+
+(* One block's buffers, kept across the region's executions *)
+type block = {
+  b_state : Interp.state;      (** own time, fuel, output and cache *)
+  b_frame : Interp.frame;      (** own slot array *)
+  b_index : copy;              (** the loop index (its mask is unused) *)
+  b_copies : copy array;       (** one per [vars] entry of the region *)
+  mutable b_marks : (string * shadow_inst) list;  (** LRPD shadow markers *)
+  mutable b_exn : (exn * Printexc.raw_backtrace) option;
+}
+
+(* An array an LRPD region tests, with its checkpoint and its shadows
+   (and the array size and domain count they were made for) *)
+type tested = {
+  t_name : string;
+  t_slot : int;
+  mutable t_ckpt : Storage.data option;
+  mutable t_shadows : (int * int * spec_shadows) option;
+}
+
+(* what a forkable loop needs at each of its executions *)
+type region = {
+  prebind : int array;         (** slots of every name the loop mentions *)
+  index : int;                 (** the loop index's slot *)
+  vars : var array;            (** privates, then reduction variables *)
+  tested : tested list;        (** LRPD: the arrays the loop writes *)
+  spec_ok : bool;              (** LRPD: every scalar it writes is privatizable *)
+  mutable blocks : block array;  (** grown to the widest execution so far *)
+}
+
+(** A loop's plan, derived at its first region and kept for the rest of
+    the execution. *)
+type plan = Serial | Forkable of region
+
+type t = {
+  procs : int;                  (** the pool slots a region runs on *)
+  spec : spec_backend option;
+  stats : stats;
+  plans : (int, plan) Hashtbl.t;  (** by loop statement id *)
+}
 
 (* The definitive DOALL private set, shared between the executor and
    the OpenMP-emitting backends ([lib/backend]): the pass annotations
@@ -551,46 +457,258 @@ let doall_private_set ~(is_array : string -> bool) (d : do_loop) : string list =
   |> List.filter (fun v ->
          (not (List.mem v red_vars)) && not (String.equal v d.index))
 
-let exec_doall (t : t) (st : Interp.state) (fr : Interp.frame) sid
-    (d : do_loop) body ~init ~step ~trips =
-  let p = min t.procs trips in
-  (* pre-bind every name the region can touch: after this, no child
-     lookup mutates shared tables *)
-  List.iter (fun n -> ignore (Interp.binding_for st fr n)) (loop_names d);
-  let privates =
-    doall_private_set
-      ~is_array:(fun v -> (Interp.binding_for st fr v).dims <> [])
-      d
+(* bind every slot the region can touch: after this, no child lookup
+   mutates shared tables *)
+let prebind_slots st fr slots = Array.iter (fun i -> ignore (Interp.slot st fr i)) slots
+
+(* [d]'s plan, at its first region.  A name the body never mentions is
+   never privatized or reduced here: its copy could not be written, so
+   nothing would merge back.  A DOALL loop's clause record is logged
+   now, at its first fork. *)
+let make_plan (t : t) (st : Interp.state) (fr : Interp.frame) sid (d : do_loop) ~doall =
+  if not (body_forkable st.prog d) then Serial
+  else begin
+    let names = loop_names d in
+    let slot = Interp.slot_index fr.code in
+    let prebind = Array.of_list (List.map slot names) in
+    prebind_slots st fr prebind;
+    let is_array v = (Interp.binding_for st fr v).dims <> [] in
+    let var ?red v_name =
+      { v_name; v_slot = slot v_name; v_red = red; v_array = is_array v_name }
+    in
+    let mentioned v = List.mem v names in
+    let vars, tested, spec_ok =
+      if doall then begin
+        let privates = doall_private_set ~is_array d in
+        t.stats.region_infos <-
+          { ri_sid = sid; ri_index = d.index; ri_privates = privates;
+            ri_lastprivates = List.filter (fun v -> List.mem v privates) d.info.lastprivates;
+            ri_reductions =
+              List.map (fun (r : reduction) -> (r.red_var, r.red_op)) d.info.reductions }
+          :: t.stats.region_infos;
+        ( List.map var (List.filter mentioned privates)
+          @ List.filter_map
+              (fun (r : reduction) ->
+                if mentioned r.red_var then Some (var ~red:r.red_op r.red_var) else None)
+              d.info.reductions,
+          [],
+          true )
+      end
+      else begin
+        let arrays, scalars =
+          List.partition is_array
+            (List.filter (fun v -> not (String.equal v d.index)) (Stmt.assigned_names d.body))
+        in
+        ( List.map var scalars,
+          List.map
+            (fun t_name ->
+              { t_name; t_slot = slot t_name; t_ckpt = None; t_shadows = None })
+            arrays,
+          List.for_all (scalar_privatizable d.body) scalars )
+      end
+    in
+    Forkable
+      { prebind; index = slot d.index; vars = Array.of_list vars; tested; spec_ok;
+        blocks = [||] }
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Blocks                                                              *)
+
+let child_state (st : Interp.state) : Interp.state =
+  { st with
+    cache = Cache.create ();
+    time = 0;
+    steps = st.steps;
+    par_depth = 1;
+    output = [];
+    on_access = None; on_loop_iter = None; on_loop_done = None;
+    on_assign = None; on_parallel_do = None }
+
+(* [List.assoc_opt] for the short per-region lists of masks and shadow
+   markers: a scan of a few names beats hashing one *)
+let rec find_named name = function
+  | [] -> None
+  | (n, x) :: rest -> if String.equal n name then Some x else find_named name rest
+
+(* a new block of [r] for frames of [fr]'s unit, its write masks hooked
+   up.  Array writes reach the masks through [on_access], scalar writes
+   and DO-index updates through [on_assign] (an assignment of the other
+   kind faults before its hook fires, and [Fir.Consistency] rejects an
+   array DO index), so each hook is installed only when a mask of its
+   kind exists; an LRPD block's [on_access] also marks its shadows *)
+let new_block (st : Interp.state) (fr : Interp.frame) (r : region) : block =
+  let b =
+    { b_state = child_state st; b_frame = Interp.new_frame fr.code;
+      b_index = empty_copy (); b_copies = Array.map (fun _ -> empty_copy ()) r.vars;
+      b_marks = []; b_exn = None }
   in
-  let children =
-    Array.init p (fun j ->
-        make_child st fr d ~privates ~reductions:d.info.reductions
-          ~lo:(Parsim.block_start ~p ~n:trips j)
-          ~hi:(Parsim.block_start ~p ~n:trips (j + 1)))
+  let named = List.combine (Array.to_list r.vars) (Array.to_list b.b_copies) in
+  let of_kind array =
+    List.filter_map
+      (fun (v, c) -> if v.v_array = array then Some (v.v_name, c) else None)
+      named
   in
-  ignore
-    (Util.Pool.map ~slots:t.procs
-       (fun c -> exec_child_block c d body ~init ~step ())
-       (Array.to_list children)
-      : unit list);
-  reraise_child_exn children;
-  merge_time st children;
-  merge_steps st children;
-  merge_output st children;
-  copy_out_privates fr privates children;
-  merge_reductions fr d.info.reductions children;
-  let idx_b = Interp.binding_for st fr d.index in
-  Storage.write_int idx_b.view 0 (init + (trips * step));
+  let arrays = of_kind true and scalars = of_kind false in
+  let masks rw name i =
+    match rw with
+    | Interp.W -> (
+      match find_named name arrays with
+      | Some c when i >= 0 && i < Bytes.length c.mask -> Bytes.set c.mask i '\001'
+      | _ -> ())
+    | Interp.R -> ()
+  in
+  let shadows rw name i =
+    match find_named name b.b_marks with
+    | Some m -> ( match rw with Interp.R -> m.s_read i | Interp.W -> m.s_write i)
+    | None -> ()
+  in
+  b.b_state.on_access <-
+    (match (arrays, r.tested) with
+    | [], [] -> None
+    | _, [] -> Some masks
+    | [], _ -> Some shadows
+    | _ ->
+      Some
+        (fun rw name i ->
+          masks rw name i;
+          shadows rw name i));
+  (match scalars with
+  | [] -> ()
+  | _ ->
+    b.b_state.on_assign <-
+      Some
+        (fun name ->
+          match find_named name scalars with
+          | Some c -> Bytes.set c.mask 0 '\001'
+          | None -> ()));
+  b
+
+(* ready [b] for an execution on frame [fr]: a fresh time, output and
+   cache, the parent's fuel, a copy of the frame's slots, and the
+   block's index cell, private copies (copied in) and accumulators
+   swapped in.  The loop index gets no copy-in: the construct assigns
+   it at every iteration *)
+let refill (st : Interp.state) (fr : Interp.frame) (r : region) (b : block) =
+  let cst = b.b_state in
+  Cache.reset cst.cache;
+  cst.time <- 0;
+  cst.steps <- st.steps;
+  cst.cur_unit <- st.cur_unit;
+  cst.cur_loop <- st.cur_loop;
+  cst.output <- [];
+  b.b_exn <- None;
+  let slots = b.b_frame.slots in
+  Array.blit fr.slots 0 slots 0 (Array.length slots);
+  refit b.b_index fr.slots.(r.index);
+  slots.(r.index) <- b.b_index.cb;
+  Array.iteri
+    (fun k v ->
+      let src = fr.slots.(v.v_slot) and c = b.b_copies.(k) in
+      (match v.v_red with
+      | None ->
+        refit c src;
+        Storage.blit src.view c.cb.view (Storage.extent_of src)
+      | Some op -> refit ~red:op c src);
+      slots.(v.v_slot) <- c.cb)
+    r.vars
+
+(* blocks [0, p) of [r], refilled for frame [fr] *)
+let blocks_for st fr (r : region) p =
+  let have = Array.length r.blocks in
+  if have < p then
+    r.blocks <- Array.append r.blocks (Array.init (p - have) (fun _ -> new_block st fr r));
+  let blocks = Array.sub r.blocks 0 p in
+  Array.iter (refill st fr r) blocks;
+  blocks
+
+(* the region's blocks as one pool batch: block [j] runs iterations
+   [start j, start (j+1)) of the static schedule the model prices *)
+let run_blocks (t : t) (blocks : block array) body ~init ~step ~trips =
+  let p = Array.length blocks in
+  let run j =
+    let b = blocks.(j) in
+    try
+      let idx = b.b_index.cb.view in
+      for k = Parsim.block_start ~p ~n:trips j to Parsim.block_start ~p ~n:trips (j + 1) - 1 do
+        List.iter (fun (_, m) -> m.s_iter_begin ()) b.b_marks;
+        Storage.write_int idx 0 (init + (k * step));
+        Interp.charge b.b_state Interp.Cost.loop_iter;
+        match Interp.exec_block b.b_state b.b_frame body with
+        | Interp.Normal -> ()
+        | _ ->
+          (* unreachable: [body_forkable] rejects escaping control flow *)
+          raise (Interp.Runtime_error "parallel region aborted by control flow")
+      done
+    with e -> b.b_exn <- Some (e, Printexc.get_raw_backtrace ())
+  in
+  ignore (Util.Pool.map ~slots:t.procs run (List.init p Fun.id) : unit list)
+
+(* after a successful join: fold child fuel into the parent and re-check
+   the budget (serial execution counts the same statements, so serial
+   and parallel runs exhaust fuel on the same programs) *)
+let merge_steps (st : Interp.state) (blocks : block array) =
+  let base = st.steps in
+  Array.iter (fun b -> st.steps <- st.steps + (b.b_state.steps - base)) blocks;
+  if st.steps > st.cfg.max_steps then
+    raise
+      (Interp.Fuel_exhausted
+         (Fmt.str "after %d statements in unit %s (parallel region)" st.steps
+            st.cur_unit))
+
+(* child PRINT lines, spliced in ascending block order (= iteration
+   order under block scheduling).  [st.output] is newest-first, so
+   prepending block 0's lines first leaves the highest block's lines
+   at the head — exactly the serial emission order once reversed *)
+let merge_output (st : Interp.state) (blocks : block array) =
+  Array.iter (fun b -> st.output <- b.b_state.output @ st.output) blocks
+
+let merge_time (st : Interp.state) (blocks : block array) =
+  let slowest = Array.fold_left (fun m b -> max m b.b_state.time) 0 blocks in
+  st.time <- st.time + slowest
+
+let reraise_child_exn (blocks : block array) =
+  Array.iter
+    (fun b ->
+      match b.b_exn with
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> ())
+    blocks
+
+(* Last-value copy-out of the privates, then the deterministic reduction
+   merges (shared op partial_0 op partial_1 ...), each in ascending
+   block order.  Ascending order replays iteration order, so the
+   surviving value of a masked private element is the one the
+   highest-numbered writing iteration produced — exactly serial; only
+   elements a block actually updated take part, so untouched elements
+   keep their serial bit pattern. *)
+let merge_vars (fr : Interp.frame) (r : region) (blocks : block array) =
+  Array.iteri
+    (fun k v ->
+      let dst = fr.slots.(v.v_slot) in
+      Array.iter
+        (fun b ->
+          match v.v_red with
+          | None -> copy_out_masked dst b.b_copies.(k)
+          | Some op -> merge_masked op dst b.b_copies.(k))
+        blocks)
+    r.vars
+
+(* ------------------------------------------------------------------ *)
+(* The DOALL path                                                      *)
+
+let exec_doall (t : t) (st : Interp.state) (fr : Interp.frame) (r : region) body ~init
+    ~step ~trips =
+  let blocks = blocks_for st fr r (min t.procs trips) in
+  run_blocks t blocks body ~init ~step ~trips;
+  reraise_child_exn blocks;
+  merge_time st blocks;
+  merge_steps st blocks;
+  merge_output st blocks;
+  merge_vars fr r blocks;
+  Storage.write_int fr.slots.(r.index).view 0 (init + (trips * step));
   t.stats.regions <- t.stats.regions + 1;
   t.stats.par_iters <- t.stats.par_iters + trips;
-  t.stats.region_infos <-
-    { ri_sid = sid; ri_index = d.index; ri_privates = privates;
-      ri_lastprivates =
-        List.filter (fun v -> List.mem v privates) d.info.lastprivates;
-      ri_reductions =
-        List.map (fun (r : reduction) -> (r.red_var, r.red_op))
-          d.info.reductions }
-    :: t.stats.region_infos;
   Interp.Normal
 
 (* ------------------------------------------------------------------ *)
@@ -613,119 +731,88 @@ let exec_serial (st : Interp.state) (fr : Interp.frame) (d : do_loop) body
   Interp.Normal
 
 let exec_speculative (t : t) (backend : spec_backend) (st : Interp.state)
-    (fr : Interp.frame) sid (d : do_loop) body ~init ~step ~trips =
-  let p = min t.procs trips in
-  List.iter (fun n -> ignore (Interp.binding_for st fr n)) (loop_names d);
-  let written = Stmt.assigned_names d.body in
-  let arrays, scalars =
-    List.partition
-      (fun v -> (Interp.binding_for st fr v).dims <> [])
-      (List.filter (fun v -> not (String.equal v d.index)) written)
-  in
-  if not (List.for_all (scalar_privatizable d.body) scalars) then None
+    (fr : Interp.frame) sid (r : region) (d : do_loop) body ~init ~step ~trips =
+  if not r.spec_ok then None
   else begin
     t.stats.spec_attempts <- t.stats.spec_attempts + 1;
+    let p = min t.procs trips in
     (* checkpoint every written array: the speculation writes them in
        place, so a failed PD test must roll them back *)
     let tested =
       List.map
-        (fun name ->
-          let b = Interp.binding_for st fr name in
-          (name, b, Storage.snapshot b.view.alloc))
-        arrays
-    in
-    (* per-array, per-domain shadow markers *)
-    let shadows =
-      List.map
-        (fun (name, (b : Storage.binding), _) ->
-          let make, finalize =
-            backend.sb_make ~size:(max 1 (Storage.extent_of b)) ~domains:p
+        (fun a ->
+          let b = fr.slots.(a.t_slot) in
+          let ckpt = Storage.snapshot ?into:a.t_ckpt b.view.alloc in
+          a.t_ckpt <- Some ckpt;
+          let size = max 1 (Storage.extent_of b) in
+          let shadows =
+            match a.t_shadows with
+            | Some (n, domains, sh) when n = size && domains = p -> sh
+            | _ ->
+              let sh = backend.sb_make ~size ~domains:p in
+              a.t_shadows <- Some (size, p, sh);
+              sh
           in
-          (name, make, finalize))
-        tested
+          (a, ckpt, shadows))
+        r.tested
     in
-    let children =
-      Array.init p (fun j ->
-          let c =
-            make_child st fr d ~privates:scalars ~reductions:[]
-              ~lo:(Parsim.block_start ~p ~n:trips j)
-              ~hi:(Parsim.block_start ~p ~n:trips (j + 1))
-          in
-          let insts = List.map (fun (name, make, _) -> (name, make j)) shadows in
-          let masks_hook = c.c_state.on_access in
-          c.c_state.on_access <-
-            Some
-              (fun rw name i ->
-                (match masks_hook with Some f -> f rw name i | None -> ());
-                match find_named name insts with
-                | Some inst -> (
-                  match rw with
-                  | Interp.R -> inst.s_read i
-                  | Interp.W -> inst.s_write i)
-                | None -> ());
-          (c, insts))
-    in
-    ignore
-      (Util.Pool.map ~slots:t.procs
-         (fun (c, insts) ->
-           exec_child_block c d body ~init ~step
-             ~iter_begin:(fun _ ->
-               List.iter (fun (_, inst) -> inst.s_iter_begin ()) insts)
-             ())
-         (Array.to_list children)
-        : unit list);
-    let children = Array.map fst children in
-    let child_failed = Array.exists (fun c -> c.c_exn <> None) children in
-    let verdicts = List.map (fun (_, _, finalize) -> finalize ()) shadows in
+    let blocks = blocks_for st fr r p in
+    Array.iteri
+      (fun j b ->
+        b.b_marks <- List.map (fun (a, _, sh) -> (a.t_name, sh.sh_marker j)) tested)
+      blocks;
+    run_blocks t blocks body ~init ~step ~trips;
+    let child_failed = Array.exists (fun b -> b.b_exn <> None) blocks in
+    let verdicts = List.map (fun (_, _, sh) -> sh.sh_verdict ()) tested in
     let verdict =
       if child_failed || List.mem Spec_fail verdicts then Spec_fail
       else if List.mem Spec_privatize verdicts then Spec_privatize
       else Spec_parallel
     in
-    let success = verdict = Spec_parallel in
-    let after_restore = ref [] in
-    let outcome =
-      if success then begin
-        (* writes already landed in the shared arrays; only the
-           privatized scalars and the index need last-value copy-out *)
-        merge_time st children;
-        merge_steps st children;
-        merge_output st children;
-        copy_out_privates fr scalars children;
-        let idx_b = Interp.binding_for st fr d.index in
-        Storage.write_int idx_b.view 0 (init + (trips * step));
-        t.stats.regions <- t.stats.regions + 1;
-        t.stats.par_iters <- t.stats.par_iters + trips;
-        t.stats.spec_success <- t.stats.spec_success + 1;
-        Interp.Normal
-      end
-      else begin
-        (* failed speculation: a real rollback.  Child time/steps/output
-           are discarded (the serial re-execution is the only run that
-           counts, so fuel accounting matches a serial interpreter) *)
-        List.iter
-          (fun (_, (b : Storage.binding), snap) ->
-            Storage.restore b.view.alloc snap)
-          tested;
-        after_restore :=
-          List.map
-            (fun (name, (b : Storage.binding), _) ->
-              (name, Storage.snapshot b.view.alloc))
-            tested;
-        t.stats.spec_failures <- t.stats.spec_failures + 1;
-        exec_serial st fr d body ~init ~step ~trips
-      end
+    let event ~checkpoints ~after_restore =
+      t.stats.events <-
+        { se_loop_sid = sid; se_arrays = List.map (fun a -> a.t_name) r.tested;
+          se_verdict = verdict; se_trips = trips; se_domains = p;
+          se_checkpoints = checkpoints; se_after_restore = after_restore }
+        :: t.stats.events
     in
-    t.stats.events <-
-      { se_loop_sid = sid;
-        se_arrays = List.map (fun (n, _, _) -> n) tested;
-        se_verdict = verdict;
-        se_trips = trips;
-        se_domains = p;
-        se_checkpoints = List.map (fun (n, _, snap) -> (n, snap)) tested;
-        se_after_restore = !after_restore }
-      :: t.stats.events;
-    Some outcome
+    if verdict = Spec_parallel then begin
+      (* writes already landed in the shared arrays; only the
+         privatized scalars and the index need last-value copy-out *)
+      merge_time st blocks;
+      merge_steps st blocks;
+      merge_output st blocks;
+      merge_vars fr r blocks;
+      Storage.write_int fr.slots.(r.index).view 0 (init + (trips * step));
+      t.stats.regions <- t.stats.regions + 1;
+      t.stats.par_iters <- t.stats.par_iters + trips;
+      t.stats.spec_success <- t.stats.spec_success + 1;
+      event ~checkpoints:[] ~after_restore:[];
+      Some Interp.Normal
+    end
+    else begin
+      (* failed speculation: a real rollback.  Child time/steps/output
+         are discarded (the serial re-execution is the only run that
+         counts, so fuel accounting matches a serial interpreter), and
+         the event takes the checkpoints: the next attempt makes new
+         ones *)
+      Array.iter (fun b -> Array.iter clear_mask b.b_copies) blocks;
+      let checkpoints =
+        List.map
+          (fun (a, ckpt, _) ->
+            Storage.restore fr.slots.(a.t_slot).view.alloc ckpt;
+            a.t_ckpt <- None;
+            (a.t_name, ckpt))
+          tested
+      in
+      let after_restore =
+        List.map (fun a -> (a.t_name, Storage.snapshot fr.slots.(a.t_slot).view.alloc)) r.tested
+      in
+      t.stats.spec_failures <- t.stats.spec_failures + 1;
+      let outcome = exec_serial st fr d body ~init ~step ~trips in
+      event ~checkpoints ~after_restore;
+      Some outcome
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -736,28 +823,34 @@ let hook (t : t) : Interp.state -> Interp.frame -> int -> do_loop ->
     Interp.outcome option =
  fun st fr sid d ~body ~init ~step ~trips ->
   let doall = d.info.par && not d.info.speculative in
-  let speculative = d.info.speculative && t.spec <> None in
-  if (not doall) && not speculative then None
-  else if trips < 2 || t.procs < 2 then begin
+  let spec = if d.info.speculative then t.spec else None in
+  let declined () =
     t.stats.serial_loops <- t.stats.serial_loops + 1;
     None
-  end
-  else if not (body_forkable st.prog d) then begin
-    t.stats.serial_loops <- t.stats.serial_loops + 1;
-    None
-  end
-  else if doall then
-    Some (exec_doall t st fr sid d body ~init ~step ~trips)
+  in
+  if (not doall) && Option.is_none spec then None
+  else if trips < 2 then declined ()
   else begin
-    match t.spec with
-    | Some backend -> (
-      match exec_speculative t backend st fr sid d body ~init ~step ~trips with
+    let plan =
+      match Hashtbl.find_opt t.plans sid with
+      | Some plan -> plan
+      | None ->
+        let plan = make_plan t st fr sid d ~doall in
+        Hashtbl.replace t.plans sid plan;
+        plan
+    in
+    match (plan, spec) with
+    | Serial, _ -> declined ()
+    | Forkable r, None ->
+      prebind_slots st fr r.prebind;
+      Some (exec_doall t st fr r body ~init ~step ~trips)
+    | Forkable r, Some backend -> (
+      prebind_slots st fr r.prebind;
+      match exec_speculative t backend st fr sid r d body ~init ~step ~trips with
       | Some o -> Some o
       | None ->
         (* unsafe scalar pattern: decline, run serially *)
-        t.stats.serial_loops <- t.stats.serial_loops + 1;
-        None)
-    | None -> None
+        declined ())
   end
 
 (** The capture of a finished run (same shape as {!Interp.run_full}). *)
@@ -776,7 +869,7 @@ let run_full ?cfg ?procs ?spec (prog : Program.t) : Interp.capture * stats =
   if procs <= 1 then (Interp.run_full ?cfg prog, stats)
   else begin
     let st = Interp.fresh_state ?cfg prog in
-    st.on_parallel_do <- Some (hook { procs; spec; stats });
+    st.on_parallel_do <- Some (hook { procs; spec; stats; plans = Hashtbl.create 16 });
     let fr = Interp.main_frame st in
     Interp.run_unit_body st fr;
     (capture_of st fr, stats)

@@ -222,12 +222,34 @@ let blit (src : view) (dst : view) n =
       write_elem dst i (read_elem src i)
     done
 
-(** Snapshot an allocation's contents (for speculative rollback). *)
-let snapshot (a : alloc) : data =
-  match a.data with
-  | Farr x -> Farr (Array.copy x)
-  | Iarr x -> Iarr (Array.copy x)
-  | Barr x -> Barr (Array.copy x)
+(** Elements [0, n) of [v], copied into a fresh array of its class;
+    faults as {!read_elem} does at the first element out of bounds. *)
+let sub (v : view) n : data =
+  let n = max n 0 and size = size_of_data v.alloc.data in
+  if n > 0 && not (in_bounds v n) then
+    fault "read out of bounds (%d)" (if v.off < 0 || v.off >= size then v.off else size);
+  let off = if n = 0 then 0 else v.off in
+  match v.alloc.data with
+  | Farr a -> Farr (Array.sub a off n)
+  | Iarr a -> Iarr (Array.sub a off n)
+  | Barr a -> Barr (Array.sub a off n)
+
+(** Snapshot an allocation's contents (for speculative rollback), into
+    [into] when that has the allocation's class and size. *)
+let snapshot ?into (a : alloc) : data =
+  match (into, a.data) with
+  | Some (Farr d as s), Farr x when Array.length d = Array.length x ->
+    Array.blit x 0 d 0 (Array.length x);
+    s
+  | Some (Iarr d as s), Iarr x when Array.length d = Array.length x ->
+    Array.blit x 0 d 0 (Array.length x);
+    s
+  | Some (Barr d as s), Barr x when Array.length d = Array.length x ->
+    Array.blit x 0 d 0 (Array.length x);
+    s
+  | _, Farr x -> Farr (Array.copy x)
+  | _, Iarr x -> Iarr (Array.copy x)
+  | _, Barr x -> Barr (Array.copy x)
 
 (** Restore a snapshot taken with {!snapshot}. *)
 let restore (a : alloc) (s : data) =

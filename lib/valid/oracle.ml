@@ -88,17 +88,36 @@ let value_close (c : cmp) (a : Value.t) (b : Value.t) =
        fall back to exact numeric equality *)
     (try Value.to_float a = Value.to_float b with Value.Type_error _ -> false)
 
+let boxed (d : Storage.data) i =
+  match d with
+  | Storage.Farr a -> Value.Real a.(i)
+  | Storage.Iarr a -> Value.Int a.(i)
+  | Storage.Barr a -> Value.Bool a.(i)
+
+(* [f i] for each index [i] at which [a] and [b], of one length, differ:
+   integers and logicals bit-for-bit, floats within [c], and arrays of
+   two classes element by element as {!value_close} compares them *)
+let iter_diffs (c : cmp) (a : Storage.data) (b : Storage.data) f =
+  match (a, b) with
+  | Storage.Iarr x, Storage.Iarr y ->
+    Array.iteri (fun i (v : int) -> if v <> y.(i) then f i) x
+  | Storage.Barr x, Storage.Barr y ->
+    Array.iteri (fun i (v : bool) -> if v <> y.(i) then f i) x
+  | Storage.Farr x, Storage.Farr y ->
+    Array.iteri (fun i v -> if not (float_close c v y.(i)) then f i) x
+  | _ ->
+    for i = 0 to Storage.size_of_data a - 1 do
+      if not (value_close c (boxed a i) (boxed b i)) then f i
+    done
+
 (** Storage-level comparator (used by the speculative checkpoint test):
     integers and logicals bit-for-bit, floats within the tolerance. *)
 let data_close ?(cmp = default_cmp) (a : Storage.data) (b : Storage.data) =
   match (a, b) with
-  | Storage.Iarr x, Storage.Iarr y -> x = y
-  | Storage.Barr x, Storage.Barr y -> x = y
-  | Storage.Farr x, Storage.Farr y ->
-    Array.length x = Array.length y
-    && (let ok = ref true in
-        Array.iteri (fun i v -> if not (float_close cmp v y.(i)) then ok := false) x;
-        !ok)
+  | Storage.Iarr _, Storage.Iarr _ | Storage.Barr _, Storage.Barr _
+  | Storage.Farr _, Storage.Farr _ ->
+    Storage.size_of_data a = Storage.size_of_data b
+    && (try iter_diffs cmp a b (fun _ -> raise Exit); true with Exit -> false)
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
@@ -183,19 +202,16 @@ let compare_captures (c : cmp) (ref_ : Interp.capture) (got : Interp.capture) :
   let compare_arrays kind ref_arrays got_arrays =
     List.iter
       (fun (name, x, y) ->
-        if Array.length x <> Array.length y then
-          add
-            (Fmt.str "%s %s" kind name)
-            (Fmt.str "%d elements" (Array.length x))
-            (Fmt.str "%d elements" (Array.length y))
+        let nx = Storage.size_of_data x and ny = Storage.size_of_data y in
+        if nx <> ny then
+          add (Fmt.str "%s %s" kind name) (Fmt.str "%d elements" nx)
+            (Fmt.str "%d elements" ny)
         else
-          Array.iteri
-            (fun i v ->
-              if not (value_close c v y.(i)) then
-                add
-                  (Fmt.str "%s %s[%d]" kind name i)
-                  (Value.to_string v) (Value.to_string y.(i)))
-            x)
+          iter_diffs c x y (fun i ->
+              add
+                (Fmt.str "%s %s[%d]" kind name i)
+                (Value.to_string (boxed x i))
+                (Value.to_string (boxed y i))))
       (common_names ref_arrays got_arrays)
   in
   compare_arrays "array" ref_.cap_arrays got.cap_arrays;

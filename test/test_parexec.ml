@@ -277,6 +277,93 @@ let test_compile_and_regions_interleave () =
       compile_and_run 4)
     Suite.Registry.all
 
+(* ------------------------------------------------------------------ *)
+(* Plans: each loop planned once, its buffers kept across executions   *)
+
+(* HIST's two regions run three times, with the dummy H bound to an 8-,
+   a 64- and again an 8-element actual.  Each region keeps its
+   accumulators and private copies from one execution to the next, so it
+   must resize them to the binding of the moment: a buffer kept at 8
+   elements would fault on the 64-element call (the order 64, 8, 64
+   would hide that). *)
+let hist_src =
+  "      PROGRAM HPROG\n\
+   \      INTEGER I\n\
+   \      REAL A(64), B(8)\n\
+   \      DO I = 1, 64\n\
+   \        A(I) = 0.25 * I\n\
+   \      END DO\n\
+   \      DO I = 1, 8\n\
+   \        B(I) = 1.0\n\
+   \      END DO\n\
+   \      CALL HIST(B, 8)\n\
+   \      CALL HIST(A, 64)\n\
+   \      CALL HIST(B, 8)\n\
+   \      PRINT *, A(1), A(64), B(1), B(8)\n\
+   \      END\n\
+   \n\
+   \      SUBROUTINE HIST(H, N)\n\
+   \      INTEGER N, I, K\n\
+   \      REAL H(N), T\n\
+   \      DO I = 1, 100\n\
+   \        K = MOD(I * 7, N) + 1\n\
+   \        H(K) = H(K) + 1.0\n\
+   \      END DO\n\
+   \      DO I = 1, N\n\
+   \        T = H(I) * 0.5\n\
+   \        H(I) = T + 1.0\n\
+   \      END DO\n\
+   \      END\n"
+
+let test_plans_follow_dummy_shapes () =
+  (* parallelized without inlining, so the regions stay in HIST *)
+  let p = Frontend.Parser.parse_string hist_src in
+  ignore (Passes.Parallelize.run ~mode:Passes.Parallelize.Polaris p);
+  let reference = Valid.Oracle.execute p in
+  List.iter
+    (fun procs ->
+      let run, (s : Machine.Parexec.stats) = Valid.Oracle.execute_real ~procs p in
+      check_identity ~cmp:{ Valid.Oracle.ulp_tol = 0; rel_tol = 0.0 }
+        (Fmt.str "hist p=%d" procs) reference run;
+      Alcotest.(check int) (Fmt.str "hist p=%d: every region forked" procs) 8 s.regions;
+      Alcotest.(check int) (Fmt.str "hist p=%d: none declined" procs) 0 s.serial_loops)
+    [ 2; 4 ]
+
+(* a DOALL loop's clause record is logged once, at its first fork, not
+   once per execution *)
+let test_one_record_per_forked_loop () =
+  let repeated = ref false in
+  List.iter
+    (fun (c : Suite.Code.t) ->
+      let _, (s : Machine.Parexec.stats) =
+        Valid.Oracle.execute_real ~procs:2 (compile_polaris c.source)
+      in
+      let sids = List.map (fun (ri : Machine.Parexec.region_info) -> ri.ri_sid) s.region_infos in
+      let loops = List.length (List.sort_uniq Int.compare sids) in
+      let doall_regions = s.regions - s.spec_success in
+      Alcotest.(check int) (c.name ^ ": one record per forked loop") loops (List.length sids);
+      Alcotest.(check bool) (c.name ^ ": a record iff a DOALL region forked")
+        (doall_regions > 0) (loops > 0);
+      if doall_regions > loops then repeated := true)
+    Suite.Registry.all;
+  Alcotest.(check bool) "some loop forked more than once" true !repeated
+
+(* WAVE5 speculates on one loop seven times per run.  A verdict depends
+   only on the accesses of its own execution, whatever the domain count
+   (the merged marks are a single shadow's), so the kept shadows must
+   start every execution clean: a mark left over from an earlier one
+   turns commits into rollbacks without changing any output. *)
+let test_lrpd_verdicts_per_execution () =
+  let p = compile_polaris (Suite.Registry.find "WAVE5").source in
+  List.iter
+    (fun procs ->
+      let _, (s : Machine.Parexec.stats) = Valid.Oracle.execute_real ~procs p in
+      Alcotest.(check (triple int int int))
+        (Fmt.str "WAVE5 p=%d: attempts, committed, rolled back" procs)
+        (7, 6, 1)
+        (s.spec_attempts, s.spec_success, s.spec_failures))
+    [ 2; 4 ]
+
 let tests =
   [ ("DOALL executes on domains", `Quick, test_doall_executes_for_real);
     ("reductions match serial", `Quick, test_reductions_match_serial);
@@ -288,4 +375,7 @@ let tests =
     ("suite codes match serial at p = 2/4", `Quick, test_suite_matches_serial);
     ("one pool batch per forked region", `Quick, test_one_batch_per_region);
     ("compile batches and regions interleave", `Quick,
-     test_compile_and_regions_interleave) ]
+     test_compile_and_regions_interleave);
+    ("plans follow dummy shapes (8, 64, 8)", `Quick, test_plans_follow_dummy_shapes);
+    ("one clause record per forked loop", `Quick, test_one_record_per_forked_loop);
+    ("LRPD verdicts per execution (WAVE5)", `Quick, test_lrpd_verdicts_per_execution) ]

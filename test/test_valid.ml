@@ -45,6 +45,57 @@ let test_data_close () =
   Alcotest.(check bool) "length mismatch" false
     (Valid.Oracle.data_close (Farr [| 1.0 |]) (Farr [| 1.0; 2.0 |]))
 
+(* What a capture comparison reports, through Oracle.execute on program
+   pairs that differ in one stored element, an array's length or an
+   array's class: each divergence's location and both values, as the
+   reports print them. *)
+let test_capture_divergences () =
+  let prog lines =
+    String.concat ""
+      (List.map (fun l -> "      " ^ l ^ "\n") (("PROGRAM CAP" :: lines) @ [ "END" ]))
+  in
+  let check label original transformed expected =
+    let divs =
+      Valid.Oracle.compare_outcomes Valid.Oracle.default_cmp
+        (Valid.Oracle.execute (parse (prog original)))
+        (Valid.Oracle.execute (parse (prog transformed)))
+    in
+    Alcotest.(check (list (triple string string string)))
+      label expected
+      (List.map (fun (d : Valid.Oracle.divergence) -> (d.at, d.expected, d.got)) divs)
+  in
+  (* 0.1 + 0.2 is one ULP above 0.3, inside the 2-ULP tolerance *)
+  check "float: one beyond the ULP tolerance, one within"
+    [ "REAL A(20)"; "A(17) = 0.3"; "A(18) = 2.0" ]
+    [ "REAL A(20)"; "A(17) = 0.1 + 0.2"; "A(18) = 2.001" ]
+    [ ("array A[17]", "2", "2.001") ];
+  check "integer off by one"
+    [ "INTEGER K(4)"; "K(3) = 7" ]
+    [ "INTEGER K(4)"; "K(3) = 8" ]
+    [ ("array K[2]", "7", "8") ];
+  check "flipped logical"
+    [ "LOGICAL L(3)"; "L(2) = .TRUE." ]
+    [ "LOGICAL L(3)"; "L(2) = .FALSE." ]
+    [ ("array L[1]", "T", "F") ];
+  check "array of another length"
+    [ "REAL C(10)"; "C(1) = 1.0" ]
+    [ "REAL C(12)"; "C(1) = 1.0" ]
+    [ ("array C", "10 elements", "12 elements") ];
+  (* INTEGER 3 against REAL 3.0 compares equal numerically *)
+  check "a name stored with another class"
+    [ "INTEGER M(2)"; "M(1) = 3"; "M(2) = 2" ]
+    [ "REAL M(2)"; "M(1) = 3"; "M(2) = 2.5" ]
+    [ ("array M[1]", "2", "2.5") ];
+  (* the main frame binds its COMMON members too *)
+  check "COMMON member"
+    [ "COMMON /B/ X(2)"; "X(2) = 1.0" ]
+    [ "COMMON /B/ X(2)"; "X(2) = 1.5" ]
+    [ ("array X[1]", "1", "1.5"); ("common B/X[1]", "1", "1.5") ];
+  check "NaN against NaN"
+    [ "REAL A(2)"; "A(1) = SQRT(-1.0)" ]
+    [ "REAL A(2)"; "A(1) = SQRT(-1.0)" ]
+    []
+
 (* ------------------------------------------------------------------ *)
 (* The differential oracle                                             *)
 
@@ -259,6 +310,7 @@ let tests =
   [ ("ulp distance", `Quick, test_ulp_diff);
     ("value comparator", `Quick, test_value_close);
     ("storage data comparator", `Quick, test_data_close);
+    ("capture divergences pinned", `Quick, test_capture_divergences);
     ("oracle: identical programs", `Quick, test_oracle_equivalent);
     ("oracle: difference caught", `Quick, test_oracle_catches_difference);
     ("validated compile: suite codes", `Slow, test_validated_compile_suite);
