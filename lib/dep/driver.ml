@@ -254,12 +254,14 @@ let subscript_issue ~(assigned_scalars : string list)
 (* Range-test positions and prefixes                                   *)
 
 (* one position test: iterations of [tested] differ, [collapsed] loops
-   range-collapse, everything else is fixed *)
+   range-collapse, everything else is fixed; every pair and dimension
+   tests under one sanitized environment *)
 let position_passes ~budget env ~(tested : Loops.loop)
     ~(collapsed : Loops.loop list) (pairs : (Access.t * Access.t) list) : bool
     =
   let inner = List.map (fun (l : Loops.loop) -> l.index) collapsed in
   let index = index_name tested in
+  let env = Range_test.sanitize_env env ~index ~keep:inner in
   List.for_all
     (fun ((a : Access.t), (b : Access.t)) ->
       Range_test.test_pair ~budget env ~index ~inner a.subs b.subs

@@ -31,25 +31,31 @@ type pair_verdict = Disjoint | Overlap_possible
    substituting name+1 for name would be unsound *)
 let opaque_captures name (p : Poly.t) =
   List.exists
-    (function
-      | Atom.Aopaque _ as a -> Atom.mentions name a
-      | Atom.Avar _ -> false)
-    (Poly.atoms p)
+    (fun (m, _) ->
+      List.exists
+        (function
+          | (Atom.Aopaque _ as a), _ -> Atom.mentions name a
+          | Atom.Avar _, _ -> false)
+        m)
+    p
 
 (* env entries whose *bounds* mention the tested index are per-iteration
    facts; they must not be used when comparing two different iterations.
    Exception: atoms being range-collapsed ([keep]) — their index-dependent
    bounds are exactly what produces the per-iteration range, and the
-   shift to iteration i+1 rewrites the index through those bounds. *)
+   shift to iteration i+1 rewrites the index through those bounds.
+   Returns [env] itself when it drops nothing, so the memo keys of one
+   position share one physical environment (and compare by [==]). *)
 let sanitize_env (env : Range.env) ~(index : string) ~(keep : Atom.t list) :
     Range.env =
-  List.filter
-    (fun ((a : Atom.t), (iv : Range.interval)) ->
-      Atom.equal a (Atom.var index)
-      || List.exists (Atom.equal a) keep
-      || ((not (Range.bound_mentions_var index iv.lo))
-         && not (Range.bound_mentions_var index iv.hi)))
-    env
+  let index_atom = Atom.var index in
+  let kept ((a : Atom.t), (iv : Range.interval)) =
+    Atom.equal a index_atom
+    || List.exists (Atom.equal a) keep
+    || ((not (Range.bound_mentions_var index iv.lo))
+       && not (Range.bound_mentions_var index iv.hi))
+  in
+  if List.for_all kept env then env else List.filter kept env
 
 type ranged = {
   rmin : Poly.t;   (** per-iteration minimum of the subscript *)
@@ -97,11 +103,11 @@ let globally_disjoint ?budget env ~index (a : ranged) (b : ranged) : bool =
     disjointness with respect to loop [index]; [inner] are the atoms to
     collapse (indices of loops treated as inner in the permuted order).
 
-    [env] must already contain the bounds facts of every loop in scope
-    (see {!Analysis.Loops.nest_env}); it is sanitized here. *)
+    [env] must contain the bounds facts of every loop in scope (see
+    {!Analysis.Loops.nest_env}) and be sanitized for this position:
+    [sanitize_env env ~index ~keep:inner]. *)
 let test_dimension ?budget env ~(index : string) ~(inner : Atom.t list)
     (f : Poly.t) (g : Poly.t) : pair_verdict =
-  let env = sanitize_env env ~index ~keep:inner in
   match (collapse ?budget env ~inner f, collapse ?budget env ~inner g) with
   | Some rf, Some rg ->
     if
@@ -118,7 +124,8 @@ let test_dimension ?budget env ~(index : string) ~(inner : Atom.t list)
   | _ -> Overlap_possible
 
 (** Full access-pair test: the pair is independent across iterations of
-    [index] if some dimension proves disjoint. *)
+    [index] if some dimension proves disjoint.  [env] is sanitized as for
+    {!test_dimension}, once per position by the caller. *)
 let test_pair ?budget env ~index ~inner (f : Poly.t list) (g : Poly.t list) :
     pair_verdict =
   if List.length f <> List.length g then Overlap_possible

@@ -16,7 +16,16 @@ type t =
 let var name = Avar (String.uppercase_ascii name)
 let opaque e = Aopaque e
 
-let compare (a : t) (b : t) = Stdlib.compare a b
+(* The order is [Stdlib.compare]'s (every variable before every opaque
+   atom, variables by name), which fixes the term order [Poly.to_expr]
+   prints; only two opaque atoms need the polymorphic walk. *)
+let compare (a : t) (b : t) =
+  match (a, b) with
+  | Avar x, Avar y -> String.compare x y
+  | Avar _, Aopaque _ -> -1
+  | Aopaque _, Avar _ -> 1
+  | Aopaque x, Aopaque y -> Stdlib.compare x y
+
 let equal a b = compare a b = 0
 
 (** Scalar variables mentioned by the atom, including inside opaque

@@ -40,16 +40,13 @@ let mono_cache :
 (* atoms to try eliminating, in environment order (innermost scope
    first), duplicates removed *)
 let env_atoms_in_order (env : Range.env) (p : Poly.t) =
-  let atoms = Poly.atoms p in
-  let seen = Hashtbl.create 8 in
-  List.filter_map
-    (fun (a, _) ->
-      if List.exists (Atom.equal a) atoms && not (Hashtbl.mem seen a) then begin
-        Hashtbl.replace seen a ();
-        Some a
-      end
-      else None)
-    env
+  List.fold_left
+    (fun found (a, _) ->
+      if Poly.contains_atom a p && not (List.exists (Atom.equal a) found)
+      then a :: found
+      else found)
+    [] env
+  |> List.rev
 
 (** Forward difference of [p] in atom [a]: [p(a+1) - p(a)]. *)
 let forward_diff (a : Atom.t) (p : Poly.t) : Poly.t =

@@ -6,13 +6,17 @@
     representation is canonical, so structural equality decides symbolic
     equality of polynomials.
 
+    Both orders are [Stdlib.compare]'s, computed directly ({!Atom.compare},
+    {!compare_mono}); the term order fixes how {!to_expr} prints a closed
+    form.  Because both operands are sorted, {!add} and {!mul_mono} are
+    linear merges.
+
     All symbolic reasoning in the reproduction (range test monotonicity,
-    induction closed forms, region subset proofs) happens here.  Integer
-    division by a constant is treated as exact rational scaling when
-    converting expressions; this matches the closed forms Polaris
-    generates (which are integer-valued by construction, e.g. the
-    [(N**2+N)/2] of TRFD) and is the documented assumption of the
-    symbolic layer (DESIGN.md §5). *)
+    induction closed forms, region subset proofs) happens here.  Division
+    by a constant becomes exact rational scaling only when the quotient
+    is integer-valued, as are the closed forms Polaris generates (the
+    [(N**2+N)/2] of TRFD); any other quotient truncates and stays an
+    opaque atom (DESIGN.md §5). *)
 
 open Util
 
@@ -33,36 +37,55 @@ let one = of_int 1
 let of_atom a : t = [ ([ (a, 1) ], Rat.one) ]
 let var name = of_atom (Atom.var name)
 
-let compare_mono (a : mono) (b : mono) = Stdlib.compare a b
+(** The sign of [Stdlib.compare a b]: atom by atom, then exponent, and a
+    proper prefix first. *)
+let rec compare_mono (a : mono) (b : mono) =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | (x, i) :: a', (y, j) :: b' ->
+    let c = Atom.compare x y in
+    if c <> 0 then c else if i <> j then Int.compare i j else compare_mono a' b'
 
+(* sum the equal neighbours of a list sorted by monomial, dropping zeros *)
+let rec sum_sorted = function
+  | (m1, c1) :: (m2, c2) :: rest when compare_mono m1 m2 = 0 ->
+    sum_sorted ((m1, Rat.add c1 c2) :: rest)
+  | (m, c) :: rest -> if Rat.is_zero c then sum_sorted rest else (m, c) :: sum_sorted rest
+  | [] -> []
+
+(** Canonical form of an arbitrary term list. *)
 let normalize (terms : (mono * Rat.t) list) : t =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (m, c) ->
-      let prev = Option.value ~default:Rat.zero (Hashtbl.find_opt tbl m) in
-      Hashtbl.replace tbl m (Rat.add prev c))
-    terms;
-  Hashtbl.fold (fun m c acc -> if Rat.is_zero c then acc else (m, c) :: acc) tbl []
-  |> List.sort (fun (m1, _) (m2, _) -> compare_mono m1 m2)
+  sum_sorted (List.sort (fun (m1, _) (m2, _) -> compare_mono m1 m2) terms)
 
 (* ------------------------------------------------------------------ *)
 (* Arithmetic                                                          *)
 
-let add (p : t) (q : t) : t = normalize (p @ q)
+let rec add (p : t) (q : t) : t =
+  match (p, q) with
+  | [], r | r, [] -> r
+  | ((m1, c1) as t1) :: p', ((m2, c2) as t2) :: q' ->
+    let c = compare_mono m1 m2 in
+    if c < 0 then t1 :: add p' q
+    else if c > 0 then t2 :: add p q'
+    else
+      let s = Rat.add c1 c2 in
+      if Rat.is_zero s then add p' q' else (m1, s) :: add p' q'
+
 let scale (c : Rat.t) (p : t) : t =
   if Rat.is_zero c then [] else List.map (fun (m, k) -> (m, Rat.mul c k)) p
 let neg p = scale Rat.minus_one p
 let sub p q = add p (neg q)
 
-let mul_mono (a : mono) (b : mono) : mono =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (at, e) ->
-      let prev = Option.value ~default:0 (Hashtbl.find_opt tbl at) in
-      Hashtbl.replace tbl at (prev + e))
-    (a @ b);
-  Hashtbl.fold (fun at e acc -> (at, e) :: acc) tbl []
-  |> List.sort (fun (a1, _) (a2, _) -> Atom.compare a1 a2)
+let rec mul_mono (a : mono) (b : mono) : mono =
+  match (a, b) with
+  | [], m | m, [] -> m
+  | ((x, i) as f) :: a', ((y, j) as g) :: b' ->
+    let c = Atom.compare x y in
+    if c < 0 then f :: mul_mono a' b
+    else if c > 0 then g :: mul_mono a b'
+    else (x, i + j) :: mul_mono a' b'
 
 let mul (p : t) (q : t) : t =
   normalize
@@ -96,7 +119,8 @@ let atoms (p : t) : Atom.t list =
   List.concat_map (fun (m, _) -> List.map fst m) p
   |> List.sort_uniq Atom.compare
 
-let contains_atom a p = List.exists (Atom.equal a) (atoms p)
+let contains_atom a (p : t) =
+  List.exists (fun (m, _) -> List.exists (fun (at, _) -> Atom.equal a at) m) p
 
 (** Degree of [p] in atom [a]. *)
 let degree a (p : t) =
@@ -107,7 +131,8 @@ let degree a (p : t) =
 
 (** Does any atom of [p] mention scalar variable [name]?  (Including
     inside opaque atoms.) *)
-let mentions_var name p = List.exists (Atom.mentions name) (atoms p)
+let mentions_var name (p : t) =
+  List.exists (fun (m, _) -> List.exists (fun (at, _) -> Atom.mentions name at) m) p
 
 (** Coefficient polynomials of [p] viewed as a univariate polynomial in
     [a]: returns [(k, q_k)] such that [p = sum q_k * a^k]. *)
@@ -161,6 +186,37 @@ let eval (lookup : Atom.t -> Rat.t option) (p : t) : Rat.t option =
         (match term with Some t -> Some (Rat.add total t) | None -> None))
     (Some Rat.zero) p
 
+(* Largest grid {!integer_valued} evaluates on; a quotient with more
+   atoms or higher degrees stays opaque. *)
+let max_division_grid = 256
+
+(** Is [p] an integer at every integer point?  Its coefficients in the
+    binomial basis (products of [C(a, k)]) are integer combinations of
+    its values on the grid [0..deg_a] of each atom [a], and [C(a, k)] is
+    an integer at every integer [a], so checking that grid decides it. *)
+let integer_valued (p : t) =
+  List.for_all (fun (_, c) -> Rat.is_integer c) p
+  ||
+  let grid = List.map (fun a -> (a, degree a p)) (atoms p) in
+  let size =
+    List.fold_left
+      (fun n (_, d) -> if n > max_division_grid then n else n * (d + 1))
+      1 grid
+  in
+  size <= max_division_grid
+  &&
+  let rec at_every_point point = function
+    | [] -> (
+      match eval (fun a -> List.assoc_opt a point) p with
+      | Some v -> Rat.is_integer v
+      | None -> false)
+    | (a, d) :: rest ->
+      List.for_all
+        (fun x -> at_every_point ((a, Rat.of_int x) :: point) rest)
+        (List.init (d + 1) Fun.id)
+  in
+  at_every_point [] grid
+
 (* ------------------------------------------------------------------ *)
 (* Conversion from / to expressions                                    *)
 
@@ -171,8 +227,9 @@ let of_expr_cache : (Ast.expr, t) Cache.t =
 
 (** Translate an expression to a polynomial.  Non-polynomial structure
     (array elements, calls, symbolic powers, division by a non-constant)
-    becomes an opaque atom.  Integer division by a constant becomes exact
-    rational scaling (see module doc).  Logical/relational expressions
+    becomes an opaque atom.  Division by a constant becomes exact
+    rational scaling when the quotient is {!integer_valued}, and an
+    opaque atom otherwise (see module doc).  Logical/relational expressions
     and non-integral reals yield a fully opaque polynomial.
 
     Memoized at every recursion level: expressions are immutable (and,
@@ -193,7 +250,9 @@ and of_expr_raw (e : Ast.expr) : t =
   | Ast.Binary (Mul, a, b) -> mul (of_expr a) (of_expr b)
   | Ast.Binary (Div, a, b) -> (
     match const_val (of_expr b) with
-    | Some c when not (Rat.is_zero c) -> scale (Rat.div Rat.one c) (of_expr a)
+    | Some c when not (Rat.is_zero c) ->
+      let q = scale (Rat.div Rat.one c) (of_expr a) in
+      if integer_valued q then q else of_atom (Atom.opaque e)
     | _ -> of_atom (Atom.opaque e))
   | Ast.Binary (Pow, a, b) -> (
     match const_val (of_expr b) with

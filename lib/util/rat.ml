@@ -40,10 +40,18 @@ let to_int t =
 
 let to_float t = float_of_int t.num /. float_of_int t.den
 
-let add a b = make ((a.num * b.den) + (b.num * a.den)) (a.den * b.den)
+(* integer operands (the common case for subscript coefficients) need no
+   gcd: the result is already in lowest terms, and zero is [0/1] *)
+let add a b =
+  if a.den = 1 && b.den = 1 then { num = a.num + b.num; den = 1 }
+  else make ((a.num * b.den) + (b.num * a.den)) (a.den * b.den)
+
 let neg a = { a with num = -a.num }
 let sub a b = add a (neg b)
-let mul a b = make (a.num * b.num) (a.den * b.den)
+
+let mul a b =
+  if a.den = 1 && b.den = 1 then { num = a.num * b.num; den = 1 }
+  else make (a.num * b.num) (a.den * b.den)
 
 (** @raise Division_by_zero if [b] is zero. *)
 let div a b = if is_zero b then raise Division_by_zero else make (a.num * b.den) (a.den * b.num)

@@ -203,6 +203,79 @@ let test_nonlinear_budget_never_lies () =
     [ 0; 5; 50 ]
 
 (* ------------------------------------------------------------------ *)
+(* Budget decisions pinned                                             *)
+
+(* Every loop verdict of the 16 suite codes at four small budgets, with
+   caches on and off, against [golden/budget_verdicts.txt].  A budget
+   degrades a verdict only through the steps the symbolic core charges,
+   so a change that moves a step-charging site or a memo site moves a
+   line here; a faster core must leave the file as it is.  The caches-on
+   pass runs the budgets in rising order on warm tables, so cost replay
+   ([Cache.memo_budgeted]) is exercised too.  On a mismatch the output
+   is written to [budget_verdicts.out] beside the test binary. *)
+let budget_golden_steps = [ 50; 100; 200; 1_000 ]
+
+let budget_verdicts ~caches =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun steps ->
+      let cfg = { (Core.Config.polaris ()) with budget_steps = steps; caches } in
+      let lines = Buffer.create 8192 in
+      let total = ref 0 and par = ref 0 and degraded = ref 0 in
+      List.iter
+        (fun (c : Suite.Code.t) ->
+          let t = Core.Pipeline.compile cfg c.source in
+          List.iter
+            (fun (l : Core.Pipeline.loop_result) ->
+              let r = l.report in
+              incr total;
+              if r.parallel then incr par;
+              if contains r.reason "budget exhausted" then incr degraded;
+              Printf.bprintf lines "%s %s %s %s: %s\n" c.name l.unit_name
+                r.loop_index
+                (if r.speculative then "speculative"
+                 else if r.parallel then "parallel"
+                 else "serial")
+                r.reason)
+            t.loops)
+        Suite.Registry.all;
+      Printf.bprintf buf "== budget %d: %d/%d parallel, %d degraded by budget\n"
+        steps !par !total !degraded;
+      Buffer.add_buffer buf lines)
+    budget_golden_steps;
+  Buffer.contents buf
+
+let test_budget_golden () =
+  let golden =
+    In_channel.with_open_bin "golden/budget_verdicts.txt" In_channel.input_all
+  in
+  List.iter
+    (fun caches ->
+      let got =
+        Util.Cachectl.clear_all ();
+        budget_verdicts ~caches
+      in
+      if not (String.equal golden got) then begin
+        Out_channel.with_open_bin "budget_verdicts.out" (fun oc ->
+            output_string oc got);
+        let g = String.split_on_char '\n' golden
+        and o = String.split_on_char '\n' got in
+        let rec first_diff i = function
+          | x :: xs, y :: ys when String.equal x y -> first_diff (i + 1) (xs, ys)
+          | x :: _, y :: _ -> Fmt.str "line %d: golden %S, got %S" i x y
+          | [], y :: _ -> Fmt.str "line %d: golden ends, got %S" i y
+          | x :: _, [] -> Fmt.str "line %d: golden %S, got nothing" i x
+          | [], [] -> "no line differs"
+        in
+        Alcotest.failf
+          "caches %s: verdicts drifted from golden/budget_verdicts.txt (%s); \
+           output in budget_verdicts.out"
+          (if caches then "on" else "off")
+          (first_diff 1 (g, o))
+      end)
+    [ true; false ]
+
+(* ------------------------------------------------------------------ *)
 (* The seeded sweep: >= 100 seeds across the suite corpus              *)
 
 let test_sweep () =
@@ -357,4 +430,6 @@ let tests =
     Alcotest.test_case "worker fault containment" `Quick
       test_worker_fault_containment;
     Alcotest.test_case "plans are deterministic" `Quick
-      test_plan_determinism ]
+      test_plan_determinism;
+    Alcotest.test_case "budget decisions match the golden" `Quick
+      test_budget_golden ]

@@ -207,6 +207,7 @@ let rec eval_expr env (e : Ast.expr) : int =
   | Ast.Binary (Ast.Add, a, b) -> eval_expr env a + eval_expr env b
   | Ast.Binary (Ast.Sub, a, b) -> eval_expr env a - eval_expr env b
   | Ast.Binary (Ast.Mul, a, b) -> eval_expr env a * eval_expr env b
+  | Ast.Binary (Ast.Div, a, b) -> eval_expr env a / eval_expr env b
   | _ -> 0
 
 type gen_access = { garr : string; gwrite : bool; gsub : Ast.expr }
@@ -394,27 +395,47 @@ let print_nest (depth, bounds, accs) =
               (Fir.Expr.to_string a.gsub))
           accs))
 
+(* [nest_gen] with every subscript divided by 1, 2 or 3.  Integer
+   division truncates (as [eval_expr] does), so iterations 2k-1 and 2k of
+   [A((I1+1)/2)] write one element: a quotient taken as exact rational
+   scaling would hide that collision. *)
+let division_nest_gen =
+  let open QCheck2.Gen in
+  let* depth, bounds, accs = nest_gen in
+  let+ divisors = list_repeat (List.length accs) (int_range 1 3) in
+  ( depth,
+    bounds,
+    List.map2
+      (fun a d -> { a with gsub = Ast.Binary (Ast.Div, a.gsub, Ast.Int_lit d) })
+      accs divisors )
+
+let polaris_verdicts_sound spec =
+  let depth, _, _ = spec in
+  let u = build_nest spec in
+  let p = Program.create [ u ] in
+  ignore (Passes.Parallelize.run ~mode:Passes.Parallelize.Polaris p);
+  let ok = ref true in
+  let pos = ref 0 in
+  Stmt.iter
+    (fun (s : Ast.stmt) ->
+      match s.kind with
+      | Ast.Do d ->
+        incr pos;
+        let k = !pos in
+        if d.info.par && d.info.reductions = [] && k <= depth then
+          if brute_force_carries ~privates:d.info.privates spec k then
+            ok := false
+      | _ -> ())
+    u.pu_body;
+  !ok
+
 let prop_driver_sound =
   QCheck2.Test.make ~name:"parallel verdicts are sound (brute force)" ~count:150
-    ~print:print_nest nest_gen (fun spec ->
-      let depth, _, _ = spec in
-      let u = build_nest spec in
-      let p = Program.create [ u ] in
-      ignore (Passes.Parallelize.run ~mode:Passes.Parallelize.Polaris p);
-      let ok = ref true in
-      let pos = ref 0 in
-      Stmt.iter
-        (fun (s : Ast.stmt) ->
-          match s.kind with
-          | Ast.Do d ->
-            incr pos;
-            let k = !pos in
-            if d.info.par && d.info.reductions = [] && k <= depth then
-              if brute_force_carries ~privates:d.info.privates spec k then
-                ok := false
-          | _ -> ())
-        u.pu_body;
-      !ok)
+    ~print:print_nest nest_gen polaris_verdicts_sound
+
+let prop_driver_sound_division =
+  QCheck2.Test.make ~name:"parallel verdicts are sound with division (brute force)"
+    ~count:150 ~print:print_nest division_nest_gen polaris_verdicts_sound
 
 let prop_baseline_sound =
   QCheck2.Test.make ~name:"baseline verdicts are sound (brute force)" ~count:150
@@ -446,4 +467,5 @@ let tests =
     ("true dependence stays serial", `Quick, test_true_dependence_rejected);
     ("anti dependence stays serial", `Quick, test_anti_dependence_rejected);
     ("OCEAN needs promotion", `Quick, test_ocean_permutation_needed) ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_driver_sound; prop_baseline_sound ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_driver_sound; prop_baseline_sound; prop_driver_sound_division ]

@@ -7,7 +7,11 @@
      enumeration of the dependence equation;
    - the Compare prover's [prove_ge]/[prove_lt] answers must hold on
      sampled integer assignments satisfying the range environment;
-   - Faulhaber power-sum polynomials have exact rational closed forms. *)
+   - Faulhaber power-sum polynomials have exact rational closed forms;
+   - the merge-based polynomial arithmetic equals the hash-table
+     reference it replaced, its orders have the sign of
+     [Stdlib.compare], and the integer fast path of [Rat] equals the
+     general [Rat.make] forms. *)
 
 open Symbolic
 open Util
@@ -242,8 +246,145 @@ let prop_power_sums =
         Rat.equal v (Rat.of_int !brute)
       | None -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Polynomial merges vs. the hash-table reference                      *)
+
+(* The general [Rat] forms, without the integer fast path. *)
+let rat_add_ref (a : Rat.t) (b : Rat.t) =
+  Rat.make ((a.num * b.den) + (b.num * a.den)) (a.den * b.den)
+
+let rat_mul_ref (a : Rat.t) (b : Rat.t) = Rat.make (a.num * b.num) (a.den * b.den)
+
+(* [Poly.normalize] and [Poly.mul_mono] as they were before the
+   arithmetic became merges of sorted lists: a hash table per call,
+   then a sort by [Stdlib.compare]. *)
+let normalize_ref (terms : (Poly.mono * Rat.t) list) : Poly.t =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (m, c) ->
+      let prev = Option.value ~default:Rat.zero (Hashtbl.find_opt tbl m) in
+      Hashtbl.replace tbl m (rat_add_ref prev c))
+    terms;
+  Hashtbl.fold (fun m c acc -> if Rat.is_zero c then acc else (m, c) :: acc) tbl []
+  |> List.sort (fun (m1, _) (m2, _) -> Stdlib.compare m1 m2)
+
+let mul_mono_ref (a : Poly.mono) (b : Poly.mono) : Poly.mono =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (at, e) ->
+      let prev = Option.value ~default:0 (Hashtbl.find_opt tbl at) in
+      Hashtbl.replace tbl at (prev + e))
+    (a @ b);
+  Hashtbl.fold (fun at e acc -> (at, e) :: acc) tbl []
+  |> List.sort (fun (a1, _) (a2, _) -> Stdlib.compare a1 a2)
+
+let add_ref p q = normalize_ref (p @ q)
+
+let mul_ref p q =
+  normalize_ref
+    (List.concat_map
+       (fun (m1, c1) -> List.map (fun (m2, c2) -> (mul_mono_ref m1 m2, rat_mul_ref c1 c2)) q)
+       p)
+
+let z_of sub = Atom.opaque (Fir.Ast.Ref ("Z", [ sub ]))
+
+(* atoms I, J, N and the opaque Z(K), Z(K+1) *)
+let atom_pool =
+  let k = Fir.Ast.Var "K" in
+  [ Atom.var "I"; Atom.var "J"; Atom.var "N"; z_of k;
+    z_of (Fir.Ast.Binary (Fir.Ast.Add, k, Fir.Ast.Int_lit 1)) ]
+
+let rat_gen =
+  QCheck2.Gen.(map2 Rat.make (int_range (-4) 4) (int_range 1 3))
+
+(* a canonical monomial: distinct atoms, sorted, exponents 1..3 *)
+let mono_gen =
+  QCheck2.Gen.(
+    map
+      (fun fs -> mul_mono_ref fs [])
+      (list_size (int_range 0 3) (pair (oneofl atom_pool) (int_range 1 3))))
+
+(* raw term lists: unsorted, with repeated monomials and zero
+   coefficients *)
+let terms_gen = QCheck2.Gen.(list_size (int_range 0 6) (pair mono_gen rat_gen))
+
+let canonical_gen = QCheck2.Gen.map normalize_ref terms_gen
+
+(* a pair whose sum cancels at least partly: q holds -p's terms *)
+let poly_pair_gen =
+  let open QCheck2.Gen in
+  let* p = canonical_gen in
+  let* r = canonical_gen in
+  let+ cancel = bool in
+  let neg_p = List.map (fun (m, (c : Rat.t)) -> (m, Rat.make (-c.num) c.den)) p in
+  (p, if cancel then add_ref neg_p r else r)
+
+let print_poly_pair (p, q) = Poly.to_string p ^ "  |  " ^ Poly.to_string q
+
+let prop_poly_merges_match_reference =
+  QCheck2.Test.make ~name:"poly add/mul/normalize equal the hash-table reference"
+    ~count:1000 ~print:print_poly_pair poly_pair_gen (fun (p, q) ->
+      Poly.add p q = add_ref p q
+      && Poly.add q p = add_ref q p
+      && Poly.mul p q = mul_ref p q
+      && Poly.sub p p = []
+      && Poly.normalize (p @ q @ p) = normalize_ref (p @ q @ p))
+
+let prop_normalize_matches_reference =
+  QCheck2.Test.make ~name:"poly normalize of raw terms equals the reference"
+    ~count:1000 terms_gen (fun terms ->
+      Poly.normalize terms = normalize_ref terms
+      && Poly.normalize (List.rev terms) = normalize_ref terms)
+
+(* deep opaque atoms: equal down to the last leaf of the subscript *)
+let deep_atom_gen =
+  let open QCheck2.Gen in
+  let open Fir.Ast in
+  let+ leaf = int_range 1 3 and+ shape = bool in
+  let inner = Binary (Mul, Var "K", Binary (Add, Var "N", Int_lit leaf)) in
+  z_of (if shape then Fun_call ("F", [ inner ]) else inner)
+
+let sign x = Int.compare x 0
+
+let prop_orders_match_stdlib =
+  let open QCheck2.Gen in
+  let atom = oneof [ oneofl atom_pool; deep_atom_gen ] in
+  let mono = list_size (int_range 0 3) (pair atom (int_range 1 3)) in
+  (* monomials that are prefixes of each other, or share a prefix *)
+  let mono_pair =
+    let* m = mono in
+    let* tail = mono in
+    let+ which = int_range 0 2 in
+    match which with
+    | 0 -> (m, m @ tail)
+    | 1 -> (m @ tail, m)
+    | _ -> (m @ tail, m @ List.rev tail)
+  in
+  QCheck2.Test.make ~name:"Atom.compare and compare_mono have Stdlib.compare's sign"
+    ~count:1000
+    (tup3 (pair atom atom) mono_pair (pair mono mono))
+    (fun ((a, b), (m1, m2), (m3, m4)) ->
+      sign (Atom.compare a b) = sign (Stdlib.compare a b)
+      && sign (Poly.compare_mono m1 m2) = sign (Stdlib.compare m1 m2)
+      && sign (Poly.compare_mono m3 m4) = sign (Stdlib.compare m3 m4))
+
+let prop_rat_fast_path =
+  let gen =
+    QCheck2.Gen.(
+      pair
+        (oneof [ map Rat.of_int (int_range (-9) 9); map2 Rat.make (int_range (-9) 9) (int_range 1 6) ])
+        (oneof [ map Rat.of_int (int_range (-9) 9); map2 Rat.make (int_range (-9) 9) (int_range 1 6) ]))
+  in
+  QCheck2.Test.make ~name:"Rat.add and Rat.mul equal the Rat.make forms" ~count:1000 gen
+    (fun (a, b) ->
+      Rat.add a b = rat_add_ref a b
+      && Rat.mul a b = rat_mul_ref a b
+      && Rat.sub a b = rat_add_ref a (Rat.make (-b.num) b.den))
+
 let tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_banerjee_contrib; prop_banerjee_carries_sound; prop_siv_sound;
       prop_prover_sound; prop_prover_lt_sound; prop_monotonicity_sound;
-      prop_power_sums ]
+      prop_power_sums; prop_poly_merges_match_reference;
+      prop_normalize_matches_reference; prop_orders_match_stdlib;
+      prop_rat_fast_path ]

@@ -116,6 +116,28 @@ let test_of_expr_division () =
   let expected = Poly.scale (Rat.make 1 2) (Poly.add (Poly.pow n 2) n) in
   Alcotest.check poly "triangular closed form" expected p
 
+let test_of_expr_inexact_division () =
+  (* Fortran integer division truncates: a quotient that is not an
+     integer at every integer point must not become exact scaling *)
+  let open Fir in
+  let i = Ast.Var "I" in
+  let half_up = Expr.div (Expr.add i (Expr.int 1)) (Expr.int 2) in
+  let p = Poly.of_expr half_up in
+  Alcotest.(check int) "(I+1)/2: one term" 1 (List.length p);
+  Alcotest.(check (list string)) "(I+1)/2: one opaque atom"
+    [ "[(I + 1) / 2]" ]
+    (List.map Atom.to_string (Poly.atoms p));
+  let twice_half = Expr.mul (Expr.div i (Expr.int 2)) (Expr.int 2) in
+  Alcotest.(check bool) "(I/2)*2 is not I" false
+    (Poly.equal (Poly.of_expr twice_half) (Poly.var "I"));
+  (* integer-valued without integer coefficients: stays a polynomial *)
+  let n = Ast.Var "N" and m = Ast.Var "M" in
+  let trfd =
+    Expr.div (Expr.mul m (Expr.add (Expr.mul n n) n)) (Expr.int 2)
+  in
+  Alcotest.(check (list string)) "M*(N*N+N)/2 stays exact" [ "M"; "N" ]
+    (List.map Atom.to_string (Poly.atoms (Poly.of_expr trfd)))
+
 let test_of_expr_opaque () =
   let e = Fir.Expr.ref_ "Z" [ Fir.Ast.Var "K" ] in
   let p = Poly.of_expr e in
@@ -353,6 +375,7 @@ let tests =
     ("poly substitution", `Quick, test_poly_subst);
     ("poly coeffs_in", `Quick, test_coeffs_in);
     ("of_expr exact division", `Quick, test_of_expr_division);
+    ("of_expr inexact division is opaque", `Quick, test_of_expr_inexact_division);
     ("of_expr opaque atoms", `Quick, test_of_expr_opaque);
     ("summation constant", `Quick, test_summation_constant);
     ("summation linear (Faulhaber)", `Quick, test_summation_linear);
