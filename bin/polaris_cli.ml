@@ -28,13 +28,6 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 (* user-facing failures print one clean line and exit 1; backtraces are
    for bugs in the compiler, not for bad inputs *)
 let with_errors f =
@@ -78,35 +71,8 @@ let seconds_conv = Arg.conv' (Util.Env.parse_seconds, Fmt.float)
 let mb_conv = Arg.conv' (Util.Env.parse_mb, Fmt.int)
 let path_conv = Arg.conv' (Util.Env.parse_path, Fmt.string)
 
-(* --pipeline resolves against Core.Registry (presets + custom:p1,p2,...
-   with ordering constraints checked), --emit-backend against
-   Backend.Registry; a bad value is a hard error (exit 1) *)
-let pipeline_term : Core.Registry.pipeline option Term.t =
-  let spec =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "pipeline" ] ~docv:"SPEC"
-          ~doc:
-            "Pass pipeline to run: a preset ($(b,thorough), the default; \
-             $(b,fast); $(b,serial)) or $(b,custom:)$(i,P1,P2,..) over \
-             registered pass names (see $(b,polaris list-passes)).  Unknown \
-             passes and orderings that violate a registered constraint are \
-             refused.")
-  in
-  let resolve spec =
-    match Core.Registry.parse spec with
-    | Ok pl -> pl
-    | Error m ->
-      Fmt.epr "polaris: --pipeline: %s@." m;
-      exit 1
-  in
-  Term.(const (Option.map resolve) $ spec)
-
-let apply_pipeline (pl : Core.Registry.pipeline option) (c : Core.Config.t) :
-    Core.Config.t =
-  match pl with Some pl -> Core.Config.with_pipeline pl c | None -> c
-
+(* --emit-backend resolves against Backend.Registry; a bad name is a
+   hard error (exit 1) *)
 let backend_term : Backend.Registry.t option Term.t =
   let flag =
     Arg.(
@@ -155,15 +121,13 @@ let procs_flag =
 let emit_flag =
   Arg.(value & flag & info [ "emit" ] ~doc:"Print each compile's transformed source")
 
-(* the compile configuration: --baseline, the simulated machine size and
-   --pipeline *)
+(* the compile configuration: --baseline and the simulated machine size *)
 let config_term (procs : int Term.t) : Core.Config.t Term.t =
-  let make baseline procs pl =
-    apply_pipeline pl
-      (if baseline then Core.Config.baseline ~procs ()
-       else Core.Config.polaris ~procs ())
+  let make baseline procs =
+    if baseline then Core.Config.baseline ~procs ()
+    else Core.Config.polaris ~procs ()
   in
-  Term.(const make $ baseline_flag $ procs $ pipeline_term)
+  Term.(const make $ baseline_flag $ procs)
 
 let strict_flag =
   Arg.(
@@ -214,7 +178,8 @@ let compile_cmd =
     with_errors (fun () ->
         let file = required_file file in
         let b = Option.value backend ~default:Backend.Registry.default in
-        let t = Core.Pipeline.compile ~strict config (read_file file) in
+        let source = Serve.Local.read_file file in
+        let t = Core.Pipeline.compile ~strict config source in
         if not quiet then Fmt.pr "%a@." Core.Pipeline.pp_summary t;
         if explain_reuse then Fmt.pr "%a" Valid.Trace.pp_reuse_table t.reuse;
         print_string (b.Backend.Registry.b_emit t.program);
@@ -252,7 +217,8 @@ let run_cmd =
   let go file (cfg : Core.Config.t) real real_procs strict () =
     with_errors (fun () ->
         let file = required_file file in
-        let t, r = Core.Simulate.compile_and_run ~strict cfg (read_file file) in
+        let source = Serve.Local.read_file file in
+        let t, r = Core.Simulate.compile_and_run ~strict cfg source in
         Fmt.pr "%a@." Core.Pipeline.pp_summary t;
         Fmt.pr "serial time   : %d@." r.serial_time;
         Fmt.pr "parallel time : %d (%d processors)@." r.parallel_time cfg.procs;
@@ -298,7 +264,7 @@ let suite_cmd =
   let code_name =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"NAME" ~doc:"Suite code name")
   in
-  let go code_name procs () pl =
+  let go code_name procs () =
     with_errors (fun () ->
         match code_name with
         | None ->
@@ -313,9 +279,7 @@ let suite_cmd =
           match Suite.Registry.find name with
           | c ->
             let _, rp =
-              Core.Simulate.compile_and_run
-                (apply_pipeline pl (Core.Config.polaris ~procs ()))
-                c.source
+              Core.Simulate.compile_and_run (Core.Config.polaris ~procs ()) c.source
             in
             let _, rb =
               Core.Simulate.compile_and_run (Core.Config.baseline ~procs ()) c.source
@@ -332,7 +296,7 @@ let suite_cmd =
   in
   Cmd.v
     (Cmd.info "suite" ~doc:"List or run the evaluation-suite codes")
-    Term.(const go $ code_name $ procs_flag $ jobs_term $ pipeline_term)
+    Term.(const go $ code_name $ procs_flag $ jobs_term)
 
 (* ----- validate ----- *)
 
@@ -418,7 +382,7 @@ let validate_cmd =
                    reassociation-aware ULP tolerance; default: off)")
   in
   let go file suite baseline_only polaris_only ulp seeds procs trace_out
-      real_procs () pl =
+      real_procs () =
     with_errors (fun () ->
         let cmp = { Valid.Oracle.default_cmp with ulp_tol = ulp } in
         let seeds = parse_list ~what:"seed" parse_int seeds in
@@ -430,11 +394,10 @@ let validate_cmd =
           parse_list ~what:"processor" Util.Env.parse_jobs real_procs
         in
         let configs =
-          List.map (apply_pipeline pl)
-            (match (baseline_only, polaris_only) with
-            | true, false -> [ Core.Config.baseline () ]
-            | false, true -> [ Core.Config.polaris () ]
-            | _ -> [ Core.Config.polaris (); Core.Config.baseline () ])
+          match (baseline_only, polaris_only) with
+          | true, false -> [ Core.Config.baseline () ]
+          | false, true -> [ Core.Config.polaris () ]
+          | _ -> [ Core.Config.polaris (); Core.Config.baseline () ]
         in
         let targets =
           if suite then
@@ -443,7 +406,7 @@ let validate_cmd =
               Suite.Registry.all
           else
             let f = required_file file in
-            [ (Filename.basename f, read_file f) ]
+            [ (Filename.basename f, Serve.Local.read_file f) ]
         in
         let results =
           List.concat_map
@@ -494,7 +457,7 @@ let validate_cmd =
           end
         in
         (* the emission lane: every registered backend over every
-           (code, pipeline) row.  Re-parsing backends must round-trip
+           (code, configuration) row.  Re-parsing backends must round-trip
            through our own frontend and print what the transformed
            program prints; non-reparsing backends must at least emit
            deterministically (their semantics are pinned by the golden
@@ -578,7 +541,7 @@ let validate_cmd =
        ~doc:"Translation-validate the pipeline by differential execution")
     Term.(
       const go $ file_pos $ suite $ baseline_only $ polaris_only $ ulp $ seeds
-      $ procs $ trace_out $ real_procs $ jobs_term $ pipeline_term)
+      $ procs $ trace_out $ real_procs $ jobs_term)
 
 (* ----- serve ----- *)
 
@@ -778,8 +741,7 @@ let daemon_cmd =
              aggressive pipeliner round-robins with the other sessions")
   in
   let go socket store max_mb baseline budget_steps deadline log max_sessions
-      idle_timeout flush_every flush_interval max_pipeline () pipeline
-      backend =
+      idle_timeout flush_every flush_interval max_pipeline () backend =
     with_errors (fun () ->
         let cfg =
           { d with
@@ -787,7 +749,6 @@ let daemon_cmd =
             d_store_dir = store;
             d_max_cache_mb = max_mb;
             d_baseline = baseline;
-            d_pipeline = pipeline;
             d_backend = backend;
             d_budget_steps = budget_steps;
             d_deadline_s = deadline;
@@ -826,8 +787,7 @@ let daemon_cmd =
     Term.(
       const go $ socket_flag $ store $ max_mb $ baseline_flag $ budget_steps
       $ deadline $ log $ max_sessions $ idle_timeout $ flush_every
-      $ flush_interval $ max_pipeline $ jobs_term $ pipeline_term
-      $ backend_term)
+      $ flush_interval $ max_pipeline $ jobs_term $ backend_term)
 
 (* ----- client ----- *)
 
@@ -877,19 +837,16 @@ let client_cmd =
           ~doc:"Probe the daemon's liveness (exit 0 iff it answers)")
   in
   let go socket files check baseline emit stats shutdown retries timeout ping
-      pipeline backend =
+      backend =
     with_errors (fun () ->
         (* a daemon that sheds this connection may close it before the
            request is written: the failed write must be a transient
            "send failed" that --retries retries, not a SIGPIPE death *)
         Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-        (* the names were resolved locally against the same registries
-           the daemon uses, so a typo exits 1 before a connection is
-           even attempted; the wire carries the resolved spec ("" = let
-           the daemon pick its own default) *)
-        let pipeline =
-          Option.fold ~none:"" ~some:(fun pl -> pl.Core.Registry.pl_name) pipeline
-        in
+        (* the name was resolved locally against the registry the daemon
+           uses, so a typo exits 1 before a connection is even
+           attempted; the wire carries the resolved name ("" = let the
+           daemon pick its own default) *)
         let backend =
           Option.fold ~none:"" ~some:(fun b -> b.Backend.Registry.b_name) backend
         in
@@ -949,7 +906,7 @@ let client_cmd =
                  | source -> (
                    match
                      Serve.Client.compile_retry ~retries ?deadline_s:timeout
-                       ~check ~baseline ~pipeline ~backend ~socket ~label:path
+                       ~check ~baseline ~backend ~socket ~label:path
                        source
                    with
                    | Error msg ->
@@ -963,8 +920,8 @@ let client_cmd =
                  List.iteri
                    (fun i path ->
                      match
-                       Serve.Client.compile_path c ~check ~baseline ~pipeline
-                         ~backend path
+                       Serve.Client.compile_path c ~check ~baseline ~backend
+                         path
                      with
                      | Error msg ->
                        incr failed;
@@ -993,8 +950,7 @@ let client_cmd =
        ~doc:"Compile files on a running polaris daemon (thin client)")
     Term.(
       const go $ socket_flag $ files $ check $ baseline_flag $ emit_flag
-      $ stats $ shutdown $ retries $ timeout $ ping $ pipeline_term
-      $ backend_term)
+      $ stats $ shutdown $ retries $ timeout $ ping $ backend_term)
 
 (* ----- chaos ----- *)
 
@@ -1044,21 +1000,9 @@ let list_passes_cmd =
   Cmd.v
     (Cmd.info "list-passes"
        ~doc:
-         "List every registered pass with the analyses it consumes, the \
-          caches it invalidates and its fault-containment behaviour")
-    Term.(const (fun () -> Fmt.pr "%a" Core.Registry.pp_passes ()) $ const ())
-
-let list_pipelines_cmd =
-  let show () =
-    Fmt.pr "%a" Core.Registry.pp_pipelines ();
-    Fmt.pr
-      "custom     custom:P1,P2,..  any registry-valid ordering of the passes \
-       above@."
-  in
-  Cmd.v
-    (Cmd.info "list-pipelines"
-       ~doc:"List the preset pass pipelines and the custom: spec syntax")
-    Term.(const show $ const ())
+         "List every pass in the order the pipeline runs them, with the \
+          analyses it consumes and its fault-containment behaviour")
+    Term.(const (fun () -> Fmt.pr "%a" Core.Pass_id.pp_passes ()) $ const ())
 
 let list_backends_cmd =
   Cmd.v
@@ -1119,7 +1063,7 @@ let native_cmd =
       & info [ "backends" ] ~docv:"B1,B2"
           ~doc:"Comma-separated backends to compile natively")
   in
-  let go codes backends pl () =
+  let go codes backends () =
     with_errors (fun () ->
         let names = String.split_on_char ',' codes |> List.map String.trim in
         let codes =
@@ -1177,11 +1121,7 @@ let native_cmd =
             else
               List.iter
                 (fun (c : Suite.Code.t) ->
-                  let t =
-                    Core.Pipeline.compile
-                      (apply_pipeline pl (Core.Config.polaris ()))
-                      c.source
-                  in
+                  let t = Core.Pipeline.compile (Core.Config.polaris ()) c.source in
                   let src =
                     Filename.concat tmp
                       (Printf.sprintf "%s.%s" c.name b.b_ext)
@@ -1239,7 +1179,7 @@ let native_cmd =
           interpreter oracle; lanes whose compiler is absent are skipped \
           cleanly")
     Term.(
-      const go $ codes $ backends $ pipeline_term $ jobs_term)
+      const go $ codes $ backends $ jobs_term)
 
 let () =
   let doc = "Polaris-style automatic parallelizer (ICPP'96 reproduction)" in
@@ -1249,4 +1189,4 @@ let () =
           (Cmd.info "polaris" ~doc)
           [ compile_cmd; run_cmd; suite_cmd; validate_cmd; serve_cmd;
             daemon_cmd; client_cmd; chaos_cmd; list_passes_cmd;
-            list_pipelines_cmd; list_backends_cmd; native_cmd ]))
+            list_backends_cmd; native_cmd ]))

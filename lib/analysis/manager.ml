@@ -40,8 +40,9 @@
     Cross-{e compilation} reuse (the `polaris serve` path) is carried by
     the {e semantic} caches, which key on content rather than identity:
     [Punit.fingerprint], [Range_prop.env_at], [Dep.Driver]'s verdict
-    cache, [Poly.of_expr] and the [Compare] tables.  The manager tracks
-    those by name ({!tracked}) so reuse accounting covers both kinds.
+    cache, [Poly.of_expr] and the [Compare] tables.  Both kinds register
+    with {!Util.Cachectl}, and reuse accounting reads every cache
+    registered there.
 
     All tables are {!Symbolic.Cache} instances, which gives every
     analysis the established contracts: the [POLARIS_NO_CACHE] master
@@ -56,7 +57,7 @@
 open Fir
 
 (* ------------------------------------------------------------------ *)
-(* Registry: invalidation counters + tracked semantic caches           *)
+(* Registry: invalidation counters                                    *)
 
 let invalidation_registry : (string * int Atomic.t) list ref = ref []
 
@@ -79,19 +80,6 @@ let invalidation_delta ~base now =
       | None -> (name, n))
     now
 
-(* Semantic (content-addressed) caches that participate in reuse
-   accounting but live outside the manager; see the module comment. *)
-let semantic_analyses =
-  [ "punit.fingerprint"; "fir.intern"; "poly.of_expr"; "compare.eliminate";
-    "compare.monotonicity"; "range_prop.env_at"; "dep.verdict" ]
-
-let managed_names : string list ref = ref []
-
-(** Names of every analysis cache that counts toward the reuse rate:
-    the manager's own tables plus the content-addressed semantic
-    caches. *)
-let tracked () = !managed_names @ semantic_analyses
-
 (* ------------------------------------------------------------------ *)
 (* Unit-scoped analyses                                                *)
 
@@ -108,7 +96,6 @@ let unit_analysis ~name (compute : Punit.t -> 'a) : Punit.t -> 'a =
     Symbolic.Cache.create ~name ~equal_result:(fun _ _ -> true) ()
   in
   let inval = register_invalidations name in
-  managed_names := !managed_names @ [ name ];
   fun (u : Punit.t) ->
     let entry =
       Symbolic.Cache.memo_validated cache u.pu_name
@@ -147,7 +134,6 @@ let block_analysis ~name (compute : Ast.block -> 'a) : Ast.block -> 'a =
     Symbolic.Cache.create ~name ~equal_result:(fun _ _ -> true) ()
   in
   let inval = register_invalidations name in
-  managed_names := !managed_names @ [ name ];
   fun (b : Ast.block) ->
     let entry =
       Symbolic.Cache.memo_validated cache (block_key b)
@@ -171,7 +157,6 @@ let point_analysis ~name (compute : Punit.t -> target:int -> 'a) :
     Symbolic.Cache.create ~name ~equal_result:(fun _ _ -> true) ()
   in
   let inval = register_invalidations name in
-  managed_names := !managed_names @ [ name ];
   fun (u : Punit.t) ~target ->
     let entry =
       Symbolic.Cache.memo_validated cache (u.pu_name, target)

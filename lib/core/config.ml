@@ -1,16 +1,15 @@
-(** Compiler configuration: the Polaris pipeline, the baseline ("PFA")
-    pipeline, and ablations in between. *)
+(** Compiler configuration: the Polaris capability set, the baseline
+    ("PFA") capability set, and ablations in between.  Every
+    configuration runs the one pass order of {!Pass_id.all}. *)
 
 type t = {
   name : string;
   inline : bool;              (** §3.1 inline expansion *)
-  constprop : bool;           (** constant/copy propagation *)
   generalized_induction : bool;
       (** §3.2 cascaded/triangular inductions (false = loop-invariant
           increments only, the "current compiler" capability) *)
   mode : Passes.Parallelize.mode;
       (** range test + array privatization vs. GCD/Banerjee + scalars *)
-  deadcode : bool;            (** dead scalar-assignment cleanup *)
   procs : int;                (** simulated machine size *)
   budget_steps : int;
       (** analysis budget: symbolic/dependence-test steps available per
@@ -25,33 +24,24 @@ type t = {
           on unless [POLARIS_NO_CACHE=1] is in the environment; purely a
           performance lever, verdicts and output are identical either
           way *)
-  pipeline : Registry.pipeline;
-      (** which passes run and in what order ({!Registry}); the
-          capability flags above still gate each pass individually, so
-          [thorough] + the baseline flag set reproduces the classic
-          baseline behaviour *)
 }
 
 (** The full Polaris configuration (paper §3). *)
 let polaris ?(procs = 8) () =
-  { name = "polaris"; inline = true; constprop = true;
-    generalized_induction = true; mode = Passes.Parallelize.Polaris;
-    deadcode = true; procs;
+  { name = "polaris"; inline = true; generalized_induction = true;
+    mode = Passes.Parallelize.Polaris; procs;
     budget_steps = Dep.Driver.default_budget_steps;
     budget_deadline_s = None;
-    caches = Util.Cachectl.default_enabled;
-    pipeline = Registry.thorough }
+    caches = Util.Cachectl.default_enabled }
 
 (** The baseline configuration standing in for SGI's PFA: the
     capability set the paper ascribes to "current compilers". *)
 let baseline ?(procs = 8) () =
-  { name = "baseline"; inline = false; constprop = true;
-    generalized_induction = false; mode = Passes.Parallelize.Baseline;
-    deadcode = true; procs;
+  { name = "baseline"; inline = false; generalized_induction = false;
+    mode = Passes.Parallelize.Baseline; procs;
     budget_steps = Dep.Driver.default_budget_steps;
     budget_deadline_s = None;
-    caches = Util.Cachectl.default_enabled;
-    pipeline = Registry.thorough }
+    caches = Util.Cachectl.default_enabled }
 
 (** Ablations: Polaris minus one technique, for the ablation bench. *)
 let without_inline ?(procs = 8) () =
@@ -61,13 +51,3 @@ let without_generalized_induction ?(procs = 8) () =
   { (polaris ~procs ()) with
     name = "polaris-simple-induction";
     generalized_induction = false }
-
-(** [with_pipeline pl config]: run [config]'s capability set through
-    pipeline [pl].  The report label keeps the configuration name and
-    appends the pipeline's when it is not the default. *)
-let with_pipeline (pl : Registry.pipeline) (c : t) : t =
-  { c with
-    pipeline = pl;
-    name =
-      (if pl.pl_name = Registry.thorough.pl_name then c.name
-       else c.name ^ "+" ^ pl.pl_name) }

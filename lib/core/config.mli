@@ -1,17 +1,17 @@
-(** Compiler configurations: the Polaris pipeline, the baseline ("PFA")
-    pipeline, and ablations in between. *)
+(** Compiler configurations: the Polaris capability set, the baseline
+    ("PFA") capability set, and ablations in between.  Every
+    configuration runs the one pass order of {!Pass_id.all}; [inline]
+    only says whether the [inline] pass is among them. *)
 
 type t = {
   name : string;               (** short label used in reports *)
   inline : bool;               (** §3.1 inline expansion *)
-  constprop : bool;            (** constant/copy propagation *)
   generalized_induction : bool;
       (** §3.2 cascaded/triangular/geometric inductions (false =
           loop-invariant increments in rectangular nests only, the
           "current compiler" capability) *)
   mode : Passes.Parallelize.mode;
       (** range test + array privatization vs. GCD/Banerjee + scalars *)
-  deadcode : bool;             (** dead scalar-assignment cleanup *)
   procs : int;                 (** simulated machine size *)
   budget_steps : int;
       (** analysis budget: symbolic/dependence-test steps available per
@@ -25,9 +25,6 @@ type t = {
           on unless [POLARIS_NO_CACHE=1] is in the environment; purely a
           performance lever, verdicts and output are identical either
           way *)
-  pipeline : Registry.pipeline;
-      (** which passes run and in what order ({!Registry}); the
-          capability flags above still gate each pass individually *)
 }
 
 (** The full Polaris configuration (paper §3). *)
@@ -43,8 +40,3 @@ val without_inline : ?procs:int -> unit -> t
 (** Polaris with only classic (loop-invariant, rectangular) induction
     handling (ablation). *)
 val without_generalized_induction : ?procs:int -> unit -> t
-
-(** [with_pipeline pl config]: the same capability set run through
-    pipeline [pl]; the report label appends the pipeline name when it
-    is not the default. *)
-val with_pipeline : Registry.pipeline -> t -> t

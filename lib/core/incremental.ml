@@ -30,15 +30,6 @@ type verdict = {
   v_reason : string;
 }
 
-(* dependence-test outcome counter deltas for one compile *)
-type counters = {
-  c_range_proved : int;
-  c_range_failed : int;
-  c_linear_proved : int;
-  c_linear_failed : int;
-  c_unknown : int;
-}
-
 (** Everything an incremental compile must reproduce byte-identically:
     the annotated output source, the per-loop verdicts with statement
     ids masked (ids are globally fresh by design, so they differ across
@@ -48,12 +39,12 @@ type outcome = {
   oc_output : string;
   oc_verdicts : verdict list;
   oc_incidents : Pipeline.incident list;
-  oc_counters : counters;
+  oc_counters : Dep.Driver.counters;
 }
 
 (** Analysis-reuse accounting of one compile: hit/miss growth of every
-    tracked analysis cache ({!Analysis.Manager.tracked}), and the reuse
-    rate hits/(hits+misses) over all of them. *)
+    analysis cache registered with {!Util.Cachectl}, and the reuse rate
+    hits/(hits+misses) over all of them. *)
 type stats = {
   st_tracked : (string * int * int) list;  (** (analysis, hits, misses) *)
   st_hits : int;
@@ -66,14 +57,6 @@ type result = {
   outcome : outcome;
   stats : stats;
 }
-
-let counters_delta ~(base : Dep.Driver.counters) (now : Dep.Driver.counters) :
-    counters =
-  { c_range_proved = now.range_proved - base.range_proved;
-    c_range_failed = now.range_failed - base.range_failed;
-    c_linear_proved = now.linear_proved - base.linear_proved;
-    c_linear_failed = now.linear_failed - base.linear_failed;
-    c_unknown = now.unknown - base.unknown }
 
 let outcome_of ~(counters_base : Dep.Driver.counters) (t : Pipeline.t) :
     outcome =
@@ -89,13 +72,12 @@ let outcome_of ~(counters_base : Dep.Driver.counters) (t : Pipeline.t) :
         t.loops;
     oc_incidents = t.incidents;
     oc_counters =
-      counters_delta ~base:counters_base (Dep.Driver.counters_snapshot ()) }
+      Dep.Driver.counters_delta ~base:counters_base
+        (Dep.Driver.counters_snapshot ()) }
 
 let stats_of ~cache_base : stats =
-  let tracked = Analysis.Manager.tracked () in
   let st_tracked =
     Util.Cachectl.delta ~base:cache_base (Util.Cachectl.snapshot ())
-    |> List.filter (fun (name, _, _) -> List.mem name tracked)
   in
   let st_hits = List.fold_left (fun a (_, h, _) -> a + h) 0 st_tracked in
   let misses = List.fold_left (fun a (_, _, m) -> a + m) 0 st_tracked in

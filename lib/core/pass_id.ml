@@ -3,12 +3,11 @@
     Every pass in [lib/passes] is one constructor here, with its
     metadata — the guarded-pass name the observer and the validation
     oracle see, the analyses it declares it consumes (the reuse
-    ledger), the analyses it invalidates by rewriting the IR, and the
-    fail-safe capability its guard disables when it faults.  The
-    pipeline interpreter ({!Pipeline.run}) dispatches on these ids;
-    {!Registry} groups them into named pipelines and checks ordering
-    constraints.  Adding a pass means adding a constructor and one
-    dispatch arm — nothing else in the spine changes. *)
+    ledger), and the fail-safe capability its guard disables when it
+    faults.  {!all} is the one pass order: {!Pipeline.run} walks it,
+    dispatching on these ids, and [polaris list-passes] prints it.
+    Adding a pass means adding a constructor and one dispatch arm —
+    nothing else in the spine changes. *)
 
 type t =
   | Inline       (** §3.1 inline expansion *)
@@ -18,7 +17,7 @@ type t =
   | Deadcode     (** dead scalar-assignment cleanup *)
   | Parallelize  (** dependence/privatization/reduction analysis driver *)
 
-(** Every pass, in the canonical (thorough) order. *)
+(** Every pass, in the order {!Pipeline.run} runs them (paper §3). *)
 let all = [ Inline; Constprop; Induction; Constprop2; Deadcode; Parallelize ]
 
 (** The guarded-pass name: what the observer, the flight recorder and
@@ -31,16 +30,6 @@ let name = function
   | Constprop2 -> "constprop2"
   | Deadcode -> "deadcode"
   | Parallelize -> "parallelize"
-
-let of_name s =
-  match String.lowercase_ascii (String.trim s) with
-  | "inline" -> Some Inline
-  | "constprop" -> Some Constprop
-  | "induction" -> Some Induction
-  | "constprop2" -> Some Constprop2
-  | "deadcode" -> Some Deadcode
-  | "parallelize" -> Some Parallelize
-  | _ -> None
 
 let doc = function
   | Inline -> "inline small subroutines into call sites (paper §3.1)"
@@ -60,18 +49,6 @@ let consumes = function
   | Deadcode -> Passes.Deadcode.consumes
   | Parallelize -> Passes.Parallelize.consumes
 
-(** Analyses whose cached facts the pass invalidates by rewriting the
-    IR.  Mutating passes retire every structural/semantic fact about
-    the units they touch (unit-version probes and content-addressed
-    keys enforce this; the list documents which tables a rewrite
-    actually ages).  [Parallelize] only annotates loop info — it
-    rewrites no statements, so it invalidates nothing. *)
-let invalidates = function
-  | Inline | Constprop | Induction | Constprop2 | Deadcode ->
-    [ "analysis.loops"; "analysis.access"; "analysis.defuse";
-      "range_prop.env_at"; "dep.verdict" ]
-  | Parallelize -> []
-
 (** The fail-safe capability the guard disables when the pass faults.
     Both propagation rounds share ["constprop"]: a crashed first round
     also skips the second. *)
@@ -82,26 +59,13 @@ let disables = function
   | Deadcode -> "deadcode"
   | Parallelize -> "parallelize"
 
-(** Ordering constraints: [(before, after, why)] — in any pipeline
-    containing both passes, [before] must precede [after].
-    {!Registry.check} rejects violations naming the edge. *)
-let ordering_edges : (t * t * string) list =
-  List.concat
-    [ (* inlining rewrites call sites wholesale; every later pass must
-         see the flattened program or its work is thrown away *)
-      List.map
-        (fun p -> (Inline, p, "inline rewrites call sites the later passes analyze"))
-        [ Constprop; Induction; Constprop2; Deadcode; Parallelize ];
-      [ ( Constprop, Constprop2,
-          "the second propagation round cleans up after the first" );
-        ( Induction, Constprop2,
-          "constprop2 propagates the X=X0 constants induction substitution \
-           exposes" ) ];
-      (* parallelize only annotates; a mutating pass after it would
-         rewrite the statements its directives point at *)
-      List.map
-        (fun p ->
-          (p, Parallelize, "parallelize annotates the final program text"))
-        [ Constprop; Induction; Constprop2; Deadcode ] ]
-
-let pp ppf p = Fmt.string ppf (name p)
+(** The [polaris list-passes] listing: every pass in order, with its
+    metadata. *)
+let pp_passes ppf () =
+  let entry ppf p =
+    Fmt.pf ppf "%-12s %s@,%-12s   consumes: %s@,%-12s   disables-on-fault: %s"
+      (name p) (doc p) ""
+      (match consumes p with [] -> "-" | cs -> String.concat ", " cs)
+      "" (disables p)
+  in
+  Fmt.pf ppf "@[<v>%a@]@." (Fmt.list ~sep:Fmt.cut entry) all

@@ -1,10 +1,11 @@
 (** The pass pipeline: source in, annotated parallel source + report out.
 
-    Order (paper §3): inline expansion → constant/copy propagation →
-    induction substitution → another propagation round (the TRFD
-    [X = X0] cleanup) → reduction/dependence/privatization analysis
-    (the parallelize driver).  The baseline configuration runs the same
-    skeleton with the weaker capability set.
+    Order (paper §3, {!Pass_id.all}): inline expansion → constant/copy
+    propagation → induction substitution → another propagation round
+    (the TRFD [X = X0] cleanup) → dead-code cleanup →
+    reduction/dependence/privatization analysis (the parallelize
+    driver).  The baseline configuration runs the same order with the
+    weaker capability set, and without inlining.
 
     {b Fail-safe contract} (paper §2: a restructurer must never
     miscompile).  Every pass runs inside a fault-containment guard: a
@@ -34,16 +35,16 @@ type incident = {
 }
 
 (** Per-pass analysis-reuse ledger entry: what the pass declared it
-    consumes, and how the tracked analysis caches behaved while it ran
-    (hit/miss/invalidation deltas from {!Util.Cachectl} and
+    consumes, and how the registered analysis caches behaved while it
+    ran (hit/miss/invalidation deltas from {!Util.Cachectl} and
     {!Analysis.Manager}).  The raw material of [polaris
     --explain-reuse]. *)
 type pass_reuse = {
   pr_pass : string;               (** guarded pass name *)
   pr_consumes : string list;      (** analyses the pass declares it reads *)
   pr_cache : (string * int * int) list;
-      (** (analysis, hits, misses) growth during the pass — tracked
-          analyses with at least one lookup *)
+      (** (analysis, hits, misses) growth during the pass — caches
+          with at least one lookup *)
   pr_invalidated : (string * int) list;
       (** (analysis, stale entries found) growth during the pass *)
 }
@@ -89,11 +90,6 @@ let pp_incident ppf (i : incident) =
 let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
     ?(fault_hook : (string -> Fir.Program.t -> unit) option)
     (config : Config.t) (program : Fir.Program.t) : t =
-  (* an ill-formed pipeline is a configuration error, not a compile
-     fault: refuse up front instead of running passes out of order *)
-  (match Registry.check config.pipeline with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Pipeline.run: " ^ m));
   Util.Cachectl.with_enabled config.caches @@ fun () ->
   let obs name = match observer with Some f -> f name program | None -> () in
   let incidents = ref [] in
@@ -121,21 +117,15 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
   let pristine : (Fir.Punit.t * Fir.Punit.t) list ref = ref [] in
   (* replay thunks of the guarded passes that succeeded, newest first *)
   let completed : (unit -> unit) list ref = ref [] in
-  (* run one pass under the containment guard; [disables] is the
-     capability to switch off if the pass faults (its later runs are
+  (* run pass [p] under the containment guard; if it faults, its
+     {!Pass_id.disables} capability is switched off (its later runs are
      skipped — e.g. a crashed first propagation round disables the
-     second).  [consumes] is the pass's declared analysis inputs: the
-     guard brackets the pass with tracked-cache counter snapshots and
-     appends a {!pass_reuse} ledger entry on success. *)
-  let guard :
-      'a.
-      pass:string ->
-      ?disables:string ->
-      ?consumes:string list ->
-      (unit -> 'a) ->
-      'a option =
-   fun ~pass ?disables ?(consumes = []) f ->
-    let tracked = Analysis.Manager.tracked () in
+     second).  The guard brackets the pass with cache counter snapshots
+     and appends a {!pass_reuse} ledger entry, with the pass's declared
+     {!Pass_id.consumes}, on success. *)
+  let guard : 'a. Pass_id.t -> (unit -> 'a) -> 'a option =
+   fun p f ->
+    let pass = Pass_id.name p in
     let cache_base = Util.Cachectl.snapshot () in
     let inval_base = Analysis.Manager.invalidation_snapshot () in
     let dirty : Fir.Punit.t list ref = ref [] in
@@ -162,11 +152,10 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
     | v ->
       reuse :=
         { pr_pass = pass;
-          pr_consumes = consumes;
+          pr_consumes = Pass_id.consumes p;
           pr_cache =
             Util.Cachectl.delta ~base:cache_base (Util.Cachectl.snapshot ())
-            |> List.filter (fun (name, h, m) ->
-                   List.mem name tracked && h + m > 0);
+            |> List.filter (fun (_, h, m) -> h + m > 0);
           pr_invalidated =
             Analysis.Manager.invalidation_delta ~base:inval_base
               (Analysis.Manager.invalidation_snapshot ())
@@ -204,62 +193,46 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
                " (replay of prior passes failed: %s; program reset to parse \
                 state)"
                (Printexc.to_string re));
-      Option.iter (fun c -> disabled := c :: !disabled) disables;
+      disabled := Pass_id.disables p :: !disabled;
       incidents :=
         { inc_pass = pass; inc_reason = !reason; inc_rolled_back = true;
-          inc_disabled = disables }
+          inc_disabled = Some (Pass_id.disables p) }
         :: !incidents;
       None
   in
   obs "parse";
-  (* The pipeline is data ({!Registry.pipeline}), and this loop is its
-     interpreter: one dispatch arm per {!Pass_id}, each arm preserving
-     the exact gating and guard parameters the hard-coded sequence
-     used — [thorough] under the default flags is byte-identical to the
-     pre-registry compiler.  The guard's COW/rollback machinery is
-     oblivious to which passes run or in what order. *)
+  (* One dispatch arm per {!Pass_id}, walked in the order of
+     {!Pass_id.all}.  Only [inline] depends on the configuration; a
+     fault in the first propagation round disables ["constprop"], which
+     skips the second. *)
   let inline_stats = ref None in
   let inductions = ref [] in
   let reports = ref [] in
   let run_pass (p : Pass_id.t) =
-    let pass = Pass_id.name p in
-    let disables = Pass_id.disables p in
-    let consumes = Pass_id.consumes p in
     match p with
     | Pass_id.Inline ->
       if config.inline then
-        inline_stats :=
-          guard ~pass ~disables ~consumes (fun () -> Passes.Inline.run program)
-    | Pass_id.Constprop ->
-      if config.constprop then
-        ignore
-          (guard ~pass ~disables ~consumes (fun () ->
-               Passes.Constprop.run program))
+        inline_stats := guard p (fun () -> Passes.Inline.run program)
+    | Pass_id.Constprop | Pass_id.Constprop2 ->
+      if enabled "constprop" then
+        ignore (guard p (fun () -> Passes.Constprop.run program))
     | Pass_id.Induction ->
       inductions :=
         Option.value ~default:[]
-          (guard ~pass ~disables ~consumes (fun () ->
+          (guard p (fun () ->
                Passes.Induction.run ~generalized:config.generalized_induction
                  program))
-    | Pass_id.Constprop2 ->
-      if config.constprop && enabled "constprop" then
-        ignore
-          (guard ~pass ~disables ~consumes (fun () ->
-               Passes.Constprop.run program))
     | Pass_id.Deadcode ->
-      if config.deadcode then
-        ignore
-          (guard ~pass ~disables ~consumes (fun () ->
-               ignore (Passes.Deadcode.run program)))
+      ignore (guard p (fun () -> ignore (Passes.Deadcode.run program)))
     | Pass_id.Parallelize ->
       reports :=
         Option.value ~default:[]
-          (guard ~pass ~disables ~consumes (fun () ->
+          (guard p (fun () ->
                Dep.Driver.with_budget ~steps:config.budget_steps
                  ?deadline_s:config.budget_deadline_s (fun () ->
                    Passes.Parallelize.run ~mode:config.mode program)))
   in
-  List.iter run_pass config.pipeline.pl_passes;
+  List.iter run_pass Pass_id.all;
   let inline_stats = !inline_stats in
   let inductions = !inductions in
   let reports = !reports in

@@ -1,8 +1,9 @@
 (** The pass pipeline: Fortran source in, annotated parallel program and
     per-loop reports out.
 
-    Pass order (paper §3): inline expansion → constant/copy propagation
-    → induction substitution → propagation again → dead-code cleanup →
+    Pass order (paper §3, {!Pass_id.all}, the same for every
+    configuration): inline expansion → constant/copy propagation →
+    induction substitution → propagation again → dead-code cleanup →
     reduction/dependence/privatization analysis.
 
     {b Fail-safe contract.}  Every pass runs inside a fault-containment
@@ -38,7 +39,7 @@ type incident = {
 }
 
 (** Per-pass analysis-reuse ledger entry: what the pass declared it
-    consumes and how the tracked analysis caches behaved while it ran.
+    consumes and how the registered analysis caches behaved while it ran.
     The raw material of [polaris --explain-reuse]. *)
 type pass_reuse = {
   pr_pass : string;               (** guarded pass name *)

@@ -96,6 +96,15 @@ let counters_snapshot () =
   let c = live_counters () in
   { c with range_proved = c.range_proved }
 
+(** [counters_delta ~base now]: the counts accumulated between two
+    {!counters_snapshot}s. *)
+let counters_delta ~(base : counters) (now : counters) : counters =
+  { range_proved = now.range_proved - base.range_proved;
+    range_failed = now.range_failed - base.range_failed;
+    linear_proved = now.linear_proved - base.linear_proved;
+    linear_failed = now.linear_failed - base.linear_failed;
+    unknown = now.unknown - base.unknown }
+
 let add_wall dt =
   match !(Domain.DLS.get tally_key) with
   | Some t -> t.t_wall <- t.t_wall +. dt

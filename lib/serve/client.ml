@@ -96,14 +96,16 @@ let roundtrip t req =
 (* ------------------------------------------------------------------ *)
 (* Convenience requests                                                *)
 
-let compile_source t ?(check = false) ?(baseline = false) ?(pipeline = "")
-    ?(backend = "") ~label source : (Protocol.compile_reply, string) result =
+(* the pass order is fixed, so a request never names a pipeline *)
+let compile_request ~check ~baseline ~backend ~label source =
+  Protocol.Compile
+    { cr_label = label; cr_source = source; cr_check = check;
+      cr_baseline = baseline; cr_pipeline = ""; cr_backend = backend }
+
+let compile_source t ?(check = false) ?(baseline = false) ?(backend = "")
+    ~label source : (Protocol.compile_reply, string) result =
   match
-    roundtrip t
-      (Protocol.Compile
-         { cr_label = label; cr_source = source; cr_check = check;
-           cr_baseline = baseline; cr_pipeline = pipeline;
-           cr_backend = backend })
+    roundtrip t (compile_request ~check ~baseline ~backend ~label source)
   with
   | Ok (Protocol.Compiled r) -> Ok r
   | Ok (Protocol.Error_r m) -> Error m
@@ -114,12 +116,11 @@ let compile_source t ?(check = false) ?(baseline = false) ?(pipeline = "")
 
 (** Read [path] locally and compile it on the daemon.  An unreadable
     path is a per-file [Error], never a session abort. *)
-let compile_path t ?check ?baseline ?pipeline ?backend (path : string) :
+let compile_path t ?check ?baseline ?backend (path : string) :
     (Protocol.compile_reply, string) result =
   match Local.read_file path with
   | exception Sys_error msg -> Error msg
-  | source ->
-    compile_source t ?check ?baseline ?pipeline ?backend ~label:path source
+  | source -> compile_source t ?check ?baseline ?backend ~label:path source
 
 let stats t : (string, string) result =
   match roundtrip t Protocol.Stats with
@@ -157,8 +158,8 @@ let backoff_s attempt = Float.min 1.0 (0.05 *. Float.pow 2.0 (float_of_int (atte
     [Compiled] and [Error_r] are final.  Determinism makes the resend
     safe: a retried compile yields a byte-identical result. *)
 let compile_retry ?(retries = 0) ?deadline_s ?io ?(connect_wait_s = 5.0)
-    ?(check = false) ?(baseline = false) ?(pipeline = "") ?(backend = "")
-    ~socket ~label source : (Protocol.compile_reply, string) result =
+    ?(check = false) ?(baseline = false) ?(backend = "") ~socket ~label source
+    : (Protocol.compile_reply, string) result =
   let attempts = 1 + max 0 retries in
   let rec go n last_err =
     if n > attempts then
@@ -172,13 +173,8 @@ let compile_retry ?(retries = 0) ?deadline_s ?io ?(connect_wait_s = 5.0)
       | Error m -> go (n + 1) m
       | Ok t ->
         let verdict =
-          match
-            roundtrip t
-              (Protocol.Compile
-                 { cr_label = label; cr_source = source; cr_check = check;
-                   cr_baseline = baseline; cr_pipeline = pipeline;
-                   cr_backend = backend })
-          with
+          let req = compile_request ~check ~baseline ~backend ~label source in
+          match roundtrip t req with
           | Ok (Protocol.Compiled r) -> `Final (Ok r)
           | Ok (Protocol.Error_r m) -> `Final (Error m)  (* deterministic *)
           | Ok Protocol.Busy -> `Transient "daemon busy (admission cap reached)"

@@ -51,9 +51,6 @@ type cfg = {
   d_store_dir : string option;  (** persistent store directory (None = off) *)
   d_max_cache_mb : int;
   d_baseline : bool;            (** serve the baseline pipeline instead *)
-  d_pipeline : Core.Registry.pipeline option;
-      (** default pass pipeline served to requests that do not carry
-          their own ([None] = the configuration's own, i.e. thorough) *)
   d_backend : Backend.Registry.t option;
       (** default emission backend ([None] = the f77 unparser) *)
   d_budget_steps : int option;  (** per-request analysis fuel *)
@@ -85,7 +82,6 @@ let default_cfg =
     d_store_dir = None;
     d_max_cache_mb = 64;
     d_baseline = false;
-    d_pipeline = None;
     d_backend = None;
     d_budget_steps = None;
     d_deadline_s = None;
@@ -221,24 +217,18 @@ let flush_store st ~reason =
            ("reason", str reason);
            ("entries", int (Store.entry_count store)) ])
 
-(* per-request pipeline/backend resolution: an unknown name in a
+(* per-request configuration/backend resolution: a bad name in a
    request is an application error ([Error_r] — deterministic, not
-   retryable), never a daemon fault; "" picks the daemon's default *)
+   retryable), never a daemon fault.  The pass order is fixed, so any
+   pipeline name is refused; "" picks the daemon's default backend *)
 let resolve_config st (c : Protocol.compile_req) :
     (Core.Config.t, string) result =
-  let base =
-    if c.cr_baseline then
-      let b = Core.Config.baseline ~procs:8 () in
-      match st.st_cfg.d_pipeline with
-      | Some pl -> Core.Config.with_pipeline pl b
-      | None -> b
-    else st.st_config
-  in
-  if c.cr_pipeline = "" then Ok base
-  else
-    match Core.Registry.parse c.cr_pipeline with
-    | Ok pl -> Ok (Core.Config.with_pipeline pl base)
-    | Error m -> Error m
+  if c.cr_pipeline <> "" then
+    Error
+      (Printf.sprintf "unknown pipeline '%s': the pass order is fixed"
+         c.cr_pipeline)
+  else if c.cr_baseline then Ok (Core.Config.baseline ~procs:8 ())
+  else Ok st.st_config
 
 let resolve_backend st (c : Protocol.compile_req) :
     (Backend.Registry.t, string) result =
@@ -494,13 +484,8 @@ let run ?(signals = false) ?(stop = Atomic.make false) ?on_ready (cfg : cfg) :
   let st =
     { st_cfg = cfg;
       st_config =
-        (let base =
-           if cfg.d_baseline then Core.Config.baseline ~procs:8 ()
-           else Core.Config.polaris ~procs:8 ()
-         in
-         match cfg.d_pipeline with
-         | Some pl -> Core.Config.with_pipeline pl base
-         | None -> base);
+        (if cfg.d_baseline then Core.Config.baseline ~procs:8 ()
+         else Core.Config.polaris ~procs:8 ());
       st_store = store;
       st_sv = Metrics.server ~now:now0;
       st_sessions = [];

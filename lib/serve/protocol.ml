@@ -65,10 +65,10 @@ type compile_req = {
   cr_check : bool;     (** verify against a from-scratch compile *)
   cr_baseline : bool;  (** use the baseline (PFA-like) pipeline *)
   cr_pipeline : string;
-      (** pass-pipeline spec (a preset name or [custom:p1,p2,...]),
-          resolved against {!Core.Registry} on the daemon; [""] means
-          the daemon's default.  An unknown spec is an application
-          error ([Error_r]), not a protocol violation. *)
+      (** always [""]: the pass order is fixed, and the daemon answers
+          any other value with an application error ([Error_r]), not a
+          protocol violation.  The field stays only for wire
+          compatibility. *)
   cr_backend : string;
       (** emission backend name, resolved against {!Backend.Registry}
           on the daemon; [""] means the daemon's default *)

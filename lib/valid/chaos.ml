@@ -42,10 +42,9 @@ type plan = {
           all verdicts must degrade to "unknown → serial" *)
 }
 
-(* passes that run under every configuration we test with *)
-let injectable_passes =
-  [ "inline"; "constprop"; "induction"; "constprop2"; "deadcode";
-    "parallelize" ]
+(* every pass, in the pipeline's one order; an injection into a pass the
+   configuration skips (inline under the baseline) never fires *)
+let injectable_passes = List.map Core.Pass_id.name Core.Pass_id.all
 
 let make_plan seed : plan =
   let prng = Util.Prng.create (0x5EED_C4A0 lxor (seed * 2654435761)) in

@@ -130,14 +130,6 @@ let observe (r : recorder) (pass : string) (p : Program.t) =
   r.last_time <- now;
   r.last_cpu <- cpu
 
-let dep_delta (base : Dep.Driver.counters) (now : Dep.Driver.counters) :
-    Dep.Driver.counters =
-  { Dep.Driver.range_proved = now.range_proved - base.range_proved;
-    range_failed = now.range_failed - base.range_failed;
-    linear_proved = now.linear_proved - base.linear_proved;
-    linear_failed = now.linear_failed - base.linear_failed;
-    unknown = now.unknown - base.unknown }
-
 let finish (r : recorder) (t : Core.Pipeline.t) : t =
   let loops =
     List.map
@@ -152,7 +144,9 @@ let finish (r : recorder) (t : Core.Pipeline.t) : t =
     tr_total_s = Unix.gettimeofday () -. r.started;
     tr_total_cpu_s = Sys.time () -. r.started_cpu;
     tr_passes = List.rev r.recs;
-    tr_dep = dep_delta r.base_dep (Dep.Driver.counters_snapshot ());
+    tr_dep =
+      Dep.Driver.counters_delta ~base:r.base_dep
+        (Dep.Driver.counters_snapshot ());
     tr_cache = Util.Cachectl.delta ~base:r.base_cache (Util.Cachectl.snapshot ());
     tr_loops = loops;
     tr_incidents = t.incidents;

@@ -97,13 +97,12 @@ let test_c_deterministic () =
         (String.equal a b))
     (Lazy.force compiled_suite)
 
-(* every backend that claims [b_reparses] must, under every preset
-   pipeline and for every suite code, emit source our own frontend
+(* every backend that claims [b_reparses] must, under both
+   configurations and for every suite code, emit source our own frontend
    accepts and that prints what the transformed program prints *)
 let test_reparse_lane () =
   List.iter
-    (fun (pl : Core.Registry.pipeline) ->
-      let cfg = Core.Config.with_pipeline pl (Core.Config.polaris ()) in
+    (fun (cfg : Core.Config.t) ->
       List.iter
         (fun (c : Suite.Code.t) ->
           let prog = (Core.Pipeline.compile cfg c.source).Core.Pipeline.program in
@@ -113,15 +112,15 @@ let test_reparse_lane () =
               if b.b_reparses then
                 match Frontend.Parser.parse_string (b.b_emit prog) with
                 | exception e ->
-                  Alcotest.failf "%s x %s x %s does not re-parse: %s" pl.pl_name
+                  Alcotest.failf "%s x %s x %s does not re-parse: %s" cfg.name
                     b.b_name c.name (Printexc.to_string e)
                 | again ->
                   if (Machine.Interp.run again).Machine.Interp.output <> want then
                     Alcotest.failf "%s x %s x %s: re-parsed output prints differently"
-                      pl.pl_name b.b_name c.name)
+                      cfg.name b.b_name c.name)
             Backend.Registry.all)
         Suite.Registry.all)
-    Core.Registry.presets
+    [ Core.Config.polaris (); Core.Config.baseline () ]
 
 (* ------------------------------------------------------------------ *)
 (* 3. emitted clauses = executor's runtime sets                        *)

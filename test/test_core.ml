@@ -110,8 +110,29 @@ let test_passes_touch_what_they_rewrite () =
   Alcotest.(check (list string)) "no unit rewritten without a touch" []
     (List.rev !violations)
 
+(* every configuration runs the passes of [Pass_id.all] in that order
+   (paper §3); only inlining depends on the configuration *)
+let test_fixed_pass_order () =
+  let source = (Suite.Registry.find "OCEAN").source in
+  let all = List.map Core.Pass_id.name Core.Pass_id.all in
+  Alcotest.(check (list string)) "paper order"
+    [ "inline"; "constprop"; "induction"; "constprop2"; "deadcode";
+      "parallelize" ]
+    all;
+  List.iter
+    (fun ((config : Core.Config.t), want) ->
+      let seen = ref [] in
+      let observer pass _ = seen := pass :: !seen in
+      ignore (Core.Pipeline.compile ~observer config source : Core.Pipeline.t);
+      Alcotest.(check (list string)) config.name ("parse" :: want)
+        (List.rev !seen))
+    [ (Core.Config.polaris (), all);
+      (Core.Config.baseline (), List.filter (( <> ) "inline") all);
+      (Core.Config.without_inline (), List.filter (( <> ) "inline") all) ]
+
 let tests =
-  [ ("pipeline loop counts", `Quick, test_pipeline_counts);
+  [ ("pipeline runs the fixed pass order", `Quick, test_fixed_pass_order);
+    ("pipeline loop counts", `Quick, test_pipeline_counts);
     ("annotated output reparses", `Quick, test_pipeline_output_source_parses);
     ("simulate consistency", `Quick, test_simulate_consistency);
     ("polaris ahead where expected", `Slow, test_polaris_beats_baseline_where_expected);

@@ -149,15 +149,11 @@ let compile_signature src =
    job count in [jobs]: output, verdicts, incidents and the dependence-test
    counters, which the tally merge replays in program order *)
 let check_jobs_identity ~jobs sources =
-  let delta (a : Dep.Driver.counters) (b : Dep.Driver.counters) =
-    ( b.range_proved - a.range_proved, b.range_failed - a.range_failed,
-      b.linear_proved - a.linear_proved, b.linear_failed - a.linear_failed,
-      b.unknown - a.unknown )
-  in
   let compile j src =
-    let c0 = Dep.Driver.counters_snapshot () in
+    let base = Dep.Driver.counters_snapshot () in
     let signature = Pool.with_jobs j (fun () -> compile_signature src) in
-    (signature, delta c0 (Dep.Driver.counters_snapshot ()))
+    let now = Dep.Driver.counters_snapshot () in
+    (signature, Dep.Driver.counters_delta ~base now)
   in
   List.iter
     (fun (label, src) ->

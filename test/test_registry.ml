@@ -1,19 +1,15 @@
-(* The declarative pass/pipeline registry (Core.Registry / Core.Pass_id)
-   and the command line that selects from it.
+(* The pass list (Core.Pass_id), the backend registry and the command
+   line.
 
-   Three layers are pinned here.  (1) Registry invariants: the presets
-   parse to their documented pass lists, custom pipelines resolve
-   through Pass_id.of_name, and the three rejection modes — unknown
-   pass, duplicate pass, ordering violation — each produce a clean
-   configuration error whose message names the offending pass or the
-   violated edge.  (2) Metadata consistency: every pass's declared
-   [consumes] set refers to analysis caches the reuse ledger actually
-   tracks, so --explain-reuse can never report on a phantom cache.
-   (3) The CLI boundary: an ill-formed --pipeline/--emit-backend is a
-   clean exit 1 from the real binary, never a traceback; an
-   out-of-range numeric flag is a usage error (exit 124) before any
-   work; every command's --help renders; and the environment reaches
-   only the four process-wide switches of Util.Env. *)
+   Two layers are pinned here.  (1) Metadata consistency: every pass's
+   declared [consumes] set names an analysis cache registered with
+   Util.Cachectl, whose counters the reuse ledger reads, so
+   --explain-reuse can never report on a phantom cache.  (2) The CLI
+   boundary: an unknown --emit-backend is a clean exit 1 from the real
+   binary, never a traceback; an out-of-range numeric flag is a usage
+   error (exit 124) before any work; every command's --help renders;
+   the listings name every pass and backend; and the environment
+   reaches only the four process-wide switches of Util.Env. *)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -24,141 +20,23 @@ let check_contains msg sub s =
   if not (contains ~sub s) then
     Alcotest.failf "%s: expected %S within %S" msg sub s
 
-let pass_names pl =
-  List.map Core.Pass_id.name pl.Core.Registry.pl_passes
-
-(* ------------------------------------------------------------------ *)
-(* Preset and custom parsing                                           *)
-
-let test_presets () =
-  (match Core.Registry.parse "thorough" with
-  | Ok pl ->
-    Alcotest.(check (list string)) "thorough order"
-      [ "inline"; "constprop"; "induction"; "constprop2"; "deadcode";
-        "parallelize" ]
-      (pass_names pl)
-  | Error m -> Alcotest.failf "thorough rejected: %s" m);
-  (match Core.Registry.parse "fast" with
-  | Ok pl ->
-    Alcotest.(check (list string)) "fast order"
-      [ "constprop"; "induction"; "parallelize" ]
-      (pass_names pl)
-  | Error m -> Alcotest.failf "fast rejected: %s" m);
-  (match Core.Registry.parse "serial" with
-  | Ok pl ->
-    if List.mem "parallelize" (pass_names pl) then
-      Alcotest.fail "serial preset must not parallelize"
-  | Error m -> Alcotest.failf "serial rejected: %s" m);
-  (* parsing is case- and whitespace-tolerant *)
-  match Core.Registry.parse "  Thorough " with
-  | Ok pl -> Alcotest.(check string) "normalized" "thorough" pl.pl_name
-  | Error m -> Alcotest.failf "' Thorough ' rejected: %s" m
-
-let test_every_preset_checks () =
-  List.iter
-    (fun pl ->
-      match Core.Registry.check pl with
-      | Ok () -> ()
-      | Error m ->
-        Alcotest.failf "preset %s fails its own registry check: %s"
-          pl.Core.Registry.pl_name m)
-    Core.Registry.presets
-
-let test_custom_ok () =
-  match Core.Registry.parse "custom:constprop,induction,parallelize" with
-  | Ok pl ->
-    Alcotest.(check (list string)) "custom passes"
-      [ "constprop"; "induction"; "parallelize" ]
-      (pass_names pl)
-  | Error m -> Alcotest.failf "valid custom rejected: %s" m
-
-let test_unknown_pipeline () =
-  match Core.Registry.parse "blazing" with
-  | Ok _ -> Alcotest.fail "unknown pipeline accepted"
-  | Error m ->
-    check_contains "unknown pipeline" "unknown pipeline 'blazing'" m;
-    (* the error teaches the valid spellings *)
-    check_contains "lists presets" "thorough" m;
-    check_contains "teaches custom" "custom:" m
-
-let test_unknown_pass () =
-  match Core.Registry.parse "custom:constprop,nope" with
-  | Ok _ -> Alcotest.fail "unknown pass accepted"
-  | Error m ->
-    check_contains "unknown pass" "unknown pass 'nope'" m;
-    (* the known-pass list is spelled out for the user *)
-    List.iter
-      (fun p -> check_contains "known list" (Core.Pass_id.name p) m)
-      Core.Pass_id.all
-
-let test_duplicate_pass () =
-  match Core.Registry.parse "custom:deadcode,deadcode" with
-  | Ok _ -> Alcotest.fail "duplicate pass accepted"
-  | Error m -> check_contains "duplicate" "lists pass 'deadcode' twice" m
-
-let test_empty_custom () =
-  match Core.Registry.parse "custom:" with
-  | Ok _ -> Alcotest.fail "empty custom accepted"
-  | Error _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Ordering constraints                                                *)
-
-(* every registered edge, violated in isolation, is rejected with a
-   message naming exactly that edge *)
-let test_ordering_violations_name_the_edge () =
-  List.iter
-    (fun (before, after, _why) ->
-      let spec =
-        Printf.sprintf "custom:%s,%s" (Core.Pass_id.name after)
-          (Core.Pass_id.name before)
-      in
-      match Core.Registry.parse spec with
-      | Ok _ -> Alcotest.failf "violation accepted: %s" spec
-      | Error m ->
-        check_contains spec
-          (Printf.sprintf "violates ordering constraint '%s' < '%s'"
-             (Core.Pass_id.name before) (Core.Pass_id.name after))
-          m)
-    Core.Pass_id.ordering_edges
-
-let test_ordering_irrelevant_edges_pass () =
-  (* an edge only binds when both endpoints are present: parallelize
-     alone, or deadcode alone, are fine in any position *)
-  List.iter
-    (fun spec ->
-      match Core.Registry.parse spec with
-      | Ok _ -> ()
-      | Error m -> Alcotest.failf "%s rejected: %s" spec m)
-    [ "custom:parallelize"; "custom:deadcode"; "custom:constprop,parallelize" ]
-
 (* ------------------------------------------------------------------ *)
 (* Metadata consistency                                                *)
 
 let test_consumes_are_tracked () =
-  let tracked = Analysis.Manager.tracked () in
+  let tracked = List.map (fun (n, _, _) -> n) (Util.Cachectl.snapshot ()) in
   List.iter
     (fun p ->
       List.iter
         (fun c ->
           if not (List.mem c tracked) then
             Alcotest.failf
-              "pass %s consumes analysis %S which no reuse ledger tracks \
-               (tracked: %s)"
+              "pass %s consumes analysis %S which no registered cache \
+               provides (registered: %s)"
               (Core.Pass_id.name p) c
               (String.concat ", " tracked))
         (Core.Pass_id.consumes p))
     Core.Pass_id.all
-
-let test_of_name_total () =
-  (* of_name inverts name on every pass, and rejects junk *)
-  List.iter
-    (fun p ->
-      match Core.Pass_id.of_name (Core.Pass_id.name p) with
-      | Some q when q = p -> ()
-      | _ -> Alcotest.failf "of_name (name %s) broken" (Core.Pass_id.name p))
-    Core.Pass_id.all;
-  Alcotest.(check bool) "junk" true (Core.Pass_id.of_name "junk" = None)
 
 (* ------------------------------------------------------------------ *)
 (* Backend registry resolution                                         *)
@@ -177,7 +55,7 @@ let test_backend_find () =
       Backend.Registry.names
 
 (* ------------------------------------------------------------------ *)
-(* CLI boundary: the real binary rejects bad specs with exit 1          *)
+(* CLI boundary: the real binary rejects bad names with exit 1          *)
 
 let polaris_exe = "../bin/polaris_cli.exe"
 
@@ -229,18 +107,6 @@ let run_cli_bounded args =
   close_in ic;
   Sys.remove out;
   (code, stdout)
-
-let test_cli_rejects_bad_pipeline () =
-  with_temp_source @@ fun src ->
-  Alcotest.(check int) "unknown pass exits 1" 1
-    (run_cli (Printf.sprintf "compile --pipeline custom:nope %s" src));
-  Alcotest.(check int) "ordering violation exits 1" 1
-    (run_cli
-       (Printf.sprintf "compile --pipeline custom:parallelize,constprop %s" src));
-  Alcotest.(check int) "unknown preset exits 1" 1
-    (run_cli (Printf.sprintf "compile --pipeline blazing %s" src));
-  Alcotest.(check int) "good pipeline exits 0" 0
-    (run_cli (Printf.sprintf "compile --pipeline fast %s" src))
 
 let test_cli_rejects_bad_backend () =
   with_temp_source @@ fun src ->
@@ -313,7 +179,7 @@ let test_cli_env_falls_back () =
 
 let subcommands =
   [ "compile"; "run"; "suite"; "validate"; "serve"; "daemon"; "client";
-    "chaos"; "list-passes"; "list-pipelines"; "list-backends"; "native" ]
+    "chaos"; "list-passes"; "list-backends"; "native" ]
 
 let retired_variables =
   [ "POLARIS_PIPELINE"; "POLARIS_BACKEND"; "POLARIS_SOCKET";
@@ -345,34 +211,14 @@ let test_cli_listings () =
     Core.Pass_id.all;
   check_contains "metadata shown" "consumes:" passes;
   check_contains "metadata shown" "disables-on-fault:" passes;
-  let pipelines = read_cli "list-pipelines" in
-  List.iter
-    (fun pl ->
-      check_contains "list-pipelines" pl.Core.Registry.pl_name pipelines)
-    Core.Registry.presets;
-  check_contains "custom documented" "custom:" pipelines;
   let backends = read_cli "list-backends" in
   List.iter
     (fun n -> check_contains "list-backends" n backends)
     Backend.Registry.names
 
 let tests =
-  [ Alcotest.test_case "presets parse" `Quick test_presets;
-    Alcotest.test_case "presets self-check" `Quick test_every_preset_checks;
-    Alcotest.test_case "custom parses" `Quick test_custom_ok;
-    Alcotest.test_case "unknown pipeline" `Quick test_unknown_pipeline;
-    Alcotest.test_case "unknown pass" `Quick test_unknown_pass;
-    Alcotest.test_case "duplicate pass" `Quick test_duplicate_pass;
-    Alcotest.test_case "empty custom" `Quick test_empty_custom;
-    Alcotest.test_case "ordering violations name the edge" `Quick
-      test_ordering_violations_name_the_edge;
-    Alcotest.test_case "unbound edges pass" `Quick
-      test_ordering_irrelevant_edges_pass;
-    Alcotest.test_case "consumes are tracked" `Quick test_consumes_are_tracked;
-    Alcotest.test_case "of_name total" `Quick test_of_name_total;
+  [ Alcotest.test_case "consumes are tracked" `Quick test_consumes_are_tracked;
     Alcotest.test_case "backend find" `Quick test_backend_find;
-    Alcotest.test_case "cli rejects bad pipeline" `Quick
-      test_cli_rejects_bad_pipeline;
     Alcotest.test_case "cli rejects bad backend" `Quick
       test_cli_rejects_bad_backend;
     Alcotest.test_case "cli rejects out-of-range flags" `Quick

@@ -345,6 +345,21 @@ let test_daemon_end_to_end () =
       Alcotest.(check bool) "output is annotated Fortran" true
         (String.length r.co_output > 0)
     | Error m -> Alcotest.fail ("compile: " ^ m));
+    (* a pipeline name (the pass order is fixed) and an unknown backend
+       are application errors: answered, and the session lives on *)
+    List.iter
+      (fun (cr_pipeline, cr_backend, prefix) ->
+        match
+          Serve.Client.roundtrip c
+            (Serve.Protocol.Compile
+               { cr_label = prefix; cr_source = smoke_source; cr_check = false;
+                 cr_baseline = false; cr_pipeline; cr_backend })
+        with
+        | Ok (Serve.Protocol.Error_r m) when String.starts_with ~prefix m -> ()
+        | Ok _ -> Alcotest.failf "expected Error_r %S" prefix
+        | Error m -> Alcotest.failf "%s: %s" prefix m)
+      [ ("fast", "", "unknown pipeline 'fast'");
+        ("", "rust", "unknown backend 'rust'") ];
     (match Serve.Client.stats c with
     | Ok json ->
       Alcotest.(check bool) "stats is a JSON object with requests" true
