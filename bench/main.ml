@@ -1,13 +1,12 @@
 (** Experiment harness: regenerates every table and figure of the paper.
 
-    Usage: [main.exe [table1|fig1|...|fig7|coverage|micro|ablation]]
+    Usage: [main.exe [table1|fig1|...|fig7|coverage|ablation]]
     With no argument every experiment runs in order.  EXPERIMENTS.md
-    records paper-vs-measured for each.  Every result except [micro] is a
-    deterministic simulated-time measurement, pinned byte for byte by
-    [test/golden/bench/]; [micro] times a few compiler kernels with
-    bechamel, and end-to-end wall-clock performance is measured by
-    [measure/].  Translation validation and the chaos sweep are
-    [polaris validate --suite] and [polaris chaos]. *)
+    records paper-vs-measured for each.  Every result is a deterministic
+    simulated-time measurement, pinned byte for byte by
+    [test/golden/bench/]; wall-clock performance, the compiler's own
+    included, is measured by [measure/].  Translation validation and the
+    chaos sweep are [polaris validate --suite] and [polaris chaos]. *)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -371,42 +370,6 @@ let coverage () =
     !successes
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks of the compiler itself (bechamel, wall clock)      *)
-
-let micro () =
-  section "micro: compiler pass timings (bechamel, wall-clock)";
-  let open Bechamel in
-  let trfd = (Suite.Registry.find "TRFD").source in
-  let bdna = (Suite.Registry.find "BDNA").source in
-  let tests =
-    Test.make_grouped ~name:"polaris"
-      [ Test.make ~name:"parse-trfd"
-          (Staged.stage (fun () -> ignore (Frontend.Parser.parse_string trfd)));
-        Test.make ~name:"pipeline-polaris-trfd"
-          (Staged.stage (fun () ->
-               ignore (Core.Pipeline.compile (Core.Config.polaris ()) trfd)));
-        Test.make ~name:"pipeline-polaris-bdna"
-          (Staged.stage (fun () ->
-               ignore (Core.Pipeline.compile (Core.Config.polaris ()) bdna)));
-        Test.make ~name:"pipeline-baseline-bdna"
-          (Staged.stage (fun () ->
-               ignore (Core.Pipeline.compile (Core.Config.baseline ()) bdna))) ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-40s %12.0f ns/run\n" name est
-      | _ -> Printf.printf "%-40s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Ablation: Polaris minus one technique                               *)
 
 let ablation () =
@@ -435,7 +398,7 @@ let ablation () =
 let experiments =
   [ ("table1", table1); ("fig1", fig1); ("fig2", fig2); ("fig3", fig3);
     ("fig4", fig4); ("fig5", fig5); ("fig6", fig6); ("fig7", fig7);
-    ("coverage", coverage); ("micro", micro); ("ablation", ablation) ]
+    ("coverage", coverage); ("ablation", ablation) ]
 
 let () =
   match Sys.argv with

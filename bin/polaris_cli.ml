@@ -677,18 +677,11 @@ let daemon_cmd =
   let budget_steps =
     Arg.(
       value
-      & opt (some int) None
+      & opt count_conv d.d_config.budget_steps
       & info [ "budget-steps" ] ~docv:"N"
           ~doc:
-            "Per-request analysis fuel: a request that exhausts it gets \
-             safe serial verdicts instead of stalling other sessions")
-  in
-  let deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"Per-request analysis deadline (same degradation as fuel)")
+            "Analysis fuel for each loop verdict: a verdict that exhausts \
+             it is safe serial, and the request never stalls other sessions")
   in
   let log =
     Arg.(
@@ -740,7 +733,7 @@ let daemon_cmd =
             "Pipelined requests executed per connection per loop turn; an \
              aggressive pipeliner round-robins with the other sessions")
   in
-  let go socket store max_mb baseline budget_steps deadline log max_sessions
+  let go socket store max_mb config budget_steps log max_sessions
       idle_timeout flush_every flush_interval max_pipeline () backend =
     with_errors (fun () ->
         let cfg =
@@ -748,10 +741,8 @@ let daemon_cmd =
             d_socket = socket;
             d_store_dir = store;
             d_max_cache_mb = max_mb;
-            d_baseline = baseline;
+            d_config = { config with budget_steps };
             d_backend = backend;
-            d_budget_steps = budget_steps;
-            d_deadline_s = deadline;
             d_log = log;
             d_max_sessions = max_sessions;
             d_idle_timeout_s = idle_timeout;
@@ -785,9 +776,9 @@ let daemon_cmd =
          "Run the compile daemon: a multi-client server whose sessions \
           share one persistent analysis store")
     Term.(
-      const go $ socket_flag $ store $ max_mb $ baseline_flag $ budget_steps
-      $ deadline $ log $ max_sessions $ idle_timeout $ flush_every
-      $ flush_interval $ max_pipeline $ jobs_term $ backend_term)
+      const go $ socket_flag $ store $ max_mb $ config_term (const 8)
+      $ budget_steps $ log $ max_sessions $ idle_timeout
+      $ flush_every $ flush_interval $ max_pipeline $ jobs_term $ backend_term)
 
 (* ----- client ----- *)
 

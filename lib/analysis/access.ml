@@ -40,7 +40,11 @@ let rec of_expr ~conditional ~sid (e : expr) acc =
     List.fold_left (fun acc s -> of_expr ~conditional ~sid s acc) acc
       (Expr.children e)
 
-let compute_of_block (b : block) : t list =
+(** All array accesses in a block.  [conditional] marks accesses under
+    an IF (relative to the block entry); calls are *not* expanded here —
+    the inliner runs first, and any remaining call makes the caller
+    conservative (see {!calls_in}). *)
+let of_block (b : block) : t list =
   let acc = ref [] in
   let rec go ~conditional (b : block) =
     List.iter
@@ -79,14 +83,6 @@ let compute_of_block (b : block) : t list =
   in
   go ~conditional:false b;
   List.rev !acc
-
-(** All array accesses in a block.  [conditional] marks accesses under
-    an IF (relative to the block entry); calls are *not* expanded here —
-    the inliner runs first, and any remaining call makes the caller
-    conservative (see {!calls_in}).  A demand-driven {!Manager}
-    analysis: memoized per physical block. *)
-let of_block : block -> t list =
-  Manager.block_analysis ~name:"analysis.access" compute_of_block
 
 (** Accesses grouped by array name. *)
 let by_array (accs : t list) : (string * t list) list =

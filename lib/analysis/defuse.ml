@@ -21,30 +21,23 @@ open Ast
 
 type scalar_class = Read_only | Private | Exposed
 
-type stats = {
-  mutable written : bool;
-  mutable read : bool;
-  mutable exposed : bool;
-  mutable written_conditionally : bool;
-      (** some write does not dominate the body end *)
-}
+type stats = { mutable written : bool; mutable exposed : bool }
 
 module S = Set.Make (String)
 
-let compute_classify (body : block) : (string * scalar_class) list =
+(** Scalar classification of a loop body, sorted by name. *)
+let classify (body : block) : (string * scalar_class) list =
   let tbl : (string, stats) Hashtbl.t = Hashtbl.create 16 in
   let stat v =
     match Hashtbl.find_opt tbl v with
     | Some s -> s
     | None ->
-      let s = { written = false; read = false; exposed = false;
-                written_conditionally = false } in
+      let s = { written = false; exposed = false } in
       Hashtbl.replace tbl v s;
       s
   in
   let read_var dom v =
     let s = stat v in
-    s.read <- true;
     if not (S.mem v !dom) then s.exposed <- true
   in
   let read_expr dom e =
@@ -89,22 +82,7 @@ let compute_classify (body : block) : (string * scalar_class) list =
         | Goto _ | Continue | Return | Stop -> ())
       b
   in
-  (* mark conditional writes in a second pass (used by reduction checks) *)
-  let rec mark_conditional ~cond (b : block) =
-    List.iter
-      (fun s ->
-        match s.kind with
-        | Assign (Var v, _) -> if cond then (stat v).written_conditionally <- true
-        | If (_, t, e) ->
-          mark_conditional ~cond:true t;
-          mark_conditional ~cond:true e
-        | Do d -> mark_conditional ~cond:true d.body
-        | While (_, body) -> mark_conditional ~cond:true body
-        | _ -> ())
-      b
-  in
   walk (ref S.empty) body;
-  mark_conditional ~cond:false body;
   Hashtbl.fold
     (fun v s acc ->
       let cls =
@@ -116,31 +94,6 @@ let compute_classify (body : block) : (string * scalar_class) list =
     tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(** Scalar classification of a loop body — a demand-driven {!Manager}
-    analysis: memoized per physical block. *)
-let classify : block -> (string * scalar_class) list =
-  Manager.block_analysis ~name:"analysis.defuse" compute_classify
-
 (** Scalars of a given class. *)
 let of_class cls classified =
   List.filter_map (fun (v, c) -> if c = cls then Some v else None) classified
-
-(** Is scalar [v] read anywhere in block [b]?  Used as a conservative
-    liveness check for last-value (lastprivate) decisions. *)
-let reads_scalar (b : block) v =
-  let v = Symtab.norm v in
-  Stmt.exists
-    (fun s ->
-      List.exists
-        (fun ((role : Stmt.expr_role), e) ->
-          let e =
-            (* the write side of an assignment is not a read, but its
-               subscripts are *)
-            match (role, e) with
-            | Stmt.Elhs, Ref (_, subs) -> Ast.Fun_call ("", subs)
-            | Stmt.Elhs, Var _ -> Ast.Int_lit 0
-            | _ -> e
-          in
-          Expr.exists (function Var x -> String.equal x v | _ -> false) e)
-        (Stmt.exprs_of s))
-    b

@@ -61,9 +61,6 @@ let nests_of_unit (u : Punit.t) = nests_of_block u.pu_body
 (** The innermost loop of a nest. *)
 let innermost (n : nest) = Util.Listx.last n.loops
 
-(** Indices of all loops in the nest, outermost first. *)
-let indices (n : nest) = List.map (fun l -> l.index) n.loops
-
 (** Does the loop body contain unstructured control flow (GOTO), STOP,
     RETURN or I/O that prevents parallelization? *)
 let has_disqualifying_control (b : block) =

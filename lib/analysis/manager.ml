@@ -1,21 +1,16 @@
 (** The demand-driven analysis manager.
 
-    Every structural analysis of the compiler — control-flow graphs,
-    loop nests, array accesses, scalar def/use classes, gated SSA,
-    demand-driven reaching definitions — registers here as a memoized,
-    invalidation-tracked {e analysis}: a pure function from a piece of
-    IR to a fact, computed on demand and reused until the IR it read is
-    touched.  Passes stop recomputing facts ad hoc; they simply ask, and
-    the manager either serves the cached fact or computes it once.
+    An analysis whose facts are asked for again within one compilation
+    registers here as a memoized, invalidation-tracked {e analysis}: a
+    pure function from a piece of IR to a fact, computed on demand and
+    reused until the IR it read is touched.  Two do: loop nests
+    ([analysis.loops]) and demand-driven reaching definitions
+    ([passes.demand]).  Analyses whose facts are asked for once per IR
+    object (array accesses, scalar def/use classes) are plain functions:
+    a table would only add misses.
 
-    {b Scopes.}  Analyses come in three scopes, by what they read:
+    {b Scopes.}  Analyses come in two scopes, by what they read:
 
-    - {!unit_analysis}: reads a whole {!Fir.Punit.t} (symbol table +
-      body).  Keyed by unit name; an entry is valid while it was
-      computed on the {e same physical unit record} at the {e same
-      invalidation version} ({!Fir.Punit.version}, bumped by every
-      [Program.touch]).  Fine-grained by construction: a pass that
-      touches unit A invalidates nothing of unit B.
     - {!block_analysis}: reads one {!Fir.Ast.block} (a loop body, an IF
       arm, a unit body).  Keyed by the statement id of the block's head;
       valid while the {e physical} block list is unchanged.  Statement
@@ -23,7 +18,11 @@
       replacement via [Program.touch]), so physical identity is exactly
       content identity here.
     - {!point_analysis}: reads a unit up to a target statement.  Keyed
-      by (unit name, statement id), validated like a unit analysis.
+      by (unit name, statement id); an entry is valid while it was
+      computed on the {e same physical unit record} at the {e same
+      invalidation version} ({!Fir.Punit.version}, bumped by every
+      [Program.touch]).  Fine-grained by construction: a pass that
+      touches unit A invalidates nothing of unit B.
 
     {b Invalidation.}  Validity is checked per entry on every lookup —
     there is no flush-the-world epoch for these analyses.  A lookup
@@ -31,12 +30,12 @@
     by {!invalidation_snapshot} and `polaris --explain-reuse`) and
     recomputes in place.  Because validity is (physical identity ×
     per-unit version), analyses survive any pass that does not touch
-    their unit: deadcode rewriting MAIN does not flush the loop nests,
-    accesses or dependence facts of an untouched subroutine.
+    their unit: deadcode rewriting MAIN does not flush the loop nests
+    or reaching definitions of an untouched subroutine.
 
-    {b Results are physical.}  Unit/block/point analyses return values
-    that embed statement pointers and ids, so they are only reusable
-    while the underlying IR objects are alive — within one compilation.
+    {b Results are physical.}  Block/point analyses return values that
+    embed statement pointers and ids, so they are only reusable while
+    the underlying IR objects are alive — within one compilation.
     Cross-{e compilation} reuse (the `polaris serve` path) is carried by
     the {e semantic} caches, which key on content rather than identity:
     [Punit.fingerprint], [Range_prop.env_at], [Dep.Driver]'s verdict
@@ -50,9 +49,8 @@
     per-slot shard routing during {!Util.Pool} parallel phases (the
     shared store stays read-only mid-phase).  The debug cross-check is
     disabled for managed analyses ([equal_result] is constant-true):
-    results hold physical pointers — and GSA terms are cyclic — so
-    structural comparison is meaningless or divergent; validity is
-    enforced by the probes instead. *)
+    results hold physical pointers, so structural comparison is
+    meaningless; validity is enforced by the probes instead. *)
 
 open Fir
 
@@ -79,34 +77,6 @@ let invalidation_delta ~base now =
       | Some n0 -> (name, n - n0)
       | None -> (name, n))
     now
-
-(* ------------------------------------------------------------------ *)
-(* Unit-scoped analyses                                                *)
-
-type 'a unit_entry = {
-  ue_unit : Punit.t;   (* physical unit the fact was computed on *)
-  ue_version : int;    (* Punit.version at computation time *)
-  ue_value : 'a;
-}
-
-(** [unit_analysis ~name compute]: register a unit-scoped analysis and
-    return its demand-driven entry point. *)
-let unit_analysis ~name (compute : Punit.t -> 'a) : Punit.t -> 'a =
-  let cache : (string, 'a unit_entry) Symbolic.Cache.t =
-    Symbolic.Cache.create ~name ~equal_result:(fun _ _ -> true) ()
-  in
-  let inval = register_invalidations name in
-  fun (u : Punit.t) ->
-    let entry =
-      Symbolic.Cache.memo_validated cache u.pu_name
-        ~valid:(fun e ->
-          let ok = e.ue_unit == u && e.ue_version = Punit.version u in
-          if not ok then Atomic.incr inval;
-          ok)
-        (fun () ->
-          { ue_unit = u; ue_version = Punit.version u; ue_value = compute u })
-    in
-    entry.ue_value
 
 (* ------------------------------------------------------------------ *)
 (* Block-scoped analyses                                               *)
@@ -148,12 +118,18 @@ let block_analysis ~name (compute : Ast.block -> 'a) : Ast.block -> 'a =
 (* ------------------------------------------------------------------ *)
 (* Point-scoped analyses                                               *)
 
-(** [point_analysis ~name compute]: like {!unit_analysis} but the fact
-    is specific to a target statement within the unit (e.g. reaching
-    definitions at a program point). *)
+type 'a point_entry = {
+  pe_unit : Punit.t;   (* physical unit the fact was computed on *)
+  pe_version : int;    (* Punit.version at computation time *)
+  pe_value : 'a;
+}
+
+(** [point_analysis ~name compute]: register an analysis of the facts
+    holding at a target statement of a unit (e.g. reaching definitions
+    at a program point) and return its demand-driven entry point. *)
 let point_analysis ~name (compute : Punit.t -> target:int -> 'a) :
     Punit.t -> target:int -> 'a =
-  let cache : (string * int, 'a unit_entry) Symbolic.Cache.t =
+  let cache : (string * int, 'a point_entry) Symbolic.Cache.t =
     Symbolic.Cache.create ~name ~equal_result:(fun _ _ -> true) ()
   in
   let inval = register_invalidations name in
@@ -161,11 +137,11 @@ let point_analysis ~name (compute : Punit.t -> target:int -> 'a) :
     let entry =
       Symbolic.Cache.memo_validated cache (u.pu_name, target)
         ~valid:(fun e ->
-          let ok = e.ue_unit == u && e.ue_version = Punit.version u in
+          let ok = e.pe_unit == u && e.pe_version = Punit.version u in
           if not ok then Atomic.incr inval;
           ok)
         (fun () ->
-          { ue_unit = u; ue_version = Punit.version u;
-            ue_value = compute u ~target })
+          { pe_unit = u; pe_version = Punit.version u;
+            pe_value = compute u ~target })
     in
-    entry.ue_value
+    entry.pe_value

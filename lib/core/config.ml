@@ -15,9 +15,6 @@ type t = {
       (** analysis budget: symbolic/dependence-test steps available per
           loop verdict; exhaustion degrades the verdict to
           "unknown → serial" (see {!Util.Budget}, {!Dep.Driver}) *)
-  budget_deadline_s : float option;
-      (** optional CPU-seconds deadline per loop verdict, for bounding
-          pathological inputs at the cost of time-dependent verdicts *)
   caches : bool;
       (** compile-time caches (hash-consing, symbolic memoization,
           dependence-verdict cache — see {!Util.Cachectl}).  Defaults to
@@ -31,7 +28,6 @@ let polaris ?(procs = 8) () =
   { name = "polaris"; inline = true; generalized_induction = true;
     mode = Passes.Parallelize.Polaris; procs;
     budget_steps = Dep.Driver.default_budget_steps;
-    budget_deadline_s = None;
     caches = Util.Cachectl.default_enabled }
 
 (** The baseline configuration standing in for SGI's PFA: the
@@ -40,7 +36,6 @@ let baseline ?(procs = 8) () =
   { name = "baseline"; inline = false; generalized_induction = false;
     mode = Passes.Parallelize.Baseline; procs;
     budget_steps = Dep.Driver.default_budget_steps;
-    budget_deadline_s = None;
     caches = Util.Cachectl.default_enabled }
 
 (** Ablations: Polaris minus one technique, for the ablation bench. *)

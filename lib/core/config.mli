@@ -17,8 +17,6 @@ type t = {
       (** analysis budget: symbolic/dependence-test steps available per
           loop verdict; exhaustion degrades the verdict to
           "unknown → serial" instead of looping or raising *)
-  budget_deadline_s : float option;
-      (** optional CPU-seconds deadline per loop verdict *)
   caches : bool;
       (** compile-time caches (hash-consing, symbolic memoization,
           dependence-verdict cache — see {!Util.Cachectl}).  Defaults to

@@ -228,8 +228,7 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
       reports :=
         Option.value ~default:[]
           (guard p (fun () ->
-               Dep.Driver.with_budget ~steps:config.budget_steps
-                 ?deadline_s:config.budget_deadline_s (fun () ->
+               Dep.Driver.with_budget ~steps:config.budget_steps (fun () ->
                    Passes.Parallelize.run ~mode:config.mode program)))
   in
   List.iter run_pass Pass_id.all;

@@ -18,13 +18,9 @@ exception Output_mismatch
 (** Time the program serially and in parallel on [procs] processors.
     @raise Output_mismatch if the two executions disagree (they cannot,
     unless the simulator itself is broken — this is an internal check). *)
-let run ?(procs = 8) ?(use_cache = true) (program : Fir.Program.t) : run =
-  let serial_cfg =
-    Machine.Interp.default_config ~parallel:false ~procs ~use_cache ()
-  in
-  let parallel_cfg =
-    Machine.Interp.default_config ~parallel:true ~procs ~use_cache ()
-  in
+let run ?(procs = 8) (program : Fir.Program.t) : run =
+  let serial_cfg = Machine.Interp.default_config ~parallel:false ~procs () in
+  let parallel_cfg = Machine.Interp.default_config ~parallel:true ~procs () in
   let rs = Machine.Interp.run ~cfg:serial_cfg program in
   let rp = Machine.Interp.run ~cfg:parallel_cfg program in
   if rs.output <> rp.output then raise Output_mismatch;
@@ -40,18 +36,16 @@ let run ?(procs = 8) ?(use_cache = true) (program : Fir.Program.t) : run =
     (the paper's §3.2 note on strength reduction), so timing the
     transformed program serially would overstate both pipelines.
     Returns (pipeline result, run). *)
-let compile_and_run ?strict ?(use_cache = true) (config : Config.t)
-    (source : string) : Pipeline.t * run =
+let compile_and_run ?strict (config : Config.t) (source : string) :
+    Pipeline.t * run =
   let original = Frontend.Parser.parse_string source in
   let serial_cfg =
-    Machine.Interp.default_config ~parallel:false ~procs:config.procs
-      ~use_cache ()
+    Machine.Interp.default_config ~parallel:false ~procs:config.procs ()
   in
   let rs = Machine.Interp.run ~cfg:serial_cfg original in
   let t = Pipeline.compile ?strict config source in
   let parallel_cfg =
-    Machine.Interp.default_config ~parallel:true ~procs:config.procs
-      ~use_cache ()
+    Machine.Interp.default_config ~parallel:true ~procs:config.procs ()
   in
   let rp = Machine.Interp.run ~cfg:parallel_cfg t.program in
   if rs.output <> rp.output then raise Output_mismatch;
@@ -82,16 +76,13 @@ type measured = {
     deliberately does not compare them, because float reductions need
     the ULP-tolerant comparator that lives in [Valid.Oracle] and [core]
     sits below [valid] in the library stack. *)
-let run_measured ?procs ?(use_cache = true) ?seed (program : Fir.Program.t) :
-    measured =
+let run_measured ?procs ?seed (program : Fir.Program.t) : measured =
   let procs =
     match procs with
     | Some p -> max 1 p
     | None -> Util.Env.runtime_procs
   in
-  let cfg =
-    Machine.Interp.default_config ~parallel:false ~procs ~use_cache ?seed ()
-  in
+  let cfg = Machine.Interp.default_config ~parallel:false ~procs ?seed () in
   let t0 = Unix.gettimeofday () in
   let serial_capture = Machine.Interp.run_full ~cfg program in
   let t1 = Unix.gettimeofday () in

@@ -13,15 +13,14 @@ exception Output_mismatch
     way). *)
 
 (** Time a compiled program serially and on [procs] processors. *)
-val run : ?procs:int -> ?use_cache:bool -> Fir.Program.t -> run
+val run : ?procs:int -> Fir.Program.t -> run
 
 (** Compile [source] under a configuration and simulate it.  The serial
     reference time is measured on the {e original} program, because
     induction substitution trades recurrences for stronger arithmetic
     (paper §3.2).  [strict] is passed to {!Pipeline.compile}: pass
     faults re-raise instead of being contained. *)
-val compile_and_run :
-  ?strict:bool -> ?use_cache:bool -> Config.t -> string -> Pipeline.t * run
+val compile_and_run : ?strict:bool -> Config.t -> string -> Pipeline.t * run
 
 type measured = {
   m_procs : int;                 (** OCaml domains used *)
@@ -40,5 +39,4 @@ type measured = {
     or the host's recommended domain count.  Captures are returned
     uncompared (use [Valid.Oracle] for the ULP-tolerant identity
     check). *)
-val run_measured :
-  ?procs:int -> ?use_cache:bool -> ?seed:int -> Fir.Program.t -> measured
+val run_measured : ?procs:int -> ?seed:int -> Fir.Program.t -> measured

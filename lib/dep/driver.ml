@@ -199,14 +199,10 @@ let default_budget_steps = 200_000
 let budget_factory : (unit -> Util.Budget.t) ref =
   ref (fun () -> Util.Budget.create ~steps:default_budget_steps ())
 
-(** Run [f] with budgets drawn as [steps] of fuel plus an optional
-    deadline; restores the previous factory on exit. *)
-let with_budget ?steps ?deadline_s f =
-  let factory () =
-    Util.Budget.create
-      ~steps:(Option.value steps ~default:default_budget_steps)
-      ?deadline_s ()
-  in
+(** Run [f] with budgets drawn as [steps] of fuel; restores the
+    previous factory on exit. *)
+let with_budget ~steps f =
+  let factory () = Util.Budget.create ~steps () in
   let saved = !budget_factory in
   budget_factory := factory;
   Fun.protect ~finally:(fun () -> budget_factory := saved) f

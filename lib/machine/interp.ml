@@ -61,7 +61,6 @@ end
 type config = {
   parallel : bool;              (** honour DOALL annotations for timing *)
   machine : Parsim.config;
-  use_cache : bool;
   max_steps : int;              (** fuel: statements executed before abort *)
   seed : int option;
       (** when set, fresh local/COMMON storage is filled with
@@ -71,10 +70,9 @@ type config = {
           several initial stores *)
 }
 
-let default_config ?(parallel = false) ?(procs = 8) ?(use_cache = true)
-    ?seed () =
-  { parallel; machine = Parsim.default ~procs (); use_cache;
-    max_steps = 200_000_000; seed }
+let default_config ?(parallel = false) ?(procs = 8) ?seed () =
+  { parallel; machine = Parsim.default ~procs (); max_steps = 200_000_000;
+    seed }
 
 type rw = R | W
 
@@ -145,10 +143,8 @@ and block = {
 let charge st n = st.time <- st.time + n
 
 let charge_mem st (v : Storage.view) i =
-  if st.cfg.use_cache then
-    let hit = Cache.access st.cache (Storage.address v i) in
-    charge st (if hit then Cost.mem_hit else Cost.mem_miss)
-  else charge st Cost.mem_hit
+  let hit = Cache.access st.cache (Storage.address v i) in
+  charge st (if hit then Cost.mem_hit else Cost.mem_miss)
 
 let tick st =
   st.steps <- st.steps + 1;

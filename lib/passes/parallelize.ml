@@ -26,8 +26,7 @@ type mode = Polaris | Baseline
     pipeline records them against the manager's counters for
     [--explain-reuse]. *)
 let consumes =
-  [ "analysis.loops"; "analysis.access"; "analysis.defuse";
-    "range_prop.env_at"; "dep.verdict"; "passes.demand" ]
+  [ "analysis.loops"; "range_prop.env_at"; "dep.verdict"; "passes.demand" ]
 
 type loop_report = {
   loop_index : string;

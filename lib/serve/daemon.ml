@@ -20,8 +20,8 @@
     lives on; a session that breaks the framing protocol is closed
     alone; SIGINT/SIGTERM answer the requests already sent, flush the
     store and return cleanly.  One greedy client cannot starve the fleet:
-    every request draws its own analysis budget
-    ([--budget-steps]/[--deadline]), so a pathological source degrades
+    every loop verdict draws its own analysis budget from the request
+    configuration ([--budget-steps]), so a pathological source degrades
     its own verdicts to serial and nothing else.
 
     {b Overload protection} (PR 7).  Responses are never written
@@ -50,11 +50,11 @@ type cfg = {
   d_socket : string;            (** unix-domain socket path *)
   d_store_dir : string option;  (** persistent store directory (None = off) *)
   d_max_cache_mb : int;
-  d_baseline : bool;            (** serve the baseline pipeline instead *)
+  d_config : Core.Config.t;
+      (** the request configuration: capabilities and the per-verdict
+          analysis budget ([budget_steps]) *)
   d_backend : Backend.Registry.t option;
       (** default emission backend ([None] = the f77 unparser) *)
-  d_budget_steps : int option;  (** per-request analysis fuel *)
-  d_deadline_s : float option;  (** per-request analysis deadline *)
   d_log : string option;        (** JSON-lines server log path (appended) *)
   d_poll_s : float;             (** select timeout: stop-flag latency bound *)
   (* overload protection *)
@@ -81,10 +81,8 @@ let default_cfg =
   { d_socket = default_socket;
     d_store_dir = None;
     d_max_cache_mb = 64;
-    d_baseline = false;
+    d_config = Core.Config.polaris ~procs:8 ();
     d_backend = None;
-    d_budget_steps = None;
-    d_deadline_s = None;
     d_log = None;
     d_poll_s = 0.1;
     d_max_sessions = 64;
@@ -178,7 +176,6 @@ let close_conn c =
 
 type state = {
   st_cfg : cfg;
-  st_config : Core.Config.t;
   st_store : Store.t option;
   st_sv : Metrics.server;
   mutable st_sessions : Metrics.session list;  (* every session ever *)
@@ -220,15 +217,21 @@ let flush_store st ~reason =
 (* per-request configuration/backend resolution: a bad name in a
    request is an application error ([Error_r] — deterministic, not
    retryable), never a daemon fault.  The pass order is fixed, so any
-   pipeline name is refused; "" picks the daemon's default backend *)
+   pipeline name is refused; a baseline request keeps the daemon's
+   budget; "" picks the daemon's default backend *)
 let resolve_config st (c : Protocol.compile_req) :
     (Core.Config.t, string) result =
   if c.cr_pipeline <> "" then
     Error
       (Printf.sprintf "unknown pipeline '%s': the pass order is fixed"
          c.cr_pipeline)
-  else if c.cr_baseline then Ok (Core.Config.baseline ~procs:8 ())
-  else Ok st.st_config
+  else
+    let d = st.st_cfg.d_config in
+    if c.cr_baseline then
+      Ok
+        { (Core.Config.baseline ~procs:d.procs ()) with
+          budget_steps = d.budget_steps }
+    else Ok d
 
 let resolve_backend st (c : Protocol.compile_req) :
     (Backend.Registry.t, string) result =
@@ -244,9 +247,7 @@ let handle_compile st (sess : Metrics.session) (c : Protocol.compile_req) :
   | Error m, _ | _, Error m -> Protocol.Error_r m
   | Ok config, Ok backend -> (
   match
-    Local.compile_source ?budget_steps:st.st_cfg.d_budget_steps
-      ?deadline_s:st.st_cfg.d_deadline_s ~check:c.cr_check ~backend config
-      c.cr_source
+    Local.compile_source ~check:c.cr_check ~backend config c.cr_source
   with
   | compiled ->
     let r = compiled.lc_result in
@@ -483,9 +484,6 @@ let run ?(signals = false) ?(stop = Atomic.make false) ?on_ready (cfg : cfg) :
   let now0 = Unix.gettimeofday () in
   let st =
     { st_cfg = cfg;
-      st_config =
-        (if cfg.d_baseline then Core.Config.baseline ~procs:8 ()
-         else Core.Config.polaris ~procs:8 ());
       st_store = store;
       st_sv = Metrics.server ~now:now0;
       st_sessions = [];

@@ -3,9 +3,10 @@
 
     One entry point, {!compile_source}, does everything a compile
     request needs: an incremental compile through {!Core.Incremental}
-    under a per-request analysis budget, the per-request shared-cache
-    accounting, the optional from-scratch verification, and the
-    sid-masked verdict rendering the protocol carries.  Pulling this
+    (whose pipeline bounds each loop verdict by the configuration's
+    analysis budget), the per-request shared-cache accounting, the
+    optional from-scratch verification, and the sid-masked verdict
+    rendering the protocol carries.  Pulling this
     out of [bin/polaris_cli.ml] makes the per-file failure behaviour
     testable: a session must {e contain} a bad file — report it, keep
     compiling the rest, and exit non-zero at the end — instead of
@@ -48,30 +49,25 @@ let with_shared_delta f =
   (r, hits, hits + misses)
 
 (** Compile [source] incrementally (warm caches), optionally verifying
-    against a from-scratch compile.  [budget_steps]/[deadline_s] bound
-    this one request's dependence analysis — exhaustion degrades
-    verdicts to safe serial, it never faults the session.  [backend]
-    selects the emission target of [lc_output] (default: the f77
-    unparser output the incremental engine already rendered); check
-    divergence detection always compares the engine's canonical f77
-    output, so the check verdict is backend-independent. *)
-let compile_source ?strict ?budget_steps ?deadline_s ?(check = false)
+    against a from-scratch compile.  [config]'s budget bounds each loop
+    verdict's dependence analysis — exhaustion degrades the verdict to
+    safe serial, it never faults the session.  [backend] selects the
+    emission target of [lc_output] (default: the f77 unparser output the
+    incremental engine already rendered); check divergence detection
+    always compares the engine's canonical f77 output, so the check
+    verdict is backend-independent. *)
+let compile_source ?strict ?(check = false)
     ?(backend = Backend.Registry.default) (config : Core.Config.t)
     (source : string) : compiled =
   let t0 = Unix.gettimeofday () in
   let (result : Core.Incremental.result), lc_shared_hits, lc_shared_lookups =
-    with_shared_delta (fun () ->
-        Dep.Driver.with_budget ?steps:budget_steps ?deadline_s (fun () ->
-            Core.Incremental.compile ?strict config source))
+    with_shared_delta (fun () -> Core.Incremental.compile ?strict config source)
   in
   let lc_wall_s = Unix.gettimeofday () -. t0 in
   let lc_check_divergences =
     if not check then []
     else
-      let fresh =
-        Dep.Driver.with_budget ?steps:budget_steps ?deadline_s (fun () ->
-            Core.Incremental.scratch ?strict config source)
-      in
+      let fresh = Core.Incremental.scratch ?strict config source in
       Core.Incremental.diverges ~incremental:result.outcome
         ~scratch:fresh.outcome
   in
@@ -98,15 +94,12 @@ let read_file path =
     on with the remaining files and the caller reports a non-zero exit
     at the end.  Compiler-internal faults still propagate — they are
     bugs, not inputs. *)
-let compile_path ?strict ?budget_steps ?deadline_s ?check ?backend
-    (config : Core.Config.t) (path : string) : (compiled, string) result =
+let compile_path ?strict ?check ?backend (config : Core.Config.t)
+    (path : string) : (compiled, string) result =
   match read_file path with
   | exception Sys_error msg -> Error msg
   | source -> (
-    match
-      compile_source ?strict ?budget_steps ?deadline_s ?check ?backend config
-        source
-    with
+    match compile_source ?strict ?check ?backend config source with
     | c -> Ok c
     | exception Frontend.Lexer.Error m -> Error (path ^ ": lexical error: " ^ m)
     | exception Frontend.Parser.Error m -> Error (path ^ ": syntax error: " ^ m))

@@ -1,4 +1,4 @@
-(** Analysis budgets: step fuel plus an optional CPU-time deadline.
+(** Analysis budgets: step fuel.
 
     The symbolic engine and the dependence tests are recursive searches
     whose worst case is exponential; Polaris's answer (paper §2) was that
@@ -12,26 +12,21 @@
 
     Exhaustion is sticky: once [spend] refuses, the budget stays
     exhausted, so a search cannot oscillate between starved and funded
-    sub-proofs.  Budgets are deterministic for a fixed step allowance;
-    the optional deadline (checked against [Sys.time ()]) trades that
-    determinism for a hard bound on pathological inputs and is off by
-    default. *)
+    sub-proofs.  Budgets are deterministic: the same step allowance
+    gives the same verdicts on every run. *)
 
 type t = {
   mutable steps : int;       (** remaining step fuel (meaningless if infinite) *)
   infinite : bool;           (** no step limit *)
-  deadline : float option;   (** absolute [Sys.time] bound *)
   mutable exhausted : bool;
   mutable used : int;        (** steps successfully consumed so far *)
 }
 
-(** [create ?steps ?deadline_s ()]: a budget with [steps] of fuel
-    (omit for unlimited steps) and an optional deadline [deadline_s]
-    CPU-seconds from now. *)
-let create ?steps ?deadline_s () =
+(** [create ?steps ()]: a budget with [steps] of fuel (omit for
+    unlimited steps). *)
+let create ?steps () =
   { steps = Option.value steps ~default:0;
     infinite = steps = None;
-    deadline = Option.map (fun d -> Sys.time () +. d) deadline_s;
     exhausted = false;
     used = 0 }
 
@@ -53,15 +48,9 @@ let spend t n =
     (if not t.infinite then
        if t.steps < n then t.exhausted <- true
        else t.steps <- t.steps - n);
-    (match t.deadline with
-    | Some d when Sys.time () > d -> t.exhausted <- true
-    | _ -> ());
     if not t.exhausted then t.used <- t.used + n;
     not t.exhausted
   end
-
-(** [check t] = [spend t 0]: deadline-only probe. *)
-let check t = spend t 0
 
 (** Steps successfully consumed so far.  Memoization layers measure the
     delta of [used] across a computation so a later cache hit can replay
@@ -76,7 +65,6 @@ let used t = t.used
 let afford t n =
   (not t.exhausted)
   && (t.infinite || t.steps >= n)
-  && (match t.deadline with Some d -> Sys.time () <= d | None -> true)
 
 let pp ppf t =
   if t.exhausted then Fmt.string ppf "exhausted"

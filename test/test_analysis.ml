@@ -166,183 +166,8 @@ let test_defuse_read_within_inner () =
   (* T = 0 dominates: reads inside the inner loop are covered *)
   Alcotest.(check string) "T private" "priv" (cls (List.assoc "T" c))
 
-(* ----- control-flow graph ----- *)
-
-let test_cfg_straightline () =
-  let u = Program.main (parse "      PROGRAM T\n      X = 1\n      Y = 2\n      END\n") in
-  let t = Analysis.Cfg.build u in
-  let s1 = (List.nth u.pu_body 0).sid and s2 = (List.nth u.pu_body 1).sid in
-  Alcotest.(check (list int)) "seq edge" [ s2 ] (Analysis.Cfg.successors t s1);
-  Alcotest.(check (list int)) "to exit" [ Analysis.Cfg.exit_node ]
-    (Analysis.Cfg.successors t s2);
-  Alcotest.(check bool) "consistent" true (Analysis.Cfg.consistent u)
-
-let test_cfg_loop_edges () =
-  let src =
-    "      PROGRAM T\n\
-     \      DO I = 1, 3\n\
-     \        X = X + 1.0\n\
-     \      END DO\n\
-     \      Y = X\n\
-     \      END\n"
-  in
-  let u = Program.main (parse src) in
-  let t = Analysis.Cfg.build u in
-  let do_sid = (List.nth u.pu_body 0).sid in
-  let body_sid =
-    match (List.nth u.pu_body 0).kind with
-    | Ast.Do d -> (List.hd d.body).sid
-    | _ -> Alcotest.fail "expected do"
-  in
-  let after_sid = (List.nth u.pu_body 1).sid in
-  let succ = Analysis.Cfg.successors t do_sid in
-  Alcotest.(check bool) "header -> body" true (List.mem body_sid succ);
-  Alcotest.(check bool) "header -> past (zero trip)" true (List.mem after_sid succ);
-  Alcotest.(check (list int)) "back edge" [ do_sid ]
-    (Analysis.Cfg.successors t body_sid);
-  Alcotest.(check bool) "consistent" true (Analysis.Cfg.consistent u)
-
-let test_cfg_goto_and_unreachable () =
-  let src =
-    "      PROGRAM T\n\
-     \      GOTO 10\n\
-     \      X = 1\n\
-     \ 10   CONTINUE\n\
-     \      END\n"
-  in
-  let u = Program.main (parse src) in
-  let dead = Analysis.Cfg.unreachable_stmts u in
-  (* X = 1 sits behind the GOTO *)
-  Alcotest.(check int) "one unreachable statement" 1 (List.length dead);
-  let x_sid = (List.nth u.pu_body 1).sid in
-  Alcotest.(check (list int)) "it is the skipped assignment" [ x_sid ] dead
-
-let test_cfg_if_edges () =
-  let src =
-    "      PROGRAM T\n\
-     \      IF (X .GT. 0.0) THEN\n\
-     \        Y = 1\n\
-     \      ELSE\n\
-     \        Y = 2\n\
-     \      END IF\n\
-     \      Z = Y\n\
-     \      END\n"
-  in
-  let u = Program.main (parse src) in
-  let t = Analysis.Cfg.build u in
-  let if_sid = (List.nth u.pu_body 0).sid in
-  Alcotest.(check int) "two branch targets" 2
-    (List.length (Analysis.Cfg.successors t if_sid));
-  let join = (List.nth u.pu_body 1).sid in
-  Alcotest.(check int) "join has two preds" 2
-    (List.length (Analysis.Cfg.predecessors t join))
-
-(* every suite code's flow graph is consistent *)
-let test_cfg_suite_consistent () =
-  List.iter
-    (fun (c : Suite.Code.t) ->
-      let p = parse c.source in
-      List.iter
-        (fun u ->
-          Alcotest.(check bool) (c.name ^ " cfg consistent") true
-            (Analysis.Cfg.consistent u))
-        (Program.units p))
-    Suite.Registry.all
-
-(* ----- gated SSA ----- *)
-
-let test_gsa_straightline () =
-  let src =
-    "      PROGRAM T\n\
-     \      INTEGER M, P, MP\n\
-     \      M = 10\n\
-     \      P = 25\n\
-     \      MP = M * P\n\
-     \      L = MP\n\
-     \      END\n"
-  in
-  let u = Program.main (parse src) in
-  let points = Analysis.Gsa.build u in
-  let target =
-    Fir.Stmt.fold
-      (fun acc (s : Ast.stmt) ->
-        match s.kind with Ast.Assign (Ast.Var "L", _) -> s.sid | _ -> acc)
-      (-1) u.pu_body
-  in
-  (* the paper's Fig. 4 walk: MP resolves to M * P, then to 10 * 25 *)
-  let t = Analysis.Gsa.value_at points ~sid:target ~var:"MP" in
-  (match Analysis.Gsa.resolve t with
-  | Some e ->
-    Alcotest.(check string) "MP resolves through the chain" "250"
-      (Fir.Expr.to_string (Fir.Expr.simplify e))
-  | None -> Alcotest.fail "MP should resolve");
-  Alcotest.(check bool) "no gating on straight line" false (Analysis.Gsa.is_gated t)
-
-let test_gsa_gamma () =
-  let src =
-    "      PROGRAM T\n\
-     \      IF (C .GT. 0.0) THEN\n\
-     \        K = 1\n\
-     \      ELSE\n\
-     \        K = 2\n\
-     \      END IF\n\
-     \      L = K\n\
-     \      END\n"
-  in
-  let u = Program.main (parse src) in
-  let points = Analysis.Gsa.build u in
-  let target =
-    Fir.Stmt.fold
-      (fun acc (s : Ast.stmt) ->
-        match s.kind with Ast.Assign (Ast.Var "L", _) -> s.sid | _ -> acc)
-      (-1) u.pu_body
-  in
-  match Analysis.Gsa.value_at points ~sid:target ~var:"K" with
-  | Analysis.Gsa.Gamma (_, Analysis.Gsa.Rhs (Ast.Int_lit 1, _), Analysis.Gsa.Rhs (Ast.Int_lit 2, _)) -> ()
-  | t -> Alcotest.failf "expected gamma, got %s" (Fmt.str "%a" Analysis.Gsa.pp t)
-
-let test_gsa_mu_eta () =
-  let src =
-    "      PROGRAM T\n\
-     \      K = 0\n\
-     \      DO I = 1, 5\n\
-     \        K = K + I\n\
-     \        L = K\n\
-     \      END DO\n\
-     \      M = K\n\
-     \      END\n"
-  in
-  let u = Program.main (parse src) in
-  let points = Analysis.Gsa.build u in
-  let at v =
-    Fir.Stmt.fold
-      (fun acc (s : Ast.stmt) ->
-        match s.kind with Ast.Assign (Ast.Var w, _) when w = v -> s.sid | _ -> acc)
-      (-1) u.pu_body
-  in
-  (* inside the loop K is a mu-term with a tied iteration side *)
-  (match Analysis.Gsa.value_at points ~sid:(at "L") ~var:"K" with
-  | Analysis.Gsa.Rhs (_, captured) -> (
-    match List.assoc "K" captured with
-    | Analysis.Gsa.Mu { init = Analysis.Gsa.Rhs (Ast.Int_lit 0, _); iter } ->
-      Alcotest.(check bool) "iteration side tied" true (!iter <> None)
-    | t -> Alcotest.failf "expected mu, got %s" (Fmt.str "%a" Analysis.Gsa.pp t))
-  | t -> Alcotest.failf "expected rhs, got %s" (Fmt.str "%a" Analysis.Gsa.pp t));
-  (* after the loop K is an eta of the loop value *)
-  match Analysis.Gsa.value_at points ~sid:(at "M") ~var:"K" with
-  | Analysis.Gsa.Eta _ -> ()
-  | t -> Alcotest.failf "expected eta, got %s" (Fmt.str "%a" Analysis.Gsa.pp t)
-
 let tests =
   [ ("loop nests", `Quick, test_nests);
-    ("cfg: straight line", `Quick, test_cfg_straightline);
-    ("cfg: loop edges", `Quick, test_cfg_loop_edges);
-    ("cfg: goto + unreachable", `Quick, test_cfg_goto_and_unreachable);
-    ("cfg: if edges", `Quick, test_cfg_if_edges);
-    ("cfg: suite consistent", `Quick, test_cfg_suite_consistent);
-    ("gsa: straight-line resolution", `Quick, test_gsa_straightline);
-    ("gsa: gamma at if-join", `Quick, test_gsa_gamma);
-    ("gsa: mu/eta around loops", `Quick, test_gsa_mu_eta);
     ("disqualifying control", `Quick, test_disqualifying_control);
     ("access extraction", `Quick, test_access_extraction);
     ("access grouping", `Quick, test_access_by_array);

@@ -140,7 +140,7 @@ let test_cli_rejects_out_of_range () =
       Alcotest.(check (option int)) ("daemon " ^ flag ^ " 0 exits 124")
         (Some 124) code;
       Alcotest.(check bool) ("daemon " ^ flag ^ " 0 never binds") false bound)
-    [ "--max-pipeline"; "--max-sessions" ]
+    [ "--max-pipeline"; "--max-sessions"; "--budget-steps" ]
 
 let read_cli ?(env = "") args =
   let ic =

@@ -1120,6 +1120,71 @@ let test_daemon_pipelined_sessions () =
     report.Serve.Daemon.r_requests;
   Util.Cachectl.clear_all ()
 
+(* the daemon's budget reaches every loop verdict, of baseline requests
+   too: a daemon with one step of fuel answers exactly what a local
+   compile under that budget does, and parallelizes fewer loops than an
+   unbudgeted daemon *)
+let test_daemon_budget_reaches_verdicts () =
+  let socket = tmp_name "budget.sock" in
+  let budgeted = { (Core.Config.polaris ()) with budget_steps = 1 } in
+  let serve config ~baseline =
+    Util.Cachectl.clear_all ();
+    let d, stop =
+      start_daemon
+        ~tweak:(fun c -> { c with Serve.Daemon.d_config = config })
+        ~socket ~store_dir:None ()
+    in
+    let verdicts =
+      match Serve.Client.connect socket with
+      | Error m -> Alcotest.fail m
+      | Ok c ->
+        let vs =
+          List.map
+            (fun (code : Suite.Code.t) ->
+              match
+                Serve.Client.compile_source c ~baseline ~label:code.name
+                  code.source
+              with
+              | Ok r -> r.co_verdicts
+              | Error m -> Alcotest.failf "%s: %s" code.name m)
+            Suite.Registry.all
+        in
+        Serve.Client.close c;
+        vs
+    in
+    Atomic.set stop true;
+    ignore (Domain.join d);
+    verdicts
+  in
+  let local config =
+    List.map
+      (fun (code : Suite.Code.t) ->
+        (Serve.Local.compile_source config code.source).lc_verdicts)
+      Suite.Registry.all
+  in
+  let parallel vs =
+    List.length
+      (List.filter
+         (fun l -> List.nth (String.split_on_char ' ' l) 3 = "PARALLEL")
+         (List.concat vs))
+  in
+  let daemon_budgeted = serve budgeted ~baseline:false in
+  Alcotest.(check (list (list string)))
+    "budgeted daemon = local compile under the budget" (local budgeted)
+    daemon_budgeted;
+  Alcotest.(check (list (list string)))
+    "baseline request keeps the daemon's budget"
+    (local { (Core.Config.baseline ()) with budget_steps = 1 })
+    (serve budgeted ~baseline:true);
+  let budgeted_par = parallel daemon_budgeted in
+  let unbudgeted_par =
+    parallel (serve (Core.Config.polaris ()) ~baseline:false)
+  in
+  if budgeted_par >= unbudgeted_par then
+    Alcotest.failf "budget had no effect: %d parallel loops, %d unbudgeted"
+      budgeted_par unbudgeted_par;
+  Util.Cachectl.clear_all ()
+
 let tests =
   [ ("protocol request roundtrip", `Quick, test_protocol_request_roundtrip);
     ("protocol response roundtrip", `Quick, test_protocol_response_roundtrip);
@@ -1160,4 +1225,6 @@ let tests =
     ("client exits 1 when shed, not by SIGPIPE", `Quick,
      test_client_survives_shed);
     ("daemon pipelined sessions in order", `Quick,
-     test_daemon_pipelined_sessions) ]
+     test_daemon_pipelined_sessions);
+    ("daemon budget reaches every loop verdict", `Quick,
+     test_daemon_budget_reaches_verdicts) ]
