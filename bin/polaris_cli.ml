@@ -671,8 +671,10 @@ let daemon_cmd =
       & opt mb_conv d.d_max_cache_mb
       & info [ "max-cache-mb" ] ~docv:"MB"
           ~doc:
-            "Size bound of the persistent store; least-recently-used \
-             facts are evicted beyond it")
+            "Size bound of the persistent store's live facts; \
+             least-recently-used facts are evicted beyond it.  Flushes \
+             append to the store file, so between compactions the file \
+             can reach twice the bound")
   in
   let budget_steps =
     Arg.(
@@ -713,7 +715,11 @@ let daemon_cmd =
       & info [ "flush-every" ] ~docv:"N"
           ~doc:
             "Flush the persistent store after every N compile requests, \
-             bounding what a crash can lose")
+             bounding what a crash can lose.  A flush appends the facts \
+             added or replaced since the last one; the whole file is \
+             rewritten only when it is missing, damaged or changed by \
+             another writer, when it holds more than twice the live \
+             facts, and at shutdown")
   in
   let flush_interval =
     Arg.(

@@ -36,12 +36,16 @@
     At most [max_pipeline] pipelined requests are executed per
     connection per loop turn, round-robining the sessions.
 
-    {b Crash safety.}  The store is flushed (atomic tmp+rename) every
-    [flush_every] compile requests — {e before} the triggering
-    response is queued, so a client that has seen reply N knows every
-    fact up to the last flush boundary is on disk — and again after
-    [flush_interval_s] seconds with unflushed work.  A SIGKILL
-    therefore loses at most one flush window.  A pidfile
+    {b Crash safety.}  The store is flushed every [flush_every] compile
+    requests — {e before} the triggering response is queued, so a
+    client that has seen reply N knows every fact up to the last flush
+    boundary has reached the kernel — and again after
+    [flush_interval_s] seconds with unflushed work.  A flush appends
+    what changed and only rarely rewrites the file ({!Store}); a
+    SIGKILL mid-append leaves a torn tail that the next open drops,
+    and it holds no fact a client saw answered.  A SIGKILL therefore
+    loses at most one flush window.  A graceful shutdown compacts the
+    store, so a restart loads a minimal file.  A pidfile
     ([socket].pid) enforces single-instance discipline: a new daemon
     refuses to stomp a live daemon's socket ({!Already_running}) but
     silently recovers a stale one (dead pid — the SIGKILL case). *)
@@ -197,6 +201,19 @@ let stats_json st =
   Metrics.server_json ~now:(Unix.gettimeofday ()) st.st_sv st.st_sessions
     (Option.map Store.stats_json st.st_store)
 
+(* what the store's latest flush or compaction wrote, and its cost *)
+let log_flush st store ~reason =
+  let f = Store.last_flush store in
+  let open Valid.Trace.Json in
+  log_line st
+    (obj
+       [ ("event", str "flush");
+         ("reason", str reason);
+         ("entries", int (Store.entry_count store));
+         ("mode", str (Store.mode_name f.fl_mode));
+         ("bytes", int f.fl_bytes);
+         ("ms", float f.fl_ms) ])
+
 (* flush the store and reset the cadence counters; every flush is
    counted and logged so the crash window is observable *)
 let flush_store st ~reason =
@@ -207,12 +224,7 @@ let flush_store st ~reason =
     st.st_since_flush <- 0;
     st.st_last_flush <- Unix.gettimeofday ();
     st.st_sv.sv_flushes <- st.st_sv.sv_flushes + 1;
-    let open Valid.Trace.Json in
-    log_line st
-      (obj
-         [ ("event", str "flush");
-           ("reason", str reason);
-           ("entries", int (Store.entry_count store)) ])
+    log_flush st store ~reason
 
 (* per-request configuration/backend resolution: a bad name in a
    request is an application error ([Error_r] — deterministic, not
@@ -444,7 +456,7 @@ let drain_frames ?budget st conns conn =
 
 (** Run the daemon until a [Shutdown] request, a SIGINT/SIGTERM (when
     [signals]), or [stop] is set externally.  Returns after answering
-    the requests already sent, flushing the store and removing the
+    the requests already sent, compacting the store and removing the
     socket.
     [on_ready] fires once the socket is listening (tests use it to gate
     client connects).
@@ -498,7 +510,11 @@ let run ?(signals = false) ?(stop = Atomic.make false) ?on_ready (cfg : cfg) :
     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
     (try Unix.unlink cfg.d_socket with Unix.Unix_error _ -> ());
     remove_pidfile cfg.d_socket;
-    Option.iter Store.flush store;
+    Option.iter
+      (fun s ->
+        Store.compact s;
+        log_flush st s ~reason:"shutdown")
+      store;
     Option.iter (fun prev -> Store.uninstall prev) prev_backing;
     (match prev_handlers with
     | Some (hi, ht) ->

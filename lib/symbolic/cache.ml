@@ -105,30 +105,6 @@ let shard c i =
    the same entry.  All key shapes here are acyclic pure data. *)
 let key_bytes key = Marshal.to_string key [ Marshal.No_sharing ]
 
-(* Consult the process-wide backing store (daemon persistence).  A hit
-   is promoted into this process's table — or, mid-parallel-phase, into
-   the task's shard, since the shared table is read-only then — so the
-   deserialization cost is paid once per key per process.  Bytes in the
-   store were written by this same binary for this same cache name
-   (enforced by the store's integrity header), so the unmarshal is
-   type-correct; a truncated payload raises and is treated as a miss. *)
-let backing_find c key =
-  if not c.persist then None
-  else
-    match !Cachectl.backing with
-    | None -> None
-    | Some bk -> (
-      match bk.Cachectl.bk_lookup ~name:c.name ~key:(key_bytes key) with
-      | None -> None
-      | Some data -> (
-        match (Marshal.from_string data 0 : 'v) with
-        | v ->
-          (match Pool.slot () with
-          | None -> Hashtbl.replace c.table key v
-          | Some i -> Hashtbl.replace (shard c i) key v);
-          Some v
-        | exception _ -> None))
-
 (* Shard-first: a slotted task consults its private shard before the
    shared tier.  The shard holds exactly what this slot wrote since the
    last merge — the hottest entries for the work it is doing — and for
@@ -136,15 +112,11 @@ let backing_find c key =
    whose shared copy went stale (shared-first would re-fail the stale
    entry's probe on every lookup and recompute forever within the
    phase).  The shared tier is the read-mostly second level, promoted
-   from the shards at batch boundaries. *)
-let find_opt c key =
-  let shared () =
-    match Hashtbl.find_opt c.table key with
-    | Some _ as r -> r
-    | None -> backing_find c key
-  in
+   from the shards at batch boundaries; the backing store, when one is
+   installed, is the third ({!backing_of}). *)
+let find_local c key =
   match Pool.slot () with
-  | None -> shared ()
+  | None -> Hashtbl.find_opt c.table key
   | Some i -> (
     match
       match c.shards.(i) with
@@ -152,27 +124,48 @@ let find_opt c key =
       | None -> None
     with
     | Some _ as r -> r
-    | None -> shared ())
+    | None -> Hashtbl.find_opt c.table key)
+
+let put add c key v =
+  match Pool.slot () with
+  | None -> add c.table key v
+  | Some i -> add (shard c i) key v
+
+(* A persistent cache's way into the installed backing store (daemon
+   persistence): the store and the key's canonical bytes.  Called only
+   after the local tiers missed, and the bytes serve both the store
+   lookup and the write-through of the recomputed entry, so a memo
+   call marshals its key at most once.  [None] — no allocation — when
+   the cache is not persistent or no store is installed. *)
+let backing_of c key =
+  if not c.persist then None
+  else
+    match !Cachectl.backing with
+    | None -> None
+    | Some bk -> Some (bk, key_bytes key)
+
+(* A store hit is promoted into this process's table — or,
+   mid-parallel-phase, into the task's shard, since the shared table is
+   read-only then — so the deserialization cost is paid once per key
+   per process.  Bytes in the store were written by this same binary
+   for this same cache name (enforced by the store's integrity header),
+   so the unmarshal is type-correct; a truncated payload raises and is
+   treated as a miss. *)
+let backing_find c key (bk, kb) =
+  match bk.Cachectl.bk_lookup ~name:c.name ~key:kb with
+  | None -> None
+  | Some data -> (
+    match (Marshal.from_string data 0 : 'v) with
+    | v ->
+      put Hashtbl.replace c key v;
+      Some v
+    | exception _ -> None)
 
 (* write-through: a freshly computed entry of a persistent cache is
    mirrored to the backing store (the store serializes internally and
    is domain-safe, so this is sound from worker tasks too) *)
-let backing_insert c key v =
-  if c.persist then
-    match !Cachectl.backing with
-    | None -> ()
-    | Some bk ->
-      bk.Cachectl.bk_insert ~name:c.name ~key:(key_bytes key)
-        ~data:(Marshal.to_string v [])
-
-let store add_or_replace c key v =
-  (match Pool.slot () with
-  | None -> add_or_replace c.table key v
-  | Some i -> add_or_replace (shard c i) key v);
-  backing_insert c key v
-
-let add c key v = store Hashtbl.add c key v
-let replace c key v = store Hashtbl.replace c key v
+let write_through c (bk, kb) v =
+  bk.Cachectl.bk_insert ~name:c.name ~key:kb ~data:(Marshal.to_string v [])
 
 let check_debug c v compute =
   if !Cachectl.debug then begin
@@ -181,36 +174,77 @@ let check_debug c v compute =
       raise (Cachectl.Debug_mismatch c.stats.Cachectl.cs_name)
   end
 
+let served c v compute =
+  Cachectl.hit c.stats;
+  check_debug c v compute;
+  v
+
+let computed add c key compute =
+  Cachectl.miss c.stats;
+  let v = compute () in
+  put add c key v;
+  v
+
 let memo c key compute =
   if not !Cachectl.enabled then compute ()
   else
-    match find_opt c key with
-    | Some v ->
-      Cachectl.hit c.stats;
-      check_debug c v compute;
-      v
-    | None ->
-      Cachectl.miss c.stats;
-      let v = compute () in
-      add c key v;
-      v
+    match find_local c key with
+    | Some v -> served c v compute
+    | None -> (
+      match backing_of c key with
+      | None -> computed Hashtbl.add c key compute
+      | Some b -> (
+        match backing_find c key b with
+        | Some v -> served c v compute
+        | None ->
+          let v = computed Hashtbl.add c key compute in
+          write_through c b v;
+          v))
 
 (** [memo_validated c key ~valid compute]: like {!memo}, but an entry is
     only served while [valid entry] holds; an invalid entry is replaced
-    by a fresh computation (counted as a miss). *)
+    by a fresh computation (counted as a miss).  An entry that needs a
+    validity probe is not content-addressed, so a validated cache is
+    never persistent ({!create}) and never consults the backing
+    store. *)
 let memo_validated c key ~valid compute =
   if not !Cachectl.enabled then compute ()
   else
-    match find_opt c key with
-    | Some v when valid v ->
-      Cachectl.hit c.stats;
-      check_debug c v compute;
-      v
-    | _ ->
-      Cachectl.miss c.stats;
-      let v = compute () in
-      replace c key v;
-      v
+    match find_local c key with
+    | Some v when valid v -> served c v compute
+    | _ -> computed Hashtbl.replace c key compute
+
+(* a found entry [(v, steps)] is served only when its recorded cost is
+   affordable, and then replays the exact spend *)
+let replayed c ~budget (v, steps) compute =
+  if Budget.afford budget steps then begin
+    ignore (Budget.spend budget steps : bool);
+    Cachectl.hit c.stats;
+    if !Cachectl.debug then begin
+      let fresh = compute () in
+      if not (c.equal_result (v, steps) (fresh, steps)) then
+        raise (Cachectl.Debug_mismatch c.stats.Cachectl.cs_name)
+    end;
+    v
+  end
+  else
+    (* Recorded cost unaffordable: the uncached compiler would starve
+       mid-computation, so run it and let it starve the same way. *)
+    compute ()
+
+(* a miss: compute, and keep the entry (written through to [b] when
+   given) only when the computation ran clear of exhaustion *)
+let budgeted c ~budget key compute b =
+  Cachectl.miss c.stats;
+  let used0 = Budget.used budget in
+  let exhausted0 = Budget.exhausted budget in
+  let v = compute () in
+  if (not exhausted0) && not (Budget.exhausted budget) then begin
+    let entry = (v, Budget.used budget - used0) in
+    put Hashtbl.add c key entry;
+    match b with Some b -> write_through c b entry | None -> ()
+  end;
+  v
 
 (** [memo_budgeted c ~budget key compute]: entries are
     [(value, steps)].  See the module comment for the replay
@@ -218,25 +252,12 @@ let memo_validated c key ~valid compute =
 let memo_budgeted c ~(budget : Budget.t) key compute =
   if not !Cachectl.enabled then compute ()
   else
-    match find_opt c key with
-    | Some (v, steps) when Budget.afford budget steps ->
-      ignore (Budget.spend budget steps : bool);
-      Cachectl.hit c.stats;
-      if !Cachectl.debug then begin
-        let fresh = compute () in
-        if not (c.equal_result (v, steps) (fresh, steps)) then
-          raise (Cachectl.Debug_mismatch c.stats.Cachectl.cs_name)
-      end;
-      v
-    | Some _ ->
-      (* Recorded cost unaffordable: the uncached compiler would starve
-         mid-computation, so run it and let it starve the same way. *)
-      compute ()
-    | None ->
-      Cachectl.miss c.stats;
-      let used0 = Budget.used budget in
-      let exhausted0 = Budget.exhausted budget in
-      let v = compute () in
-      if (not exhausted0) && not (Budget.exhausted budget) then
-        add c key (v, Budget.used budget - used0);
-      v
+    match find_local c key with
+    | Some entry -> replayed c ~budget entry compute
+    | None -> (
+      match backing_of c key with
+      | None -> budgeted c ~budget key compute None
+      | Some b as store -> (
+        match backing_find c key b with
+        | Some entry -> replayed c ~budget entry compute
+        | None -> budgeted c ~budget key compute store))

@@ -17,6 +17,24 @@ let smoke_source =
    \      PRINT *, B(1)\n\
    \      END\n"
 
+(* a second program with different facts to prove, so its compile
+   inserts entries of its own *)
+let smoke_source2 =
+  "      PROGRAM SMOKE2\n\
+   \      INTEGER I, J, N\n\
+   \      PARAMETER (N = 24)\n\
+   \      REAL C(24), D(24, 24)\n\
+   \      DO I = 1, N\n\
+   \        DO J = 1, N\n\
+   \          D(J, I) = I + J * 0.5\n\
+   \        ENDDO\n\
+   \      ENDDO\n\
+   \      DO I = 2, N\n\
+   \        C(I) = D(I, I - 1) * 2.0\n\
+   \      ENDDO\n\
+   \      PRINT *, C(2)\n\
+   \      END\n"
+
 let tmp_name base =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "polaris-test-%d-%s" (Unix.getpid ()) base)
@@ -28,6 +46,19 @@ let rm_rf_dir dir =
       (Sys.readdir dir);
     Unix.rmdir dir
   end
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let count_occurrences hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i acc =
+    if i + nn > nh then acc
+    else go (i + 1) (if String.sub hay i nn = needle then acc + 1 else acc)
+  in
+  if nn = 0 then 0 else go 0 0
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
@@ -270,6 +301,178 @@ let test_store_evicts_lru () =
     (Serve.Store.entry_count s2 <= Serve.Store.entry_count s);
   rm_rf_dir dir
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  really_input_string ic (in_channel_length ic)
+
+(* the on-disk size of one entry: three u32-prefixed fields, a u32
+   tick and a 16-byte digest *)
+let framed (name, key, data) =
+  4 + String.length name + 4 + String.length key + 4 + String.length data
+  + 4 + 16
+
+let flush_mode s =
+  Serve.Store.flush s;
+  (Serve.Store.last_flush s).fl_mode
+
+let mode = Alcotest.testable
+    (fun ppf m -> Format.pp_print_string ppf (Serve.Store.mode_name m)) ( = )
+
+(* a garbled length field must cost a dropped tail, not an allocation
+   of the length it claims (0xFFFFFFF0 bytes, 536 M words) *)
+let test_store_rejects_garbled_length () =
+  let dir = tmp_name "store-length" in
+  rm_rf_dir dir;
+  Unix.mkdir dir 0o755;
+  let oc = open_out_bin (Filename.concat dir "analysis.store") in
+  output_string oc Serve.Store.magic;
+  output_string oc (Lazy.force Serve.Store.exe_digest);
+  output_string oc "\xff\xff\xff\xf0";
+  close_out oc;
+  let before = (Gc.quick_stat ()).major_words in
+  let s = Serve.Store.open_store ~dir ~max_bytes:(1 lsl 20) () in
+  let grown = (Gc.quick_stat ()).major_words -. before in
+  Alcotest.(check int) "no entry" 0 (Serve.Store.entry_count s);
+  Alcotest.(check int) "the tail is one corruption" 1
+    (Serve.Store.corrupt_count s);
+  Alcotest.(check bool) "the claimed length was never allocated" true
+    (grown < 1e6);
+  rm_rf_dir dir
+
+(* a flush appends what changed: the file keeps its inode and its old
+   bytes and grows by exactly the new entries' framed size; a lookup
+   hit is not a change, and with nothing dirty a flush writes nothing *)
+let test_store_flush_appends () =
+  let dir = tmp_name "store-append" in
+  rm_rf_dir dir;
+  let path = Filename.concat dir "analysis.store" in
+  let s = Serve.Store.open_store ~dir ~max_bytes:(1 lsl 20) () in
+  let insert s (name, key, data) = Serve.Store.insert s ~name ~key ~data in
+  for i = 1 to 10 do
+    insert s ("c", Printf.sprintf "k%d" i, String.make 32 'x')
+  done;
+  Alcotest.check mode "a new file is written whole" Serve.Store.Compacted
+    (flush_mode s);
+  let before = read_file path and inode = (Unix.stat path).st_ino in
+  let added =
+    [ ("c", "k11", "new"); ("d", "k1", "other cache"); ("c", "k3", "replaced") ]
+  in
+  List.iter (insert s) added;
+  ignore (Serve.Store.lookup s ~name:"c" ~key:"k1");
+  Alcotest.check mode "what changed is appended" Serve.Store.Appended
+    (flush_mode s);
+  let after = read_file path in
+  Alcotest.(check int) "same inode" inode (Unix.stat path).st_ino;
+  Alcotest.(check string) "old bytes kept" before
+    (String.sub after 0 (String.length before));
+  Alcotest.(check int) "grew by the new entries' frames"
+    (List.fold_left (fun n e -> n + framed e) 0 added)
+    (String.length after - String.length before);
+  ignore (Serve.Store.lookup s ~name:"c" ~key:"k11");
+  Alcotest.check mode "a hit is not dirty" Serve.Store.Unchanged
+    (flush_mode s);
+  Alcotest.(check int) "nothing written" (String.length after)
+    (Unix.stat path).st_size;
+  (* the appended replacement supersedes the old frame, and another
+     handle on the clean file appends too *)
+  let s2 = Serve.Store.open_store ~dir ~max_bytes:(1 lsl 20) () in
+  Alcotest.(check int) "every entry once" 12 (Serve.Store.entry_count s2);
+  Alcotest.(check int) "clean" 0 (Serve.Store.corrupt_count s2);
+  Alcotest.(check (option string)) "the replacement wins" (Some "replaced")
+    (Serve.Store.lookup s2 ~name:"c" ~key:"k3");
+  insert s2 ("c", "k13", "more");
+  Alcotest.check mode "a reopened clean file is appended to"
+    Serve.Store.Appended (flush_mode s2);
+  (* the first handle did not write the file it now finds: it rewrites
+     it rather than append to it *)
+  insert s ("c", "k14", "last");
+  Alcotest.check mode "a file changed behind the store is compacted"
+    Serve.Store.Compacted (flush_mode s);
+  let s3 = Serve.Store.open_store ~dir ~max_bytes:(1 lsl 20) () in
+  Alcotest.(check (pair int int)) "the store's own view, clean" (13, 0)
+    (Serve.Store.entry_count s3, Serve.Store.corrupt_count s3);
+  rm_rf_dir dir
+
+(* nothing may follow a broken frame: the first flush after an open
+   that dropped a torn tail compacts, so every later entry loads *)
+let test_store_torn_tail_then_append () =
+  let dir = tmp_name "store-torn" in
+  rm_rf_dir dir;
+  let path = Filename.concat dir "analysis.store" in
+  let fill s lo hi =
+    for i = lo to hi do
+      Serve.Store.insert s ~name:"c" ~key:(Printf.sprintf "k%d" i)
+        ~data:(String.make 32 'x')
+    done
+  in
+  let s = Serve.Store.open_store ~dir ~max_bytes:(1 lsl 20) () in
+  fill s 1 10;
+  Serve.Store.flush s;
+  fill s 11 15;
+  Alcotest.check mode "appended" Serve.Store.Appended (flush_mode s);
+  (* a crash mid-append: the last frame is torn *)
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+  Unix.ftruncate fd ((Unix.stat path).st_size - 10);
+  Unix.close fd;
+  let s2 = Serve.Store.open_store ~dir ~max_bytes:(1 lsl 20) () in
+  Alcotest.(check int) "the torn entry is dropped" 14
+    (Serve.Store.entry_count s2);
+  Alcotest.(check int) "one corruption" 1 (Serve.Store.corrupt_count s2);
+  fill s2 21 25;
+  Alcotest.check mode "the first flush after damage compacts"
+    Serve.Store.Compacted (flush_mode s2);
+  let s3 = Serve.Store.open_store ~dir ~max_bytes:(1 lsl 20) () in
+  Alcotest.(check int) "clean again" 0 (Serve.Store.corrupt_count s3);
+  Alcotest.(check int) "every later entry loads" 19
+    (Serve.Store.entry_count s3);
+  for i = 21 to 25 do
+    Alcotest.(check bool) "inserted after the damage" true
+      (Serve.Store.lookup s3 ~name:"c" ~key:(Printf.sprintf "k%d" i) <> None)
+  done;
+  rm_rf_dir dir
+
+(* replacing the same keys grows the file by appends until it would
+   hold more than twice the live bytes; then the flush compacts it
+   back to the live entries *)
+let test_store_compacts_past_twice_live () =
+  let dir = tmp_name "store-compact" in
+  rm_rf_dir dir;
+  let path = Filename.concat dir "analysis.store" in
+  let s = Serve.Store.open_store ~dir ~max_bytes:(1 lsl 20) () in
+  let round r =
+    for i = 1 to 8 do
+      Serve.Store.insert s ~name:"c" ~key:(Printf.sprintf "k%d" i)
+        ~data:(String.make 64 (Char.chr (Char.code 'a' + r)))
+    done
+  in
+  let size () = (Unix.stat path).st_size in
+  let entry = ("c", "k1", String.make 64 'a') in
+  let live_bytes = 8 * Serve.Store.entry_cost "c" "k1" (String.make 64 'a') in
+  round 0;
+  Serve.Store.flush s;
+  let live_file = size () in
+  let flushes =
+    List.map
+      (fun r ->
+        round r;
+        let m = flush_mode s in
+        Alcotest.(check bool) "the entries stay within twice the live bytes"
+          true
+          (size () - Serve.Store.header_len <= 2 * live_bytes);
+        (m, size ()))
+      [ 1; 2 ]
+  in
+  Alcotest.(check (list (pair mode int))) "append, then compact"
+    [ (Serve.Store.Appended, live_file + (8 * framed entry));
+      (Serve.Store.Compacted, live_file) ]
+    flushes;
+  let s2 = Serve.Store.open_store ~dir ~max_bytes:(1 lsl 20) () in
+  Alcotest.(check int) "the live entries" 8 (Serve.Store.entry_count s2);
+  Alcotest.(check (option string)) "the latest data" (Some (String.make 64 'c'))
+    (Serve.Store.lookup s2 ~name:"c" ~key:"k5");
+  rm_rf_dir dir
+
 (* ------------------------------------------------------------------ *)
 (* Per-file error containment (the `polaris serve` discipline)         *)
 
@@ -328,6 +531,24 @@ let start_daemon ?(signals = false) ?(tweak = fun c -> c) ~socket ~store_dir
   done;
   (d, stop)
 
+(* the integer after the first ["key":] in a JSON text *)
+let json_int json key =
+  let needle = Printf.sprintf "\"%s\":" key in
+  let nn = String.length needle in
+  let rec find i =
+    if i + nn > String.length json then
+      Alcotest.failf "no %S in the stats reply" key
+    else if String.sub json i nn = needle then i + nn
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < String.length json && json.[!stop] >= '0' && json.[!stop] <= '9'
+  do
+    incr stop
+  done;
+  int_of_string (String.sub json start (!stop - start))
+
 let test_daemon_end_to_end () =
   let socket = tmp_name "e2e.sock" in
   let store_dir = tmp_name "e2e-store" in
@@ -363,7 +584,17 @@ let test_daemon_end_to_end () =
     (match Serve.Client.stats c with
     | Ok json ->
       Alcotest.(check bool) "stats is a JSON object with requests" true
-        (String.length json > 2 && json.[0] = '{')
+        (String.length json > 2 && json.[0] = '{');
+      (* every flush that wrote something either appended or compacted;
+         one with nothing dirty counts as neither *)
+      Alcotest.(check bool) "appends + compactions <= flushes" true
+        (json_int json "appends" + json_int json "compactions"
+        <= json_int json "flushes");
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) ("store reports " ^ key) true
+            (count_occurrences json (Printf.sprintf "\"%s\":" key) = 1))
+        [ "file_bytes"; "flush_ms_total"; "flush_ms_max" ]
     | Error m -> Alcotest.fail ("stats: " ^ m));
     (match Serve.Client.shutdown c with
     | Ok () -> ()
@@ -494,19 +725,6 @@ let test_daemon_store_warms_next_daemon () =
 
 (* ------------------------------------------------------------------ *)
 (* Overload protection                                                 *)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let count_occurrences hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i acc =
-    if i + nn > nh then acc
-    else go (i + 1) (if String.sub hay i nn = needle then acc + 1 else acc)
-  in
-  if nn = 0 then 0 else go 0 0
 
 let rec wait_for ~deadline f =
   f ()
@@ -888,6 +1106,16 @@ let test_daemon_log_appends_restart_event () =
   Alcotest.(check bool) "second restart recovered entries" true
     (contains after_second "\"recovered_entries\":"
     && not (contains after_second "\"recovered_entries\":0,"));
+  (* each lifetime compacts its store on the way down *)
+  let shutdown_flushes =
+    List.filter
+      (fun l -> contains l "\"reason\":\"shutdown\"")
+      (String.split_on_char '\n' text)
+  in
+  Alcotest.(check int) "a flush logged at each shutdown" 2
+    (List.length shutdown_flushes);
+  Alcotest.(check bool) "each one compacts" true
+    (List.for_all (fun l -> contains l "\"mode\":\"compact\"") shutdown_flushes);
   Sys.remove log;
   rm_rf_dir store_dir;
   Util.Cachectl.clear_all ()
@@ -896,6 +1124,8 @@ let test_daemon_log_appends_restart_event () =
    the same store.  With --flush-every 1 the store is flushed before
    every reply, so everything a client saw answered survives; the
    restarted daemon must serve warm hits from an integrity-clean store.
+   The first reply is covered by the file's first write, the second by
+   an append to it.
    (A subprocess, not a fork: the OCaml 5 runtime with live worker
    domains cannot safely fork, and the store trusts only files written
    by the same executable.) *)
@@ -913,6 +1143,17 @@ let spawn_daemon_proc ~socket ?store_dir extra =
   Unix.close null;
   pid
 
+(* a failed check must not leave the spawned daemon running *)
+let killing_on_failure pid f =
+  match f () with
+  | () -> ()
+  | exception e ->
+    (try
+       Unix.kill pid Sys.sigkill;
+       ignore (Unix.waitpid [] pid)
+     with Unix.Unix_error _ -> ());
+    raise e
+
 let test_daemon_sigkill_recovery () =
   let socket = tmp_name "sigkill.sock" in
   let store_dir = tmp_name "sigkill-store" in
@@ -920,16 +1161,26 @@ let test_daemon_sigkill_recovery () =
   (if Sys.file_exists socket then Sys.remove socket);
   (if Sys.file_exists (socket ^ ".pid") then Sys.remove (socket ^ ".pid"));
   let pid1 = spawn_daemon_proc ~socket ~store_dir [ "--flush-every"; "1" ] in
-  (match Serve.Client.connect ~wait_s:30.0 socket with
+  killing_on_failure pid1 (fun () ->
+  match Serve.Client.connect ~wait_s:30.0 socket with
   | Error m -> Alcotest.fail m
   | Ok c ->
     (match Serve.Client.compile_source c ~label:"one" smoke_source with
     | Ok r -> Alcotest.(check int) "compiled before the crash" 2
                 (List.length r.co_verdicts)
     | Error m -> Alcotest.fail m);
+    (match Serve.Client.compile_source c ~label:"two" smoke_source2 with
+    | Ok r -> Alcotest.(check int) "second source compiled" 3
+                (List.length r.co_verdicts)
+    | Error m -> Alcotest.fail m);
+    (match Serve.Client.stats c with
+    | Ok json ->
+      Alcotest.(check bool) "the second reply is covered by an append" true
+        (contains json "\"appends\":1," && contains json "\"compactions\":1,")
+    | Error m -> Alcotest.fail ("stats: " ^ m));
     Serve.Client.close c);
-  (* the reply above is proof its facts were flushed (--flush-every 1
-     flushes before the response is queued).  Now crash hard. *)
+  (* the replies above are proof their facts were flushed (--flush-every
+     1 flushes before the response is queued).  Now crash hard. *)
   Unix.kill pid1 Sys.sigkill;
   ignore (Unix.waitpid [] pid1);
   Alcotest.(check bool) "pidfile left behind by SIGKILL" true
@@ -939,16 +1190,21 @@ let test_daemon_sigkill_recovery () =
   (* restart on the same socket and store: the stale pidfile and socket
      are recovered, the store loads clean, and the compile is warm *)
   let pid2 = spawn_daemon_proc ~socket ~store_dir [] in
-  (match Serve.Client.connect ~wait_s:30.0 socket with
+  killing_on_failure pid2 (fun () ->
+  match Serve.Client.connect ~wait_s:30.0 socket with
   | Error m -> Alcotest.fail m
   | Ok c ->
-    (match Serve.Client.compile_source c ~label:"warm" smoke_source with
-    | Ok r ->
-      Alcotest.(check bool) "restarted daemon serves warm hits" true
-        (r.co_shared_lookups > 0
-        && float_of_int r.co_shared_hits
-           >= 0.5 *. float_of_int r.co_shared_lookups)
-    | Error m -> Alcotest.fail m);
+    List.iter
+      (fun (label, src) ->
+        match Serve.Client.compile_source c ~label src with
+        | Ok r ->
+          Alcotest.(check bool) ("restarted daemon serves warm hits: " ^ label)
+            true
+            (r.co_shared_lookups > 0
+            && float_of_int r.co_shared_hits
+               >= 0.5 *. float_of_int r.co_shared_lookups)
+        | Error m -> Alcotest.fail m)
+      [ ("warm", smoke_source); ("warm2", smoke_source2) ];
     (match Serve.Client.stats c with
     | Ok json ->
       Alcotest.(check bool) "recovered store passed every integrity check"
@@ -1227,4 +1483,11 @@ let tests =
     ("daemon pipelined sessions in order", `Quick,
      test_daemon_pipelined_sessions);
     ("daemon budget reaches every loop verdict", `Quick,
-     test_daemon_budget_reaches_verdicts) ]
+     test_daemon_budget_reaches_verdicts);
+    ("store rejects a garbled length without allocating it", `Quick,
+     test_store_rejects_garbled_length);
+    ("store flush appends what changed", `Quick, test_store_flush_appends);
+    ("store compacts the first flush after a torn tail", `Quick,
+     test_store_torn_tail_then_append);
+    ("store compacts past twice the live bytes", `Quick,
+     test_store_compacts_past_twice_live) ]
