@@ -155,8 +155,8 @@ let explain_reuse_flag =
     value & flag
     & info [ "explain-reuse" ]
         ~doc:
-          "After compiling, print the per-pass table of analyses consumed, \
-           cache entries reused/computed and entries invalidated")
+          "After compiling, print the per-pass table of analyses consumed \
+           and cache entries reused/computed")
 
 let file_pos =
   Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Fortran source file")

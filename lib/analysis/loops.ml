@@ -28,7 +28,11 @@ let describe (s : stmt) (d : do_loop) : loop =
     step = (match d.step with None -> Some 1 | Some e -> Expr.int_val e);
     index = Symbolic.Atom.var d.index }
 
-let compute_nests (b : block) : nest list =
+(** All loops of a block with their enclosing-loop context (outermost
+    first), in source order.  A plain walk with no memo: a caller that
+    needs the nests of one block twice keeps the list, as
+    [Passes.Parallelize] does for each loop body it analyzes. *)
+let nests_of_block (b : block) : nest list =
   let acc = ref [] in
   let rec go context (b : block) =
     List.iter
@@ -48,13 +52,6 @@ let compute_nests (b : block) : nest list =
   in
   go [] b;
   List.rev !acc
-
-(** All loops of a block with their enclosing-loop context (outermost
-    first), in source order.  A demand-driven {!Manager} analysis:
-    memoized per physical block, so repeated queries on an undisturbed
-    body (within and across passes) walk it once. *)
-let nests_of_block : block -> nest list =
-  Manager.block_analysis ~name:"analysis.loops" compute_nests
 
 let nests_of_unit (u : Punit.t) = nests_of_block u.pu_body
 

@@ -9,9 +9,10 @@
     expression interning) key on what the IR {e says}, not on which
     physical records say it, so recompiling a program whose unit is
     unchanged re-hits every fact proved about that unit in an earlier
-    compile — only the edited unit pays for analysis.  The
-    physically-keyed {!Analysis.Manager} tables revalidate per entry
-    and recompute only for new IR.
+    compile — only the edited unit pays for analysis.  Facts that
+    name statements (loop nests, reaching definitions) live only as
+    long as the one loop analysis that computed them, so a warm
+    compile keeps no IR of an earlier compile alive.
 
     Soundness is not argued, it is measured: {!diverges} compares an
     incremental compile against a from-scratch compile ({!scratch}) of

@@ -36,17 +36,14 @@ type incident = {
 
 (** Per-pass analysis-reuse ledger entry: what the pass declared it
     consumes, and how the registered analysis caches behaved while it
-    ran (hit/miss/invalidation deltas from {!Util.Cachectl} and
-    {!Analysis.Manager}).  The raw material of [polaris
-    --explain-reuse]. *)
+    ran (hit/miss deltas from {!Util.Cachectl}).  The raw material of
+    [polaris --explain-reuse]. *)
 type pass_reuse = {
   pr_pass : string;               (** guarded pass name *)
   pr_consumes : string list;      (** analyses the pass declares it reads *)
   pr_cache : (string * int * int) list;
       (** (analysis, hits, misses) growth during the pass — caches
           with at least one lookup *)
-  pr_invalidated : (string * int) list;
-      (** (analysis, stale entries found) growth during the pass *)
 }
 
 type t = {
@@ -127,7 +124,6 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
    fun p f ->
     let pass = Pass_id.name p in
     let cache_base = Util.Cachectl.snapshot () in
-    let inval_base = Analysis.Manager.invalidation_snapshot () in
     let dirty : Fir.Punit.t list ref = ref [] in
     Fir.Program.set_touch_hook program
       (Some
@@ -155,11 +151,7 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
           pr_consumes = Pass_id.consumes p;
           pr_cache =
             Util.Cachectl.delta ~base:cache_base (Util.Cachectl.snapshot ())
-            |> List.filter (fun (_, h, m) -> h + m > 0);
-          pr_invalidated =
-            Analysis.Manager.invalidation_delta ~base:inval_base
-              (Analysis.Manager.invalidation_snapshot ())
-            |> List.filter (fun (_, n) -> n > 0) }
+            |> List.filter (fun (_, h, m) -> h + m > 0) }
         :: !reuse;
       obs pass;
       completed := (fun () -> ignore (f ())) :: !completed;

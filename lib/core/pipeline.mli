@@ -20,9 +20,9 @@
 
     {b Caches.}  [run]/[compile] scope {!Util.Cachectl.enabled} to
     [config.caches].  The compile-time caches can never serve results
-    derived from a rewritten-away program state: physically-keyed
-    analyses revalidate against unit versions, which every rewrite and
-    every rollback bumps, and the semantic caches are content-addressed. *)
+    derived from a rewritten-away program state: every cache is
+    content-addressed, and the one memo kept in the unit record (its
+    fingerprint) is dropped by every rewrite and every rollback. *)
 
 type loop_result = {
   unit_name : string;                      (** enclosing program unit *)
@@ -46,8 +46,6 @@ type pass_reuse = {
   pr_consumes : string list;      (** analyses the pass declares it reads *)
   pr_cache : (string * int * int) list;
       (** (analysis, hits, misses) growth during the pass *)
-  pr_invalidated : (string * int) list;
-      (** (analysis, stale entries found) growth during the pass *)
 }
 
 type t = {

@@ -183,7 +183,7 @@ let loop_fingerprint (l : Loops.loop) : loop_fingerprint =
    (verdict, step-cost) pair, so entries survive to the daemon's
    on-disk store and re-hit in later processes *)
 let verdict_cache : (verdict_key, verdict * int) Cache.t =
-  Cache.create ~name:"dep.verdict" ~persist:true ()
+  Cache.create ~name:"dep.verdict" ()
 
 (* ------------------------------------------------------------------ *)
 (* Analysis budgets                                                    *)

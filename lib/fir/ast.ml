@@ -45,11 +45,10 @@ type reduction_op = Rsum | Rprod | Rmax | Rmin
 type reduction_kind = Single_address | Histogram
 
 (** How a recognized reduction is implemented (paper §3.2, citing the
-    idiom-recognition paper): [Blocked] guards each update with a
-    synchronized region, [Private_copies] gives each processor a private
-    scalar merged at the end, [Expanded] expands an array reduction into
-    per-processor copies merged element-wise. *)
-type reduction_form = Blocked | Private_copies | Expanded
+    idiom-recognition paper): [Private_copies] gives each processor a
+    private scalar merged at the end, [Expanded] expands an array
+    reduction into per-processor copies merged element-wise. *)
+type reduction_form = Private_copies | Expanded
 
 type reduction = {
   red_var : string;

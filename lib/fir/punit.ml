@@ -11,8 +11,8 @@ type t = {
   mutable pu_version : int;
       (** per-unit invalidation counter: bumped by {!invalidate}
           (i.e. by [Program.touch] and {!restore}) every time a pass
-          announces it is about to mutate this unit.  Analyses cached
-          against a unit pin the version they were computed at. *)
+          announces it is about to mutate this unit.  The memoized
+          {!fingerprint} pins the version it was computed at. *)
   mutable pu_fp : (int * string) option;
       (** memoized {!fingerprint} and the version it was computed at *)
 }

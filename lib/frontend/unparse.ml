@@ -49,7 +49,6 @@ let directive (d : do_loop) =
           in
           let form =
             match r.red_form with
-            | Blocked -> "/BLOCKED"
             | Private_copies -> "/PRIVATE"
             | Expanded -> "/EXPANDED"
           in

@@ -1106,10 +1106,6 @@ and exec_do st fr sid (d : do_loop) body ~(index : Storage.binding) ~init ~step
             | Private_copies ->
               (* one private cell per processor, merged at the join *)
               st.cfg.machine.procs
-            | Blocked ->
-              (* no merge; the per-access synchronization is charged as
-                 if every iteration paid one merge-unit *)
-              trips
             | Expanded -> (
               match Symtab.find_opt fr.code.c_unit.pu_symtab r.red_var with
               | Some sym -> (

@@ -394,10 +394,6 @@ and exec_do_body st fr sid (d : do_loop) : outcome =
             | Private_copies ->
               (* one private cell per processor, merged at the join *)
               st.cfg.machine.procs
-            | Blocked ->
-              (* no merge; the per-access synchronization is charged as
-                 if every iteration paid one merge-unit *)
-              trips
             | Expanded -> (
               match Symtab.find_opt fr.unit_.pu_symtab r.red_var with
               | Some sym -> (

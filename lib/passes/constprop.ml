@@ -129,7 +129,7 @@ let rec prop_block (symtab : Symtab.t) (env : envmap) (b : block) :
 
 (** Run constant/copy propagation on a unit (in place).  The propagated
     body is built first, purely; the unit is only touched — and its
-    cached analyses only invalidated — when the result differs in
+    memoized fingerprint only dropped — when the result differs in
     content from the original (compared by sid-free block
     fingerprints). *)
 let run_unit (p : Program.t) (u : Punit.t) =

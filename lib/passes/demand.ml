@@ -70,20 +70,17 @@ let rec walk (symtab : Symtab.t) (env : defs) (b : block) ~target =
          | Continue | Return | Stop | Print _ -> env)
        env b)
 
-let compute_defs_at (u : Punit.t) ~(target : int) : defs =
+(** Scalar definitions visible (dominating, unkilled) at statement
+    [target] of unit [u], with PARAMETER bindings included.  Each call
+    walks the whole unit, so the privatizer takes the definitions as an
+    argument: {!Parallelize} walks them at most once per loop, on the
+    first array it tries to privatize, and hands the same list to every
+    later array of that loop. *)
+let defs_at (u : Punit.t) ~(target : int) : defs =
   let params = Punit.parameter_bindings u in
   match walk u.pu_symtab params u.pu_body ~target with
   | () -> params
   | exception Found env -> env
-
-(** Scalar definitions visible (dominating, unkilled) at statement
-    [target] of unit [u], with PARAMETER bindings included.  Each
-    computation walks the whole unit, and the privatizer asks once per
-    candidate array per loop — so this is a point-scoped
-    {!Analysis.Manager} analysis, memoized per (unit, statement) until
-    the unit is touched. *)
-let defs_at : Punit.t -> target:int -> defs =
-  Analysis.Manager.point_analysis ~name:"passes.demand" compute_defs_at
 
 (* ------------------------------------------------------------------ *)
 (* The prover                                                          *)

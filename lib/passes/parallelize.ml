@@ -23,10 +23,9 @@ module Defuse = Analysis.Defuse
 type mode = Polaris | Baseline
 
 (** Analyses this pass consumes (by {!Util.Cachectl} cache name); the
-    pipeline records them against the manager's counters for
+    pipeline records them against the cache counters for
     [--explain-reuse]. *)
-let consumes =
-  [ "analysis.loops"; "range_prop.env_at"; "dep.verdict"; "passes.demand" ]
+let consumes = [ "range_prop.env_at"; "dep.verdict" ]
 
 type loop_report = {
   loop_index : string;
@@ -100,16 +99,14 @@ let analyze_nest ~(mode : mode) (u : Punit.t) (outer_env : Range.env)
        reduction statements it can prove free of loop-carried
        dependences — e.g. element-wise updates A(I) = A(I) + x, which
        need no merge at all *)
+    let inner_nests = Loops.nests_of_block body in
     let env0 = Loops.nest_env ~outer_env nest in
     let env0 =
       List.fold_left
         (fun env n -> Loops.nest_env ~outer_env:env n)
-        env0
-        (Loops.nests_of_block body)
+        env0 inner_nests
     in
-    let inner0 =
-      Loops.nests_of_block body |> List.map (fun n -> Loops.innermost n)
-    in
+    let inner0 = List.map Loops.innermost inner_nests in
     let all_accesses = Access.of_block body in
     let body_writes0 =
       List.filter_map
@@ -189,6 +186,10 @@ let analyze_nest ~(mode : mode) (u : Punit.t) (outer_env : Range.env)
          unanalyzable *)
       let body_writes = body_writes0 in
       let method_ = method0 in
+      (* the reaching definitions the privatizer's demand proofs
+         substitute: one walk of the unit, taken on the first array
+         that needs it and shared by the rest of this loop's arrays *)
+      let defs = lazy (Demand.defs_at u ~target:target.stmt.sid) in
       let privates = ref private_scalars in
       let lastprivates = ref [] in
       let failed = ref None in
@@ -236,8 +237,8 @@ let analyze_nest ~(mode : mode) (u : Punit.t) (outer_env : Range.env)
                 failed := Some (Fmt.str "%s: %s" name why)
               | Polaris -> (
                 match
-                  Privatize.analyze ~unit_:u ~outer_env ~loop_sid:target.stmt.sid
-                    ~d ~array:name
+                  Privatize.analyze ~unit_:u ~outer_env
+                    ~defs:(Lazy.force defs) ~d ~array:name
                 with
                 | Ok ()
                   when Privatize.needs_copy_out ~unit_:u ~d ~array:name

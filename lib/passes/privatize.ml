@@ -529,10 +529,13 @@ let rec walk st env (b : block) : region list =
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 
-(** Is [array] privatizable for the loop [stmt_sid]/[d] of unit [u]?
-    [outer_env] carries facts holding at the loop (range propagation).
-    Returns [Ok ()] or [Error reason]. *)
-let analyze ~(unit_ : Punit.t) ~(outer_env : Range.env) ~(loop_sid : int)
+(** Is [array] privatizable for the loop [d] of unit [u]?
+    [outer_env] carries facts holding at the loop (range propagation),
+    and [defs] the scalar definitions reaching it
+    ([Demand.defs_at unit_ ~target:] the loop's statement id), which
+    the demand-driven proofs substitute.  Returns [Ok ()] or
+    [Error reason]. *)
+let analyze ~(unit_ : Punit.t) ~(outer_env : Range.env) ~(defs : Demand.defs)
     ~(d : do_loop) ~(array : string) : (unit, string) result =
   (* privatization exists to break the anti/flow dependences of a
      temporary: an array never read in the loop has only output
@@ -558,9 +561,8 @@ let analyze ~(unit_ : Punit.t) ~(outer_env : Range.env) ~(loop_sid : int)
         (Stmt.exprs_of s))
     d.body;
   let env = Range_prop.enter_loop outer_env d in
-  let ddefs = Demand.defs_at unit_ ~target:loop_sid in
   let st =
-    { array; unit_; ddefs; defs = []; exacts = []; subst = [];
+    { array; unit_; ddefs = defs; defs = []; exacts = []; subst = [];
       facts = detect_facts unit_.pu_symtab env d.body; failure = None }
   in
   ignore (walk st env d.body);

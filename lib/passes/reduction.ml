@@ -142,9 +142,7 @@ let find (symtab : Symtab.t) (body : block) : found list =
         in
         let is_array = List.exists (fun (_, subs, _) -> subs <> []) infos in
         (* form selection (paper §3.2 / idiom-recognition paper): private
-           copies for scalars, expansion for arrays; the blocked form is
-           kept for completeness but loses to both on the simulated
-           machine, matching the cited evaluation *)
+           copies for scalars, expansion for arrays *)
         let form = if is_array then Expanded else Private_copies in
         { red =
             { red_var = v; red_op = op;

@@ -35,18 +35,14 @@ let render_verdicts (o : Core.Incremental.outcome) : string list =
         v.v_reason)
     o.oc_verdicts
 
-(* hit/miss growth of the persistent (shared) caches across [f] *)
-let with_shared_delta f =
+(* (hits, lookups) of the persistent (shared) caches in one compile's
+   counter delta *)
+let shared_counts (st : Core.Incremental.stats) =
   let shared = Util.Cachectl.persistent_names () in
-  let base = Util.Cachectl.snapshot () in
-  let r = f () in
-  let d =
-    Util.Cachectl.delta ~base (Util.Cachectl.snapshot ())
-    |> List.filter (fun (n, _, _) -> List.mem n shared)
-  in
-  let hits = List.fold_left (fun a (_, h, _) -> a + h) 0 d in
-  let misses = List.fold_left (fun a (_, _, m) -> a + m) 0 d in
-  (r, hits, hits + misses)
+  List.fold_left
+    (fun (h, l) (n, hits, misses) ->
+      if List.mem n shared then (h + hits, l + hits + misses) else (h, l))
+    (0, 0) st.st_tracked
 
 (** Compile [source] incrementally (warm caches), optionally verifying
     against a from-scratch compile.  [config]'s budget bounds each loop
@@ -60,10 +56,9 @@ let compile_source ?strict ?(check = false)
     ?(backend = Backend.Registry.default) (config : Core.Config.t)
     (source : string) : compiled =
   let t0 = Unix.gettimeofday () in
-  let (result : Core.Incremental.result), lc_shared_hits, lc_shared_lookups =
-    with_shared_delta (fun () -> Core.Incremental.compile ?strict config source)
-  in
+  let result = Core.Incremental.compile ?strict config source in
   let lc_wall_s = Unix.gettimeofday () -. t0 in
+  let lc_shared_hits, lc_shared_lookups = shared_counts result.stats in
   let lc_check_divergences =
     if not check then []
     else

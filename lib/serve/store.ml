@@ -3,7 +3,7 @@
     A size-bounded, integrity-checked, LRU-evicted on-disk mirror of
     the content-addressed semantic caches ([dep.verdict],
     [range_prop.env_at], [poly.of_expr], [compare.*] — every
-    {!Symbolic.Cache} created with [~persist:true]).  Installed as the
+    {!Symbolic.Cache}).  Installed as the
     {!Util.Cachectl.backing} store, it makes analysis facts {e shared}
     across client sessions (they already share the in-process tables)
     and {e persistent} across daemon restarts: a warm daemon re-proves

@@ -1,15 +1,14 @@
 (** Memoization tables for the symbolic layer (and the dependence
     driver, which reuses them through this module).
 
-    Three disciplines, in increasing order of care:
+    Every table is content-addressed: the key determines the result,
+    so an entry can never go stale and there is nothing to invalidate.
+    Two disciplines:
 
     - {!memo}: plain memoization of a pure function.  Sound whenever the
       key determines the result and the result is immutable — e.g.
-      [Poly.of_expr], whose input is an immutable expression tree.
-    - {!memo_validated}: memoization with a per-entry validity probe,
-      for facts derived from mutable IR.  The caller stores enough
-      context in the entry to recognize staleness (e.g. [Range_prop]
-      pins the physical block it walked and revalidates with [==]).
+      [Poly.of_expr], whose input is an immutable expression tree, or
+      [Range_prop.env_at], keyed on the unit's content fingerprint.
     - {!memo_budgeted}: memoization of a computation that spends from a
       {!Util.Budget}.  Entries record the step cost of the original
       computation; a hit is taken only when the recorded cost is
@@ -27,8 +26,7 @@
     {!Util.Cachectl.merge_shards} at a sequential point and the shards
     are promoted into the shared store
     ([Hashtbl.replace]: a shard entry supersedes a shared one — values
-    for equal keys are equal by the purity discipline, and validated
-    caches prefer the fresher entry; either way the choice is
+    for equal keys are equal by the purity discipline, so the choice is
     invisible).  The only cross-domain nondeterminism is {e which}
     lookups hit — and hits and misses yield identical values and
     identical budget decisions, so only wall time can differ.
@@ -36,8 +34,9 @@
     All lookups are gated on {!Util.Cachectl.enabled}; in
     {!Util.Cachectl.debug} mode every hit is cross-checked against a
     fresh computation and {!Util.Cachectl.Debug_mismatch} is raised on
-    divergence (the debug recomputation may spend extra budget, so debug
-    runs trade exact budget accounting for the stronger check).
+    divergence by structural equality (the debug recomputation may
+    spend extra budget, so debug runs trade exact budget accounting for
+    the stronger check).
 
     Keys are hashed with the polymorphic [Hashtbl.hash] (bounded depth)
     and compared structurally, which is exact for the key shapes used
@@ -54,20 +53,15 @@ type ('k, 'v) t = {
       (** per-{!Util.Pool.slot} miss tables, created on demand during a
           phase and drained by the registered merge hook *)
   stats : Cachectl.stats;
-  equal_result : 'v -> 'v -> bool;
-  persist : bool;
-      (** entries are content-addressed pure data: mirror them in the
-          {!Util.Cachectl.backing} store when one is installed *)
 }
 
-(** [create ~name ()] registers a cache with {!Util.Cachectl} under
-    [name].  [equal_result] (default structural [=]) is only used by the
-    debug cross-check.  [persist] declares every entry a pure function
-    of a content-addressed key (no physical pointers, no validity
-    probe), so the entry may be spilled to a backing store and reloaded
-    by a {e different process} — only caches whose keys fingerprint the
-    IR content qualify. *)
-let create ~name ?(persist = false) ?(equal_result = fun a b -> a = b) () =
+(** [create ~name ()] registers a persistent cache with
+    {!Util.Cachectl} under [name].  Keys and entries must be pure data
+    free of physical pointers and statement ids, so that an entry may
+    be spilled to the {!Util.Cachectl.backing} store and reloaded by a
+    {e different process}: only keys that fingerprint the IR content
+    qualify. *)
+let create ~name () =
   let table = Hashtbl.create 1024 in
   let shards = Array.make Pool.max_jobs None in
   let clear_shards () = Array.fill shards 0 (Array.length shards) None in
@@ -80,13 +74,13 @@ let create ~name ?(persist = false) ?(equal_result = fun a b -> a = b) () =
     clear_shards ()
   in
   let stats =
-    Cachectl.register ~name ~merge ~persist
+    Cachectl.register ~name ~merge ~persist:true
       ~clear:(fun () ->
         Hashtbl.reset table;
         clear_shards ())
       ()
   in
-  { name; table; shards; stats; equal_result; persist }
+  { name; table; shards; stats }
 
 (* shard table of the current task's slot, created on first write.
    Only ever touched from that slot's domain while the phase runs, and
@@ -107,12 +101,9 @@ let key_bytes key = Marshal.to_string key [ Marshal.No_sharing ]
 
 (* Shard-first: a slotted task consults its private shard before the
    shared tier.  The shard holds exactly what this slot wrote since the
-   last merge — the hottest entries for the work it is doing — and for
-   validated caches it holds the {e fresh} recomputation of any entry
-   whose shared copy went stale (shared-first would re-fail the stale
-   entry's probe on every lookup and recompute forever within the
-   phase).  The shared tier is the read-mostly second level, promoted
-   from the shards at batch boundaries; the backing store, when one is
+   last merge — the hottest entries for the work it is doing.  The
+   shared tier is the read-mostly second level, promoted from the
+   shards at batch boundaries; the backing store, when one is
    installed, is the third ({!backing_of}). *)
 let find_local c key =
   match Pool.slot () with
@@ -126,23 +117,23 @@ let find_local c key =
     | Some _ as r -> r
     | None -> Hashtbl.find_opt c.table key)
 
-let put add c key v =
+(* every [put] follows a miss in the local tiers, so [add] never
+   shadows a binding and skips [replace]'s walk of the chain *)
+let put c key v =
   match Pool.slot () with
-  | None -> add c.table key v
-  | Some i -> add (shard c i) key v
+  | None -> Hashtbl.add c.table key v
+  | Some i -> Hashtbl.add (shard c i) key v
 
-(* A persistent cache's way into the installed backing store (daemon
-   persistence): the store and the key's canonical bytes.  Called only
-   after the local tiers missed, and the bytes serve both the store
-   lookup and the write-through of the recomputed entry, so a memo
-   call marshals its key at most once.  [None] — no allocation — when
-   the cache is not persistent or no store is installed. *)
-let backing_of c key =
-  if not c.persist then None
-  else
-    match !Cachectl.backing with
-    | None -> None
-    | Some bk -> Some (bk, key_bytes key)
+(* The way into the installed backing store (daemon persistence): the
+   store and the key's canonical bytes.  Called only after the local
+   tiers missed, and the bytes serve both the store lookup and the
+   write-through of the recomputed entry, so a memo call marshals its
+   key at most once.  [None] — no allocation — when no store is
+   installed. *)
+let backing_of key =
+  match !Cachectl.backing with
+  | None -> None
+  | Some bk -> Some (bk, key_bytes key)
 
 (* A store hit is promoted into this process's table — or,
    mid-parallel-phase, into the task's shard, since the shared table is
@@ -157,7 +148,7 @@ let backing_find c key (bk, kb) =
   | Some data -> (
     match (Marshal.from_string data 0 : 'v) with
     | v ->
-      put Hashtbl.replace c key v;
+      put c key v;
       Some v
     | exception _ -> None)
 
@@ -168,21 +159,18 @@ let write_through c (bk, kb) v =
   bk.Cachectl.bk_insert ~name:c.name ~key:kb ~data:(Marshal.to_string v [])
 
 let check_debug c v compute =
-  if !Cachectl.debug then begin
-    let fresh = compute () in
-    if not (c.equal_result v fresh) then
-      raise (Cachectl.Debug_mismatch c.stats.Cachectl.cs_name)
-  end
+  if !Cachectl.debug && v <> compute () then
+    raise (Cachectl.Debug_mismatch c.stats.Cachectl.cs_name)
 
 let served c v compute =
   Cachectl.hit c.stats;
   check_debug c v compute;
   v
 
-let computed add c key compute =
+let computed c key compute =
   Cachectl.miss c.stats;
   let v = compute () in
-  put add c key v;
+  put c key v;
   v
 
 let memo c key compute =
@@ -191,28 +179,15 @@ let memo c key compute =
     match find_local c key with
     | Some v -> served c v compute
     | None -> (
-      match backing_of c key with
-      | None -> computed Hashtbl.add c key compute
+      match backing_of key with
+      | None -> computed c key compute
       | Some b -> (
         match backing_find c key b with
         | Some v -> served c v compute
         | None ->
-          let v = computed Hashtbl.add c key compute in
+          let v = computed c key compute in
           write_through c b v;
           v))
-
-(** [memo_validated c key ~valid compute]: like {!memo}, but an entry is
-    only served while [valid entry] holds; an invalid entry is replaced
-    by a fresh computation (counted as a miss).  An entry that needs a
-    validity probe is not content-addressed, so a validated cache is
-    never persistent ({!create}) and never consults the backing
-    store. *)
-let memo_validated c key ~valid compute =
-  if not !Cachectl.enabled then compute ()
-  else
-    match find_local c key with
-    | Some v when valid v -> served c v compute
-    | _ -> computed Hashtbl.replace c key compute
 
 (* a found entry [(v, steps)] is served only when its recorded cost is
    affordable, and then replays the exact spend *)
@@ -220,11 +195,7 @@ let replayed c ~budget (v, steps) compute =
   if Budget.afford budget steps then begin
     ignore (Budget.spend budget steps : bool);
     Cachectl.hit c.stats;
-    if !Cachectl.debug then begin
-      let fresh = compute () in
-      if not (c.equal_result (v, steps) (fresh, steps)) then
-        raise (Cachectl.Debug_mismatch c.stats.Cachectl.cs_name)
-    end;
+    check_debug c v compute;
     v
   end
   else
@@ -241,7 +212,7 @@ let budgeted c ~budget key compute b =
   let v = compute () in
   if (not exhausted0) && not (Budget.exhausted budget) then begin
     let entry = (v, Budget.used budget - used0) in
-    put Hashtbl.add c key entry;
+    put c key entry;
     match b with Some b -> write_through c b entry | None -> ()
   end;
   v
@@ -255,7 +226,7 @@ let memo_budgeted c ~(budget : Budget.t) key compute =
     match find_local c key with
     | Some entry -> replayed c ~budget entry compute
     | None -> (
-      match backing_of c key with
+      match backing_of key with
       | None -> budgeted c ~budget key compute None
       | Some b as store -> (
         match backing_find c key b with

@@ -31,11 +31,11 @@ let elim_cache :
     ( int * bool * [ `Min | `Max ] * Poly.t * Atom.t list * Range.env,
       (Poly.t, Poly.t) result * int )
     Cache.t =
-  Cache.create ~name:"compare.eliminate" ~persist:true ()
+  Cache.create ~name:"compare.eliminate" ()
 
 let mono_cache :
     (int * Atom.t * Poly.t * Range.env, monotonicity * int) Cache.t =
-  Cache.create ~name:"compare.monotonicity" ~persist:true ()
+  Cache.create ~name:"compare.monotonicity" ()
 
 (* atoms to try eliminating, in environment order (innermost scope
    first), duplicates removed *)

@@ -223,7 +223,7 @@ let integer_valued (p : t) =
 open Fir
 
 let of_expr_cache : (Ast.expr, t) Cache.t =
-  Cache.create ~name:"poly.of_expr" ~persist:true ()
+  Cache.create ~name:"poly.of_expr" ()
 
 (** Translate an expression to a polynomial.  Non-polynomial structure
     (array elements, calls, symbolic powers, division by a non-constant)

@@ -222,7 +222,7 @@ let ordinal_of (u : Punit.t) ~(target : int) : int =
   !found
 
 let env_cache : (string * int, Range.env) Cache.t =
-  Cache.create ~name:"range_prop.env_at" ~persist:true ()
+  Cache.create ~name:"range_prop.env_at" ()
 
 (** Range environment holding at statement [target] (by statement id)
     of unit [u]; for a DO statement this is the environment inside its

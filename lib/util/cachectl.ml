@@ -9,10 +9,11 @@
       environment turns every cache off (the baseline the cache
       tests compare against); [Core.Config.caches] scopes the
       switch per compilation.
-    - Invalidation is per entry: physically-keyed analyses revalidate
-      through {!Analysis.Manager}'s unit-version and block-identity
-      probes, and the semantic caches are content-addressed, so a pass
-      rewrite or a fault rollback can never be served a stale fact.
+    - There is no invalidation: every cache is content-addressed (its
+      key determines its fact), so a pass rewrite or a fault rollback
+      can never be served a stale fact.  The one memo that depends on
+      mutable IR, [Punit.fingerprint], lives in the unit record and
+      checks the unit's version.
     - {!debug} ([POLARIS_CACHE_DEBUG=1]) makes every cache hit
       cross-check against a fresh computation and raise
       {!Debug_mismatch} on divergence; this is the belt-and-braces mode
@@ -23,13 +24,11 @@
       benchmark reset the tables between compiles via {!clear_all}.
 
     Soundness contract: a cache may only consult its table when
-    [!enabled] is true, must guarantee a stale entry can never hit when
-    the cached fact depends on mutable IR (a per-entry validity probe
-    as in {!Analysis.Manager}, or a content-addressed key), and — when
-    the computation
-    spends from a {!Budget} — must record the step cost and replay it on
-    hits ([Budget.afford] + [Budget.spend]) so cached and uncached runs
-    make byte-identical budget decisions. *)
+    [!enabled] is true, must key on content (never on a statement id
+    or a physical record, whose fact a rewrite could change), and —
+    when the computation spends from a {!Budget} — must record the step
+    cost and replay it on hits ([Budget.afford] + [Budget.spend]) so
+    cached and uncached runs make byte-identical budget decisions. *)
 
 (* hit/miss counters are atomics: during a parallel phase ({!Pool})
    every worker domain bumps them concurrently.  They are telemetry,

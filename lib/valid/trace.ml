@@ -41,8 +41,8 @@ type t = {
   tr_incidents : Core.Pipeline.incident list;
       (** contained pass failures (fail-safe rollbacks) during the run *)
   tr_reuse : Core.Pipeline.pass_reuse list;
-      (** per-pass analysis consumption/reuse/invalidation, from the
-          analysis manager's counters via the pipeline ledger *)
+      (** per-pass analysis consumption and reuse, from the cache
+          counters via the pipeline ledger *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -256,22 +256,14 @@ let to_json (t : t) : string =
                Json.obj
                  [ ("pass", Json.str r.pr_pass);
                    ("consumes", Json.arr (List.map Json.str r.pr_consumes));
-                   ("analyses", cache_json r.pr_cache);
-                   ( "invalidated",
-                     Json.arr
-                       (List.map
-                          (fun (name, n) ->
-                            Json.obj
-                              [ ("analysis", Json.str name);
-                                ("entries", Json.int n) ])
-                          r.pr_invalidated) ) ])
+                   ("analyses", cache_json r.pr_cache) ])
              t.tr_reuse) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* The --explain-reuse table                                           *)
 
-(** Per-pass table of analyses consumed / reused / invalidated, from
-    the pipeline's reuse ledger ([polaris --explain-reuse]). *)
+(** Per-pass table of analyses consumed / reused / computed, from the
+    pipeline's reuse ledger ([polaris --explain-reuse]). *)
 let pp_reuse_table ppf (reuse : Core.Pipeline.pass_reuse list) =
   Fmt.pf ppf "analysis reuse by pass:@.";
   List.iter
@@ -280,21 +272,8 @@ let pp_reuse_table ppf (reuse : Core.Pipeline.pass_reuse list) =
         (if r.pr_consumes = [] then "-" else String.concat ", " r.pr_consumes);
       List.iter
         (fun (name, hits, misses) ->
-          let invalidated =
-            Option.value ~default:0 (List.assoc_opt name r.pr_invalidated)
-          in
-          Fmt.pf ppf "    %-22s %7d reused %7d computed%s@." name hits misses
-            (if invalidated > 0 then
-               Fmt.str " %7d invalidated" invalidated
-             else ""))
-        r.pr_cache;
-      (* invalidations in analyses that had no lookup still matter *)
-      List.iter
-        (fun (name, n) ->
-          if not (List.exists (fun (c, _, _) -> c = name) r.pr_cache) then
-            Fmt.pf ppf "    %-22s %7s        %7s          %7d invalidated@."
-              name "-" "-" n)
-        r.pr_invalidated)
+          Fmt.pf ppf "    %-22s %7d reused %7d computed@." name hits misses)
+        r.pr_cache)
     reuse
 
 let pp ppf (t : t) =

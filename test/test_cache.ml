@@ -82,10 +82,8 @@ let test_suite_codes () =
 
 (* a cache that never hits when the suite is compiled twice is dead
    weight: a key-design bug (as the original generation+sid [env_at] key
-   was), not a tuning matter.  Every registered cache must hit: the
-   content-addressed ones across the two compiles, and the physically
-   keyed analyses ([analysis.loops], [passes.demand]) within one
-   compile, where their IR is still alive. *)
+   was), not a tuning matter.  Every registered cache is
+   content-addressed, so every one must hit across the two compiles. *)
 let test_no_dead_cache () =
   Util.Cachectl.clear_all ();
   for _ = 1 to 2 do
@@ -103,6 +101,34 @@ let test_no_dead_cache () =
         Alcotest.failf "dead cache %s: 0 hits in %d lookups" name misses)
     caches;
   Util.Cachectl.clear_all ()
+
+(* Warm recompiles must not pin the IR of earlier compiles.  Statement
+   ids are fresh in every compile, so a table keyed on them is never
+   hit again once its compile is over, and each entry it keeps is dead
+   IR for the life of the process — the daemon's and `polaris serve`'s.
+   With the caches warm from three rounds of the 16 codes through the
+   incremental path, ten more rounds may grow the live heap by at most
+   10,000 words; per-statement memo tables grew it by about 250,000. *)
+let test_warm_heap_flat () =
+  let config = Core.Config.polaris () in
+  let round () =
+    List.iter
+      (fun (c : Suite.Code.t) ->
+        ignore (Core.Incremental.compile config c.source))
+      Suite.Registry.all
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  Util.Cachectl.clear_all ();
+  Fun.protect ~finally:Util.Cachectl.clear_all @@ fun () ->
+  for _ = 1 to 3 do round () done;
+  let before = live_words () in
+  for _ = 1 to 10 do round () done;
+  let growth = live_words () - before in
+  if growth > 10_000 then
+    Alcotest.failf "10 warm rounds grew the live heap by %d words" growth
 
 (* the debug cross-check (POLARIS_CACHE_DEBUG): in debug mode every hit
    of a semantic cache is recomputed and compared, and a difference
@@ -230,4 +256,6 @@ let tests =
     ("rollback: cached vs uncached", `Quick,
      test_rollback_cached_vs_uncached);
     ("chaos plan with caches on", `Quick, test_chaos_plan_with_caches);
-    ("budget afford/used", `Quick, test_budget_afford_used) ]
+    ("budget afford/used", `Quick, test_budget_afford_used);
+    ("warm recompiles keep no earlier compile alive", `Quick,
+     test_warm_heap_flat) ]

@@ -449,7 +449,8 @@ let privatizable src array =
   let nest = List.hd (Analysis.Loops.nests_of_unit u) in
   let target = Analysis.Loops.innermost nest in
   let outer_env = Symbolic.Range_prop.env_at u ~target:target.Analysis.Loops.stmt.sid in
-  Passes.Privatize.analyze ~unit_:u ~outer_env ~loop_sid:target.Analysis.Loops.stmt.sid
+  let defs = Passes.Demand.defs_at u ~target:target.Analysis.Loops.stmt.sid in
+  Passes.Privatize.analyze ~unit_:u ~outer_env ~defs
     ~d:target.Analysis.Loops.dloop ~array
 
 let test_privatize_simple () =
