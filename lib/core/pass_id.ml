@@ -39,15 +39,15 @@ let doc = function
   | Deadcode -> "remove dead scalar assignments"
   | Parallelize -> "prove DOALLs: range test, privatization, reductions, LRPD"
 
-(** Analyses the pass declares it consumes, by {!Util.Cachectl} cache
-    name — re-exported from the pass modules so the declaration lives
-    with the pass. *)
-let consumes = function
-  | Inline -> Passes.Inline.consumes
-  | Constprop | Constprop2 -> Passes.Constprop.consumes
+(** The caches the pass looks up under the parallelizer's [mode], by
+    {!Util.Cachectl} cache name — re-exported from the pass modules
+    that look any up, so the declaration lives with the pass.  Inlining,
+    propagation and dead-code removal rewrite statements without
+    consulting a cache (expressions are interned at parse). *)
+let consumes mode = function
+  | Inline | Constprop | Constprop2 | Deadcode -> []
   | Induction -> Passes.Induction.consumes
-  | Deadcode -> Passes.Deadcode.consumes
-  | Parallelize -> Passes.Parallelize.consumes
+  | Parallelize -> Passes.Parallelize.consumes mode
 
 (** The fail-safe capability the guard disables when the pass faults.
     Both propagation rounds share ["constprop"]: a crashed first round
@@ -60,12 +60,15 @@ let disables = function
   | Parallelize -> "parallelize"
 
 (** The [polaris list-passes] listing: every pass in order, with its
-    metadata. *)
+    metadata (the caches it looks up in the default, Polaris,
+    configuration). *)
 let pp_passes ppf () =
   let entry ppf p =
     Fmt.pf ppf "%-12s %s@,%-12s   consumes: %s@,%-12s   disables-on-fault: %s"
       (name p) (doc p) ""
-      (match consumes p with [] -> "-" | cs -> String.concat ", " cs)
+      (match consumes Passes.Parallelize.Polaris p with
+      | [] -> "-"
+      | cs -> String.concat ", " cs)
       "" (disables p)
   in
   Fmt.pf ppf "@[<v>%a@]@." (Fmt.list ~sep:Fmt.cut entry) all

@@ -148,7 +148,7 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
     | v ->
       reuse :=
         { pr_pass = pass;
-          pr_consumes = Pass_id.consumes p;
+          pr_consumes = Pass_id.consumes config.mode p;
           pr_cache =
             Util.Cachectl.delta ~base:cache_base (Util.Cachectl.snapshot ())
             |> List.filter (fun (_, h, m) -> h + m > 0) }

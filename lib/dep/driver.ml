@@ -179,11 +179,34 @@ type verdict_key = {
 let loop_fingerprint (l : Loops.loop) : loop_fingerprint =
   (l.index, l.lo, l.hi, l.step)
 
+(* every part of the key enters its hash: the loop structure alone
+   takes 143 values over the whole suite *)
+module Verdict_cache = Cache.Make (struct
+  type t = verdict_key
+
+  let mix = Fir.Expr.hash_combine
+  let poly h p = mix h (Poly.hash p)
+  let name h n = mix h (Hashtbl.hash n)
+
+  let loop h ((a, lo, hi, step) : loop_fingerprint) =
+    mix (poly (poly (mix h (Atom.hash a)) lo) hi) (Hashtbl.hash step)
+
+  let access h (array, kind, subs) =
+    List.fold_left poly (mix (name h array) (Hashtbl.hash kind)) subs
+
+  let hash k =
+    let h = List.fold_left loop (Hashtbl.hash k.vk_method) k.vk_enclosing in
+    let h = List.fold_left loop (loop h k.vk_target) k.vk_inner in
+    let h = List.fold_left access h k.vk_accesses in
+    let h = List.fold_left name (List.fold_left name h k.vk_assigned) k.vk_written in
+    mix h (Range.hash k.vk_env)
+end)
+
 (* persist: the key is a pure content fingerprint and the value a pure
    (verdict, step-cost) pair, so entries survive to the daemon's
    on-disk store and re-hit in later processes *)
-let verdict_cache : (verdict_key, verdict * int) Cache.t =
-  Cache.create ~name:"dep.verdict" ()
+let verdict_cache : (verdict * int) Verdict_cache.t =
+  Verdict_cache.create ~name:"dep.verdict" ~persist:true ()
 
 (* ------------------------------------------------------------------ *)
 (* Analysis budgets                                                    *)
@@ -408,7 +431,7 @@ let array_deps ?budget ~(method_ : method_) ~(symtab : Fir.Symtab.t)
       vk_env = env }
   in
   let verdict =
-    Cache.memo_budgeted verdict_cache ~budget key (fun () ->
+    Verdict_cache.memo_budgeted verdict_cache ~budget key (fun () ->
         (* soundness: reject unanalyzable subscripts *)
         let issue =
           List.fold_left

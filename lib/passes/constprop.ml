@@ -148,8 +148,5 @@ let run_unit (p : Program.t) (u : Punit.t) =
     Consistency.check_unit u
   end
 
-(** Analyses this pass consumes (for the pipeline's reuse ledger). *)
-let consumes = [ "fir.intern" ]
-
 let run (p : Program.t) =
   List.iter (fun u -> run_unit p u) (Program.units p)

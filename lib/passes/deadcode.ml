@@ -89,10 +89,5 @@ let run_unit (p : Program.t) (u : Punit.t) : int =
     !rounds
   end
 
-(** Analyses this pass consumes (for the pipeline's reuse ledger): it
-    reads raw statements only, so it disturbs nothing it does not
-    rewrite — in particular it must never flush dependence verdicts. *)
-let consumes = [ "fir.intern" ]
-
 let run (p : Program.t) : int =
   Util.Listx.sum_by (fun u -> run_unit p u) (Program.units p)

@@ -636,9 +636,10 @@ let run_unit ?(generalized = true) (p : Program.t) (u : Punit.t) :
   end;
   List.rev report.substituted
 
-(** Analyses this pass consumes (for the pipeline's reuse ledger):
-    candidate recognition leans on the symbolic layer's memo tables. *)
-let consumes = [ "fir.intern"; "poly.of_expr"; "compare.eliminate" ]
+(** The caches this pass looks up (for the pipeline's reuse ledger):
+    candidate recognition lifts increments and loop bounds to
+    polynomials. *)
+let consumes = [ "poly.of_expr" ]
 
 let run ?(generalized = true) (p : Program.t) : (string * string) list =
   List.concat_map (fun u -> run_unit ~generalized p u) (Program.units p)

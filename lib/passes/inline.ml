@@ -399,9 +399,6 @@ let has_expandable_call (p : Program.t) (u : Punit.t) =
       | _ -> false)
     u.pu_body
 
-(** Analyses this pass consumes (for the pipeline's reuse ledger). *)
-let consumes = [ "fir.intern" ]
-
 (** Expand subroutine calls in every unit of the program (each unit is
     its own "top-level routine" in the paper's sense). *)
 let run (p : Program.t) : stats =

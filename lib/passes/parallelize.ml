@@ -22,10 +22,16 @@ module Defuse = Analysis.Defuse
 
 type mode = Polaris | Baseline
 
-(** Analyses this pass consumes (by {!Util.Cachectl} cache name); the
-    pipeline records them against the cache counters for
-    [--explain-reuse]. *)
-let consumes = [ "range_prop.env_at"; "dep.verdict" ]
+(** The caches this pass looks up in [mode], by {!Util.Cachectl} name;
+    the pipeline records them against the cache counters for
+    [--explain-reuse].  The baseline's GCD/Banerjee tests and scalar
+    privatization never reach the [Compare] engine. *)
+let consumes = function
+  | Polaris ->
+    [ "punit.fingerprint"; "poly.of_expr"; "range_prop.env_at";
+      "compare.eliminate"; "compare.monotonicity"; "dep.verdict" ]
+  | Baseline ->
+    [ "punit.fingerprint"; "poly.of_expr"; "range_prop.env_at"; "dep.verdict" ]
 
 type loop_report = {
   loop_index : string;

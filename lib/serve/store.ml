@@ -1,9 +1,10 @@
 (** The daemon's persistent analysis store.
 
     A size-bounded, integrity-checked, LRU-evicted on-disk mirror of
-    the content-addressed semantic caches ([dep.verdict],
-    [range_prop.env_at], [poly.of_expr], [compare.*] — every
-    {!Symbolic.Cache}).  Installed as the
+    the persistent content-addressed semantic caches ([dep.verdict],
+    [range_prop.env_at], [poly.of_expr]: every {!Symbolic.Cache}
+    created with [~persist:true]; the [compare.*] proof tables stay in
+    memory).  Installed as the
     {!Util.Cachectl.backing} store, it makes analysis facts {e shared}
     across client sessions (they already share the in-process tables)
     and {e persistent} across daemon restarts: a warm daemon re-proves

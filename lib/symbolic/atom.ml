@@ -28,6 +28,13 @@ let compare (a : t) (b : t) =
 
 let equal a b = compare a b = 0
 
+(** Hash of the atom's content, equal for atoms {!equal} identifies: a
+    variable hashes its whole name, an opaque atom its expression
+    ({!Fir.Expr.hash}). *)
+let hash = function
+  | Avar v -> Hashtbl.hash v
+  | Aopaque e -> Expr.hash_combine (Expr.hash e) 0x5f
+
 (** Scalar variables mentioned by the atom, including inside opaque
     expressions (needed to invalidate ranges when a variable is killed). *)
 let mentions name = function

@@ -22,20 +22,45 @@ let no_budget = Util.Budget.unlimited ()
 (* Memo tables for the two engine entry points every proof funnels
    through.  [eliminate] and [monotonicity] are deterministic functions
    of (fuel, env, polynomial, ...) except for budget starvation, which
-   the replay discipline of [Cache.memo_budgeted] reproduces exactly:
-   entries record the step cost of the original computation, hits replay
-   that spend, and computations that starved are never cached.  Keys put
-   the cheap discriminators (fuel, flags) first so structural equality
-   on collisions fails fast. *)
-let elim_cache :
-    ( int * bool * [ `Min | `Max ] * Poly.t * Atom.t list * Range.env,
-      (Poly.t, Poly.t) result * int )
-    Cache.t =
-  Cache.create ~name:"compare.eliminate" ()
+   the replay discipline of [memo_budgeted] reproduces exactly: entries
+   record the step cost of the original computation, hits replay that
+   spend, and computations that starved are never cached.  Keys put the
+   cheap discriminators (fuel, direction) first so structural equality
+   on collisions fails fast; the hashes read the whole key, the env
+   through {!Range.hash}'s per-domain memo.
 
-let mono_cache :
-    (int * Atom.t * Poly.t * Range.env, monotonicity * int) Cache.t =
-  Cache.create ~name:"compare.monotonicity" ()
+   Neither table persists to the daemon's store: a restarted process
+   found 4-8 % of their store lookups there, while their keys, which
+   carry the whole env, made up most of its bytes. *)
+
+let mix = Fir.Expr.hash_combine
+let hash_dir = function `Min -> 1 | `Max -> 2
+
+(* [over = None] is a constant bound ({!extremum_const}): every
+   env-bounded atom is eliminated, so the atom list is a function of the
+   env and the polynomial and stays out of the key *)
+module Elim_cache = Cache.Make (struct
+  type t = int * [ `Min | `Max ] * Poly.t * Atom.t list option * Range.env
+
+  let hash (fuel, dir, p, over, env) =
+    let h = mix (mix (mix fuel (hash_dir dir)) (Poly.hash p)) (Range.hash env) in
+    match over with
+    | None -> h
+    | Some atoms -> List.fold_left (fun h a -> mix h (Atom.hash a)) (mix h 1) atoms
+end)
+
+module Mono_cache = Cache.Make (struct
+  type t = int * Atom.t * Poly.t * Range.env
+
+  let hash (fuel, a, p, env) =
+    mix (mix (mix fuel (Atom.hash a)) (Poly.hash p)) (Range.hash env)
+end)
+
+let elim_cache : ((Poly.t, Poly.t) result * int) Elim_cache.t =
+  Elim_cache.create ~name:"compare.eliminate" ~persist:false ()
+
+let mono_cache : (monotonicity * int) Mono_cache.t =
+  Mono_cache.create ~name:"compare.monotonicity" ~persist:false ()
 
 (* atoms to try eliminating, in environment order (innermost scope
    first), duplicates removed *)
@@ -62,9 +87,7 @@ and upper_const ?(fuel = default_fuel) ?(budget = no_budget)
   extremum_const ~fuel ~budget env `Max p
 
 and extremum_const ~fuel ~budget env dir p =
-  match
-    eliminate ~fuel ~budget ~grow:true env dir ~over:(env_atoms_in_order env p) p
-  with
+  match eliminate_memo ~fuel ~budget env dir None p with
   | Ok q | Error q -> Poly.const_val q
 
 (** Eliminate the atoms of [over] from [p] by monotone substitution of
@@ -72,20 +95,28 @@ and extremum_const ~fuel ~budget env dir p =
     atom's monotonicity may only become provable after another has been
     substituted).  [Ok q] if every [over] atom was eliminated, [Error q]
     with the partial result otherwise.  Atoms outside [over] are left
-    symbolic unless [grow] is set, in which case env-bounded atoms
-    introduced by substituted bounds are eliminated too (needed when the
-    goal is a constant bound and loop bounds are correlated, e.g.
-    [K <= I-1] under [I <= N]). *)
-and eliminate ?(fuel = default_fuel) ?(budget = no_budget) ?(grow = false)
+    symbolic. *)
+and eliminate ?(fuel = default_fuel) ?(budget = no_budget)
     (env : Range.env) dir ~(over : Atom.t list) (p : Poly.t) :
     (Poly.t, Poly.t) result =
-  Cache.memo_budgeted elim_cache ~budget (fuel, grow, dir, p, over, env)
-    (fun () -> eliminate_uncached ~fuel ~budget ~grow env dir ~over p)
+  eliminate_memo ~fuel ~budget env dir (Some over) p
 
-and eliminate_uncached ~fuel ~budget ~grow (env : Range.env) dir
-    ~(over : Atom.t list) (p : Poly.t) : (Poly.t, Poly.t) result =
+(* [over = None], the constant bounds: every env-bounded atom of [p] is
+   eliminated, including those that substituted bounds introduce
+   (needed when loop bounds are correlated, e.g. [K <= I-1] under
+   [I <= N]) *)
+and eliminate_memo ~fuel ~budget env dir over p =
+  Elim_cache.memo_budgeted elim_cache ~budget (fuel, dir, p, over, env)
+    (fun () -> eliminate_uncached ~fuel ~budget env dir over p)
+
+and eliminate_uncached ~fuel ~budget (env : Range.env) dir over (p : Poly.t)
+    : (Poly.t, Poly.t) result =
   if fuel <= 0 || not (Util.Budget.spend budget 1) then Error p
   else
+    let grow = Option.is_none over in
+    let over =
+      match over with Some atoms -> atoms | None -> env_atoms_in_order env p
+    in
     (* substituted bounds may reintroduce over-atoms (cyclic bounds);
        bound the number of elimination rounds *)
     let max_rounds = (2 * (List.length over + List.length env)) + 4 in
@@ -162,7 +193,7 @@ and eliminate_atom ~fuel ~budget env dir a p =
     difference (which is itself bounded recursively). *)
 and monotonicity ?(fuel = default_fuel) ?(budget = no_budget)
     (env : Range.env) (a : Atom.t) (p : Poly.t) : monotonicity =
-  Cache.memo_budgeted mono_cache ~budget (fuel, a, p, env) (fun () ->
+  Mono_cache.memo_budgeted mono_cache ~budget (fuel, a, p, env) (fun () ->
       monotonicity_uncached ~fuel ~budget env a p)
 
 and monotonicity_uncached ~fuel ~budget (env : Range.env) (a : Atom.t)

@@ -114,6 +114,19 @@ let is_const p = Option.is_some (const_val p)
 
 let equal (p : t) (q : t) = p = q
 
+(** Hash of every term — each atom, exponent and coefficient — so it
+    agrees with {!equal} (the representation is canonical) and, unlike
+    the polymorphic [Hashtbl.hash], tells apart polynomials that differ
+    past its first ten words.  The memo keys of [Compare] and
+    [Dep.Driver] hash their polynomials with it. *)
+let hash (p : t) =
+  let mix = Fir.Expr.hash_combine in
+  List.fold_left
+    (fun h (m, c) ->
+      let h = List.fold_left (fun h (a, e) -> mix (mix h (Atom.hash a)) e) h m in
+      mix (mix h (Rat.num c)) (Rat.den c))
+    0x2c9277b5 p
+
 (** All atoms occurring in [p]. *)
 let atoms (p : t) : Atom.t list =
   List.concat_map (fun (m, _) -> List.map fst m) p
@@ -222,8 +235,14 @@ let integer_valued (p : t) =
 
 open Fir
 
-let of_expr_cache : (Ast.expr, t) Cache.t =
-  Cache.create ~name:"poly.of_expr" ()
+module Expr_cache = Cache.Make (struct
+  type t = Ast.expr
+
+  let hash = Expr.hash
+end)
+
+let of_expr_cache : t Expr_cache.t =
+  Expr_cache.create ~name:"poly.of_expr" ~persist:true ()
 
 (** Translate an expression to a polynomial.  Non-polynomial structure
     (array elements, calls, symbolic powers, division by a non-constant)
@@ -236,7 +255,7 @@ let of_expr_cache : (Ast.expr, t) Cache.t =
     with caches on, hash-consed by the parser), so the translation of a
     shared subtree is computed once per process. *)
 let rec of_expr (e : Ast.expr) : t =
-  Cache.memo of_expr_cache e (fun () -> of_expr_raw e)
+  Expr_cache.memo of_expr_cache e (fun () -> of_expr_raw e)
 
 and of_expr_raw (e : Ast.expr) : t =
   match e with

@@ -24,6 +24,39 @@ type env = (Atom.t * interval) list
 
 let empty : env = []
 
+let hash_bound h = function
+  | Finite p -> Fir.Expr.hash_combine h (Poly.hash p)
+  | Neg_inf -> Fir.Expr.hash_combine h 0x1f
+  | Pos_inf -> Fir.Expr.hash_combine h 0x2f
+
+let hash_env (env : env) =
+  List.fold_left
+    (fun h (a, iv) ->
+      hash_bound (hash_bound (Fir.Expr.hash_combine h (Atom.hash a)) iv.lo) iv.hi)
+    0x3b9aca07 env
+
+(* the last env hashed on this domain, and its hash *)
+type last_hashed = { mutable l_env : env; mutable l_hash : int }
+
+let last_hashed =
+  Domain.DLS.new_key (fun () -> { l_env = empty; l_hash = hash_env empty })
+
+(** Hash of every entry of [env] — atoms and both bounds — for the memo
+    keys that carry an env.  Walking an env costs far more than the
+    rest of a key, and a proof asks with one env value many times (the
+    range test sanitizes one per tested position), so each domain keeps
+    the last env it hashed and answers a physically equal env ([==],
+    sound since envs are immutable) without walking it. *)
+let hash (env : env) =
+  let l = Domain.DLS.get last_hashed in
+  if l.l_env == env then l.l_hash
+  else begin
+    let h = hash_env env in
+    l.l_env <- env;
+    l.l_hash <- h;
+    h
+  end
+
 let find (env : env) (a : Atom.t) : interval option =
   List.assoc_opt a env
   |> function Some i -> Some i | None -> None

@@ -221,8 +221,15 @@ let ordinal_of (u : Punit.t) ~(target : int) : int =
     u.pu_body;
   !found
 
-let env_cache : (string * int, Range.env) Cache.t =
-  Cache.create ~name:"range_prop.env_at" ()
+(* a string hashes in full under the polymorphic hash *)
+module Env_cache = Cache.Make (struct
+  type t = string * int
+
+  let hash = Hashtbl.hash
+end)
+
+let env_cache : Range.env Env_cache.t =
+  Env_cache.create ~name:"range_prop.env_at" ~persist:true ()
 
 (** Range environment holding at statement [target] (by statement id)
     of unit [u]; for a DO statement this is the environment inside its
@@ -236,6 +243,6 @@ let env_at (u : Punit.t) ~(target : int) : Range.env =
   in
   if not !Util.Cachectl.enabled then compute ()
   else
-    Cache.memo env_cache
+    Env_cache.memo env_cache
       (Punit.fingerprint u, ordinal_of u ~target)
       compute

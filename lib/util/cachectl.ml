@@ -75,6 +75,7 @@ type entry = {
   e_clear : unit -> unit;
   e_merge : (unit -> unit) option;
   e_persist : bool;
+  e_chain : (unit -> int) option;
 }
 
 let registry : entry list ref = ref []
@@ -84,16 +85,20 @@ let registry : entry list ref = ref []
     cache's per-slot shard tables into its shared store; the domain
     pool calls {!merge_shards} at the end of every parallel phase
     (caches with no sharding — e.g. the parse-time expression intern
-    pool — pass none).  [persist] declares the cache's entries
-    content-addressed pure data, safe to spill to the {!backing}
-    store and reload in a later process. *)
-let register ~name ?merge ?(persist = false) ~clear () =
+    pool — pass none).  [persist] declares that the cache mirrors its
+    entries to the {!backing} store, to be reloaded by a later process:
+    they must be content-addressed pure data.  A cache whose facts a
+    restarted process seldom reads back leaves it false, so its misses
+    pay no marshalling and its entries take no room in the store.
+    [chain], if given, reports the longest bucket chain of the cache's
+    shared table ({!chains}). *)
+let register ~name ?merge ?(persist = false) ?chain ~clear () =
   let s =
     { cs_name = name; cs_hits = Atomic.make 0; cs_misses = Atomic.make 0 }
   in
   registry :=
     !registry @ [ { e_stats = s; e_clear = clear; e_merge = merge;
-                    e_persist = persist } ];
+                    e_persist = persist; e_chain = chain } ];
   s
 
 (** Names of the caches registered with [~persist:true] — the set the
@@ -101,6 +106,14 @@ let register ~name ?merge ?(persist = false) ~clear () =
 let persistent_names () =
   List.filter_map
     (fun e -> if e.e_persist then Some e.e_stats.cs_name else None)
+    !registry
+
+(** [(name, longest chain)] of every cache registered with a [chain]
+    probe: how many keys the worst lookup may compare.  It stays small
+    only while the cache's hash reads the whole key. *)
+let chains () =
+  List.filter_map
+    (fun e -> Option.map (fun f -> (e.e_stats.cs_name, f ())) e.e_chain)
     !registry
 
 let hit s = Atomic.incr s.cs_hits

@@ -130,6 +130,63 @@ let test_warm_heap_flat () =
   if growth > 10_000 then
     Alcotest.failf "10 warm rounds grew the live heap by %d words" growth
 
+(* Chains stay short as programs accumulate.  The daemon and `polaris
+   serve` keep every semantic cache across compiles, so each distinct
+   program adds keys, and programs that differ only in their PARAMETER
+   values differ only deep inside their keys' range environments.  A
+   hash that stops reading early puts such keys in one bucket, and every
+   lookup then compares them along the chain: after the 16 codes and 50
+   generated programs the polymorphic [Hashtbl.hash] left chains of 318
+   in compare.eliminate and 178 in compare.monotonicity.  Each cache's
+   hash must read its whole key, so no chain may pass 16.  *)
+let with_parameters_bumped by source =
+  let bump piece =
+    (* " 48, NJ " -> " 48+by, NJ " : the integer after an '=' *)
+    let n = String.length piece in
+    let rec skip i = if i < n && piece.[i] = ' ' then skip (i + 1) else i in
+    let rec digits i =
+      if i < n && piece.[i] >= '0' && piece.[i] <= '9' then digits (i + 1) else i
+    in
+    let i = skip 0 in
+    let j = digits i in
+    String.sub piece 0 i
+    ^ string_of_int (int_of_string (String.sub piece i (j - i)) + by)
+    ^ String.sub piece j (n - j)
+  in
+  String.split_on_char '\n' source
+  |> List.map (fun line ->
+         let t = String.trim line in
+         if String.length t < 9 || String.sub t 0 9 <> "PARAMETER" then line
+         else
+           match String.split_on_char '=' line with
+           | head :: values -> String.concat "=" (head :: List.map bump values)
+           | [] -> line)
+  |> String.concat "\n"
+
+let test_chains_stay_short () =
+  let config = Core.Config.polaris () in
+  let codes = Array.of_list Suite.Registry.all in
+  let n = Array.length codes in
+  let sources =
+    List.map (fun (c : Suite.Code.t) -> c.source) Suite.Registry.all
+    @ List.init 50 (fun i ->
+          with_parameters_bumped ((i / n) + 1) codes.(i mod n).Suite.Code.source)
+  in
+  Alcotest.(check int) "distinct programs" (n + 50)
+    (List.length (List.sort_uniq String.compare sources));
+  Util.Cachectl.clear_all ();
+  Fun.protect ~finally:Util.Cachectl.clear_all @@ fun () ->
+  List.iter (fun src -> ignore (Core.Incremental.compile config src)) sources;
+  let chains = Util.Cachectl.chains () in
+  Alcotest.(check bool) "every symbolic cache reports its chains" true
+    (List.length chains >= 5);
+  List.iter
+    (fun (name, longest) ->
+      if longest > 16 then
+        Alcotest.failf "%s: a chain of %d keys after %d programs" name longest
+          (n + 50))
+    chains
+
 (* the debug cross-check (POLARIS_CACHE_DEBUG): in debug mode every hit
    of a semantic cache is recomputed and compared, and a difference
    raises Debug_mismatch.  Compiling the 16 codes under both
@@ -258,4 +315,6 @@ let tests =
     ("chaos plan with caches on", `Quick, test_chaos_plan_with_caches);
     ("budget afford/used", `Quick, test_budget_afford_used);
     ("warm recompiles keep no earlier compile alive", `Quick,
-     test_warm_heap_flat) ]
+     test_warm_heap_flat);
+    ("chains stay short as programs accumulate", `Quick,
+     test_chains_stay_short) ]

@@ -4,7 +4,8 @@
    Two layers are pinned here.  (1) Metadata consistency: every pass's
    declared [consumes] set names an analysis cache registered with
    Util.Cachectl, whose counters the reuse ledger reads, so
-   --explain-reuse can never report on a phantom cache.  (2) The CLI
+   --explain-reuse can never report on a phantom cache, and it is
+   exactly the set of caches the pass looks up.  (2) The CLI
    boundary: an unknown --emit-backend is a clean exit 1 from the real
    binary, never a traceback; an out-of-range numeric flag is a usage
    error (exit 124) before any work; every command's --help renders;
@@ -23,20 +24,52 @@ let check_contains msg sub s =
 (* ------------------------------------------------------------------ *)
 (* Metadata consistency                                                *)
 
+let modes = [ Passes.Parallelize.Polaris; Passes.Parallelize.Baseline ]
+
 let test_consumes_are_tracked () =
   let tracked = List.map (fun (n, _, _) -> n) (Util.Cachectl.snapshot ()) in
   List.iter
-    (fun p ->
+    (fun mode ->
       List.iter
-        (fun c ->
-          if not (List.mem c tracked) then
-            Alcotest.failf
-              "pass %s consumes analysis %S which no registered cache \
-               provides (registered: %s)"
-              (Core.Pass_id.name p) c
-              (String.concat ", " tracked))
-        (Core.Pass_id.consumes p))
-    Core.Pass_id.all
+        (fun p ->
+          List.iter
+            (fun c ->
+              if not (List.mem c tracked) then
+                Alcotest.failf
+                  "pass %s consumes analysis %S which no registered cache \
+                   provides (registered: %s)"
+                  (Core.Pass_id.name p) c
+                  (String.concat ", " tracked))
+            (Core.Pass_id.consumes mode p))
+        Core.Pass_id.all)
+    modes
+
+(* A declaration is only worth printing if it is true: in every
+   reuse-ledger row of a cold compile of each of the 16 codes, under
+   both configurations, the caches the pass looked up are exactly the
+   ones it declares.  (Warm, a dep.verdict hit skips the proofs that
+   would look up the compare.* tables.) *)
+let test_consumes_match_lookups () =
+  let names l = List.sort_uniq String.compare l in
+  Fun.protect ~finally:Util.Cachectl.clear_all @@ fun () ->
+  List.iter
+    (fun (config : Core.Config.t) ->
+      let config = { config with caches = true } in
+      List.iter
+        (fun (c : Suite.Code.t) ->
+          Util.Cachectl.clear_all ();
+          let t = Core.Pipeline.compile config c.source in
+          List.iter
+            (fun (r : Core.Pipeline.pass_reuse) ->
+              let looked_up = names (List.map (fun (n, _, _) -> n) r.pr_cache) in
+              if looked_up <> names r.pr_consumes then
+                Alcotest.failf "%s (%s): pass %s declares [%s] but looked up [%s]"
+                  c.name config.name r.pr_pass
+                  (String.concat ", " r.pr_consumes)
+                  (String.concat ", " looked_up))
+            t.reuse)
+        Suite.Registry.all)
+    [ Core.Config.polaris (); Core.Config.baseline () ]
 
 (* ------------------------------------------------------------------ *)
 (* Backend registry resolution                                         *)
@@ -218,6 +251,8 @@ let test_cli_listings () =
 
 let tests =
   [ Alcotest.test_case "consumes are tracked" `Quick test_consumes_are_tracked;
+    Alcotest.test_case "consumes are the caches looked up" `Quick
+      test_consumes_match_lookups;
     Alcotest.test_case "backend find" `Quick test_backend_find;
     Alcotest.test_case "cli rejects bad backend" `Quick
       test_cli_rejects_bad_backend;
