@@ -18,8 +18,9 @@ type t = {
           loop verdict; exhaustion degrades the verdict to
           "unknown → serial" instead of looping or raising *)
   caches : bool;
-      (** compile-time caches (hash-consing, symbolic memoization,
-          dependence-verdict cache — see {!Util.Cachectl}).  Defaults to
+      (** compile-time caches (symbolic memoization, loop range
+          environments, dependence-verdict cache — see
+          {!Util.Cachectl}).  Defaults to
           on unless [POLARIS_NO_CACHE=1] is in the environment; purely a
           performance lever, verdicts and output are identical either
           way *)

@@ -3,10 +3,10 @@
     A serve session compiles a sequence of programs — typically edit
     deltas to one program — through the ordinary {!Pipeline}, in one
     process, {e without clearing the analysis caches between compiles}.
-    The content-addressed semantic caches ([Punit.fingerprint]-keyed
-    range environments, dependence verdicts keyed on canonical
-    loop/access/env fingerprints, [Poly.of_expr], the [Compare] tables,
-    expression interning) key on what the IR {e says}, not on which
+    The content-addressed semantic caches (the loop range environments
+    keyed on each unit's [Punit.fingerprint], dependence verdicts keyed
+    on canonical loop/access/env fingerprints, [Poly.of_expr], the
+    [Compare] tables) key on what the IR {e says}, not on which
     physical records say it, so recompiling a program whose unit is
     unchanged re-hits every fact proved about that unit in an earlier
     compile — only the edited unit pays for analysis.  Facts that

@@ -43,7 +43,7 @@ let doc = function
     {!Util.Cachectl} cache name — re-exported from the pass modules
     that look any up, so the declaration lives with the pass.  Inlining,
     propagation and dead-code removal rewrite statements without
-    consulting a cache (expressions are interned at parse). *)
+    consulting a cache. *)
 let consumes mode = function
   | Inline | Constprop | Constprop2 | Deadcode -> []
   | Induction -> Passes.Induction.consumes

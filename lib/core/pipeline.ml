@@ -239,9 +239,6 @@ let run ?(strict = false) ?(observer : (string -> Fir.Program.t -> unit) option)
 (** Parse Fortran source and run the pipeline. *)
 let compile ?strict ?observer ?fault_hook (config : Config.t)
     (source : string) : t =
-  (* scope the cache switch around the parse too, so expression
-     hash-consing follows [config.caches] *)
-  Util.Cachectl.with_enabled config.caches @@ fun () ->
   run ?strict ?observer ?fault_hook config
     (Frontend.Parser.parse_string source)
 

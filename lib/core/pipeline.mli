@@ -18,11 +18,11 @@
     original program compiled serially, plus a non-empty incident
     list.
 
-    {b Caches.}  [run]/[compile] scope {!Util.Cachectl.enabled} to
-    [config.caches].  The compile-time caches can never serve results
-    derived from a rewritten-away program state: every cache is
-    content-addressed, and the one memo kept in the unit record (its
-    fingerprint) is dropped by every rewrite and every rollback. *)
+    {b Caches.}  [run] (and so [compile]) scopes
+    {!Util.Cachectl.enabled} to [config.caches].  The compile-time
+    caches can never serve results derived from a rewritten-away
+    program state: every cache is content-addressed, and none reads
+    mutable IR. *)
 
 type loop_result = {
   unit_name : string;                      (** enclosing program unit *)

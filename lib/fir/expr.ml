@@ -36,10 +36,10 @@ let ne a b = Binary (Ne, a, b)
 (* Equality / ordering                                                 *)
 
 (* Hand-written rather than polymorphic compare: (1) physical equality
-   short-circuits, which turns structural walks into O(1) pointer tests
-   on hash-consed subtrees (see [intern] below); (2) [Real_lit] uses
-   [Float.compare], so [equal] and [compare] agree even on NaN, where
-   polymorphic [=] and [Stdlib.compare] contradict each other. *)
+   short-circuits, so comparing a subtree with itself costs one pointer
+   test; (2) [Real_lit] uses [Float.compare], so [equal] and [compare]
+   agree even on NaN, where polymorphic [=] and [Stdlib.compare]
+   contradict each other. *)
 
 (** Structural equality; [Wildcard i] only equals [Wildcard i]. *)
 let rec equal (a : expr) (b : expr) =
@@ -116,7 +116,7 @@ and compare_list xs ys =
     if c <> 0 then c else compare_list xs ys
 
 (* ------------------------------------------------------------------ *)
-(* Hashing and hash-consing                                            *)
+(* Hashing                                                             *)
 
 let hash_combine h k = (h * 0x01000193) lxor k
 
@@ -145,48 +145,6 @@ let hash (e : expr) : int =
     end
   in
   go 0x811c9dc5 e land max_int
-
-module Pool = Hashtbl.Make (struct
-  type t = expr
-
-  let equal = equal
-  let hash = hash
-end)
-
-let pool : expr Pool.t = Pool.create 4096
-
-(* The intern pool is single-writer: only the parser interns, and it
-   never runs inside a {!Util.Pool} task. *)
-let pool_stats =
-  Util.Cachectl.register ~name:"fir.intern" ~clear:(fun () -> Pool.reset pool)
-    ()
-
-(** [intern e] returns the canonical physical representative of [e]'s
-    structural equivalence class, interning every subtree bottom-up.
-    Repeated subtrees then share identity, so {!equal} and {!compare}
-    short-circuit on [==].  Opt-in: a no-op when {!Util.Cachectl.enabled}
-    is false, and always semantically the identity. *)
-let rec intern (e : expr) : expr =
-  if not !Util.Cachectl.enabled then e
-  else
-    let e =
-      match e with
-      | Int_lit _ | Real_lit _ | Logical_lit _ | Char_lit _ | Var _
-      | Wildcard _ ->
-        e
-      | Ref (v, args) -> Ref (v, List.map intern args)
-      | Fun_call (f, args) -> Fun_call (f, List.map intern args)
-      | Unary (op, a) -> Unary (op, intern a)
-      | Binary (op, a, b) -> Binary (op, intern a, intern b)
-    in
-    match Pool.find_opt pool e with
-    | Some canonical ->
-      Util.Cachectl.hit pool_stats;
-      canonical
-    | None ->
-      Util.Cachectl.miss pool_stats;
-      Pool.add pool e e;
-      e
 
 (* ------------------------------------------------------------------ *)
 (* Traversal                                                           *)

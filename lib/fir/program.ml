@@ -20,10 +20,9 @@ let set_touch_hook t hook = t.on_touch <- hook
 
 (** [touch t u]: every pass must call this before mutating unit [u] of
     [t] (rewriting [pu_body], defining symbols, ...).  Always bumps the
-    unit's invalidation version (dropping its memoized fingerprint and
-    every unit-keyed analysis), then notifies the guard hook if one is
-    installed — so fine-grained invalidation works even outside a
-    guarded pass. *)
+    unit's invalidation version, then notifies the guard hook if one is
+    installed, so the guard snapshots and re-checks exactly the units
+    a pass rewrote. *)
 let touch t u =
   Punit.invalidate u;
   match t.on_touch with Some f -> f u | None -> ()

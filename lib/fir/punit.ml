@@ -11,34 +11,29 @@ type t = {
   mutable pu_version : int;
       (** per-unit invalidation counter: bumped by {!invalidate}
           (i.e. by [Program.touch] and {!restore}) every time a pass
-          announces it is about to mutate this unit.  The memoized
-          {!fingerprint} pins the version it was computed at. *)
-  mutable pu_fp : (int * string) option;
-      (** memoized {!fingerprint} and the version it was computed at *)
+          announces it is about to mutate this unit.  No cache reads
+          it; it is the observable of the touch contract the pass
+          guard rests on. *)
 }
 
 let create ?(kind = Main) ?(args = []) name =
   { pu_name = Symtab.norm name; pu_kind = kind;
     pu_args = List.map Symtab.norm args;
     pu_symtab = Symtab.create (); pu_body = [];
-    pu_version = 0; pu_fp = None }
+    pu_version = 0 }
 
 let is_function u = match u.pu_kind with Function _ -> true | _ -> false
 
 (** Invalidation epoch of the unit (see {!t.pu_version}). *)
 let version u = u.pu_version
 
-(** Announce that the unit is about to be mutated: bump the version and
-    drop the memoized fingerprint.  Called by [Program.touch] — passes
-    never call this directly. *)
-let invalidate u =
-  u.pu_version <- u.pu_version + 1;
-  u.pu_fp <- None
+(** Announce that the unit is about to be mutated: bump the version.
+    Called by [Program.touch] — passes never call this directly. *)
+let invalidate u = u.pu_version <- u.pu_version + 1
 
 (** Deep copy (fresh statement ids, fresh symbol table).  The copy
-    inherits the version and memoized fingerprint — both remain valid
-    because the content is equal; the copies' versions advance
-    independently from here on. *)
+    inherits the version; the copies' versions advance independently
+    from here on. *)
 let copy u =
   { u with pu_symtab = Symtab.copy u.pu_symtab; pu_body = Stmt.copy_block u.pu_body }
 
@@ -46,8 +41,7 @@ let copy u =
     keeps its identity, body and symbol table are replaced by fresh deep
     copies of the snapshot (fresh statement ids, so id-uniqueness holds
     even if the aborted pass leaked statements elsewhere).  Counts as a
-    mutation: the version is bumped so unit-keyed analyses of the
-    pre-rollback body can never be served again. *)
+    mutation: the version is bumped. *)
 let restore ~(from : t) (u : t) =
   let fresh = copy from in
   u.pu_body <- fresh.pu_body;
@@ -263,7 +257,12 @@ let block_fingerprint (b : block) : string =
   fp_block buf b;
   Buffer.contents buf
 
-let compute_fingerprint (u : t) : string =
+(** Canonical content fingerprint of the unit: name, kind, arguments,
+    sorted symbol table and body — statement ids and loop decisions
+    excluded (see above).  Not memoized: it costs one walk of the unit,
+    and its one caller, the [range_prop.env_at] cache, asks once per
+    unit with loops. *)
+let fingerprint (u : t) : string =
   let buf = Buffer.create 1024 in
   fp_string buf u.pu_name;
   Buffer.add_string buf
@@ -275,36 +274,6 @@ let compute_fingerprint (u : t) : string =
   List.iter (fp_symbol buf) (Symtab.symbols u.pu_symtab);
   fp_block buf u.pu_body;
   Buffer.contents buf
-
-(* The memo lives in the unit record itself (not a table), so there is
-   nothing for clear_all to flush — the entry dies with the version
-   bump.  Counters are registered so `perf`/`--explain-reuse` report
-   it like every other cache. *)
-let fp_stats =
-  Util.Cachectl.register ~name:"punit.fingerprint" ~clear:(fun () -> ()) ()
-
-(** Canonical content fingerprint of the unit: name, kind, arguments,
-    sorted symbol table and body — statement ids and loop decisions
-    excluded (see above).  Memoized per unit at the current
-    {!version}; [Program.touch] invalidates.  The O(unit-size)
-    serialization reruns only after a touch (or with caches disabled).
-
-    Domain safety: during a parallel phase concurrent tasks may race to
-    fill [pu_fp].  Both compute the same content-determined pair and
-    publish a fresh immutable tuple with a single field store, so any
-    reader observes either [None] or a fully valid entry. *)
-let fingerprint (u : t) : string =
-  if not !Util.Cachectl.enabled then compute_fingerprint u
-  else
-    match u.pu_fp with
-    | Some (v, fp) when v = u.pu_version ->
-      Util.Cachectl.hit fp_stats;
-      fp
-    | _ ->
-      Util.Cachectl.miss fp_stats;
-      let fp = compute_fingerprint u in
-      u.pu_fp <- Some (u.pu_version, fp);
-      fp
 
 let pp ppf u =
   let kw =

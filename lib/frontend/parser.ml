@@ -568,13 +568,8 @@ let parse_unit (c : cursor) : Punit.t =
   | Function typ when not (Symtab.mem u.pu_symtab u.pu_name) ->
     Symtab.define u.pu_symtab (Symtab.mk_symbol ~typ u.pu_name)
   | _ -> ());
-  let body = parse_block u c ~stop:is_end_unit in
+  u.pu_body <- parse_block u c ~stop:is_end_unit;
   ignore (next_line c) (* END *);
-  (* hash-cons the freshly parsed expressions (a no-op when caches are
-     off): repeated subtrees share physical identity from the start, so
-     downstream structural equality short-circuits on [==] and the
-     expression-keyed memo tables hit across statements *)
-  u.pu_body <- Stmt.map_block_exprs Expr.intern body;
   u
 
 (** Parse a whole source file into a program.

@@ -128,10 +128,9 @@ let rec prop_block (symtab : Symtab.t) (env : envmap) (b : block) :
   |> fun (out, env) -> (List.rev out, env)
 
 (** Run constant/copy propagation on a unit (in place).  The propagated
-    body is built first, purely; the unit is only touched — and its
-    memoized fingerprint only dropped — when the result differs in
-    content from the original (compared by sid-free block
-    fingerprints). *)
+    body is built first, purely; the unit is only touched when the
+    result differs in content from the original (compared by sid-free
+    block fingerprints). *)
 let run_unit (p : Program.t) (u : Punit.t) =
   let params =
     List.map (fun (v, e) -> (v, e)) (Punit.parameter_bindings u)

@@ -67,8 +67,8 @@ let sweep (u : Punit.t) : block * bool =
 
 (** Remove dead scalar assignments from a unit, to fixpoint.  The first
     sweep is computed {e before} announcing any mutation: a unit with
-    no dead assignment is never touched, so its invalidation version —
-    and the fingerprint memoized against it — survives the pass. *)
+    no dead assignment is never touched, so its invalidation version
+    survives the pass. *)
 let run_unit (p : Program.t) (u : Punit.t) : int =
   let body1, changed1 = sweep u in
   if not changed1 then 0

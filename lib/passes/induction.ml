@@ -623,8 +623,7 @@ let rec process_block ~generalized (symtab : Symtab.t) (report : report)
 (** Run induction substitution on a program unit (in place).  Returns
     the list of (variable, loop index) pairs that were substituted.
     [process_block] is pure — the rewritten body is built first, and
-    the unit is only touched (dropping its memoized fingerprint) when a
-    substitution actually happened. *)
+    the unit is only touched when a substitution actually happened. *)
 let run_unit ?(generalized = true) (p : Program.t) (u : Punit.t) :
     (string * string) list =
   let report = { substituted = [] } in

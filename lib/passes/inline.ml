@@ -407,8 +407,7 @@ let run (p : Program.t) : stats =
   List.iter
     (fun u ->
       (* units with no expandable call site are left untouched — their
-         invalidation version and memoized fingerprint survive the
-         pass *)
+         invalidation version survives the pass *)
       if has_expandable_call p u then begin
         (* expansion mutates only [u] (its body, and its symtab for
            copied-in callee locals/temps): one touch covers the unit *)

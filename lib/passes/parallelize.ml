@@ -28,10 +28,9 @@ type mode = Polaris | Baseline
     privatization never reach the [Compare] engine. *)
 let consumes = function
   | Polaris ->
-    [ "punit.fingerprint"; "poly.of_expr"; "range_prop.env_at";
-      "compare.eliminate"; "compare.monotonicity"; "dep.verdict" ]
-  | Baseline ->
-    [ "punit.fingerprint"; "poly.of_expr"; "range_prop.env_at"; "dep.verdict" ]
+    [ "poly.of_expr"; "range_prop.env_at"; "compare.eliminate";
+      "compare.monotonicity"; "dep.verdict" ]
+  | Baseline -> [ "poly.of_expr"; "range_prop.env_at"; "dep.verdict" ]
 
 type loop_report = {
   loop_index : string;
@@ -308,16 +307,21 @@ let analyze_loop ~(mode : mode) (u : Punit.t) (outer_env : Range.env)
   apply ();
   report
 
+(* the range facts [analyze_nest] starts from: the env inside [nest]'s
+   innermost loop, from the unit's [Range_prop.loop_envs] *)
+let outer_env envs (nest : Loops.nest) =
+  List.assoc (Loops.innermost nest).stmt.sid envs
+
 (** Analyze every loop of a unit (outermost first), marking loop_info in
     place; returns the per-loop reports. *)
 let run_unit ~(mode : mode) (u : Punit.t) : loop_report list =
-  let nests = Loops.nests_of_unit u in
-  List.map
-    (fun nest ->
-      let target = Loops.innermost nest in
-      let outer_env = Range_prop.env_at u ~target:target.stmt.sid in
-      analyze_loop ~mode u outer_env nest)
-    nests
+  match Loops.nests_of_unit u with
+  | [] -> []
+  | nests ->
+    let envs = Range_prop.loop_envs u in
+    List.map
+      (fun nest -> analyze_loop ~mode u (outer_env envs nest) nest)
+      nests
 
 (* Deliberately no [Program.touch]: this pass writes only the [loop_info]
    decision fields (par/privates/reductions/...), never statement bodies
@@ -340,9 +344,25 @@ let run ~mode (p : Program.t) : (string * loop_report list) list =
        counters, decisions and the fault point are byte-identical to
        the serial run. *)
     let units = Program.units p in
+    (* each unit's loop envs are derived here, on the submitting
+       domain, and each task carries its nest's env.  A walk that
+       raises fails the unit's first nest, where the serial run
+       raises. *)
     let tasks =
       List.concat_map
-        (fun u -> List.map (fun n -> (u, n)) (Loops.nests_of_unit u))
+        (fun u ->
+          match Loops.nests_of_unit u with
+          | [] -> []
+          | nests ->
+            let envs =
+              match Range_prop.loop_envs u with
+              | envs -> Ok envs
+              | exception e -> Error (e, Printexc.get_raw_backtrace ())
+            in
+            List.map
+              (fun n ->
+                (u, Result.map (fun envs -> outer_env envs n) envs, n))
+              nests)
         units
     in
     let outcomes =
@@ -350,18 +370,18 @@ let run ~mode (p : Program.t) : (string * loop_report list) list =
          cheap proxy for access-pair count, so the batcher packs many
          small nests per chunk but never lumps two big ones together *)
       Util.Pool.map
-        ~weight:(fun ((_ : Punit.t), (nest : Loops.nest)) ->
+        ~weight:(fun ((_ : Punit.t), _, (nest : Loops.nest)) ->
           List.length nest.loops + Stmt.fold (fun n _ -> n + 1) 0 nest.body)
-        (fun ((u : Punit.t), nest) ->
+        (fun ((u : Punit.t), env, nest) ->
           Dep.Driver.collecting (fun () ->
-              let target = Loops.innermost nest in
-              let outer_env = Range_prop.env_at u ~target:target.stmt.sid in
-              analyze_nest ~mode u outer_env nest))
+              match env with
+              | Ok env -> analyze_nest ~mode u env nest
+              | Error (e, bt) -> Printexc.raise_with_backtrace e bt))
         tasks
     in
     let reports =
       List.map2
-        (fun ((u : Punit.t), _) (outcome, tally) ->
+        (fun ((u : Punit.t), _, _) (outcome, tally) ->
           Dep.Driver.apply_tally tally;
           match outcome with
           | Ok (report, apply) ->

@@ -8,7 +8,7 @@
     - {!Make.memo}: plain memoization of a pure function.  Sound
       whenever the key determines the result and the result is
       immutable — e.g. [Poly.of_expr], whose input is an immutable
-      expression tree, or [Range_prop.env_at], keyed on the unit's
+      expression tree, or [Range_prop.loop_envs], keyed on the unit's
       content fingerprint.
     - {!Make.memo_budgeted}: memoization of a computation that spends
       from a {!Util.Budget}.  Entries record the step cost of the
@@ -153,9 +153,11 @@ module Make (K : KEY) = struct
     | Some i -> H.add (shard c i) key v
 
   (* Canonical key bytes for the backing store.  [No_sharing] expands
-     shared subtrees, so two structurally equal keys — e.g. an interned
-     and a non-interned expression — marshal to identical bytes and hit
-     the same entry.  All key shapes here are acyclic pure data. *)
+     shared subtrees: keys share structure (the memoized [Poly.of_expr]
+     hands one polynomial to a loop bound and to the env entry that
+     bounds its index), and two structurally equal keys built with
+     different sharing must marshal to identical bytes and hit the same
+     entry.  All key shapes here are acyclic pure data. *)
   let key_bytes key = Marshal.to_string key.k [ Marshal.No_sharing ]
 
   (* The way into the installed backing store (daemon persistence): the

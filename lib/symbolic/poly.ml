@@ -251,9 +251,9 @@ let of_expr_cache : t Expr_cache.t =
     opaque atom otherwise (see module doc).  Logical/relational expressions
     and non-integral reals yield a fully opaque polynomial.
 
-    Memoized at every recursion level: expressions are immutable (and,
-    with caches on, hash-consed by the parser), so the translation of a
-    shared subtree is computed once per process. *)
+    Memoized at every recursion level: expressions are immutable, so
+    the translation of a repeated subtree is computed once per
+    process. *)
 let rec of_expr (e : Ast.expr) : t =
   Expr_cache.memo of_expr_cache e (fun () -> of_expr_raw e)
 

@@ -1,8 +1,8 @@
 (** Control-flow range propagation (paper §3.3.1).
 
-    Determines symbolic lower/upper bounds for variables at a program
-    point by walking the structured AST from the unit entry to the
-    point, collecting facts from DO headers (index within bounds, loop
+    Determines symbolic lower/upper bounds for variables inside every
+    DO loop of a unit by walking the structured AST once from the unit
+    entry, collecting facts from DO headers (index within bounds, loop
     non-empty), IF guards, and simple assignments, and killing facts
     invalidated by assignments and calls.
 
@@ -148,34 +148,30 @@ let after_stmt ?symtab (env : Range.env) (s : stmt) : Range.env =
   | Continue | Return | Stop | Print _ -> env
 
 (* ------------------------------------------------------------------ *)
-(* Environment at a program point                                      *)
+(* Environments at the loop heads                                      *)
 
-exception Found of Range.env
-
-(* walk a block; raise [Found] when reaching the statement with id
-   [target].  The environment delivered for a Do target is the one
-   holding *inside* its body (index bounds included). *)
-let rec walk ?symtab (env : Range.env) (b : block) ~target =
+(* walk a block, calling [at_do env] at every DO statement, in
+   preorder, with the environment holding *inside* its body (index
+   bounds included) *)
+let rec walk ?symtab ~at_do (env : Range.env) (b : block) =
   ignore
     (List.fold_left
        (fun env s ->
          (* labeled statements may be backward-GOTO targets *)
          let env = if s.label = None then env else Range.empty in
-         if s.sid = target then begin
-           match s.kind with
-           | Do d -> raise (Found (enter_loop ?symtab env d))
-           | _ -> raise (Found env)
-         end;
          (match s.kind with
          | If (c, t, e) ->
-           walk ?symtab (assume_cond ?symtab env c) t ~target;
-           walk ?symtab (assume_not_cond ?symtab env c) e ~target
-         | Do d -> walk ?symtab (enter_loop ?symtab env d) d.body ~target
+           walk ?symtab ~at_do (assume_cond ?symtab env c) t;
+           walk ?symtab ~at_do (assume_not_cond ?symtab env c) e
+         | Do d ->
+           let inside = enter_loop ?symtab env d in
+           at_do inside;
+           walk ?symtab ~at_do inside d.body
          | While (c, body) ->
            let env' =
              kill_names (assume_cond ?symtab env c) (Stmt.assigned_names body)
            in
-           walk ?symtab env' body ~target
+           walk ?symtab ~at_do env' body
          | _ -> ());
          after_stmt ?symtab env s)
        env b)
@@ -189,60 +185,37 @@ let initial_env (u : Punit.t) : Range.env =
       Range.refine env (Atom.var name) (Range.exact p))
     Range.empty (Punit.parameter_bindings u)
 
-(* Each derivation walks the whole unit body, and the parallelizer asks
-   once per loop nest, so the walk is quadratic in program size.
-
-   The cache is content-addressed: the key is the unit's canonical
+(* One walk of the unit yields the environment of every loop.  The
+   cache is content-addressed: the key is the unit's canonical
    {!Fir.Punit.fingerprint} (symbol table + body, statement ids and
-   loop decisions excluded) plus the {e preorder ordinal} of the target
-   statement.  The fingerprint determines the walk and the ordinal
-   determines the stopping point, so the entry is valid by construction
-   — no generation tag, no staleness probe — and, crucially, the key
-   {e recurs}: recompiling the same source (or re-analyzing an
-   untouched unit in a later pass) reuses the entry even though every
-   statement id is fresh.  The previous key — (generation, unit, sid) —
-   could never be re-hit precisely because ids are globally fresh and
-   the generation bumps after every pass: 0 hits in 710 lookups on the
-   benchmark suite.
-
-   The fingerprint itself is O(unit) to build but now memoized inside
-   the unit record, invalidated by [Program.touch] — see
-   {!Fir.Punit.fingerprint} — so the per-module fingerprint cache this
-   file used to carry is gone. *)
-
-(* preorder position of the statement with id [target] (-1 if absent):
-   the sid-free coordinate of a program point within a fingerprint *)
-let ordinal_of (u : Punit.t) ~(target : int) : int =
-  let i = ref 0 and found = ref (-1) in
-  Stmt.iter
-    (fun s ->
-      if !found < 0 && s.sid = target then found := !i;
-      incr i)
-    u.pu_body;
-  !found
-
-(* a string hashes in full under the polymorphic hash *)
+   loop decisions excluded), which determines the walk, and the value
+   lists the envs in the preorder of the DO statements, so it holds no
+   statement id either.  Recompiling the same source, or re-analyzing
+   an untouched unit, reuses the entry although every id is fresh. *)
 module Env_cache = Cache.Make (struct
-  type t = string * int
+  type t = string
 
+  (* a string hashes in full under the polymorphic hash *)
   let hash = Hashtbl.hash
 end)
 
-let env_cache : Range.env Env_cache.t =
+let env_cache : Range.env list Env_cache.t =
   Env_cache.create ~name:"range_prop.env_at" ~persist:true ()
 
-(** Range environment holding at statement [target] (by statement id)
-    of unit [u]; for a DO statement this is the environment inside its
-    body.  Returns the entry environment if the statement is not found. *)
-let env_at (u : Punit.t) ~(target : int) : Range.env =
+(** [(sid, env)] for every DO statement of [u], outer loops before
+    inner: [env] is the range environment holding inside the loop's
+    body. *)
+let loop_envs (u : Punit.t) : (int * Range.env) list =
   let compute () =
-    let symtab = u.pu_symtab in
-    match walk ~symtab (initial_env u) u.pu_body ~target with
-    | () -> initial_env u
-    | exception Found env -> env
+    let envs = ref [] in
+    walk ~symtab:u.pu_symtab
+      ~at_do:(fun env -> envs := env :: !envs)
+      (initial_env u) u.pu_body;
+    List.rev !envs
   in
-  if not !Util.Cachectl.enabled then compute ()
-  else
-    Env_cache.memo env_cache
-      (Punit.fingerprint u, ordinal_of u ~target)
-      compute
+  let envs =
+    if not !Util.Cachectl.enabled then compute ()
+    else Env_cache.memo env_cache (Punit.fingerprint u) compute
+  in
+  (* [Stmt.loops] visits the DO statements in the walk's order *)
+  List.map2 (fun ((s : stmt), _) env -> (s.sid, env)) (Punit.loops u) envs

@@ -1,19 +1,17 @@
 (** Control plane for the compile-time caches.
 
-    PR "compile-time performance" introduces several memoization layers
-    (hash-consed {!Fir.Expr} nodes, memoized [Poly.of_expr] /
-    [Symbolic.Compare] orderings / [Range_prop] environments, and
-    [Dep.Driver] verdict caching).  They all answer to this module:
+    Five memo tables, every one a [Symbolic.Cache] — [Poly.of_expr],
+    the two [Symbolic.Compare] proof tables, the [Range_prop] loop
+    environments and the [Dep.Driver] verdicts — answer to this
+    module:
 
     - {!enabled} is the master switch.  [POLARIS_NO_CACHE=1] in the
       environment turns every cache off (the baseline the cache
       tests compare against); [Core.Config.caches] scopes the
       switch per compilation.
     - There is no invalidation: every cache is content-addressed (its
-      key determines its fact), so a pass rewrite or a fault rollback
-      can never be served a stale fact.  The one memo that depends on
-      mutable IR, [Punit.fingerprint], lives in the unit record and
-      checks the unit's version.
+      key determines its fact) and none reads mutable IR, so a pass
+      rewrite or a fault rollback can never be served a stale fact.
     - {!debug} ([POLARIS_CACHE_DEBUG=1]) makes every cache hit
       cross-check against a fresh computation and raise
       {!Debug_mismatch} on divergence; this is the belt-and-braces mode
@@ -73,26 +71,25 @@ let set_backing b = backing := b
 type entry = {
   e_stats : stats;
   e_clear : unit -> unit;
-  e_merge : (unit -> unit) option;
+  e_merge : unit -> unit;
   e_persist : bool;
-  e_chain : (unit -> int) option;
+  e_chain : unit -> int;
 }
 
 let registry : entry list ref = ref []
 
 (** [register ~name ~clear] enrolls a cache: returns its counters and
-    remembers [clear] for {!clear_all}.  [merge], if given, folds the
-    cache's per-slot shard tables into its shared store; the domain
-    pool calls {!merge_shards} at the end of every parallel phase
-    (caches with no sharding — e.g. the parse-time expression intern
-    pool — pass none).  [persist] declares that the cache mirrors its
-    entries to the {!backing} store, to be reloaded by a later process:
-    they must be content-addressed pure data.  A cache whose facts a
-    restarted process seldom reads back leaves it false, so its misses
-    pay no marshalling and its entries take no room in the store.
-    [chain], if given, reports the longest bucket chain of the cache's
-    shared table ({!chains}). *)
-let register ~name ?merge ?(persist = false) ?chain ~clear () =
+    remembers [clear] for {!clear_all}.  [merge] folds the cache's
+    per-slot shard tables into its shared store; the domain pool calls
+    {!merge_shards} at the end of every parallel phase.  [persist]
+    declares that the cache mirrors its entries to the {!backing}
+    store, to be reloaded by a later process: they must be
+    content-addressed pure data.  A cache whose facts a restarted
+    process seldom reads back leaves it false, so its misses pay no
+    marshalling and its entries take no room in the store.  [chain]
+    reports the longest bucket chain of the cache's shared table
+    ({!chains}). *)
+let register ~name ~merge ~persist ~chain ~clear () =
   let s =
     { cs_name = name; cs_hits = Atomic.make 0; cs_misses = Atomic.make 0 }
   in
@@ -108,13 +105,10 @@ let persistent_names () =
     (fun e -> if e.e_persist then Some e.e_stats.cs_name else None)
     !registry
 
-(** [(name, longest chain)] of every cache registered with a [chain]
-    probe: how many keys the worst lookup may compare.  It stays small
-    only while the cache's hash reads the whole key. *)
-let chains () =
-  List.filter_map
-    (fun e -> Option.map (fun f -> (e.e_stats.cs_name, f ())) e.e_chain)
-    !registry
+(** [(name, longest chain)] of every cache: how many keys the worst
+    lookup may compare.  It stays small only while the cache's hash
+    reads the whole key. *)
+let chains () = List.map (fun e -> (e.e_stats.cs_name, e.e_chain ())) !registry
 
 let hit s = Atomic.incr s.cs_hits
 let miss s = Atomic.incr s.cs_misses
@@ -122,8 +116,7 @@ let miss s = Atomic.incr s.cs_misses
 (** Fold every cache's per-slot shards into its shared store.  Only
     sound at a sequential point (no task running); {!Util.Pool.map}
     calls it after each batch, on the submitting domain. *)
-let merge_shards () =
-  List.iter (fun e -> Option.iter (fun f -> f ()) e.e_merge) !registry
+let merge_shards () = List.iter (fun e -> e.e_merge ()) !registry
 
 (** Current counters of every registered cache, as
     [(name, hits, misses)]. *)

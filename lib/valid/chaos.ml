@@ -89,9 +89,8 @@ let corrupt prng (prog : Program.t) : string =
   | _ ->
     let u = Util.Prng.pick prng units in
     (* announce the mutation like any pass would: bumps the unit's
-       invalidation version so no fingerprint-keyed analysis of the
-       pre-corruption body can survive, and lets the COW guard snapshot
-       the unit for rollback *)
+       invalidation version and lets the COW guard snapshot the unit
+       for rollback *)
     Program.touch prog u;
     let duplicate () =
       u.pu_body <- List.hd u.pu_body :: u.pu_body;

@@ -1,6 +1,6 @@
-(* Cache soundness.  The compile-time caches (expression hash-consing,
-   symbolic memo tables, dependence-verdict cache, COW pass guards) are
-   pure performance levers: compiling with them enabled must be
+(* Cache soundness.  The compile-time caches (symbolic memo tables,
+   loop range environments, dependence-verdict cache, COW pass guards)
+   are pure performance levers: compiling with them enabled must be
    observationally identical to compiling with POLARIS_NO_CACHE=1 —
    same unparsed output, same per-loop verdicts, same oracle results.
    We pin that with a seeded property over random fuzz programs, and
@@ -187,6 +187,47 @@ let test_chains_stay_short () =
           (n + 50))
     chains
 
+(* Range propagation walks each unit once: compiled cold, a program
+   with three loops in one unit and none in the other looks
+   range_prop.env_at up once in parallelize, for the unit with loops.
+   A walk per loop looks it up three times. *)
+let test_one_range_walk_per_unit () =
+  let src =
+    "      PROGRAM TWO\n\
+     \      INTEGER I, J, K\n\
+     \      REAL A(10), B(10, 10)\n\
+     \      DO I = 1, 10\n\
+     \        A(I) = I\n\
+     \      END DO\n\
+     \      DO J = 1, 10\n\
+     \        DO K = 1, 10\n\
+     \          B(K, J) = A(K) + J\n\
+     \        END DO\n\
+     \      END DO\n\
+     \      PRINT *, A(1), B(1, 1)\n\
+     \      END\n\
+     \      SUBROUTINE NOLOOP(X)\n\
+     \      REAL X\n\
+     \      X = X + 1.0\n\
+     \      END\n"
+  in
+  Util.Cachectl.clear_all ();
+  Fun.protect ~finally:Util.Cachectl.clear_all @@ fun () ->
+  let t = Core.Pipeline.compile (cfg ~caches:true) src in
+  Alcotest.(check int) "three loops" 3 (List.length t.loops);
+  let lookups =
+    List.concat_map
+      (fun (r : Core.Pipeline.pass_reuse) ->
+        if r.pr_pass <> "parallelize" then []
+        else
+          List.filter_map
+            (fun (name, hits, misses) ->
+              if name = "range_prop.env_at" then Some (hits + misses) else None)
+            r.pr_cache)
+      t.reuse
+  in
+  Alcotest.(check (list int)) "one range_prop.env_at lookup" [ 1 ] lookups
+
 (* the debug cross-check (POLARIS_CACHE_DEBUG): in debug mode every hit
    of a semantic cache is recomputed and compared, and a difference
    raises Debug_mismatch.  Compiling the 16 codes under both
@@ -317,4 +358,6 @@ let tests =
     ("warm recompiles keep no earlier compile alive", `Quick,
      test_warm_heap_flat);
     ("chains stay short as programs accumulate", `Quick,
-     test_chains_stay_short) ]
+     test_chains_stay_short);
+    ("one range walk per unit with loops", `Quick,
+     test_one_range_walk_per_unit) ]

@@ -448,7 +448,9 @@ let privatizable src array =
   let u = Program.main p in
   let nest = List.hd (Analysis.Loops.nests_of_unit u) in
   let target = Analysis.Loops.innermost nest in
-  let outer_env = Symbolic.Range_prop.env_at u ~target:target.Analysis.Loops.stmt.sid in
+  let outer_env =
+    List.assoc target.Analysis.Loops.stmt.sid (Symbolic.Range_prop.loop_envs u)
+  in
   let defs = Passes.Demand.defs_at u ~target:target.Analysis.Loops.stmt.sid in
   Passes.Privatize.analyze ~unit_:u ~outer_env ~defs
     ~d:target.Analysis.Loops.dloop ~array

@@ -531,6 +531,11 @@ let start_daemon ?(signals = false) ?(tweak = fun c -> c) ~socket ~store_dir
   done;
   (d, stop)
 
+(* The store tests need facts to store, so their daemons memoize
+   whatever the ambient cache mode ([POLARIS_NO_CACHE]). *)
+let caches_on (c : Serve.Daemon.cfg) =
+  { c with d_config = { c.d_config with caches = true } }
+
 (* the integer after the first ["key":] in a JSON text *)
 let json_int json key =
   let needle = Printf.sprintf "\"%s\":" key in
@@ -694,7 +699,9 @@ let test_daemon_store_warms_next_daemon () =
   let store_dir = tmp_name "warm-store" in
   rm_rf_dir store_dir;
   Util.Cachectl.clear_all ();
-  let d1, stop1 = start_daemon ~socket ~store_dir:(Some store_dir) () in
+  let d1, stop1 =
+    start_daemon ~tweak:caches_on ~socket ~store_dir:(Some store_dir) ()
+  in
   (match Serve.Client.connect socket with
   | Error m -> Alcotest.fail m
   | Ok c ->
@@ -706,7 +713,9 @@ let test_daemon_store_warms_next_daemon () =
   ignore (Domain.join d1);
   (* simulate a fresh daemon process: in-memory tables gone, disk kept *)
   Util.Cachectl.clear_all ();
-  let d2, stop2 = start_daemon ~socket ~store_dir:(Some store_dir) () in
+  let d2, stop2 =
+    start_daemon ~tweak:caches_on ~socket ~store_dir:(Some store_dir) ()
+  in
   (match Serve.Client.connect socket with
   | Error m -> Alcotest.fail m
   | Ok c ->
@@ -1070,7 +1079,7 @@ let test_daemon_log_appends_restart_event () =
   rm_rf_dir store_dir;
   if Sys.file_exists log then Sys.remove log;
   Util.Cachectl.clear_all ();
-  let tweak c = { c with Serve.Daemon.d_log = Some log } in
+  let tweak c = caches_on { c with Serve.Daemon.d_log = Some log } in
   let d1, stop1 = start_daemon ~tweak ~socket ~store_dir:(Some store_dir) () in
   (match Serve.Client.connect socket with
   | Error m -> Alcotest.fail m
@@ -1131,6 +1140,7 @@ let test_daemon_log_appends_restart_event () =
    by the same executable.) *)
 let polaris_exe = "../bin/polaris_cli.exe"
 
+(* the daemon runs with its caches on, as [caches_on] sets them *)
 let spawn_daemon_proc ~socket ?store_dir extra =
   let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let store = match store_dir with Some d -> [ "--store"; d ] | None -> [] in
@@ -1139,7 +1149,13 @@ let spawn_daemon_proc ~socket ?store_dir extra =
       (([ polaris_exe; "daemon"; "--socket"; socket ] @ store @ [ "-j"; "1" ])
       @ extra)
   in
-  let pid = Unix.create_process polaris_exe argv null null null in
+  let env =
+    Unix.environment () |> Array.to_list
+    |> List.filter (fun kv ->
+           not (String.starts_with ~prefix:"POLARIS_NO_CACHE=" kv))
+    |> Array.of_list
+  in
+  let pid = Unix.create_process_env polaris_exe argv env null null null in
   Unix.close null;
   pid
 
@@ -1412,7 +1428,11 @@ let test_daemon_budget_reaches_verdicts () =
     ignore (Domain.join d);
     verdicts
   in
+  (* cold, as [serve] starts its daemon: debug mode recomputes every
+     hit and spends budget again, so both sides must make the same
+     lookups *)
   let local config =
+    Util.Cachectl.clear_all ();
     List.map
       (fun (code : Suite.Code.t) ->
         (Serve.Local.compile_source config code.source).lc_verdicts)

@@ -300,6 +300,12 @@ let test_trfd_range_math () =
 
 (* ----- range propagation ----- *)
 
+(* the range environments inside the DO loops of [src]'s main program,
+   in source order *)
+let loop_envs src =
+  let u = Fir.Program.main (Frontend.Parser.parse_string src) in
+  List.map snd (Range_prop.loop_envs u)
+
 let test_range_prop_loop_facts () =
   let src =
     "      PROGRAM T\n\
@@ -312,11 +318,7 @@ let test_range_prop_loop_facts () =
      \      END DO\n\
      \      END\n"
   in
-  let p = Frontend.Parser.parse_string src in
-  let u = Fir.Program.main p in
-  let nests = Analysis.Loops.nests_of_unit u in
-  let inner = Analysis.Loops.innermost (List.nth nests 1) in
-  let env = Range_prop.env_at u ~target:inner.Analysis.Loops.stmt.sid in
+  let env = List.nth (loop_envs src) 1 in
   Alcotest.(check bool) "J >= 1" true (Compare.prove_ge env (Poly.var "J") Poly.one);
   Alcotest.(check bool) "J <= I-1" true
     (Compare.prove_le env (Poly.var "J") (Poly.sub (Poly.var "I") Poly.one));
@@ -324,24 +326,19 @@ let test_range_prop_loop_facts () =
   Alcotest.(check bool) "N = 50 via assignment fact" true
     (Compare.prove_le env n (Poly.of_int 50))
 
+(* a one-trip DO placed where the facts are read *)
 let test_range_prop_if_facts () =
   let src =
     "      PROGRAM T\n\
      \      INTEGER K, M\n\
      \      IF (K .GE. 3 .AND. K .LT. M) THEN\n\
-     \        L = K\n\
+     \        DO I = 1, 1\n\
+     \          L = K\n\
+     \        END DO\n\
      \      END IF\n\
      \      END\n"
   in
-  let p = Frontend.Parser.parse_string src in
-  let u = Fir.Program.main p in
-  let target =
-    Fir.Stmt.fold
-      (fun acc (s : Fir.Ast.stmt) ->
-        match s.kind with Fir.Ast.Assign (Fir.Ast.Var "L", _) -> s.sid | _ -> acc)
-      (-1) u.pu_body
-  in
-  let env = Range_prop.env_at u ~target in
+  let env = List.hd (loop_envs src) in
   Alcotest.(check bool) "K >= 3" true (Compare.prove_ge env (Poly.var "K") (Poly.of_int 3));
   (* K .LT. M with integer vars gives K <= M - 1 *)
   Alcotest.(check bool) "K <= M-1" true
@@ -353,21 +350,63 @@ let test_range_prop_kill () =
      \      INTEGER K\n\
      \      K = 5\n\
      \      K = K + 1\n\
-     \      L = K\n\
+     \      DO I = 1, 1\n\
+     \        L = K\n\
+     \      END DO\n\
      \      END\n"
   in
-  let p = Frontend.Parser.parse_string src in
-  let u = Fir.Program.main p in
-  let target =
-    Fir.Stmt.fold
-      (fun acc (s : Fir.Ast.stmt) ->
-        match s.kind with Fir.Ast.Assign (Fir.Ast.Var "L", _) -> s.sid | _ -> acc)
-      (-1) u.pu_body
-  in
-  let env = Range_prop.env_at u ~target in
+  let env = List.hd (loop_envs src) in
   (* K = K+1 kills the K = 5 fact and is self-referential, so no fact *)
   Alcotest.(check bool) "K = 5 fact killed" false
     (Compare.prove_le env (Poly.var "K") (Poly.of_int 5))
+
+(* a labeled statement may be a backward GOTO target, so the walk
+   forgets every fact there: the DO before the label sees K = 5, the DO
+   after it does not *)
+let test_range_prop_label_reset () =
+  let src =
+    "      PROGRAM T\n\
+     \      INTEGER K\n\
+     \      K = 5\n\
+     \      DO I = 1, 1\n\
+     \        L = K\n\
+     \      END DO\n\
+     \   10 CONTINUE\n\
+     \      DO J = 1, 1\n\
+     \        L = K\n\
+     \      END DO\n\
+     \      END\n"
+  in
+  match loop_envs src with
+  | [ before; after ] ->
+    Alcotest.(check bool) "K = 5 before the label" true
+      (Compare.prove_le before (Poly.var "K") (Poly.of_int 5));
+    Alcotest.(check bool) "no fact after the label" false
+      (Compare.prove_le after (Poly.var "K") (Poly.of_int 5))
+  | envs -> Alcotest.failf "%d loop envs, expected 2" (List.length envs)
+
+(* a DO inside a DO WHILE body runs after any number of trips, so every
+   name the body assigns is killed; the WHILE condition and the facts
+   on names the body leaves alone still hold *)
+let test_range_prop_while_kill () =
+  let src =
+    "      PROGRAM T\n\
+     \      INTEGER K, M\n\
+     \      K = 5\n\
+     \      M = 7\n\
+     \      DO WHILE (K .LT. M)\n\
+     \        DO I = 1, 1\n\
+     \          L = K\n\
+     \        END DO\n\
+     \        K = K + 1\n\
+     \      END DO\n\
+     \      END\n"
+  in
+  let env = List.hd (loop_envs src) in
+  Alcotest.(check bool) "K = 5 killed by the body's K = K + 1" false
+    (Compare.prove_le env (Poly.var "K") (Poly.of_int 5));
+  Alcotest.(check bool) "M = 7 kept" true
+    (Compare.prove_le env (Poly.var "M") (Poly.of_int 7))
 
 let tests =
   [ ("poly basics", `Quick, test_poly_basics);
@@ -387,7 +426,11 @@ let tests =
     ("TRFD worked example (paper 3.3.1)", `Quick, test_trfd_range_math);
     ("range prop: loop facts", `Quick, test_range_prop_loop_facts);
     ("range prop: IF facts", `Quick, test_range_prop_if_facts);
-    ("range prop: kill on assignment", `Quick, test_range_prop_kill) ]
+    ("range prop: kill on assignment", `Quick, test_range_prop_kill);
+    ("range prop: a label forgets every fact", `Quick,
+     test_range_prop_label_reset);
+    ("range prop: a DO WHILE body kills what it assigns", `Quick,
+     test_range_prop_while_kill) ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_poly_add_homomorphic; prop_poly_mul_homomorphic;
         prop_poly_canonical; prop_expr_roundtrip; prop_summation_matches_brute ]
