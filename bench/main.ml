@@ -292,8 +292,8 @@ let fig6 () =
       in
       let ok = run ~collide:false in
       let bad = run ~collide:true in
-      assert (ok.verdict <> Fruntime.Shadow.Not_parallel);
-      assert (bad.verdict = Fruntime.Shadow.Not_parallel);
+      assert (ok.verdict <> Machine.Shadow.Not_parallel);
+      assert (bad.verdict = Machine.Shadow.Not_parallel);
       (* the paper's experiment: 90% of invocations parallel *)
       let mix_seq = 10 * ok.t_seq in
       let mix_par = (9 * ok.t_total) + bad.t_total in

@@ -54,9 +54,9 @@ let () =
       let bad = speculate ~collide:true ~procs in
       let v o =
         match o.Fruntime.Speculative.verdict with
-        | Fruntime.Shadow.Parallel -> "parallel"
-        | Fruntime.Shadow.Parallel_privatized -> "par+priv"
-        | Fruntime.Shadow.Not_parallel -> "FAILED"
+        | Machine.Shadow.Parallel -> "parallel"
+        | Machine.Shadow.Parallel_privatized -> "par+priv"
+        | Machine.Shadow.Not_parallel -> "FAILED"
       in
       Fmt.pr "%6d | %9s %7.2fx | %9s %7.2fx@." procs (v ok)
         (Fruntime.Speculative.speedup ok)

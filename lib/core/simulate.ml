@@ -71,7 +71,7 @@ type measured = {
 (** Execute [program] twice for real and time both: once on the plain
     serial interpreter and once with {!Machine.Parexec} running the
     annotated loops on [procs] OCaml domains (LRPD loops speculate
-    against {!Fruntime.Specexec} shadows).  Both captures are returned
+    against {!Machine.Shadow} arrays).  Both captures are returned
     so the caller can run the identity check it wants — this module
     deliberately does not compare them, because float reductions need
     the ULP-tolerant comparator that lives in [Valid.Oracle] and [core]
@@ -86,10 +86,7 @@ let run_measured ?procs ?seed (program : Fir.Program.t) : measured =
   let t0 = Unix.gettimeofday () in
   let serial_capture = Machine.Interp.run_full ~cfg program in
   let t1 = Unix.gettimeofday () in
-  let parallel_capture, stats =
-    Machine.Parexec.run_full ~cfg ~procs ~spec:Fruntime.Specexec.backend
-      program
-  in
+  let parallel_capture, stats = Machine.Parexec.run_full ~cfg ~procs program in
   let t2 = Unix.gettimeofday () in
   let serial_wall = t1 -. t0 and parallel_wall = t2 -. t1 in
   { m_procs = procs;

@@ -59,17 +59,18 @@ let wall_snapshot () = !wall_in_deps
 
 (* --- Domain-safe counter collection (the deterministic-merge story) --
 
-   During the parallel dependence phase, verdicts run inside
-   {!Util.Pool} worker tasks.  Bare atomics would make the *final*
-   counter values correct but their intermediate evolution (and, after
-   a contained fault, the final values too) dependent on scheduling.
+   The dependence phase ({!Passes.Parallelize.run}) analyzes each nest
+   as one {!Util.Pool} task, at every job count; at [-j > 1] the tasks
+   run on worker domains.  Bare atomics would make the *final* counter
+   values correct but their intermediate evolution (and, after a
+   contained fault, the final values too) dependent on scheduling.
    Instead, every task runs under {!collecting}, which parks a private
    tally in domain-local storage; the merge step applies the tallies in
    program order ({!apply_tally}), so the global counters are only ever
    written by the submitting domain, and a run at [-j 8] leaves them
    byte-identical to [-j 1] — including runs where a verdict faulted
-   (the tally survives the exception, exactly like the serial
-   accumulate-then-raise path under [Fun.protect]). *)
+   (the tally survives the exception and is applied before the fault
+   re-raises). *)
 
 type tally = { t_counters : counters; mutable t_wall : float }
 

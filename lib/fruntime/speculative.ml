@@ -6,7 +6,7 @@
     + run the loop through the interpreter with the access hook
       attached, collecting per-iteration costs and the access trace of
       the tested shared array;
-    + feed the trace to the {!Shadow} marking and run the
+    + feed the trace to the {!Machine.Shadow} marking and run the
       post-execution analysis;
     + price the outcome: on success the loop costs the speculative
       parallel time plus the PD overhead; on failure the checkpointed
@@ -19,7 +19,7 @@
 open Fir
 
 type outcome = {
-  verdict : Shadow.verdict;
+  verdict : Machine.Shadow.verdict;
   t_seq : int;          (** sequential time of the loop *)
   t_spec : int;         (** speculative parallel time incl. marking *)
   t_pd_analysis : int;  (** post-execution analysis time *)
@@ -66,7 +66,7 @@ let run ?(cost = Pd_test.default_cost) ?(procs = 8) ~(loop_sid : int)
         | None -> invalid_arg "Speculative.run: array size unknown")
       | None -> invalid_arg "Speculative.run: array not declared in main")
   in
-  let shadow = Shadow.create size in
+  let shadow = Machine.Shadow.create size in
   let accesses = ref 0 in
   let iter_costs = ref [] in
   let in_loop = ref false in
@@ -90,7 +90,7 @@ let run ?(cost = Pd_test.default_cost) ?(procs = 8) ~(loop_sid : int)
           end;
           if k > 0 || !in_loop then begin
             iter_costs := (time - !iter_start_time) :: !iter_costs;
-            Shadow.end_iteration shadow
+            Machine.Shadow.end_iteration shadow
           end;
           iter_start_time := time;
           in_loop := true
@@ -103,8 +103,8 @@ let run ?(cost = Pd_test.default_cost) ?(procs = 8) ~(loop_sid : int)
         if !in_loop && String.equal name array then begin
           incr accesses;
           match rw with
-          | Machine.Interp.R -> Shadow.read shadow idx
-          | Machine.Interp.W -> Shadow.write shadow idx
+          | Machine.Interp.R -> Machine.Shadow.read shadow idx
+          | Machine.Interp.W -> Machine.Shadow.write shadow idx
         end);
   Machine.Interp.run_unit_body st fr;
   (* the final on_loop_iter event (k = trips) closed the last iteration;
@@ -113,8 +113,8 @@ let run ?(cost = Pd_test.default_cost) ?(procs = 8) ~(loop_sid : int)
   let costs = Array.of_list (List.rev !iter_costs) in
   iterations := Array.length costs;
   let t_seq = Array.fold_left ( + ) 0 costs in
-  let analysis = Shadow.analyze ~total_accesses:!accesses shadow in
-  let verdict = Shadow.verdict_of_analysis analysis in
+  let analysis = Machine.Shadow.analyze ~total_accesses:!accesses shadow in
+  let verdict = Machine.Shadow.verdict_of_analysis analysis in
   let mach = Machine.Parsim.default ~procs () in
   (* pricing follows the shadow analysis: a plain Parallel verdict
      privatizes nothing and merges nothing; Parallel_privatized pays
@@ -124,8 +124,8 @@ let run ?(cost = Pd_test.default_cost) ?(procs = 8) ~(loop_sid : int)
      nothing here (the restore + serial re-run are priced below) *)
   let n_private, reduction_elems =
     match verdict with
-    | Shadow.Parallel_privatized -> (1, analysis.Shadow.marks)
-    | Shadow.Parallel | Shadow.Not_parallel -> (0, 0)
+    | Machine.Shadow.Parallel_privatized -> (1, analysis.Machine.Shadow.marks)
+    | Machine.Shadow.Parallel | Machine.Shadow.Not_parallel -> (0, 0)
   in
   let body =
     Machine.Parsim.doall_time mach ~iter_costs:costs ~n_private
@@ -137,9 +137,9 @@ let run ?(cost = Pd_test.default_cost) ?(procs = 8) ~(loop_sid : int)
   let t_restore = Pd_test.restore_time cost ~size ~p:procs in
   let t_total =
     match verdict with
-    | Shadow.Parallel | Shadow.Parallel_privatized ->
+    | Machine.Shadow.Parallel | Machine.Shadow.Parallel_privatized ->
       t_checkpoint + t_spec + t_pd_analysis
-    | Shadow.Not_parallel ->
+    | Machine.Shadow.Not_parallel ->
       (* failed speculation: pay the attempt, restore, re-run serially *)
       t_checkpoint + t_spec + t_pd_analysis + t_restore + t_seq
   in

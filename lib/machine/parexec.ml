@@ -37,52 +37,26 @@
       block order — a deterministic order that equals iteration order
       under block scheduling.
 
-    Speculative (LRPD) loops run against per-block shadow arrays
-    supplied by a {!spec_backend} (implemented by [Fruntime.Specexec];
-    this library cannot depend on [Fruntime]).  The shared written
-    arrays are checkpointed with {!Storage.snapshot} before the fork;
-    a failed PD test restores them with {!Storage.restore} and re-runs
-    the loop sequentially on the parent state. *)
+    Speculative (LRPD) loops run the PD test (paper §3.5.2) on
+    {!Shadow} arrays: each block marks a private shadow of every tested
+    array without synchronization, and the join merges them with
+    {!Shadow.merge_into} and judges the merge with {!Shadow.verdict}.
+    The shared written arrays are checkpointed with {!Storage.snapshot}
+    before the fork; a failed PD test restores them with
+    {!Storage.restore} and re-runs the loop sequentially on the parent
+    state.  A loop is committed only on a plain [Parallel] verdict:
+    [Parallel_privatized] means the as-executed in-place writes had
+    output dependences, so the results are discarded exactly like a
+    failure. *)
 
 open Fir
 open Ast
-
-(* ------------------------------------------------------------------ *)
-(* Speculation backend interface                                       *)
-
-(** Per-domain shadow marker for one tested array. *)
-type shadow_inst = {
-  s_read : int -> unit;
-  s_write : int -> unit;
-  s_iter_begin : unit -> unit;  (** called at the start of each iteration *)
-}
-
-type spec_verdict =
-  | Spec_parallel      (** fully parallel as executed: results stand *)
-  | Spec_privatize     (** output deps: needed privatization — results
-                           are discarded like a failure, the loop
-                           re-runs sequentially *)
-  | Spec_fail          (** flow/anti dependence: restore and re-run *)
-
-(** The shadows of one tested array in one region: a marker per
-    domain, and the verdict, which merges the domains' marks, judges
-    them and clears every shadow for the region's next execution. *)
-type spec_shadows = {
-  sh_marker : int -> shadow_inst;    (** domain [j]'s marker *)
-  sh_verdict : unit -> spec_verdict;
-}
-
-(** [sb_make ~size ~domains] creates the shadows of a [size]-element
-    array marked by [domains] domains.  A region creates them once and
-    keeps them while the array's size and its domain count stay the
-    same. *)
-type spec_backend = { sb_make : size:int -> domains:int -> spec_shadows }
 
 (** One speculative region instance, for tests and reporting. *)
 type spec_event = {
   se_loop_sid : int;
   se_arrays : string list;                     (** tested (written) arrays *)
-  se_verdict : spec_verdict;
+  se_verdict : Shadow.verdict;
   se_trips : int;
   se_domains : int;
   se_checkpoints : (string * Storage.data) list;
@@ -402,17 +376,17 @@ type block = {
   b_frame : Interp.frame;      (** own slot array *)
   b_index : copy;              (** the loop index (its mask is unused) *)
   b_copies : copy array;       (** one per [vars] entry of the region *)
-  mutable b_marks : (string * shadow_inst) list;  (** LRPD shadow markers *)
+  mutable b_marks : (string * Shadow.t) list;  (** LRPD: this block's shadows *)
   mutable b_exn : (exn * Printexc.raw_backtrace) option;
 }
 
-(* An array an LRPD region tests, with its checkpoint and its shadows
-   (and the array size and domain count they were made for) *)
+(* An array an LRPD region tests, with its checkpoint and its shadows:
+   one per block, and the one they merge into at the join *)
 type tested = {
   t_name : string;
   t_slot : int;
   mutable t_ckpt : Storage.data option;
-  mutable t_shadows : (int * int * spec_shadows) option;
+  mutable t_shadows : (Shadow.t array * Shadow.t) option;
 }
 
 (* what a forkable loop needs at each of its executions *)
@@ -431,7 +405,6 @@ type plan = Serial | Forkable of region
 
 type t = {
   procs : int;                  (** the pool slots a region runs on *)
-  spec : spec_backend option;
   stats : stats;
   plans : (int, plan) Hashtbl.t;  (** by loop statement id *)
 }
@@ -560,7 +533,8 @@ let new_block (st : Interp.state) (fr : Interp.frame) (r : region) : block =
   in
   let shadows rw name i =
     match find_named name b.b_marks with
-    | Some m -> ( match rw with Interp.R -> m.s_read i | Interp.W -> m.s_write i)
+    | Some sh -> (
+      match rw with Interp.R -> Shadow.read sh i | Interp.W -> Shadow.write sh i)
     | None -> ()
   in
   b.b_state.on_access <-
@@ -631,7 +605,7 @@ let run_blocks (t : t) (blocks : block array) body ~init ~step ~trips =
     try
       let idx = b.b_index.cb.view in
       for k = Parsim.block_start ~p ~n:trips j to Parsim.block_start ~p ~n:trips (j + 1) - 1 do
-        List.iter (fun (_, m) -> m.s_iter_begin ()) b.b_marks;
+        List.iter (fun (_, sh) -> Shadow.begin_iteration sh) b.b_marks;
         Storage.write_int idx 0 (init + (k * step));
         Interp.charge b.b_state Interp.Cost.loop_iter;
         match Interp.exec_block b.b_state b.b_frame body with
@@ -730,8 +704,17 @@ let exec_serial (st : Interp.state) (fr : Interp.frame) (d : do_loop) body
   Storage.write_int idx_b.view 0 (init + (trips * step));
   Interp.Normal
 
-let exec_speculative (t : t) (backend : spec_backend) (st : Interp.state)
-    (fr : Interp.frame) sid (r : region) (d : do_loop) body ~init ~step ~trips =
+(* merge the blocks' marks of one tested array, judge the merge, and
+   clear every shadow for the region's next execution *)
+let shadow_verdict ((per_block, merged) : Shadow.t array * Shadow.t) =
+  Array.iter (Shadow.merge_into merged) per_block;
+  let v = Shadow.verdict merged in
+  Shadow.clear merged;
+  Array.iter Shadow.clear per_block;
+  v
+
+let exec_speculative (t : t) (st : Interp.state) (fr : Interp.frame) sid
+    (r : region) (d : do_loop) body ~init ~step ~trips =
   if not r.spec_ok then None
   else begin
     t.stats.spec_attempts <- t.stats.spec_attempts + 1;
@@ -747,10 +730,14 @@ let exec_speculative (t : t) (backend : spec_backend) (st : Interp.state)
           let size = max 1 (Storage.extent_of b) in
           let shadows =
             match a.t_shadows with
-            | Some (n, domains, sh) when n = size && domains = p -> sh
+            | Some ((per_block, merged) as sh)
+              when merged.Shadow.size = size && Array.length per_block = p ->
+              sh
             | _ ->
-              let sh = backend.sb_make ~size ~domains:p in
-              a.t_shadows <- Some (size, p, sh);
+              let sh =
+                (Array.init p (fun _ -> Shadow.create size), Shadow.create size)
+              in
+              a.t_shadows <- Some sh;
               sh
           in
           (a, ckpt, shadows))
@@ -759,15 +746,16 @@ let exec_speculative (t : t) (backend : spec_backend) (st : Interp.state)
     let blocks = blocks_for st fr r p in
     Array.iteri
       (fun j b ->
-        b.b_marks <- List.map (fun (a, _, sh) -> (a.t_name, sh.sh_marker j)) tested)
+        b.b_marks <-
+          List.map (fun (a, _, (per_block, _)) -> (a.t_name, per_block.(j))) tested)
       blocks;
     run_blocks t blocks body ~init ~step ~trips;
     let child_failed = Array.exists (fun b -> b.b_exn <> None) blocks in
-    let verdicts = List.map (fun (_, _, sh) -> sh.sh_verdict ()) tested in
+    let verdicts = List.map (fun (_, _, sh) -> shadow_verdict sh) tested in
     let verdict =
-      if child_failed || List.mem Spec_fail verdicts then Spec_fail
-      else if List.mem Spec_privatize verdicts then Spec_privatize
-      else Spec_parallel
+      if child_failed || List.mem Shadow.Not_parallel verdicts then Shadow.Not_parallel
+      else if List.mem Shadow.Parallel_privatized verdicts then Shadow.Parallel_privatized
+      else Shadow.Parallel
     in
     let event ~checkpoints ~after_restore =
       t.stats.events <-
@@ -776,7 +764,7 @@ let exec_speculative (t : t) (backend : spec_backend) (st : Interp.state)
           se_checkpoints = checkpoints; se_after_restore = after_restore }
         :: t.stats.events
     in
-    if verdict = Spec_parallel then begin
+    if verdict = Shadow.Parallel then begin
       (* writes already landed in the shared arrays; only the
          privatized scalars and the index need last-value copy-out *)
       merge_time st blocks;
@@ -823,12 +811,11 @@ let hook (t : t) : Interp.state -> Interp.frame -> int -> do_loop ->
     Interp.outcome option =
  fun st fr sid d ~body ~init ~step ~trips ->
   let doall = d.info.par && not d.info.speculative in
-  let spec = if d.info.speculative then t.spec else None in
   let declined () =
     t.stats.serial_loops <- t.stats.serial_loops + 1;
     None
   in
-  if (not doall) && Option.is_none spec then None
+  if not (doall || d.info.speculative) then None
   else if trips < 2 then declined ()
   else begin
     let plan =
@@ -839,14 +826,14 @@ let hook (t : t) : Interp.state -> Interp.frame -> int -> do_loop ->
         Hashtbl.replace t.plans sid plan;
         plan
     in
-    match (plan, spec) with
-    | Serial, _ -> declined ()
-    | Forkable r, None ->
+    match plan with
+    | Serial -> declined ()
+    | Forkable r when doall ->
       prebind_slots st fr r.prebind;
       Some (exec_doall t st fr r body ~init ~step ~trips)
-    | Forkable r, Some backend -> (
+    | Forkable r -> (
       prebind_slots st fr r.prebind;
-      match exec_speculative t backend st fr sid r d body ~init ~step ~trips with
+      match exec_speculative t st fr sid r d body ~init ~step ~trips with
       | Some o -> Some o
       | None ->
         (* unsafe scalar pattern: decline, run serially *)
@@ -857,11 +844,10 @@ let hook (t : t) : Interp.state -> Interp.frame -> int -> do_loop ->
 let capture_of = Interp.capture_of
 
 (** Execute [prog]'s main unit with annotated loops running on [procs]
-    pool slots; returns the full capture (same shape as
-    {!Interp.run_full}) and the runtime statistics.  [spec] enables
-    real LRPD speculation for loops the compiler marked [speculative];
-    without it they run serially. *)
-let run_full ?cfg ?procs ?spec (prog : Program.t) : Interp.capture * stats =
+    pool slots: DOALL loops fork, and loops the compiler marked
+    [speculative] run under the LRPD test.  Returns the full capture
+    (same shape as {!Interp.run_full}) and the runtime statistics. *)
+let run_full ?cfg ?procs (prog : Program.t) : Interp.capture * stats =
   let procs =
     match procs with Some p -> max 1 p | None -> Util.Env.runtime_procs
   in
@@ -869,7 +855,7 @@ let run_full ?cfg ?procs ?spec (prog : Program.t) : Interp.capture * stats =
   if procs <= 1 then (Interp.run_full ?cfg prog, stats)
   else begin
     let st = Interp.fresh_state ?cfg prog in
-    st.on_parallel_do <- Some (hook { procs; spec; stats; plans = Hashtbl.create 16 });
+    st.on_parallel_do <- Some (hook { procs; stats; plans = Hashtbl.create 16 });
     let fr = Interp.main_frame st in
     Interp.run_unit_body st fr;
     (capture_of st fr, stats)

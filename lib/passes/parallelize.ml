@@ -53,14 +53,11 @@ let live_after (u : Punit.t) (d : do_loop) v =
 
 (** Analysis of one nest, {e side-effect-free}: returns the report and
     a deferred [apply] thunk that writes the [loop_info] decision
-    fields.  The serial driver applies immediately; the parallel driver
-    ({!run} at jobs > 1) evaluates many nests concurrently and applies
-    the thunks on the submitting domain in program order, so the IR
-    and the outcome counters evolve exactly as in the serial run —
-    including after a fault, where the merge re-raises at the first
-    failed nest and every later (already computed) decision is
-    discarded, just as the serial compiler would never have reached
-    them. *)
+    fields.  {!run} evaluates the nests as pool tasks and applies the
+    thunks on the submitting domain in program order, so the IR and the
+    outcome counters evolve in the same order at every job count; after
+    a fault the merge re-raises at the first failed nest, and every
+    later decision, already computed, is discarded. *)
 let analyze_nest ~(mode : mode) (u : Punit.t) (outer_env : Range.env)
     (nest : Loops.nest) : loop_report * (unit -> unit) =
   let target = Loops.innermost nest in
@@ -299,102 +296,77 @@ let analyze_nest ~(mode : mode) (u : Punit.t) (outer_env : Range.env)
     end
   end
 
-(** Analyze one nest and mark its loop_info immediately (the serial
-    entry point). *)
-let analyze_loop ~(mode : mode) (u : Punit.t) (outer_env : Range.env)
-    (nest : Loops.nest) : loop_report =
-  let report, apply = analyze_nest ~mode u outer_env nest in
-  apply ();
-  report
+(** Decide every loop of [p] (outermost first, in program order) and
+    mark its [loop_info]; returns each unit's per-loop reports.
 
-(* the range facts [analyze_nest] starts from: the env inside [nest]'s
-   innermost loop, from the unit's [Range_prop.loop_envs] *)
-let outer_env envs (nest : Loops.nest) =
-  List.assoc (Loops.innermost nest).stmt.sid envs
+    Each nest is one {!Util.Pool.map} task ([List.map] at [-j 1]) with
+    its side effects deferred: the analysis reads the IR, writes only
+    memo tables and its own counter tally ({!Dep.Driver.collecting}),
+    and returns its report with an [apply] thunk.  The submitting
+    domain then commits in program order: each tally folds into the
+    global counters, each Ok report's [apply] marks its loop, and the
+    first Error re-raises after its tally is applied.  Counters,
+    decisions and the fault point are therefore the same at every job
+    count.
 
-(** Analyze every loop of a unit (outermost first), marking loop_info in
-    place; returns the per-loop reports. *)
-let run_unit ~(mode : mode) (u : Punit.t) : loop_report list =
-  match Loops.nests_of_unit u with
-  | [] -> []
-  | nests ->
-    let envs = Range_prop.loop_envs u in
-    List.map
-      (fun nest -> analyze_loop ~mode u (outer_env envs nest) nest)
-      nests
-
-(* Deliberately no [Program.touch]: this pass writes only the [loop_info]
-   decision fields (par/privates/reductions/...), never statement bodies
-   or symbol tables.  Those fields start in the safe serial default, so a
-   fault mid-pass can at worst leave later loops undecided (= serial) —
-   nothing for a copy-on-write guard to roll back, and nothing
-   {!Fir.Consistency} checks. *)
+    Deliberately no [Program.touch]: this pass writes only the
+    [loop_info] decision fields (par/privates/reductions/...), never
+    statement bodies or symbol tables.  Those fields start in the safe
+    serial default, so a fault mid-pass can at worst leave later loops
+    undecided (= serial) — nothing for a copy-on-write guard to roll
+    back, and nothing {!Fir.Consistency} checks. *)
 let run ~mode (p : Program.t) : (string * loop_report list) list =
-  if not (Util.Pool.parallel ()) then
-    List.map (fun u -> (u.Punit.pu_name, run_unit ~mode u)) (Program.units p)
-  else begin
-    (* Parallel driver.  Each nest is analyzed on a worker domain with
-       all side effects deferred: analysis reads the (frozen) IR and
-       shared caches, writes only its per-task cache shards and its
-       per-task counter tally ({!Dep.Driver.collecting}).  The merge on
-       the submitting domain then replays the serial order exactly:
-       tallies fold into the global counters nest-by-nest in program
-       order, each Ok report's [apply] commits the loop_info decision,
-       and the first Error re-raises — after its tally is applied — so
-       counters, decisions and the fault point are byte-identical to
-       the serial run. *)
-    let units = Program.units p in
-    (* each unit's loop envs are derived here, on the submitting
-       domain, and each task carries its nest's env.  A walk that
-       raises fails the unit's first nest, where the serial run
-       raises. *)
-    let tasks =
-      List.concat_map
-        (fun u ->
-          match Loops.nests_of_unit u with
-          | [] -> []
-          | nests ->
-            let envs =
-              match Range_prop.loop_envs u with
-              | envs -> Ok envs
-              | exception e -> Error (e, Printexc.get_raw_backtrace ())
-            in
-            List.map
-              (fun n ->
-                (u, Result.map (fun envs -> outer_env envs n) envs, n))
-              nests)
-        units
-    in
-    let outcomes =
-      (* weight: nest depth + statements in the innermost body — a
-         cheap proxy for access-pair count, so the batcher packs many
-         small nests per chunk but never lumps two big ones together *)
-      Util.Pool.map
-        ~weight:(fun ((_ : Punit.t), _, (nest : Loops.nest)) ->
-          List.length nest.loops + Stmt.fold (fun n _ -> n + 1) 0 nest.body)
-        (fun ((u : Punit.t), env, nest) ->
-          Dep.Driver.collecting (fun () ->
-              match env with
-              | Ok env -> analyze_nest ~mode u env nest
-              | Error (e, bt) -> Printexc.raise_with_backtrace e bt))
-        tasks
-    in
-    let reports =
-      List.map2
-        (fun ((u : Punit.t), _, _) (outcome, tally) ->
-          Dep.Driver.apply_tally tally;
-          match outcome with
-          | Ok (report, apply) ->
-            apply ();
-            (u, report)
-          | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-        tasks outcomes
-    in
-    List.map
+  let units = Program.units p in
+  (* each unit's loop envs are derived here, on the submitting domain,
+     and each task carries the env inside its nest's innermost loop.  A
+     walk that raises fails the unit's first nest, before any of the
+     unit's nests commits. *)
+  let tasks =
+    List.concat_map
       (fun u ->
-        ( u.Punit.pu_name,
-          List.filter_map
-            (fun (u', r) -> if u' == u then Some r else None)
-            reports ))
+        match Loops.nests_of_unit u with
+        | [] -> []
+        | nests ->
+          let envs =
+            match Range_prop.loop_envs u with
+            | envs -> Ok envs
+            | exception e -> Error (e, Printexc.get_raw_backtrace ())
+          in
+          List.map
+            (fun (n : Loops.nest) ->
+              (u, Result.map (List.assoc (Loops.innermost n).stmt.sid) envs, n))
+            nests)
       units
-  end
+  in
+  let outcomes =
+    (* weight: nest depth + statements in the innermost body — a cheap
+       proxy for access-pair count, so the batcher packs many small
+       nests per chunk but never lumps two big ones together *)
+    Util.Pool.map
+      ~weight:(fun ((_ : Punit.t), _, (nest : Loops.nest)) ->
+        List.length nest.loops + Stmt.fold (fun n _ -> n + 1) 0 nest.body)
+      (fun ((u : Punit.t), env, nest) ->
+        Dep.Driver.collecting (fun () ->
+            match env with
+            | Ok env -> analyze_nest ~mode u env nest
+            | Error (e, bt) -> Printexc.raise_with_backtrace e bt))
+      tasks
+  in
+  let reports =
+    List.map2
+      (fun ((u : Punit.t), _, _) (outcome, tally) ->
+        Dep.Driver.apply_tally tally;
+        match outcome with
+        | Ok (report, apply) ->
+          apply ();
+          (u, report)
+        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+      tasks outcomes
+  in
+  List.map
+    (fun u ->
+      ( u.Punit.pu_name,
+        List.filter_map
+          (fun (u', r) -> if u' == u then Some r else None)
+          reports ))
+    units

@@ -1,5 +1,6 @@
-(** A stdlib-only work-stealing domain pool for multicore compilation
-    (OCaml 5 domains, per-slot chunk deques — no Domainslib).
+(** A stdlib-only domain pool for multicore compilation and execution
+    (OCaml 5 domains, chunks claimed from one atomic cursor per batch —
+    no Domainslib).
 
     Design constraints, in priority order:
 
@@ -8,11 +9,11 @@
        order, and when tasks raise, the exception of the {e earliest}
        item re-raises after every task has finished — callers see the
        exact serial prefix semantics (everything before the faulting
-       item completed, nothing after it is observed).  Stealing
-       relaxes {e execution} order only; the merge order is fixed.
+       item completed, nothing after it is observed).  Which domain
+       runs a chunk, and when, is free; the merge order is fixed.
     2. {b Default off.}  The job count defaults to 1 ([POLARIS_JOBS] or
        [polaris -j N] raise it); at 1 job [map] {e is} [List.map] — no
-       domains, no deques, byte-identical to the serial compiler.
+       domains, no batch, byte-identical to the serial compiler.
     3. {b Cache safety.}  Each task runs with a {!slot} id in
        domain-local storage; the memo tables ({!Symbolic.Cache}) use it
        to route in-phase misses to per-slot shard tables while treating
@@ -21,17 +22,14 @@
        with all workers idle), so shards drain into the shared store at
        a sequential point.
 
-    {b Scheduling.}  The old pool pushed one closure per list element
-    through a single mutex-guarded queue with a condition-variable
-    handshake per task — measurably slower than serial for the
-    fine-grained (unit, nest) tasks the compiler produces.  This pool
-    instead {e batches}: a cost-model batcher coalesces elements into
-    contiguous index chunks (caller-supplied [?weight] balances them),
-    seeds the chunks into per-slot deques, and wakes the workers
-    {e once} per batch.  Each slot pops its own deque from the front; a
-    slot that runs dry steals the {e back half} of a victim's deque.
-    Batches that collapse to a single chunk run inline on the submitter
-    — no wake-up at all.
+    {b Scheduling.}  The compiler's (unit, nest) tasks are too small to
+    pay one condition-variable handshake each, so the pool {e batches}:
+    a cost-model batcher coalesces elements into contiguous index
+    chunks (caller-supplied [?weight] balances them) and the workers
+    are woken {e once} per batch, not once per task.  Every slot then
+    claims chunks from the batch's one atomic cursor until it passes
+    the last chunk.  Batches that collapse to a single chunk run inline
+    on the submitter — no wake-up at all.
 
     The submitting domain participates in the batch (as slot 0), so
     [-j N] means N domains doing work, not N+1.  The compiler's batches
@@ -65,9 +63,6 @@ let jobs () = Atomic.get jobs_default
     [polaris -j N]. *)
 let set_jobs n = Atomic.set jobs_default (clamp n)
 
-(** True when [map] will actually fan out (jobs > 1). *)
-let parallel () = jobs () > 1
-
 (** [with_jobs n f]: run [f ()] with the process-wide job count forced
     to [n], restoring the previous value on exit (including
     exceptions). *)
@@ -98,10 +93,12 @@ exception Nested_submit
 (* ------------------------------------------------------------------ *)
 (* Scheduler telemetry                                                 *)
 
-(** Cumulative scheduler counters since process start (or the last
-    {!reset_counters}): fanned-out batches, inline (single-chunk)
-    batches, tasks executed, chunks executed, and successful steal
-    transactions. *)
+(** Cumulative scheduler counters since process start: fanned-out
+    batches, inline (single-chunk) batches, tasks executed and chunks
+    executed.  [c_steals] is always 0 — no slot takes work from
+    another, every chunk is claimed from the batch's cursor — and stays
+    only because the wall-clock benchmark's [pool.steals] row reads
+    it. *)
 type counters = {
   c_batches : int;
   c_inline : int;
@@ -114,30 +111,25 @@ let batches_n = Atomic.make 0
 let inline_n = Atomic.make 0
 let tasks_n = Atomic.make 0
 let chunks_n = Atomic.make 0
-let steals_n = Atomic.make 0
 
 let counters () =
   { c_batches = Atomic.get batches_n; c_inline = Atomic.get inline_n;
     c_tasks = Atomic.get tasks_n; c_chunks = Atomic.get chunks_n;
-    c_steals = Atomic.get steals_n }
+    c_steals = 0 }
 
 let counters_delta ~(base : counters) (now : counters) : counters =
   { c_batches = now.c_batches - base.c_batches;
     c_inline = now.c_inline - base.c_inline;
     c_tasks = now.c_tasks - base.c_tasks;
     c_chunks = now.c_chunks - base.c_chunks;
-    c_steals = now.c_steals - base.c_steals }
-
-let reset_counters () =
-  Atomic.set batches_n 0; Atomic.set inline_n 0; Atomic.set tasks_n 0;
-  Atomic.set chunks_n 0; Atomic.set steals_n 0
+    c_steals = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Batch plan                                                          *)
 
-(* how many chunks the batcher aims to cut per slot: enough headroom
-   that a slot finishing early finds something to steal, few enough
-   that per-chunk costs stay amortized *)
+(* how many chunks the batcher aims to cut per slot: enough that a
+   slot finishing early claims another chunk instead of idling behind
+   one long one, few enough that per-chunk costs stay amortized *)
 let chunks_per_slot = 4
 
 (* [plan ?weight k n]: cut [0..k-1] into contiguous chunks as (lo, hi)
@@ -176,74 +168,16 @@ let plan ?weight (k : int) (n : int) : (int * int) list =
     List.rev !acc
 
 (* ------------------------------------------------------------------ *)
-(* Per-slot deques                                                     *)
-
-(* A deque holds (lo, hi) chunks of the current batch.  All chunks are
-   seeded before the batch is published and none are added mid-batch,
-   so a fixed buffer sized to the batch's chunk count suffices; [head]
-   and [tail] delimit the live window.  The owner pops from the front
-   (its seeded chunks in ascending index order); a thief steals the
-   back half in one transaction.  One mutex per deque: the owner and at
-   most one thief contend briefly, never the whole pool. *)
-type deque = {
-  dq_m : Mutex.t;
-  mutable dq_buf : (int * int) array;
-  mutable dq_head : int;  (* next owner pop *)
-  mutable dq_tail : int;  (* one past the last chunk *)
-}
-
-let deque_make cap =
-  { dq_m = Mutex.create (); dq_buf = Array.make (max cap 1) (0, 0);
-    dq_head = 0; dq_tail = 0 }
-
-let deque_pop (d : deque) : (int * int) option =
-  Mutex.lock d.dq_m;
-  let r =
-    if d.dq_head >= d.dq_tail then None
-    else begin
-      let c = d.dq_buf.(d.dq_head) in
-      d.dq_head <- d.dq_head + 1;
-      Some c
-    end
-  in
-  Mutex.unlock d.dq_m;
-  r
-
-(* steal the back half of [victim] (at least one chunk) into [mine];
-   returns the first stolen chunk to run immediately *)
-let deque_steal ~(victim : deque) ~(mine : deque) : (int * int) option =
-  Mutex.lock victim.dq_m;
-  let live = victim.dq_tail - victim.dq_head in
-  if live <= 0 then begin
-    Mutex.unlock victim.dq_m;
-    None
-  end
-  else begin
-    let take = max 1 (live / 2) in
-    let from = victim.dq_tail - take in
-    let stolen = Array.sub victim.dq_buf from take in
-    victim.dq_tail <- from;
-    Mutex.unlock victim.dq_m;
-    Mutex.lock mine.dq_m;
-    (* the thief's deque is empty (it only steals when dry), so the
-       window can be rewound instead of grown *)
-    Array.blit stolen 0 mine.dq_buf 0 take;
-    mine.dq_head <- 1;
-    mine.dq_tail <- take;
-    Mutex.unlock mine.dq_m;
-    Atomic.incr steals_n;
-    Some stolen.(0)
-  end
-
-(* ------------------------------------------------------------------ *)
 (* The pool                                                            *)
 
-(* One batch = one [map] fan-out: chunks seeded into per-slot deques,
-   a shared [run] closure indexing the hidden items/results arrays, and
-   an atomic count of unfinished items for completion detection. *)
+(* One batch = one [map] fan-out: the plan's chunks, the cursor every
+   slot claims the next chunk from, a shared [run] closure indexing the
+   hidden items/results arrays, and an atomic count of unfinished items
+   for completion detection. *)
 type batch = {
   b_run : int -> unit;          (* run item [idx], record its result *)
-  b_deques : deque array;       (* one per slot, 0 = submitter *)
+  b_chunks : (int * int) array; (* the plan, in index order *)
+  b_next : int Atomic.t;        (* next chunk to claim *)
   b_remaining : int Atomic.t;   (* items not yet finished *)
 }
 
@@ -260,50 +194,32 @@ type pool = {
 
 let the_pool : pool option ref = ref None
 
-(* run chunks for [slot_i] until the batch has no work left for it:
-   drain the own deque front-to-back, then steal back halves from the
-   other slots (scanning from the right neighbour so thieves spread
-   out).  All work is seeded up front, so "own deque empty and every
-   victim empty" is final for this slot — it parks with no spinning.
+(* claim chunks from the cursor and run them until it passes the last
+   one.  All chunks exist before the batch is published, so a claim
+   past the end is final for this slot — it parks with no spinning.
    Whoever finishes the last item retires the batch and signals the
    submitter: one condition-variable transaction per batch, not per
    task. *)
-let work_batch (pool : pool) (b : batch) (slot_i : int) =
-  let nslots = Array.length b.b_deques in
-  let mine = b.b_deques.(slot_i) in
-  let run_chunk (lo, hi) =
-    Atomic.incr chunks_n;
-    for idx = lo to hi - 1 do
-      b.b_run idx
-    done;
-    ignore (Atomic.fetch_and_add tasks_n (hi - lo));
-    if Atomic.fetch_and_add b.b_remaining (lo - hi) = hi - lo then begin
-      (* this chunk finished the batch *)
-      Mutex.lock pool.m;
-      pool.current <- None;
-      Condition.signal pool.done_cv;
-      Mutex.unlock pool.m
-    end
-  in
-  let rec next_steal i =
-    if i >= nslots then None
-    else
-      let v = (slot_i + 1 + i) mod nslots in
-      match deque_steal ~victim:b.b_deques.(v) ~mine with
-      | Some c -> Some c
-      | None -> next_steal (i + 1)
-  in
+let work_batch (pool : pool) (b : batch) =
+  let nchunks = Array.length b.b_chunks in
   let rec loop () =
-    match deque_pop mine with
-    | Some c ->
-      run_chunk c;
+    let ci = Atomic.fetch_and_add b.b_next 1 in
+    if ci < nchunks then begin
+      let lo, hi = b.b_chunks.(ci) in
+      Atomic.incr chunks_n;
+      for idx = lo to hi - 1 do
+        b.b_run idx
+      done;
+      ignore (Atomic.fetch_and_add tasks_n (hi - lo));
+      if Atomic.fetch_and_add b.b_remaining (lo - hi) = hi - lo then begin
+        (* this chunk finished the batch *)
+        Mutex.lock pool.m;
+        pool.current <- None;
+        Condition.signal pool.done_cv;
+        Mutex.unlock pool.m
+      end;
       loop ()
-    | None -> (
-      match next_steal 0 with
-      | Some c ->
-        run_chunk c;
-        loop ()
-      | None -> ())
+    end
   in
   loop ()
 
@@ -319,7 +235,7 @@ let worker_body pool i () =
       | Some b when !seen <> pool.generation ->
         seen := pool.generation;
         Mutex.unlock pool.m;
-        work_batch pool b i;
+        work_batch pool b;
         Mutex.lock pool.m;
         loop ()
       | _ ->
@@ -375,16 +291,16 @@ type 'a task_result =
     on the batch, the caller's included (default {!jobs}, clamped to
     [1 .. max_jobs]); at one slot [map] {e is} [List.map f xs].
     Otherwise the batcher cuts the elements into contiguous chunks —
-    balanced by [?weight]'s relative cost estimate when given — seeds
-    them into per-slot deques and lets the slots' domains pop-and-steal
-    until done.  A plan of one chunk short-circuits to the serial path:
-    small batches never pay the wake-up.  The pool's worker domains are
-    kept between batches and respawned only when the slot count
-    changes.  Once every task has finished, cache shards are merged back
-    into the shared stores and either the ordered results are returned
-    or, if any task raised, the exception of the {e earliest} failed
-    element re-raises (with its backtrace) — the serial prefix
-    semantics. *)
+    balanced by [?weight]'s relative cost estimate when given — and the
+    slots' domains claim them one at a time from the batch's cursor
+    until none is left.  A plan of one chunk short-circuits to the
+    serial path: small batches never pay the wake-up.  The pool's
+    worker domains are kept between batches and respawned only when
+    the slot count changes.  Once every task has finished, cache shards
+    are merged back into the shared stores and either the ordered
+    results are returned or, if any task raised, the exception of the
+    {e earliest} failed element re-raises (with its backtrace) — the
+    serial prefix semantics. *)
 let map ?slots ?(weight : ('a -> int) option) (f : 'a -> 'b) (xs : 'a list) :
     'b list =
   if in_task () then raise Nested_submit;
@@ -409,7 +325,6 @@ let map ?slots ?(weight : ('a -> int) option) (f : 'a -> 'b) (xs : 'a list) :
       | chunks ->
         Atomic.incr batches_n;
         let pool = get_pool (n - 1) in
-        let nslots = n in
         let results : 'b task_result option array = Array.make k None in
         let b_run idx =
           results.(idx) <-
@@ -418,20 +333,10 @@ let map ?slots ?(weight : ('a -> int) option) (f : 'a -> 'b) (xs : 'a list) :
               | v -> Ok_ v
               | exception e -> Err (e, Printexc.get_raw_backtrace ()))
         in
-        let carr = Array.of_list chunks in
-        let nchunks = Array.length carr in
-        let deques = Array.init nslots (fun _ -> deque_make nchunks) in
-        (* contiguous block per slot: slot s owns chunks
-           [s*nchunks/nslots, (s+1)*nchunks/nslots) in index order, so
-           with no stealing each slot walks an ascending range *)
-        Array.iteri
-          (fun ci c ->
-            let s = min (ci * nslots / nchunks) (nslots - 1) in
-            let d = deques.(s) in
-            d.dq_buf.(d.dq_tail) <- c;
-            d.dq_tail <- d.dq_tail + 1)
-          carr;
-        let b = { b_run; b_deques = deques; b_remaining = Atomic.make k } in
+        let b =
+          { b_run; b_chunks = Array.of_list chunks; b_next = Atomic.make 0;
+            b_remaining = Atomic.make k }
+        in
         Mutex.lock pool.m;
         pool.current <- Some b;
         pool.generation <- pool.generation + 1;
@@ -442,7 +347,7 @@ let map ?slots ?(weight : ('a -> int) option) (f : 'a -> 'b) (xs : 'a list) :
         my_slot := Some 0;
         Fun.protect
           ~finally:(fun () -> my_slot := None)
-          (fun () -> work_batch pool b 0);
+          (fun () -> work_batch pool b);
         Mutex.lock pool.m;
         while Atomic.get b.b_remaining > 0 do
           Condition.wait pool.done_cv pool.m

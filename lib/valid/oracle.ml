@@ -138,14 +138,14 @@ let execute ?seed ?(parallel = false) ?(procs = 8) (p : Fir.Program.t) :
   | Division_by_zero -> Fault "division by zero"
 
 (** Like {!execute}, but annotated loops actually run on [procs] OCaml
-    domains via {!Machine.Parexec} (speculative loops against real
-    shadow arrays through {!Fruntime.Specexec}).  Also returns the
-    runtime stats so callers can assert that regions really forked. *)
-let execute_real ?seed ?(procs = 8) ?(spec = Fruntime.Specexec.backend)
-    (p : Fir.Program.t) : outcome * Parexec.stats =
+    domains via {!Machine.Parexec} (speculative loops under the LRPD
+    test on {!Machine.Shadow} arrays).  Also returns the runtime stats
+    so callers can assert that regions really forked. *)
+let execute_real ?seed ?(procs = 8) (p : Fir.Program.t) :
+    outcome * Parexec.stats =
   let cfg = Interp.default_config ~parallel:false ~procs ?seed () in
   try
-    let capture, stats = Parexec.run_full ~cfg ~procs ~spec p in
+    let capture, stats = Parexec.run_full ~cfg ~procs p in
     (Finished capture, stats)
   with
   | Interp.Runtime_error m -> (Fault ("runtime error: " ^ m), Parexec.fresh_stats ())
@@ -323,7 +323,7 @@ let differential ?(cmp = default_cmp) ?(procs_list = [ 1; 2; 4; 8 ])
     {!differential} (which checks the {e transformation}); here the
     program is fixed and the execution strategy varies. *)
 let differential_real ?(cmp = real_cmp) ?(procs_list = [ 1; 2; 4; 8 ])
-    ?(seeds = []) ?spec (program : Fir.Program.t) () : report =
+    ?(seeds = []) (program : Fir.Program.t) () : report =
   let checks = ref 0 in
   let failures = ref [] in
   let stores = None :: List.map Option.some seeds in
@@ -336,7 +336,7 @@ let differential_real ?(cmp = real_cmp) ?(procs_list = [ 1; 2; 4; 8 ])
       List.iter
         (fun procs ->
           incr checks;
-          let run, _stats = execute_real ?seed ~procs ?spec program in
+          let run, _stats = execute_real ?seed ~procs program in
           let divergences = compare_outcomes cmp reference run in
           if divergences <> [] then
             failures :=

@@ -1,5 +1,5 @@
-(* Tests for the real parallel executor (Machine.Parexec + the
-   Fruntime.Specexec LRPD backend): serial interpretation is the
+(* Tests for the real parallel executor (Machine.Parexec, whose LRPD
+   regions mark Machine.Shadow arrays): serial interpretation is the
    semantic oracle at every machine size, the forced-failure LRPD path
    must genuinely checkpoint/restore, and reduction merges must be
    deterministic run-to-run. *)
@@ -136,7 +136,7 @@ let test_speculation_success_commits () =
   match
     List.find_opt
       (fun (e : Machine.Parexec.spec_event) ->
-        e.se_verdict = Machine.Parexec.Spec_parallel)
+        e.se_verdict = Machine.Shadow.Parallel)
       stats.Machine.Parexec.events
   with
   | None -> Alcotest.fail "no successful speculative event recorded"
@@ -160,13 +160,13 @@ let test_speculation_failure_restores_bitwise () =
   match
     List.find_opt
       (fun (e : Machine.Parexec.spec_event) ->
-        e.se_verdict <> Machine.Parexec.Spec_parallel)
+        e.se_verdict <> Machine.Shadow.Parallel)
       stats.Machine.Parexec.events
   with
   | None -> Alcotest.fail "no failing speculative event recorded"
   | Some e ->
     Alcotest.(check bool) "flow dependence detected" true
-      (e.se_verdict = Machine.Parexec.Spec_fail);
+      (e.se_verdict = Machine.Shadow.Not_parallel);
     Alcotest.(check bool) "checkpointed the tested array" true
       (List.mem_assoc "D" e.se_checkpoints);
     (* the load-bearing assertion: Storage.restore put back the exact

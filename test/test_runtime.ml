@@ -5,12 +5,12 @@ open Fruntime
 
 (* feed a trace: iterations are lists of (kind, index) *)
 let run_trace size iters =
-  let sh = Shadow.create size in
+  let sh = Machine.Shadow.create size in
   List.iter
     (fun accesses ->
-      Shadow.begin_iteration sh;
+      Machine.Shadow.begin_iteration sh;
       List.iter
-        (fun (k, i) -> match k with `R -> Shadow.read sh i | `W -> Shadow.write sh i)
+        (fun (k, i) -> match k with `R -> Machine.Shadow.read sh i | `W -> Machine.Shadow.write sh i)
         accesses)
     iters;
   sh
@@ -18,38 +18,38 @@ let run_trace size iters =
 let test_pd_fully_parallel () =
   (* each iteration writes its own element *)
   let sh = run_trace 8 [ [ (`W, 0) ]; [ (`W, 1) ]; [ (`W, 2) ] ] in
-  Alcotest.(check bool) "parallel" true (Shadow.verdict sh = Shadow.Parallel)
+  Alcotest.(check bool) "parallel" true (Machine.Shadow.verdict sh = Machine.Shadow.Parallel)
 
 let test_pd_flow_dependence () =
   (* iteration 1 writes 3; iteration 2 reads 3 without writing it *)
   let sh = run_trace 8 [ [ (`W, 3) ]; [ (`R, 3) ] ] in
-  Alcotest.(check bool) "flow detected" true (Shadow.verdict sh = Shadow.Not_parallel)
+  Alcotest.(check bool) "flow detected" true (Machine.Shadow.verdict sh = Machine.Shadow.Not_parallel)
 
 let test_pd_output_dependence_privatizable () =
   (* two iterations write the same element, each writes before any read *)
   let sh = run_trace 8 [ [ (`W, 3) ]; [ (`W, 3); (`R, 3) ] ] in
   Alcotest.(check bool) "privatizable" true
-    (Shadow.verdict sh = Shadow.Parallel_privatized)
+    (Machine.Shadow.verdict sh = Machine.Shadow.Parallel_privatized)
 
 let test_pd_read_before_write_not_privatizable () =
   (* both iterations read 3 before writing it: privatization invalid,
      and there are output dependences *)
   let sh = run_trace 8 [ [ (`R, 3); (`W, 3) ]; [ (`R, 3); (`W, 3) ] ] in
-  Alcotest.(check bool) "not parallel" true (Shadow.verdict sh = Shadow.Not_parallel)
+  Alcotest.(check bool) "not parallel" true (Machine.Shadow.verdict sh = Machine.Shadow.Not_parallel)
 
 let test_pd_read_then_write_same_iter_ok () =
   (* a single iteration reading its own element before writing it is
      harmless when no other iteration touches it *)
   let sh = run_trace 8 [ [ (`R, 1); (`W, 1) ]; [ (`W, 2) ] ] in
-  Alcotest.(check bool) "parallel as-is" true (Shadow.verdict sh = Shadow.Parallel)
+  Alcotest.(check bool) "parallel as-is" true (Machine.Shadow.verdict sh = Machine.Shadow.Parallel)
 
 let test_pd_read_only () =
   let sh = run_trace 8 [ [ (`R, 0) ]; [ (`R, 0) ] ] in
-  Alcotest.(check bool) "reads only" true (Shadow.verdict sh = Shadow.Parallel)
+  Alcotest.(check bool) "reads only" true (Machine.Shadow.verdict sh = Machine.Shadow.Parallel)
 
 let test_pd_analysis_counts () =
   let sh = run_trace 8 [ [ (`W, 0); (`W, 0) ]; [ (`W, 1) ]; [ (`W, 0) ] ] in
-  let a = Shadow.analyze sh in
+  let a = Machine.Shadow.analyze sh in
   (* wa counts first-per-iteration writes: 0,1,0 -> 3; marks: {0,1} -> 2 *)
   Alcotest.(check int) "total writes" 3 a.total_writes;
   Alcotest.(check int) "marks" 2 a.marks;
@@ -109,13 +109,13 @@ let spec_run ~collide ~procs =
 
 let test_speculative_pass () =
   let o = spec_run ~collide:false ~procs:8 in
-  Alcotest.(check bool) "verdict parallel-ish" true (o.verdict <> Shadow.Not_parallel);
+  Alcotest.(check bool) "verdict parallel-ish" true (o.verdict <> Machine.Shadow.Not_parallel);
   Alcotest.(check int) "64 iterations seen" 64 o.iterations;
   Alcotest.(check bool) "speedup over serial" true (Speculative.speedup o > 1.0)
 
 let test_speculative_fail () =
   let o = spec_run ~collide:true ~procs:8 in
-  Alcotest.(check bool) "collision detected" true (o.verdict = Shadow.Not_parallel);
+  Alcotest.(check bool) "collision detected" true (o.verdict = Machine.Shadow.Not_parallel);
   (* failed speculation costs more than sequential execution *)
   Alcotest.(check bool) "t_total > t_seq" true (o.t_total > o.t_seq);
   Alcotest.(check bool) "speedup < 1" true (Speculative.speedup o < 1.0)

@@ -292,7 +292,7 @@ let test_speculative_restore_exact () =
   Alcotest.(check bool) "speculative candidate flagged" true (!sid >= 0);
   let o = Fruntime.Speculative.run ~procs:8 ~loop_sid:!sid ~array:"D" p in
   Alcotest.(check bool) "PD test failed (collision)" true
-    (o.verdict = Fruntime.Shadow.Not_parallel);
+    (o.verdict = Machine.Shadow.Not_parallel);
   match (o.checkpoint, o.tested_alloc) with
   | Some ckpt, Some alloc ->
     let post = Machine.Storage.snapshot alloc in
