@@ -24,6 +24,16 @@ let create ?(kind = Main) ?(args = []) name =
 
 let is_function u = match u.pu_kind with Function _ -> true | _ -> false
 
+(** [v]'s value outlives an activation of [u]: [v] is a dummy, a
+    COMMON member, or the result variable of a FUNCTION unit. *)
+let escapes u v =
+  List.mem v u.pu_args
+  || (is_function u && String.equal v u.pu_name)
+  ||
+  match Symtab.find_opt u.pu_symtab v with
+  | Some sym -> sym.sym_common <> None
+  | None -> false
+
 (** Invalidation epoch of the unit (see {!t.pu_version}). *)
 let version u = u.pu_version
 

@@ -141,20 +141,6 @@ let write_int (v : view) i n =
     if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
     a.(j) <- Value.to_bool (Value.Int n)
 
-(** [write_elem v i (Value.Real x)] without boxing [x]. *)
-let write_float (v : view) i x =
-  let j = v.off + i in
-  match v.alloc.data with
-  | Farr a ->
-    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
-    a.(j) <- x
-  | Iarr a ->
-    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
-    a.(j) <- int_of_float x
-  | Barr a ->
-    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
-    a.(j) <- Value.to_bool (Value.Real x)
-
 (** [write_elem v i (Value.Bool b)] without boxing [b]. *)
 let write_bool (v : view) i b =
   let j = v.off + i in
@@ -172,7 +158,9 @@ let write_bool (v : view) i b =
 (* Typed reads, for the lowered executor.  It reads a variable through
    them only when the variable's static class ({!Fir.Sclass}) fixes the
    class of the allocation bound to it, so a mismatch is a broken
-   invariant, reported as a fault rather than a wrong value. *)
+   invariant, reported as a fault rather than a wrong value.  The REAL
+   read and write live in [Interp], inlined into its closures: a float
+   returned from a call into this module is boxed. *)
 
 let class_fault what = fault "storage class: %s read of another class's allocation" what
 
@@ -184,15 +172,6 @@ let read_int (v : view) i =
     if j < 0 || j >= Array.length a then fault "read out of bounds (%d)" j;
     a.(j)
   | _ -> class_fault "INTEGER"
-
-(** [Value.to_float (read_elem v i)] of a REAL allocation. *)
-let read_float (v : view) i =
-  match v.alloc.data with
-  | Farr a ->
-    let j = v.off + i in
-    if j < 0 || j >= Array.length a then fault "read out of bounds (%d)" j;
-    a.(j)
-  | _ -> class_fault "REAL"
 
 (** [Value.to_bool (read_elem v i)] of a LOGICAL allocation. *)
 let read_bool (v : view) i =

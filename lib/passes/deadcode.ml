@@ -6,7 +6,8 @@
     An assignment [v = e] is dead when [v] is a scalar that is never
     read anywhere in the unit after the pass ran to fixpoint, [e] has no
     side effects (no function calls that could reach user code), and [v]
-    is not a dummy argument or COMMON member (both escape the unit). *)
+    does not escape the unit ({!Fir.Punit.escapes}: a dummy argument, a
+    COMMON member or a FUNCTION's result variable). *)
 
 open Fir
 open Ast
@@ -35,13 +36,6 @@ let read_scalars (u : Punit.t) =
     u.pu_body;
   List.sort_uniq String.compare !acc
 
-let escapes (u : Punit.t) v =
-  List.mem v u.pu_args
-  ||
-  match Symtab.find_opt u.pu_symtab v with
-  | Some sym -> sym.sym_common <> None
-  | None -> false
-
 let has_call e = Expr.exists (function Fun_call _ -> true | _ -> false) e
 
 (* one sweep, pure: the swept body and whether anything was removed *)
@@ -54,7 +48,7 @@ let sweep (u : Punit.t) : block * bool =
         match s.kind with
         | Assign (Var v, rhs)
           when (not (List.mem v reads))
-               && (not (escapes u v))
+               && (not (Punit.escapes u v))
                && (not (Symtab.is_array u.pu_symtab v))
                && (not (has_call rhs))
                && s.label = None ->

@@ -40,9 +40,12 @@ type loop_report = {
   reason : string;
 }
 
-(* scalar [v] is read after the loop (conservative liveness over the
-   whole unit outside the loop body) *)
+(* scalar [v] is read after the loop: it escapes the unit
+   ({!Fir.Punit.escapes}), or the unit mentions it outside the loop body
+   (conservative liveness) *)
 let live_after (u : Punit.t) (d : do_loop) v =
+  Punit.escapes u v
+  ||
   let inside = Stmt.fold (fun acc s -> s.sid :: acc) [] d.body in
   Stmt.fold
     (fun acc (s : stmt) ->

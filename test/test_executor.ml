@@ -200,6 +200,74 @@ let test_unclassified () =
         (Machine.Interp.run p).output)
     unclassified
 
+(* REAL functions on both sides of an operator, nested, in an IF
+   condition and calling each other, each with REAL locals of its own,
+   and a subroutine whose REAL PARAMETERs are expressions, bound on
+   first use while an expression of its frame is half evaluated: every
+   activation writes only its own registers *)
+let registers_src =
+  "      PROGRAM REGS\n\
+   \      REAL A(10), B(10), Y, S\n\
+   \      INTEGER I\n\
+   \      DO 10 I = 1, 10\n\
+   \        A(I) = I * 0.5\n\
+   \        B(I) = 1.0 / I\n\
+   \   10 CONTINUE\n\
+   \      S = 0.0\n\
+   \      DO 20 I = 1, 9\n\
+   \        Y = A(I) * F(B(I)) - A(I + 1) / F(F(A(I)) + 1.0)\n\
+   \        IF (F(Y) .GT. S) S = S + F(Y) * 0.5\n\
+   \        S = S + Y * (A(I) - B(I))\n\
+   \   20 CONTINUE\n\
+   \      CALL SCALE(A, 10)\n\
+   \      PRINT *, S, A(1), A(10)\n\
+   \      END\n\
+   \      REAL FUNCTION F(X)\n\
+   \      REAL X, T\n\
+   \      T = 1.5 * 0.5 - 0.25\n\
+   \      F = G(X) * T + X\n\
+   \      END\n\
+   \      REAL FUNCTION G(X)\n\
+   \      REAL X, U\n\
+   \      U = 2.0 ** 3 / 4.0\n\
+   \      G = X * X - U\n\
+   \      END\n\
+   \      SUBROUTINE SCALE(V, N)\n\
+   \      INTEGER N, K\n\
+   \      REAL V(N), H, W\n\
+   \      PARAMETER (H = 0.25 * 3.0, W = H * 2.0 + 1.0)\n\
+   \      DO 30 K = 1, N\n\
+   \        V(K) = V(K) * W + H\n\
+   \   30 CONTINUE\n\
+   \      END\n"
+
+let test_registers () =
+  let original = Frontend.Parser.parse_string registers_src in
+  let compiled = compile registers_src in
+  List.iter
+    (fun parallel ->
+      let mode = if parallel then "parallel" else "serial" in
+      check_same ("registers original " ^ mode) (cfg parallel) original;
+      check_same ("registers compiled " ^ mode) (cfg parallel) compiled)
+    [ false; true ]
+
+(* A float a closure returned boxed cost two minor words, and the
+   compiled suite ran at 9.5 words per statement that way; with REAL
+   values in frame registers it runs under one *)
+let test_allocation () =
+  let words, steps =
+    List.fold_left
+      (fun (words, steps) (c : Suite.Code.t) ->
+        let p = compile c.source in
+        let w0 = Gc.minor_words () in
+        let st, _ = Machine.Interp.run_main p in
+        (words +. (Gc.minor_words () -. w0), steps + st.steps))
+      (0.0, 0) Suite.Registry.all
+  in
+  let per = words /. float_of_int steps in
+  if per >= 1.0 then
+    Alcotest.failf "serial suite run: %.2f minor words per statement (limit 1.0)" per
+
 (* ------------------------------------------------------------------ *)
 (* Simulated times pinned                                              *)
 
@@ -249,4 +317,6 @@ let tests =
     ("fuel exhaustion messages", `Quick, test_fuel_messages);
     ("fault classes", `Quick, test_fault_classes);
     ("unclassified reads stay boxed", `Quick, test_unclassified);
+    ("REAL functions and cold PARAMETERs: registers", `Quick, test_registers);
+    ("suite runs under 1 minor word per statement", `Quick, test_allocation);
     ("simulated times pinned (golden)", `Quick, test_simtime_golden) ]
