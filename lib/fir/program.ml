@@ -39,6 +39,12 @@ let find_unit t name =
   let name = Symtab.norm name in
   List.find_opt (fun u -> String.equal u.Punit.pu_name name) t.units
 
+(** The names of the FUNCTION units. *)
+let functions t =
+  List.filter_map
+    (fun (u : Punit.t) -> if Punit.is_function u then Some u.pu_name else None)
+    t.units
+
 (** Merge two programs; unit names must not collide.
     @raise Invalid_argument on a duplicate unit name. *)
 let merge a b =

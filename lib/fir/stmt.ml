@@ -139,6 +139,27 @@ let assigned_names b =
     [] b
   |> List.sort_uniq String.compare
 
+(** The actuals of [b]'s CALL statements and of its references to the
+    user functions [functions], or [None] when [b] makes no such call.
+    Arguments pass by reference, so a callee may assign what they name,
+    and any COMMON member. *)
+let call_actuals ~functions b =
+  let add args acc = Some (args @ Option.value acc ~default:[]) in
+  let references acc e =
+    Expr.fold
+      (fun acc -> function
+        | Fun_call (f, args) when List.mem f functions -> add args acc
+        | _ -> acc)
+      acc e
+  in
+  fold
+    (fun acc s ->
+      let acc = match s.kind with Call (_, args) -> add args acc | _ -> acc in
+      (* most programs have no FUNCTION unit: skip the expression walk *)
+      if functions = [] then acc
+      else List.fold_left (fun acc (_, e) -> references acc e) acc (exprs_of s))
+    None b
+
 (** [mentions name b]: does any expression of [b] reference [name]? *)
 let mentions name b =
   exists (fun s -> List.exists (fun (_, e) -> Expr.mentions name e) (exprs_of s)) b

@@ -55,6 +55,10 @@ let type_of (t : t) name =
 
 let fold f (t : t) acc = Hashtbl.fold f t acc
 
+(** The COMMON members. *)
+let commons (t : t) =
+  fold (fun n s acc -> if s.sym_common <> None then n :: acc else acc) t []
+
 let symbols (t : t) =
   fold (fun _ s acc -> s :: acc) t []
   |> List.sort (fun a b -> String.compare a.sym_name b.sym_name)

@@ -18,7 +18,12 @@
     Regions are loops taken outermost-first: a variable disqualified in
     an outer region (e.g. [X] in TRFD, reassigned by [X = X0] inside the
     [I] loop) is retried in the inner region where all its assignments
-    are induction-form. *)
+    are induction-form.
+
+    A CALL or a user FUNCTION reference in a region may assign what its
+    actuals name and any COMMON member (DESIGN §10b): no candidate and
+    no increment may name them, and a user function's result is no
+    invariant increment. *)
 
 open Fir
 open Ast
@@ -106,14 +111,15 @@ let assignment_contexts (b : block) : (string * context_flag * bool) list =
   go Plain b;
   !acc
 
-let call_mentioned_names (b : block) : string list =
-  Stmt.fold
-    (fun acc (s : stmt) ->
-      match s.kind with
-      | Call (_, args) -> List.concat_map Expr.all_names args @ acc
-      | _ -> acc)
-    [] b
-  |> List.sort_uniq String.compare
+(* what the region's CALLs and references to the user functions
+   [functions] may assign: the names in their actuals, and the COMMON
+   members *)
+let call_assigned ~functions (symtab : Symtab.t) (b : block) : string list =
+  match Stmt.call_actuals ~functions b with
+  | None -> []
+  | Some args ->
+    List.concat_map Expr.all_names args @ Symtab.commons symtab
+    |> List.sort_uniq String.compare
 
 let written_arrays (symtab : Symtab.t) (b : block) =
   Stmt.fold
@@ -131,10 +137,11 @@ let written_arrays (symtab : Symtab.t) (b : block) =
 
 (** Induction candidates of region [b]: integer scalars whose region
     assignments are all unconditional induction updates, not loop
-    indices, not passed to calls, with increments built from loop
-    indices, other candidates and region-invariant values. *)
-let candidates_of ?(generalized = true) (symtab : Symtab.t) (b : block) :
-    string list =
+    indices, not assigned by calls, with increments built from loop
+    indices, other candidates and region-invariant values ([functions]
+    names the user functions: a reference to one is not invariant). *)
+let candidates_of ?(generalized = true) ~functions (symtab : Symtab.t)
+    (b : block) : string list =
   if Stmt.exists (fun s -> match s.kind with Goto _ -> true | _ -> false) b
   then []
   else begin
@@ -142,7 +149,7 @@ let candidates_of ?(generalized = true) (symtab : Symtab.t) (b : block) :
     let vars =
       List.sort_uniq String.compare (List.map (fun (v, _, _) -> v) ctxs)
     in
-    let call_names = call_mentioned_names b in
+    let call_names = call_assigned ~functions symtab b in
     let base_ok v =
       Symtab.type_of symtab v = Integer
       && (not (Symtab.is_array symtab v))
@@ -205,7 +212,7 @@ let candidates_of ?(generalized = true) (symtab : Symtab.t) (b : block) :
     (* increments may only reference loop indices, candidates, and
        names not assigned in the region; iterate since removing one
        candidate can invalidate another *)
-    let assigned = Stmt.assigned_names b in
+    let assigned = Stmt.assigned_names b @ call_names @ functions in
     let warrays = written_arrays symtab b in
     let do_indices =
       Stmt.fold
@@ -256,8 +263,8 @@ let candidates_of ?(generalized = true) (symtab : Symtab.t) (b : block) :
     all [v = v * c] for one shared constant [c], otherwise subject to
     the same conditions as {!candidates_of}; they must not appear in any
     other recurrence's increment (no geometric cascades). *)
-let mul_candidates_of ?(generalized = true) (symtab : Symtab.t) (b : block) :
-    (string * expr) list =
+let mul_candidates_of ?(generalized = true) ~functions (symtab : Symtab.t)
+    (b : block) : (string * expr) list =
   if not generalized then []
   else if Stmt.exists (fun s -> match s.kind with Goto _ -> true | _ -> false) b
   then []
@@ -266,7 +273,7 @@ let mul_candidates_of ?(generalized = true) (symtab : Symtab.t) (b : block) :
     let vars =
       List.sort_uniq String.compare (List.map (fun (v, _, _) -> v) ctxs)
     in
-    let call_names = call_mentioned_names b in
+    let call_names = call_assigned ~functions symtab b in
     let factors v =
       Stmt.fold
         (fun acc (s : stmt) ->
@@ -540,11 +547,11 @@ type report = { mutable substituted : (string * string) list }
 
 (* try to substitute the candidates of the region consisting of the
    single loop statement [s]; returns the replacement statements *)
-let try_loop_region ~generalized (symtab : Symtab.t) (report : report)
-    (s : stmt) (d : do_loop) : stmt list option =
+let try_loop_region ~generalized ~functions (symtab : Symtab.t)
+    (report : report) (s : stmt) (d : do_loop) : stmt list option =
   let region = [ s ] in
-  let cands = candidates_of ~generalized symtab region in
-  let mulvars = mul_candidates_of ~generalized symtab region in
+  let cands = candidates_of ~generalized ~functions symtab region in
+  let mulvars = mul_candidates_of ~generalized ~functions symtab region in
   match (topo_order region cands, mulvars) with
   | [], [] -> None
   | order, mulvars -> (
@@ -584,39 +591,25 @@ let try_loop_region ~generalized (symtab : Symtab.t) (report : report)
 
 (** Substitute induction variables throughout a block, processing loops
     outermost-first and retrying disqualified variables in inner loops. *)
-let rec process_block ~generalized (symtab : Symtab.t) (report : report)
-    (b : block) : block =
+let rec process_block ~generalized ~functions (symtab : Symtab.t)
+    (report : report) (b : block) : block =
+  let recur = process_block ~generalized ~functions symtab report in
   List.concat_map
     (fun (s : stmt) ->
       match s.kind with
       | Do d -> (
-        match try_loop_region ~generalized symtab report s d with
+        match try_loop_region ~generalized ~functions symtab report s d with
         | Some replacement ->
           (* recurse into the rewritten loops for further candidates *)
           List.map
             (fun (s' : stmt) ->
               match s'.kind with
-              | Do d' ->
-                { s' with
-                  kind =
-                    Do
-                      { d' with
-                        body = process_block ~generalized symtab report d'.body } }
+              | Do d' -> { s' with kind = Do { d' with body = recur d'.body } }
               | _ -> s')
             replacement
-        | None ->
-          [ { s with
-              kind =
-                Do { d with body = process_block ~generalized symtab report d.body } } ])
-      | If (c, t, e) ->
-        [ { s with
-            kind =
-              If
-                ( c,
-                  process_block ~generalized symtab report t,
-                  process_block ~generalized symtab report e ) } ]
-      | While (c, body) ->
-        [ { s with kind = While (c, process_block ~generalized symtab report body) } ]
+        | None -> [ { s with kind = Do { d with body = recur d.body } } ])
+      | If (c, t, e) -> [ { s with kind = If (c, recur t, recur e) } ]
+      | While (c, body) -> [ { s with kind = While (c, recur body) } ]
       | _ -> [ s ])
     b
 
@@ -624,10 +617,10 @@ let rec process_block ~generalized (symtab : Symtab.t) (report : report)
     the list of (variable, loop index) pairs that were substituted.
     [process_block] is pure — the rewritten body is built first, and
     the unit is only touched when a substitution actually happened. *)
-let run_unit ?(generalized = true) (p : Program.t) (u : Punit.t) :
+let run_unit ?(generalized = true) ~functions (p : Program.t) (u : Punit.t) :
     (string * string) list =
   let report = { substituted = [] } in
-  let body' = process_block ~generalized u.pu_symtab report u.pu_body in
+  let body' = process_block ~generalized ~functions u.pu_symtab report u.pu_body in
   if report.substituted <> [] then begin
     Program.touch p u;
     u.pu_body <- body';
@@ -641,4 +634,5 @@ let run_unit ?(generalized = true) (p : Program.t) (u : Punit.t) :
 let consumes = [ "poly.of_expr" ]
 
 let run ?(generalized = true) (p : Program.t) : (string * string) list =
-  List.concat_map (fun u -> run_unit ~generalized p u) (Program.units p)
+  let functions = Program.functions p in
+  List.concat_map (fun u -> run_unit ~generalized ~functions p u) (Program.units p)
