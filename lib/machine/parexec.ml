@@ -490,7 +490,7 @@ let make_plan (t : t) (st : Interp.state) (fr : Interp.frame) sid (d : do_loop) 
 
 let child_state (st : Interp.state) : Interp.state =
   { st with
-    cache = Cache.create ();
+    cache = Interp.Cache.create ();
     time = 0;
     steps = st.steps;
     par_depth = 1;
@@ -565,7 +565,7 @@ let new_block (st : Interp.state) (fr : Interp.frame) (r : region) : block =
    it at every iteration *)
 let refill (st : Interp.state) (fr : Interp.frame) (r : region) (b : block) =
   let cst = b.b_state in
-  Cache.reset cst.cache;
+  Interp.Cache.reset cst.cache;
   cst.time <- 0;
   cst.steps <- st.steps;
   cst.cur_unit <- st.cur_unit;
@@ -606,7 +606,7 @@ let run_blocks (t : t) (blocks : block array) body ~init ~step ~trips =
       let idx = b.b_index.cb.view in
       for k = Parsim.block_start ~p ~n:trips j to Parsim.block_start ~p ~n:trips (j + 1) - 1 do
         List.iter (fun (_, sh) -> Shadow.begin_iteration sh) b.b_marks;
-        Storage.write_int idx 0 (init + (k * step));
+        Interp.write_int idx 0 (init + (k * step));
         Interp.charge b.b_state Interp.Cost.loop_iter;
         match Interp.exec_block b.b_state b.b_frame body with
         | Interp.Normal -> ()
@@ -680,7 +680,7 @@ let exec_doall (t : t) (st : Interp.state) (fr : Interp.frame) (r : region) body
   merge_steps st blocks;
   merge_output st blocks;
   merge_vars fr r blocks;
-  Storage.write_int fr.slots.(r.index).view 0 (init + (trips * step));
+  Interp.write_int fr.slots.(r.index).view 0 (init + (trips * step));
   t.stats.regions <- t.stats.regions + 1;
   t.stats.par_iters <- t.stats.par_iters + trips;
   Interp.Normal
@@ -695,13 +695,13 @@ let exec_serial (st : Interp.state) (fr : Interp.frame) (d : do_loop) body
     ~init ~step ~trips =
   let idx_b = Interp.binding_for st fr d.index in
   for k = 0 to trips - 1 do
-    Storage.write_int idx_b.view 0 (init + (k * step));
+    Interp.write_int idx_b.view 0 (init + (k * step));
     Interp.charge st Interp.Cost.loop_iter;
     match Interp.exec_block st fr body with
     | Interp.Normal -> ()
     | _ -> raise (Interp.Runtime_error "parallel region aborted by control flow")
   done;
-  Storage.write_int idx_b.view 0 (init + (trips * step));
+  Interp.write_int idx_b.view 0 (init + (trips * step));
   Interp.Normal
 
 (* merge the blocks' marks of one tested array, judge the merge, and
@@ -771,7 +771,7 @@ let exec_speculative (t : t) (st : Interp.state) (fr : Interp.frame) sid
       merge_steps st blocks;
       merge_output st blocks;
       merge_vars fr r blocks;
-      Storage.write_int fr.slots.(r.index).view 0 (init + (trips * step));
+      Interp.write_int fr.slots.(r.index).view 0 (init + (trips * step));
       t.stats.regions <- t.stats.regions + 1;
       t.stats.par_iters <- t.stats.par_iters + trips;
       t.stats.spec_success <- t.stats.spec_success + 1;

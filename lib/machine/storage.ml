@@ -9,6 +9,12 @@
     that declares it (the test suite declares commons consistently, so
     this coincides with F77 storage association for our inputs).
 
+    Elements are read and written here as boxed [Value.t]s
+    ({!read_elem}, {!write_elem}).  The lowered executor's typed reads
+    and writes, which move unboxed values, and its cache model, which
+    gives allocation [aid] the word addresses from [aid * 2^24], live in
+    [Interp], inlined into its closures.
+
     Concurrency ({!Parexec}): allocations may be written by several
     OCaml domains at once, but only at {e disjoint} element indices —
     the executor forks a loop only when its iterations were proven (or
@@ -127,60 +133,9 @@ let write_elem (v : view) i (x : Value.t) =
     if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
     a.(j) <- Value.to_bool x
 
-(** [write_elem v i (Value.Int n)] without boxing [n]. *)
-let write_int (v : view) i n =
-  let j = v.off + i in
-  match v.alloc.data with
-  | Farr a ->
-    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
-    a.(j) <- float_of_int n
-  | Iarr a ->
-    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
-    a.(j) <- n
-  | Barr a ->
-    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
-    a.(j) <- Value.to_bool (Value.Int n)
-
-(** [write_elem v i (Value.Bool b)] without boxing [b]. *)
-let write_bool (v : view) i b =
-  let j = v.off + i in
-  match v.alloc.data with
-  | Barr a ->
-    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
-    a.(j) <- b
-  | Farr a ->
-    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
-    a.(j) <- Value.to_float (Value.Bool b)
-  | Iarr a ->
-    if j < 0 || j >= Array.length a then fault "write out of bounds (%d)" j;
-    a.(j) <- Value.to_int (Value.Bool b)
-
-(* Typed reads, for the lowered executor.  It reads a variable through
-   them only when the variable's static class ({!Fir.Sclass}) fixes the
-   class of the allocation bound to it, so a mismatch is a broken
-   invariant, reported as a fault rather than a wrong value.  The REAL
-   read and write live in [Interp], inlined into its closures: a float
-   returned from a call into this module is boxed. *)
-
+(** The fault of a typed read ([Interp]'s [read_int], [read_bool] and
+    [read_float]) that finds an allocation of another class. *)
 let class_fault what = fault "storage class: %s read of another class's allocation" what
-
-(** [Value.to_int (read_elem v i)] of an INTEGER allocation. *)
-let read_int (v : view) i =
-  match v.alloc.data with
-  | Iarr a ->
-    let j = v.off + i in
-    if j < 0 || j >= Array.length a then fault "read out of bounds (%d)" j;
-    a.(j)
-  | _ -> class_fault "INTEGER"
-
-(** [Value.to_bool (read_elem v i)] of a LOGICAL allocation. *)
-let read_bool (v : view) i =
-  match v.alloc.data with
-  | Barr a ->
-    let j = v.off + i in
-    if j < 0 || j >= Array.length a then fault "read out of bounds (%d)" j;
-    a.(j)
-  | _ -> class_fault "LOGICAL"
 
 (** Elements [0, n) of [v] lie inside its allocation. *)
 let in_bounds (v : view) n = v.off >= 0 && v.off + n <= size_of_data v.alloc.data
@@ -237,7 +192,3 @@ let restore (a : alloc) (s : data) =
   | Iarr dst, Iarr src -> Array.blit src 0 dst 0 (Array.length dst)
   | Barr dst, Barr src -> Array.blit src 0 dst 0 (Array.length dst)
   | _ -> fault "snapshot type mismatch"
-
-(** Global machine address of element [i] of a view, for the cache
-    model: allocations are given disjoint 8-byte-word address ranges. *)
-let address (v : view) i = (v.alloc.aid * (1 lsl 24)) + v.off + i

@@ -54,14 +54,14 @@ let test_storage_snapshot () =
 (* ----- cache ----- *)
 
 let test_cache () =
-  let c = Machine.Cache.create () in
-  Alcotest.(check bool) "first miss" false (Machine.Cache.access c 0);
-  Alcotest.(check bool) "same line hit" true (Machine.Cache.access c 7);
-  Alcotest.(check bool) "next line miss" false (Machine.Cache.access c 8);
+  let c = Machine.Interp.Cache.create () in
+  Alcotest.(check bool) "first miss" false (Machine.Interp.Cache.access c 0);
+  Alcotest.(check bool) "same line hit" true (Machine.Interp.Cache.access c 7);
+  Alcotest.(check bool) "next line miss" false (Machine.Interp.Cache.access c 8);
   (* conflicting line evicts: 1024 sets * 8 words = line 0 and line 1024
      share set 0 *)
-  ignore (Machine.Cache.access c (1024 * 8));
-  Alcotest.(check bool) "evicted" false (Machine.Cache.access c 0)
+  ignore (Machine.Interp.Cache.access c (1024 * 8));
+  Alcotest.(check bool) "evicted" false (Machine.Interp.Cache.access c 0)
 
 (* ----- interpreter semantics ----- *)
 
