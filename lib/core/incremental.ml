@@ -12,7 +12,9 @@
     compile — only the edited unit pays for analysis.  Facts that
     name statements (loop nests, reaching definitions) live only as
     long as the one loop analysis that computed them, so a warm
-    compile keeps no IR of an earlier compile alive.
+    compile keeps no IR of an earlier compile alive.  [Serve.Local],
+    the serve session's entry point, also empties the [Compare] tables
+    before each compile; {!compile} itself clears nothing.
 
     Soundness is not argued, it is measured: {!diverges} compares an
     incremental compile against a from-scratch compile ({!scratch}) of

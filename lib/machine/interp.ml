@@ -1274,15 +1274,18 @@ and lower_stmt c (s : stmt) : state -> frame -> outcome =
     let body = lower_block c body in
     fun st fr ->
       tick st;
-      let rec loop () =
+      (* a loop, not a local recursive function: a WHILE execution
+         allocates no closure *)
+      let outcome = ref Normal and go = ref true in
+      while !go do
         charge st Cost.loop_iter;
-        if cond st fr then
-          match exec_block st fr body with
-          | Normal -> loop ()
-          | o -> o
-        else Normal
-      in
-      loop ()
+        if cond st fr then begin
+          outcome := exec_block st fr body;
+          go := !outcome == Normal
+        end
+        else go := false
+      done;
+      !outcome
   | Call (name, args) -> (
     match Program.find_unit c.c_prog name with
     | Some u ->
@@ -1416,21 +1419,18 @@ and exec_do st fr sid (d : do_loop) body ~(index : Storage.binding) ~init ~step
     st.par_depth <- st.par_depth + 1;
     let t0 = st.time in
     let iter_costs = Array.make trips 0 in
-    let rec iterate k =
-      if k >= trips then Normal
-      else begin
-        let before = st.time in
-        (match st.on_loop_iter with Some f -> f sid k st.time | None -> ());
-        set_index st d index (init + (k * step));
-        charge st Cost.loop_iter;
-        match exec_block st fr body with
-        | Normal ->
-          iter_costs.(k) <- st.time - before;
-          iterate (k + 1)
-        | o -> o
-      end
-    in
-    let outcome = iterate 0 in
+    let k = ref 0 and outcome = ref Normal in
+    while !outcome == Normal && !k < trips do
+      let before = st.time in
+      (match st.on_loop_iter with Some f -> f sid !k st.time | None -> ());
+      set_index st d index (init + (!k * step));
+      charge st Cost.loop_iter;
+      outcome := exec_block st fr body;
+      (* read only when every iteration completes *)
+      iter_costs.(!k) <- st.time - before;
+      incr k
+    done;
+    let outcome = !outcome in
     set_index st d index (init + (trips * step));
     st.par_depth <- st.par_depth - 1;
     match outcome with

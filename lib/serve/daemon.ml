@@ -12,7 +12,9 @@
     the process-wide content-addressed caches, so every session warms
     every other session; with a {!Store} attached ([--store]) the
     persistent subset also survives daemon restarts, bounded by LRU
-    eviction and guarded by integrity checks.
+    eviction and guarded by integrity checks.  Above them, each daemon
+    answers a request it has already answered from its reply memo
+    ({!Memo}), without compiling.
 
     Fault containment is per request and per session: a compile that
     faults (bad source, contained pass incident, exhausted budget)
@@ -182,6 +184,7 @@ type state = {
   st_cfg : cfg;
   st_store : Store.t option;
   st_sv : Metrics.server;
+  st_memo : Memo.t;  (* this daemon's replies, for repeated requests *)
   mutable st_sessions : Metrics.session list;  (* every session ever *)
   mutable st_stop : bool;  (* graceful shutdown requested *)
   mutable st_since_flush : int;   (* compile requests since the last flush *)
@@ -199,6 +202,7 @@ let log_line st json =
 
 let stats_json st =
   Metrics.server_json ~now:(Unix.gettimeofday ()) st.st_sv st.st_sessions
+    ~memo:(Memo.stats_json st.st_memo)
     (Option.map Store.stats_json st.st_store)
 
 (* what the store's latest flush or compaction wrote, and its cost *)
@@ -251,41 +255,70 @@ let resolve_backend st (c : Protocol.compile_req) :
     Ok (Option.value st.st_cfg.d_backend ~default:Backend.Registry.default)
   else Backend.Registry.find c.cr_backend
 
-(* compile one request and fold its counters into the session and
-   server metrics *)
+(* the reply of one compile *)
+let reply_of ~label (compiled : Local.compiled) : Protocol.compile_reply =
+  let r = compiled.lc_result in
+  { co_label = label;
+    co_output = compiled.lc_output;
+    co_verdicts = compiled.lc_verdicts;
+    co_incidents = List.length r.pipeline.incidents;
+    co_reuse_rate = r.stats.st_reuse_rate;
+    co_shared_hits = compiled.lc_shared_hits;
+    co_shared_lookups = compiled.lc_shared_lookups;
+    co_wall_ms = 1000.0 *. compiled.lc_wall_s;
+    co_check_divergences = compiled.lc_check_divergences }
+
+(* answer one compile request, from the reply memo or by compiling, and
+   fold its counters into the session and server metrics; the flag says
+   whether the memo answered *)
 let handle_compile st (sess : Metrics.session) (c : Protocol.compile_req) :
-    Protocol.response =
+    Protocol.response * bool =
   match (resolve_config st c, resolve_backend st c) with
-  | Error m, _ | _, Error m -> Protocol.Error_r m
+  | Error m, _ | _, Error m -> (Protocol.Error_r m, false)
   | Ok config, Ok backend -> (
-  match
-    Local.compile_source ~check:c.cr_check ~backend config c.cr_source
-  with
-  | compiled ->
-    let r = compiled.lc_result in
-    let incidents = List.length r.pipeline.incidents in
-    sess.ss_incidents <- sess.ss_incidents + incidents;
-    st.st_sv.sv_incidents <- st.st_sv.sv_incidents + incidents;
-    sess.ss_shared_hits <- sess.ss_shared_hits + compiled.lc_shared_hits;
-    sess.ss_shared_lookups <-
-      sess.ss_shared_lookups + compiled.lc_shared_lookups;
-    sess.ss_tracked_hits <- sess.ss_tracked_hits + r.stats.st_hits;
-    sess.ss_tracked_lookups <- sess.ss_tracked_lookups + r.stats.st_lookups;
-    Protocol.Compiled
-      { co_label = c.cr_label;
-        co_output = compiled.lc_output;
-        co_verdicts = compiled.lc_verdicts;
-        co_incidents = incidents;
-        co_reuse_rate = r.stats.st_reuse_rate;
-        co_shared_hits = compiled.lc_shared_hits;
-        co_shared_lookups = compiled.lc_shared_lookups;
-        co_wall_ms = 1000.0 *. compiled.lc_wall_s;
-        co_check_divergences = compiled.lc_check_divergences }
-  | exception Frontend.Lexer.Error m -> Protocol.Error_r ("lexical error: " ^ m)
-  | exception Frontend.Parser.Error m -> Protocol.Error_r ("syntax error: " ^ m)
-  | exception e ->
-    (* contained: the request failed, the session and server live on *)
-    Protocol.Error_r ("compile failed: " ^ Printexc.to_string e))
+    let t0 = Unix.gettimeofday () in
+    let compile () =
+      Local.compile_source ~check:c.cr_check ~backend config c.cr_source
+    in
+    (* a check request asks for a compile; with the caches off the memo
+       would be the one cache left on *)
+    let key =
+      if c.cr_check || not config.caches then None
+      else Some (config, backend.b_name, c.cr_source)
+    in
+    match
+      match Option.bind key (Memo.find st.st_memo) with
+      | Some stored ->
+        if !Util.Cachectl.debug then
+          Memo.check stored ~fresh:(reply_of ~label:c.cr_label (compile ()));
+        ( { stored with
+            co_label = c.cr_label;
+            co_shared_hits = 0;
+            co_shared_lookups = 0;
+            co_wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) },
+          true )
+      | None ->
+        let compiled = compile () in
+        let r = reply_of ~label:c.cr_label compiled in
+        Option.iter (fun k -> Memo.add st.st_memo k r) key;
+        let stats = compiled.lc_result.stats in
+        sess.ss_tracked_hits <- sess.ss_tracked_hits + stats.st_hits;
+        sess.ss_tracked_lookups <- sess.ss_tracked_lookups + stats.st_lookups;
+        (r, false)
+    with
+    | r, hit ->
+      sess.ss_incidents <- sess.ss_incidents + r.co_incidents;
+      st.st_sv.sv_incidents <- st.st_sv.sv_incidents + r.co_incidents;
+      sess.ss_shared_hits <- sess.ss_shared_hits + r.co_shared_hits;
+      sess.ss_shared_lookups <- sess.ss_shared_lookups + r.co_shared_lookups;
+      (Protocol.Compiled r, hit)
+    | exception Frontend.Lexer.Error m ->
+      (Protocol.Error_r ("lexical error: " ^ m), false)
+    | exception Frontend.Parser.Error m ->
+      (Protocol.Error_r ("syntax error: " ^ m), false)
+    | exception e ->
+      (* contained: the request failed, the session and server live on *)
+      (Protocol.Error_r ("compile failed: " ^ Printexc.to_string e), false))
 
 let request_kind = function
   | Protocol.Compile c -> "compile " ^ c.cr_label
@@ -298,10 +331,10 @@ let handle_request st conn (req : Protocol.request) : Protocol.response =
   let t0 = Unix.gettimeofday () in
   sess.ss_requests <- sess.ss_requests + 1;
   st.st_sv.sv_requests <- st.st_sv.sv_requests + 1;
-  let resp =
+  let resp, memo_hit =
     match req with
     | Protocol.Compile c ->
-      let r = handle_compile st sess c in
+      let r, hit = handle_compile st sess c in
       (match r with
       | Protocol.Error_r _ ->
         sess.ss_errors <- sess.ss_errors + 1;
@@ -312,16 +345,16 @@ let handle_request st conn (req : Protocol.request) : Protocol.response =
       st.st_since_flush <- st.st_since_flush + 1;
       if st.st_store <> None && st.st_since_flush >= st.st_cfg.d_flush_every
       then flush_store st ~reason:"request-count";
-      r
+      (r, hit)
     | Protocol.Stats ->
       (match st.st_store with
       | Some _ -> flush_store st ~reason:"stats"
       | None -> ());
-      Protocol.Stats_reply (stats_json st)
-    | Protocol.Ping -> Protocol.Pong
+      (Protocol.Stats_reply (stats_json st), false)
+    | Protocol.Ping -> (Protocol.Pong, false)
     | Protocol.Shutdown ->
       st.st_stop <- true;
-      Protocol.Bye
+      (Protocol.Bye, false)
   in
   let dt = Unix.gettimeofday () -. t0 in
   Metrics.add sess.ss_lat dt;
@@ -333,6 +366,7 @@ let handle_request st conn (req : Protocol.request) : Protocol.response =
           ("session", int sess.ss_id);
           ("seq", int sess.ss_requests);
           ("kind", str (request_kind req));
+          ("memo", bool memo_hit);
           ("wall_ms", float (1000.0 *. dt));
           ( "shared_hit_rate",
             float (Metrics.rate_of sess.ss_shared_hits sess.ss_shared_lookups)
@@ -498,6 +532,7 @@ let run ?(signals = false) ?(stop = Atomic.make false) ?on_ready (cfg : cfg) :
     { st_cfg = cfg;
       st_store = store;
       st_sv = Metrics.server ~now:now0;
+      st_memo = Memo.create ();
       st_sessions = [];
       st_stop = false;
       st_since_flush = 0;

@@ -104,9 +104,10 @@ let session_json (s : session) =
       ("mean_ms", Json.float (1000.0 *. mean s.ss_lat)) ]
 
 (** The [Stats] reply and the shutdown log line: server totals,
-    throughput, latency percentiles, per-session summaries, and the
+    throughput, latency percentiles, per-session summaries, the reply
+    memo's counters ([memo]: hits, misses, entries, bytes), and the
     persistent store's counters when one is attached. *)
-let server_json ~now (sv : server) (sessions : session list)
+let server_json ~now (sv : server) (sessions : session list) ~memo
     (store_json : string option) =
   let uptime = now -. sv.sv_started in
   Json.obj
@@ -129,4 +130,5 @@ let server_json ~now (sv : server) (sessions : session list)
        ("mean_ms", Json.float (1000.0 *. mean sv.sv_lat));
        ( "per_session",
          Json.arr (List.map session_json (List.sort (fun a b -> compare a.ss_id b.ss_id) sessions)) ) ]
-    @ match store_json with None -> [] | Some j -> [ ("store", j) ])
+    @ (match store_json with None -> [] | Some j -> [ ("store", j) ])
+    @ [ ("memo", memo) ])

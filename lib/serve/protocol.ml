@@ -82,9 +82,12 @@ type compile_reply = {
   co_verdicts : string list;   (** sid-masked per-loop verdict lines *)
   co_incidents : int;          (** contained pass faults of this compile *)
   co_reuse_rate : float;       (** tracked-analysis reuse (hits/lookups) *)
-  co_shared_hits : int;        (** hits in the persistent (shared) caches *)
+  co_shared_hits : int;
+      (** hits in the persistent (shared) caches; a reply-memo hit
+          ({!Memo}) made no lookups and reports 0 of 0 *)
   co_shared_lookups : int;
-  co_wall_ms : float;          (** server-side wall time of the compile *)
+  co_wall_ms : float;
+      (** server-side wall time of the compile, or of the memo lookup *)
   co_check_divergences : string list;
       (** non-empty only when [cr_check] was set and the incremental
           compile diverged from scratch — a server-side contract

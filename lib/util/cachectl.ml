@@ -20,6 +20,17 @@
     - {!register} gives each cache a hit/miss counter and a clear hook;
       [Valid.Trace] reports the counters, and the tests and the
       benchmark reset the tables between compiles via {!clear_all}.
+    - Lifetimes: the caches registered with [~persist:true] live as
+      long as the process (and, in the daemon, in its store).  Those
+      registered without it live for one compile of a serve session:
+      [Serve.Local.compile_source] empties them first through
+      {!clear_transient}, because their facts are seldom asked for
+      again once the persistent [dep.verdict] holds the loop's answer.
+    - The daemon's reply memo ([Serve.Memo]) sits above all of them and
+      is not registered here: it answers a repeated request without
+      compiling, follows {!enabled} only through the request's
+      [Core.Config.caches], and in {!debug} mode compiles a hit again
+      and raises {!Debug_mismatch} if the replies differ.
 
     Soundness contract: a cache may only consult its table when
     [!enabled] is true, must key on content (never on a statement id
@@ -136,6 +147,14 @@ let delta ~base now =
       | Some (_, h0, m0) -> (name, h - h0, m - m0)
       | None -> (name, h, m))
     now
+
+(** Empty the caches registered with [~persist:false] (the two
+    [Compare] proof tables) and leave their counters alone.  A serve
+    session calls it before each compile, so those tables hold one
+    compile's facts at most.  Call it only at a sequential point, never
+    inside a pool batch. *)
+let clear_transient () =
+  List.iter (fun e -> if not e.e_persist then e.e_clear ()) !registry
 
 (** Empty every registered cache and zero its counters. *)
 let clear_all () =

@@ -1461,6 +1461,204 @@ let test_daemon_budget_reaches_verdicts () =
       budgeted_par unbudgeted_par;
   Util.Cachectl.clear_all ()
 
+(* ------------------------------------------------------------------ *)
+(* The reply memo                                                      *)
+
+(* the integer after ["key":] inside the stats reply's ["memo"] object *)
+let memo_int json key =
+  let needle = "\"memo\":" in
+  let nn = String.length needle in
+  let rec find i =
+    if i + nn > String.length json then
+      Alcotest.fail "no memo object in the stats reply"
+    else if String.sub json i nn = needle then i + nn
+    else find (i + 1)
+  in
+  let start = find 0 in
+  json_int (String.sub json start (String.length json - start)) key
+
+let memo_counts c =
+  match Serve.Client.stats c with
+  | Ok json -> (memo_int json "hits", memo_int json "misses")
+  | Error m -> Alcotest.fail ("stats: " ^ m)
+
+let compile_ok c ?backend ?baseline ?check ~label source =
+  match
+    Serve.Client.compile_source c ?backend ?baseline ?check ~label source
+  with
+  | Ok r -> r
+  | Error m -> Alcotest.failf "%s: %s" label m
+
+(* the daemon stops, and removes its socket, even when [f] fails *)
+let with_daemon ?tweak ~socket f =
+  let d, stop = start_daemon ?tweak ~socket ~store_dir:None () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      ignore (Domain.join d))
+    (fun () ->
+      match Serve.Client.connect socket with
+      | Error m -> Alcotest.fail m
+      | Ok c ->
+        Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f c))
+
+(* the ambient cache mode: [POLARIS_NO_CACHE=1] turns the memo off *)
+let ambient_caches = Serve.Daemon.default_cfg.d_config.caches
+
+(* the same source twice on one daemon: the second reply is the first
+   one's, byte for byte, answered by the memo (with the caches off both
+   compile); its log line says so *)
+let test_daemon_memo_repeat () =
+  let socket = tmp_name "memo.sock" in
+  let log = tmp_name "memo.jsonl" in
+  (try Sys.remove log with Sys_error _ -> ());
+  Util.Cachectl.clear_all ();
+  let first, second, (hits, misses) =
+    with_daemon ~tweak:(fun c -> { c with Serve.Daemon.d_log = Some log })
+      ~socket
+      (fun c ->
+        let first = compile_ok c ~label:"first" smoke_source in
+        let second = compile_ok c ~label:"second" smoke_source in
+        (first, second, memo_counts c))
+  in
+  Alcotest.(check string) "output" first.co_output second.co_output;
+  Alcotest.(check (list string)) "verdicts" first.co_verdicts second.co_verdicts;
+  Alcotest.(check int) "incidents" first.co_incidents second.co_incidents;
+  Alcotest.(check string) "the new request's label" "second" second.co_label;
+  let expected = if ambient_caches then 1 else 0 in
+  Alcotest.(check int) "memo hits" expected hits;
+  Alcotest.(check int) "memo misses" expected misses;
+  if ambient_caches then
+    Alcotest.(check int) "a hit makes no shared lookups" 0
+      second.co_shared_lookups;
+  let text = read_file log in
+  Alcotest.(check int) "request lines answered by the memo" expected
+    (count_occurrences text "\"memo\":true");
+  Alcotest.(check int) "compile request lines" 2
+    (count_occurrences text "\"kind\":\"compile ");
+  Sys.remove log;
+  Util.Cachectl.clear_all ()
+
+(* what the memo must not answer: another backend, a baseline request
+   and a check request each compile afresh, and so does a second daemon
+   in this process with another budget, which has a memo of its own *)
+let test_daemon_memo_compiles_afresh () =
+  let socket = tmp_name "memo-afresh.sock" in
+  Util.Cachectl.clear_all ();
+  let fresh what (r : Serve.Protocol.compile_reply) =
+    (* a compile with the caches on looks the persistent caches up *)
+    if ambient_caches && r.co_shared_lookups = 0 then
+      Alcotest.failf "%s: answered without a compile" what
+  in
+  let hits, misses =
+    with_daemon ~socket (fun c ->
+        let plain = compile_ok c ~label:"plain" smoke_source in
+        let omp =
+          compile_ok c ~backend:"f77-omp" ~label:"omp" smoke_source
+        in
+        fresh "another backend" omp;
+        if omp.co_output = plain.co_output then
+          Alcotest.fail "f77-omp answered with the f77 output";
+        fresh "--baseline"
+          (compile_ok c ~baseline:true ~label:"baseline" smoke_source);
+        let checked = compile_ok c ~check:true ~label:"check" smoke_source in
+        fresh "check = true" checked;
+        Alcotest.(check (list string)) "check passes" []
+          checked.co_check_divergences;
+        memo_counts c)
+  in
+  (* the check request bypasses the memo: neither a hit nor a miss *)
+  Alcotest.(check (pair int int)) "memo hits, misses"
+    (if ambient_caches then (0, 3) else (0, 0))
+    (hits, misses);
+  let budgeted c =
+    { c with
+      Serve.Daemon.d_config = { c.Serve.Daemon.d_config with budget_steps = 1 } }
+  in
+  let r, counts =
+    with_daemon ~tweak:budgeted ~socket (fun c ->
+        let r = compile_ok c ~label:"budgeted" smoke_source in
+        (r, memo_counts c))
+  in
+  fresh "a second daemon" r;
+  Alcotest.(check (pair int int)) "second daemon's memo hits, misses"
+    (if ambient_caches then (0, 1) else (0, 0))
+    counts;
+  Util.Cachectl.clear_all ()
+
+(* a source padded with comment lines to about [kb] KB *)
+let padded_src ~kb i =
+  let pad = Buffer.create (kb * 1024) in
+  while Buffer.length pad < kb * 1024 do
+    Buffer.add_string pad "C    ";
+    Buffer.add_string pad (String.make 70 'X');
+    Buffer.add_char pad '\n'
+  done;
+  Buffer.contents pad ^ pipelined_src i
+
+(* distinct sources past the memo's byte bound leave it under the bound,
+   the oldest gone and the newest kept.  The caches are on whatever the
+   ambient mode, so the memo runs; nothing here reads a clock *)
+let test_daemon_memo_bounded () =
+  let socket = tmp_name "memo-bound.sock" in
+  Util.Cachectl.clear_all ();
+  let kb = 16 in
+  let n = (Serve.Memo.max_bytes / (kb * 1024)) + 8 in
+  let json =
+    with_daemon ~tweak:caches_on ~socket (fun c ->
+        for i = 0 to n - 1 do
+          ignore (compile_ok c ~label:(string_of_int i) (padded_src ~kb i))
+        done;
+        let h0, m0 = memo_counts c in
+        ignore (compile_ok c ~label:"newest" (padded_src ~kb (n - 1)));
+        ignore (compile_ok c ~label:"oldest" (padded_src ~kb 0));
+        let h1, m1 = memo_counts c in
+        Alcotest.(check (pair int int)) "newest a hit, oldest a miss" (1, 1)
+          (h1 - h0, m1 - m0);
+        match Serve.Client.stats c with
+        | Ok json -> json
+        | Error m -> Alcotest.fail m)
+  in
+  let bytes = memo_int json "bytes" and entries = memo_int json "entries" in
+  if bytes > Serve.Memo.max_bytes then
+    Alcotest.failf "memo holds %d bytes, bound %d" bytes Serve.Memo.max_bytes;
+  if bytes <= Serve.Memo.gen_bytes then
+    Alcotest.failf "memo holds %d bytes: the test did not fill it" bytes;
+  if entries >= n then
+    Alcotest.failf "memo kept all %d distinct sources" entries;
+  Util.Cachectl.clear_all ()
+
+let noloop_source =
+  "      PROGRAM NOLOOP\n\
+   \      REAL X\n\
+   \      X = 1.0\n\
+   \      PRINT *, X\n\
+   \      END\n"
+
+(* a serve request's compile starts with empty [compare.*] tables: a
+   suite code fills them, and after a loop-free request, which proves
+   nothing, they are empty again *)
+let test_daemon_compare_tables_per_request () =
+  let socket = tmp_name "compare.sock" in
+  Util.Cachectl.clear_all ();
+  let compare_chains () =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"compare." name)
+      (Util.Cachectl.chains ())
+  in
+  let code = List.hd Suite.Registry.all in
+  with_daemon ~tweak:caches_on ~socket (fun c ->
+      ignore (compile_ok c ~label:code.name code.source);
+      if List.for_all (fun (_, chain) -> chain = 0) (compare_chains ()) then
+        Alcotest.failf "%s left no compare entries: the test shows nothing"
+          code.name;
+      ignore (compile_ok c ~label:"noloop" noloop_source);
+      List.iter
+        (fun (name, chain) ->
+          Alcotest.(check int) (name ^ " empty after the next request") 0 chain)
+        (compare_chains ()));
+  Util.Cachectl.clear_all ()
+
 let tests =
   [ ("protocol request roundtrip", `Quick, test_protocol_request_roundtrip);
     ("protocol response roundtrip", `Quick, test_protocol_response_roundtrip);
@@ -1510,4 +1708,10 @@ let tests =
     ("store compacts the first flush after a torn tail", `Quick,
      test_store_torn_tail_then_append);
     ("store compacts past twice the live bytes", `Quick,
-     test_store_compacts_past_twice_live) ]
+     test_store_compacts_past_twice_live);
+    ("daemon memo answers a repeated request", `Quick, test_daemon_memo_repeat);
+    ("daemon memo: backend, baseline, check and budget compile afresh",
+     `Quick, test_daemon_memo_compiles_afresh);
+    ("daemon memo stays under its byte bound", `Quick, test_daemon_memo_bounded);
+    ("serve requests keep no compare tables", `Quick,
+     test_daemon_compare_tables_per_request) ]
